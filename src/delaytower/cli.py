@@ -16,6 +16,7 @@ from importlib import resources
 
 from . import sim, tower, vdf
 from .bench import reports_to_csv, time_operation
+from .serialization import write_atomic
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -25,13 +26,15 @@ DEFAULT_ENDPOINT = "0.0.0.0:6180"
 
 
 def _load_key(path: str) -> bytes:
-    """Read the hex identity key, creating a fresh one when the file is absent."""
+    """Read the hex identity key, creating a fresh one when the file is absent.
+
+    A new key file is created atomically with mode 0600.
+    """
     if os.path.exists(path):
         with open(path, "r", encoding="ascii") as fh:
             return bytes.fromhex(fh.read().strip())
     key = secrets.token_bytes(32)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(key.hex() + "\n")
+    write_atomic(path, (key.hex() + "\n").encode("ascii"))
     print(f"generated new identity key at {path}")
     return key
 
@@ -44,6 +47,7 @@ def cmd_mine(args) -> int:
         return EXIT_DOMAIN
 
     if os.path.exists(args.tower_file):
+        started = time.perf_counter()
         try:
             twr = tower.load_tower(args.tower_file)
         except tower.CorruptTower as exc:
@@ -55,8 +59,10 @@ def cmd_mine(args) -> int:
         if twr.owner_public_key != key:
             print("error: tower file belongs to a different key", file=sys.stderr)
             return EXIT_DOMAIN
+        elapsed = (time.perf_counter() - started) * 1000.0
         print(f"resuming tower at height {twr.height} "
-              f"(t={twr.params.iterations}, modulus {twr.security.modulus_bits} bits)")
+              f"(t={twr.params.iterations}, modulus {twr.security.modulus_bits} bits; "
+              f"validated in {elapsed:.1f} ms)")
     else:
         security = vdf.SecurityParams(modulus_bits=args.modulus_bits,
                                       iterations=args.iterations)

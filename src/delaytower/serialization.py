@@ -2,10 +2,14 @@
 
 Every multi-byte quantity is big-endian. Unbounded integers are written as a
 4-byte length followed by the minimal magnitude bytes, so identical values
-always produce identical bytes.
+always produce identical bytes. ``write_atomic`` is the one way files of
+those bytes (tower files, key files) reach the disk.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 
 class DecodeError(ValueError):
@@ -30,6 +34,25 @@ def encode_bigint(value: int) -> bytes:
 def encode_bytes(data: bytes) -> bytes:
     """Length-prefixed byte string."""
     return len(data).to_bytes(4, "big") + bytes(data)
+
+
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a mode-0600 temp file plus rename.
+
+    Readers see the old file or the whole new one, never a partial write, and
+    nobody but the owner can read it.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".delaytower-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o600)
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class Reader:

@@ -4,17 +4,24 @@ A tower starts from an input bound to the owner's key and endpoint; every
 later proof evaluates on a group element derived from the digest of the
 previous record. Re-validating the file under a different key fails at
 record 0, which is what makes a tower non-transferable.
+
+A tower is validated once, at its boundary, not before every link: each
+``Tower`` privately counts the records known to chain and verify. Only
+``init_tower``, ``extend`` and ``load_tower(validate=True)`` set that count.
+Any other tower, including one built by the constructor or by
+``dataclasses.replace`` (a tampered, re-keyed or reordered copy), starts at 0
+and is validated in full before ``extend`` appends to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import vdf
-from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint
+from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
+    write_atomic
 
 TOWER_FILE_VERSION = 1
 
@@ -43,10 +50,18 @@ class Tower:
     security: vdf.SecurityParams
     params: vdf.PublicParams
     records: tuple[ProofRecord, ...]
+    # Records known to chain and verify; not part of equality or the file.
+    _validated_height: int = field(default=0, init=False, compare=False, repr=False)
 
     @property
     def height(self) -> int:
         return len(self.records)
+
+
+def _validated(tower: Tower) -> Tower:
+    """Record that every record of ``tower`` chains and verifies."""
+    object.__setattr__(tower, "_validated_height", tower.height)
+    return tower
 
 
 def record_digest_bytes(record: ProofRecord) -> bytes:
@@ -79,13 +94,13 @@ def init_tower(
     output, proof = vdf.eval(params, x0)
     record = ProofRecord(index=0, input=x0, output=output, proof=proof,
                          created_epoch=created_epoch)
-    return Tower(
+    return _validated(Tower(
         owner_public_key=bytes(public_key),
         endpoint=bytes(endpoint),
         security=security,
         params=params,
         records=(record,),
-    )
+    ))
 
 
 def next_input(tower: Tower) -> int:
@@ -96,16 +111,19 @@ def next_input(tower: Tower) -> int:
 def extend(tower: Tower, *, created_epoch: int = 0) -> Tower:
     """Append one proof chained from the digest of the current tip.
 
-    The whole chain is validated first; a tower that fails validation cannot
-    be extended.
+    A tower that fails validation cannot be extended. The whole chain is
+    validated first unless every record is already known to be valid, that
+    is, the tower came from ``init_tower``, ``extend`` or a validating
+    ``load_tower``; so a miner verifies its chain once per session, not once
+    per link.
     """
-    if not validate_chain(tower):
+    if not 0 < tower._validated_height == tower.height and not validate_chain(tower):
         raise CorruptTower("refusing to extend a tower that fails chain validation")
     x = next_input(tower)
     output, proof = vdf.eval(tower.params, x)
     record = ProofRecord(index=len(tower.records), input=x, output=output,
                          proof=proof, created_epoch=created_epoch)
-    return replace(tower, records=tower.records + (record,))
+    return _validated(replace(tower, records=tower.records + (record,)))
 
 
 def record_valid(tower: Tower, index: int) -> bool:
@@ -201,24 +219,19 @@ def _deserialize(data: bytes) -> Tower:
 
 def save_tower(tower: Tower, path: str | os.PathLike) -> None:
     """Write the tower atomically (temp file plus rename)."""
-    data = _serialize(tower)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tower-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, _serialize(tower))
 
 
 def load_tower(path: str | os.PathLike, *, validate: bool = True) -> Tower:
-    """Read a tower file; with validate (the default) refuse corrupt chains."""
+    """Read a tower file; with validate (the default) refuse corrupt chains.
+
+    A validated tower is marked as such, so ``extend`` does not check it again.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     tower = _deserialize(data)
-    if validate and not validate_chain(tower):
+    if not validate:
+        return tower
+    if not validate_chain(tower):
         raise CorruptTower("tower file parses but fails chain validation")
-    return tower
+    return _validated(tower)

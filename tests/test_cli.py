@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import re
 
 from delaytower import tower
 from delaytower.cli import main
@@ -29,10 +31,19 @@ class TestMine:
         twr = tower.load_tower(tmp_path / "t.bin")
         assert twr.height == 4
 
-    def test_resume_appends(self, tmp_path):
+    def test_resume_appends(self, tmp_path, capsys):
         assert mine(tmp_path, "--proofs", "3") == 0
+        capsys.readouterr()
         assert mine(tmp_path, "--proofs", "1") == 0
         assert tower.load_tower(tmp_path / "t.bin").height == 5
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"resuming tower at height 4 \(t=64, modulus 256 bits; "
+                            r"validated in \d+\.\d ms\)", first), first
+
+    def test_new_key_file_private(self, tmp_path):
+        assert mine(tmp_path, "--proofs", "1") == 0
+        assert os.stat(tmp_path / "k.hex").st_mode & 0o777 == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k.hex", "t.bin"]
 
     def test_corrupt_tower_fails_and_leaves_file(self, tmp_path):
         assert mine(tmp_path, "--proofs", "1") == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -68,9 +69,58 @@ class TestExtend:
         assert extended.height == height3.height + 1
         assert extended.records[:3] == height3.records
 
-    def test_tampered_tower_refuses_extension(self, height3):
+    def test_tampered_tower_refuses_extension(self, height8):
+        for index in range(height8.height):
+            with pytest.raises(tower.CorruptTower):
+                tower.extend(tamper_record(height8, index))
+        stolen = dataclasses.replace(height8, owner_public_key=b"other-owner")
         with pytest.raises(tower.CorruptTower):
-            tower.extend(tamper_record(height3, 0))
+            tower.extend(stolen)
+        records = list(height8.records)
+        records[2], records[3] = records[3], records[2]
+        with pytest.raises(tower.CorruptTower):
+            tower.extend(dataclasses.replace(height8, records=tuple(records)))
+
+
+@pytest.fixture
+def verify_calls(monkeypatch) -> list:
+    """Count every vdf.verify call made through the tower module."""
+    calls = []
+    original = vdf.verify
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(vdf, "verify", counting)
+    return calls
+
+
+class TestValidatedPrefix:
+    def test_extend_of_built_tower_verifies_nothing(self, verify_calls):
+        twr = tower.init_tower(SMALL_SECURITY, b"owner-c", b"ep-c")
+        twr = tower.extend(twr)
+        twr = tower.extend(twr)
+        assert twr.height == 3
+        assert verify_calls == []
+
+    def test_extend_after_validating_load_verifies_nothing_more(
+            self, tmp_path, height3, verify_calls):
+        tower.save_tower(height3, tmp_path / "t.bin")
+        loaded = tower.load_tower(tmp_path / "t.bin")
+        assert len(verify_calls) == height3.height
+        extended = tower.extend(loaded)
+        assert len(verify_calls) == height3.height
+        assert tower.validate_chain(extended)
+
+    def test_unmarked_towers_are_validated_in_full(self, tmp_path, height3, verify_calls):
+        tower.save_tower(height3, tmp_path / "t.bin")
+        unvalidated = tower.load_tower(tmp_path / "t.bin", validate=False)
+        copied = dataclasses.replace(height3)
+        for twr in (unvalidated, copied):
+            verify_calls.clear()
+            assert tower.extend(twr).height == height3.height + 1
+            assert len(verify_calls) == height3.height
 
 
 class TestValidateChain:
@@ -132,6 +182,17 @@ class TestPersistence:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             tower.load_tower(tmp_path / "absent.bin")
+
+    def test_file_bytes_unchanged(self, tmp_path):
+        security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
+        twr = tower.init_tower(security, b"pinned-owner", b"pinned-endpoint")
+        twr = tower.extend(twr, created_epoch=1)
+        twr = tower.extend(twr, created_epoch=2)
+        tower.save_tower(twr, tmp_path / "t.bin")
+        # Digest of the same tower written before eval built midpoints from
+        # stored powers: the proof and file formats must not drift.
+        assert hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest() == \
+            "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
 
     def test_load_without_validation_still_checks_format(self, tmp_path, height3):
         path = tmp_path / "t.bin"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,6 +25,33 @@ def random_composite(rng: random.Random, upper: int = 1 << 16) -> int:
         n = rng.randrange(9, upper) | 1
         if not vdf.is_probable_prime(n):
             return n
+
+
+def straight_transcript(modulus: int, x: int, t: int, y: int) -> tuple[int, ...]:
+    """Reference fold: every midpoint by squaring the folded base again."""
+    checkpoints = []
+    xi, yi, remaining = x, y, t
+    level = 1
+    while remaining > 1:
+        if remaining % 2 == 1:
+            xi = xi * xi % modulus
+            remaining -= 1
+        half = remaining // 2
+        midpoint = pow(xi, 1 << half, modulus)
+        r = vdf._challenge(modulus, xi, yi, midpoint, level)
+        xi = pow(xi, r, modulus) * midpoint % modulus
+        yi = pow(midpoint, r, modulus) * yi % modulus
+        remaining = half
+        checkpoints.append(midpoint)
+        level += 1
+    return tuple(checkpoints)
+
+
+def assert_straight_transcript(pp: vdf.PublicParams, x: int) -> None:
+    output, proof = vdf.eval(pp, x)
+    assert output == pow(x, 1 << pp.iterations, pp.modulus)
+    assert proof.checkpoints == straight_transcript(pp.modulus, x, pp.iterations, output), \
+        f"t={pp.iterations}"
 
 
 class TestSetup:
@@ -105,6 +133,28 @@ class TestEval:
         assert vdf.verify(pp, x, output, proof)
 
 
+class TestStoredPowers:
+    """Midpoints built from the loop's stored powers equal the straight fold."""
+
+    def test_every_small_step_count(self, small_params):
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        for t in range(1, 65):
+            assert_straight_transcript(small_modulus_params(small_params.modulus, t), x)
+
+    def test_cli_step_count(self, small_params):
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        assert_straight_transcript(small_modulus_params(small_params.modulus, 4096), x)
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_straight_fold_oracle(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        n = random_composite(rng)
+        x = data.draw(st.integers(1, n - 1))
+        t = data.draw(st.integers(1, 256))
+        assert_straight_transcript(small_modulus_params(n, t), x)
+
+
 class TestCancellation:
     def test_cancel_then_resume_matches_straight_run(self, small_params):
         pp = vdf.PublicParams(small_params.modulus, small_params.input_digest,
@@ -125,6 +175,28 @@ class TestCancellation:
         resumed = vdf.eval(pp, x, resume=checkpoint)
         assert resumed == straight
 
+    def test_resume_around_each_stored_power(self, small_params):
+        pp = small_modulus_params(small_params.modulus, 1024)
+        x = vdf.hash_to_group(pp.input_digest, pp.modulus)
+        straight = vdf.eval(pp, x)
+        stride = 256  # 1024 / 2^2: the loop stores a power every 256 squarings
+        targets = sorted({d for j in range(1, 5) for d in (j * stride - 1, j * stride,
+                                                          j * stride + 1)
+                          if d < 1024})
+        for target in targets:
+            calls = {"n": 0}
+
+            def cancel_at_target() -> bool:
+                calls["n"] += 1
+                return calls["n"] == target
+
+            with pytest.raises(vdf.EvalCancelled) as excinfo:
+                vdf.eval(pp, x, should_cancel=cancel_at_target, check_every=1)
+            checkpoint = excinfo.value.checkpoint
+            assert checkpoint.iterations_done == target
+            assert len(checkpoint.powers) == target // stride
+            assert vdf.eval(pp, x, resume=checkpoint) == straight, f"resumed at {target}"
+
     def test_progress_reported(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
         seen = []
@@ -137,6 +209,17 @@ class TestCancellation:
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
         with pytest.raises(ValueError):
             vdf.eval(small_params, x, resume=vdf.EvalCheckpoint(10_000, x))
+
+    def test_resume_with_mismatched_powers_rejected(self, small_params):
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        with pytest.raises(vdf.EvalCancelled) as excinfo:
+            vdf.eval(small_params, x, should_cancel=lambda: True, check_every=8)
+        checkpoint = excinfo.value.checkpoint
+        assert checkpoint.iterations_done == 8 and len(checkpoint.powers) == 2
+        for powers in ((), checkpoint.powers[:1], checkpoint.powers + (x,)):
+            bad = dataclasses.replace(checkpoint, powers=powers)
+            with pytest.raises(ValueError, match="does not match"):
+                vdf.eval(small_params, x, resume=bad)
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +368,11 @@ class TestGroupMapping:
     def test_modulus_deterministic(self):
         assert vdf.generate_modulus(512, b"a") == vdf.generate_modulus(512, b"a")
         assert vdf.generate_modulus(512, b"a") != vdf.generate_modulus(512, b"b")
+
+    def test_modulus_cache_ignores_calling_convention(self):
+        vdf.generate_modulus.cache_clear()
+        n = vdf.generate_modulus(256)
+        assert vdf.generate_modulus(256, vdf.DEFAULT_MODULUS_SEED) == n
+        assert vdf.generate_modulus(256, seed=vdf.DEFAULT_MODULUS_SEED) == n
+        info = vdf.generate_modulus.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
