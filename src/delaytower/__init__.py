@@ -8,6 +8,7 @@ from .ledger import (
     ForeignSigner,
     InvalidProof,
     InvalidSignature,
+    InvalidSnapshot,
     LedgerState,
     MinerState,
     NoBlocksThisEpoch,
@@ -47,6 +48,7 @@ from .vdf import (
     PublicParams,
     SecurityParams,
     VdfProof,
+    check_proof,
     fast_reject,
     setup,
     verify,

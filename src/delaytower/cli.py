@@ -142,18 +142,12 @@ def cmd_bench(args) -> int:
             embedded_prime_length_bits=proof.embedded_prime_length_bits - 1,
         )
 
-        def run_eval():
-            vdf.eval(pp, x)
-
-        def run_verify_valid():
-            vdf.fast_reject(security, proof) or vdf.verify(pp, x, output, proof)
-
-        def run_verify_invalid():
-            vdf.fast_reject(security, invalid) or vdf.verify(pp, x, output, invalid)
-
-        for label, fn in (("eval", run_eval),
-                          ("verify-valid", run_verify_valid),
-                          ("verify-invalid", run_verify_invalid)):
+        operations = (
+            ("eval", lambda: vdf.eval(pp, x)),
+            ("verify-valid", lambda: vdf.check_proof(security, pp.modulus, x, output, proof)),
+            ("verify-invalid", lambda: vdf.check_proof(security, pp.modulus, x, output, invalid)),
+        )
+        for label, fn in operations:
             report = time_operation(label, pp.iterations, fn, args.samples)
             reports.append(report)
             print(report.summary_line())

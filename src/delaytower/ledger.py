@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import tower, vdf
-from .serialization import encode_bigint, encode_bytes, encode_uint
+from .serialization import encode_bigint, encode_bytes, encode_uint, fields_from_doc
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -52,6 +52,10 @@ class NoBlocksThisEpoch(Exception):
     """Liveliness is undefined while the epoch has no committed blocks."""
 
 
+class InvalidSnapshot(ValueError):
+    """Snapshot text is not a well-formed ledger snapshot."""
+
+
 class Ranking(Enum):
     BY_TOWER_HEIGHT = "by-tower-height"
     BY_COMPLIANT_EPOCHS = "by-compliant-epochs"
@@ -82,6 +86,28 @@ class EpochConfig:
             raise ValueError("jail_sentence_epochs must be positive")
         if self.growth_cap < self.mining_threshold:
             raise ValueError("growth_cap must be >= mining_threshold")
+
+    def to_doc(self) -> dict:
+        """JSON object of every field; ``from_doc`` reads it back."""
+        doc = asdict(self)
+        doc.update(liveliness_threshold=str(self.liveliness_threshold),
+                   ranking=self.ranking.value)
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc) -> "EpochConfig":
+        """Parse ``to_doc``'s form; missing keys take the field defaults."""
+        return cls(**fields_from_doc(cls, doc, liveliness_threshold=_parse_rational,
+                                     ranking=Ranking))
+
+
+def _parse_rational(value) -> Fraction:
+    """A rational from a "p/q" string, an integer, or a float (to within 1e-9)."""
+    if isinstance(value, (str, int)):
+        return Fraction(value)
+    if isinstance(value, float):
+        return Fraction(value).limit_denominator(10**9)
+    raise ValueError(f"cannot parse rational from {value!r}")
 
 
 @dataclass
@@ -150,33 +176,6 @@ class LedgerState:
         self.miner_pool: dict[bytes, MinerState] = {}
         self.epoch_blocks_total: int = 0
         self.epoch_signatures: dict[bytes, int] = {}
-        self._pp_template = vdf.PublicParams(
-            modulus=self.modulus,
-            input_digest=b"",
-            iterations=self.iterations,
-            prime_length_bits=security.prime_length_bits,
-        )
-
-    @classmethod
-    def genesis(
-        cls,
-        security: vdf.SecurityParams,
-        epoch_config: EpochConfig,
-        scheme: SignatureScheme,
-        genesis_miners: Iterable[tuple[bytes, int]],
-        genesis_validators: Iterable[bytes],
-        **kwargs,
-    ) -> "LedgerState":
-        """Bootstrap a chain: seed the miner pool and install the first validators.
-
-        Genesis miners get placeholder chain tips; they exist so that networks
-        can start with a working validator set before anyone has mined.
-        """
-        state = cls(security, epoch_config, scheme, **kwargs)
-        for address, height in genesis_miners:
-            state.bootstrap_miner(address, height=height)
-        state.install_validators(genesis_validators)
-        return state
 
     # -- invariant helpers -------------------------------------------------
 
@@ -230,10 +229,10 @@ class LedgerState:
             raise InvalidProof("first proof must have index 0")
         if first_proof.input != vdf.hash_to_group(params.input_digest, params.modulus):
             raise InvalidProof("first proof input does not match the declared parameters")
-        if vdf.fast_reject(self.security, first_proof.proof):
-            raise InvalidProof("first proof fails the structural screen")
-        if not vdf.verify(params, first_proof.input, first_proof.output, first_proof.proof):
-            raise InvalidProof("first proof transcript does not verify")
+        failed = vdf.check_proof(self.security, self.modulus, first_proof.input,
+                                 first_proof.output, first_proof.proof)
+        if failed is not None:
+            raise InvalidProof(f"first proof fails the {failed} check")
         ms = MinerState(
             address=address,
             height=1,
@@ -271,9 +270,8 @@ class LedgerState:
             return False
         if not ms.height < claimed_height:
             return False
-        if vdf.fast_reject(self.security, record.proof):
-            return False
-        if not vdf.verify(self._pp_template, record.input, record.output, record.proof):
+        if vdf.check_proof(self.security, self.modulus, record.input, record.output,
+                           record.proof) is not None:
             return False
         ms.height += 1
         ms.num = min(ms.num + 1, self.epoch_config.growth_cap)
@@ -310,21 +308,9 @@ class LedgerState:
         doc = {
             "version": SNAPSHOT_VERSION,
             "scheme": self.scheme.name,
-            "security": {
-                "modulus_bits": self.security.modulus_bits,
-                "prime_length_bits": self.security.prime_length_bits,
-                "iterations": self.security.iterations,
-            },
+            "security": self.security.to_doc(),
             "modulus": str(self.modulus),
-            "epoch_config": {
-                "rounds_per_epoch": self.epoch_config.rounds_per_epoch,
-                "max_validators": self.epoch_config.max_validators,
-                "liveliness_threshold": str(self.epoch_config.liveliness_threshold),
-                "mining_threshold": self.epoch_config.mining_threshold,
-                "jail_sentence_epochs": self.epoch_config.jail_sentence_epochs,
-                "growth_cap": self.epoch_config.growth_cap,
-                "ranking": self.epoch_config.ranking.value,
-            },
+            "epoch_config": self.epoch_config.to_doc(),
             "epoch": self.epoch,
             "validator_set": [a.hex() for a in self.validator_set],
             "miner_pool": {
@@ -345,39 +331,48 @@ class LedgerState:
 
     @classmethod
     def import_snapshot(cls, text: str) -> "LedgerState":
-        doc = json.loads(text)
-        if doc.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {doc.get('version')}")
-        security = vdf.SecurityParams(**doc["security"])
-        cfg = doc["epoch_config"]
-        epoch_config = EpochConfig(
-            rounds_per_epoch=cfg["rounds_per_epoch"],
-            max_validators=cfg["max_validators"],
-            liveliness_threshold=Fraction(cfg["liveliness_threshold"]),
-            mining_threshold=cfg["mining_threshold"],
-            jail_sentence_epochs=cfg["jail_sentence_epochs"],
-            growth_cap=cfg["growth_cap"],
-            ranking=Ranking(cfg["ranking"]),
-        )
-        state = cls(security, epoch_config, scheme_by_name(doc["scheme"]),
-                    modulus=int(doc["modulus"]))
-        state.epoch = doc["epoch"]
-        for addr_hex, fields in doc["miner_pool"].items():
-            address = bytes.fromhex(addr_hex)
-            state.miner_pool[address] = MinerState(
-                address=address,
-                height=fields["height"],
-                hash=bytes.fromhex(fields["hash"]),
-                num=fields["num"],
-                jailed=fields["jailed"],
-                jail_sentence=fields["jail_sentence"],
-                compliant_epochs=fields["compliant_epochs"],
-            )
-        validators = [bytes.fromhex(a) for a in doc["validator_set"]]
-        if validators:
-            state.install_validators(validators)
-        state.epoch_blocks_total = doc["epoch_blocks_total"]
-        state.epoch_signatures = {
-            bytes.fromhex(a): n for a, n in doc["epoch_signatures"].items()
-        }
+        """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on
+        malformed JSON, a missing key, a wrong type, bad hex, a negative count, a
+        non-bool ``jailed``, a modulus that is not odd and above 3, an invalid
+        config or another version."""
+        try:
+            doc = json.loads(text)
+            if doc.get("version") != SNAPSHOT_VERSION:
+                raise ValueError(f"unsupported snapshot version {doc.get('version')}")
+            modulus = int(doc["modulus"], 10)  # a decimal string only
+            if modulus <= 3 or modulus % 2 == 0:
+                raise ValueError("modulus must be an odd integer greater than 3")
+            state = cls(vdf.SecurityParams.from_doc(doc["security"]),
+                        EpochConfig.from_doc(doc["epoch_config"]),
+                        scheme_by_name(doc["scheme"]), modulus=modulus)
+            state.epoch = _count(doc["epoch"])
+            for addr_hex, fields in doc["miner_pool"].items():
+                if not isinstance(fields["jailed"], bool):
+                    raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
+                address = bytes.fromhex(addr_hex)
+                state.miner_pool[address] = MinerState(
+                    address=address,
+                    height=_count(fields["height"]),
+                    hash=bytes.fromhex(fields["hash"]),
+                    num=_count(fields["num"]),
+                    jailed=fields["jailed"],
+                    jail_sentence=_count(fields["jail_sentence"]),
+                    compliant_epochs=_count(fields["compliant_epochs"]),
+                )
+            validators = [bytes.fromhex(a) for a in doc["validator_set"]]
+            if validators:
+                state.install_validators(validators)
+            state.epoch_blocks_total = _count(doc["epoch_blocks_total"])
+            state.epoch_signatures = {
+                bytes.fromhex(a): _count(n) for a, n in doc["epoch_signatures"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidSnapshot(f"bad snapshot: {exc}") from exc
         return state
+
+
+def _count(value) -> int:
+    """A snapshot counter: a non-negative JSON integer."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value

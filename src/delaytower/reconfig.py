@@ -16,7 +16,6 @@ from .ledger import MIN_VALIDATORS, LedgerState, Ranking
 
 
 class LifecycleState(Enum):
-    NODE = "node"
     FULL_NODE = "full-node"
     MINER = "miner"
     VALIDATOR_CANDIDATE = "validator-candidate"

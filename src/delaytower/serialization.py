@@ -3,11 +3,13 @@
 Every multi-byte quantity is big-endian. Unbounded integers are written as a
 4-byte length followed by the minimal magnitude bytes, so identical values
 always produce identical bytes. ``write_atomic`` is the one way files of
-those bytes (tower files, key files) reach the disk.
+those bytes (tower files, key files) reach the disk. ``fields_from_doc`` is
+the one way a JSON object becomes the arguments of a config dataclass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 
@@ -86,6 +88,21 @@ class Reader:
         if self._pos != len(self._data):
             raise DecodeError("trailing bytes after end of structure")
 
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
+
+def fields_from_doc(cls, doc, **parsers) -> dict:
+    """Constructor arguments for the dataclass ``cls`` from the JSON object ``doc``.
+
+    Fields named in ``parsers`` go through them; every other field must hold an
+    integer. Missing keys are left to the defaults, unknown keys are ignored.
+    """
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {doc!r}")
+    values = {}
+    for name in (f.name for f in dataclasses.fields(cls) if f.name in doc):
+        value = doc[name]
+        if name in parsers:
+            value = parsers[name](value)
+        elif type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        values[name] = value
+    return values

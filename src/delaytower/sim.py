@@ -23,7 +23,7 @@ from . import tower, vdf
 from .ledger import (
     EpochConfig,
     LedgerState,
-    Ranking,
+    _parse_rational,
     registration_message,
     submission_message,
 )
@@ -104,13 +104,7 @@ class Scenario:
     population: tuple[tuple[bytes, Behavior], ...]
     genesis_validators: tuple[bytes, ...]
     epoch_config: EpochConfig = EpochConfig()
-    rounds_per_epoch: Optional[int] = None
     security: vdf.SecurityParams = vdf.SecurityParams(modulus_bits=512, iterations=16)
-
-    @property
-    def rounds(self) -> int:
-        return (self.rounds_per_epoch if self.rounds_per_epoch is not None
-                else self.epoch_config.rounds_per_epoch)
 
 
 @dataclass(frozen=True)
@@ -217,8 +211,6 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidScenario("seed must fit in 64 bits")
     if scenario.epochs < 1:
         raise InvalidScenario("epochs must be positive")
-    if scenario.rounds < 1:
-        raise InvalidScenario("rounds_per_epoch must be positive")
     addresses = [address for address, _ in scenario.population]
     if len(set(addresses)) != len(addresses):
         raise InvalidScenario("population contains duplicate addresses")
@@ -279,7 +271,7 @@ def run(
             state.bootstrap_miner(address)
     state.install_validators(scenario.genesis_validators)
 
-    rounds = scenario.rounds
+    rounds = scenario.epoch_config.rounds_per_epoch
     records: list[EpochRecord] = []
     total_commits = 0
     total_timeouts = 0
@@ -336,16 +328,6 @@ def run(
                       total_timeouts=total_timeouts)
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**9)
-    raise InvalidScenario(f"cannot parse rational from {value!r}")
-
-
 def _parse_behavior(doc: dict) -> Behavior:
     conduct = doc.get("behavior", {})
     kind = BehaviorKind(conduct.get("kind", "honest"))
@@ -366,25 +348,20 @@ def _parse_behavior(doc: dict) -> Behavior:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse the documented scenario schema; raises InvalidScenario on bad fields."""
+    """Parse the documented scenario schema; raises InvalidScenario on bad fields.
+
+    A top-level ``rounds_per_epoch`` must equal the ``epoch_config`` value after
+    defaults. Missing security keys take the values of ``Scenario.security``.
+    """
     doc = json.loads(text)
     try:
-        cfg_doc = doc.get("epoch_config", {})
-        epoch_config = EpochConfig(
-            rounds_per_epoch=cfg_doc.get("rounds_per_epoch", 100),
-            max_validators=cfg_doc.get("max_validators", 100),
-            liveliness_threshold=_parse_rational(cfg_doc.get("liveliness_threshold", "9/10")),
-            mining_threshold=cfg_doc.get("mining_threshold", 24),
-            jail_sentence_epochs=cfg_doc.get("jail_sentence_epochs", 1),
-            growth_cap=cfg_doc.get("growth_cap", 48),
-            ranking=Ranking(cfg_doc.get("ranking", "by-tower-height")),
-        )
-        sec_doc = doc.get("security", {})
-        security = vdf.SecurityParams(
-            modulus_bits=sec_doc.get("modulus_bits", 512),
-            prime_length_bits=sec_doc.get("prime_length_bits", 512),
-            iterations=sec_doc.get("iterations", 16),
-        )
+        epoch_config = EpochConfig.from_doc(doc.get("epoch_config", {}))
+        rounds = epoch_config.rounds_per_epoch
+        if doc.get("rounds_per_epoch", rounds) != rounds:
+            raise InvalidScenario(f"rounds_per_epoch {doc['rounds_per_epoch']!r} disagrees "
+                                  f"with epoch_config.rounds_per_epoch {rounds}")
+        security = vdf.SecurityParams.from_doc(
+            {**Scenario.security.to_doc(), **doc.get("security", {})})
         population = tuple(
             (bytes.fromhex(entry["address"]), _parse_behavior(entry))
             for entry in doc["population"]
@@ -392,17 +369,16 @@ def scenario_from_json(text: str) -> Scenario:
         scenario = Scenario(
             seed=doc["seed"],
             epochs=doc["epochs"],
-            rounds_per_epoch=doc.get("rounds_per_epoch"),
             population=population,
             genesis_validators=tuple(bytes.fromhex(a) for a in doc["genesis_validators"]),
             epoch_config=epoch_config,
             security=security,
         )
+        _validate(scenario)
     except InvalidScenario:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"bad scenario document: {exc}") from exc
-    _validate(scenario)
     return scenario
 
 
@@ -424,21 +400,8 @@ def scenario_to_json(scenario: Scenario) -> str:
     doc = {
         "seed": scenario.seed,
         "epochs": scenario.epochs,
-        "rounds_per_epoch": scenario.rounds,
-        "epoch_config": {
-            "rounds_per_epoch": scenario.epoch_config.rounds_per_epoch,
-            "max_validators": scenario.epoch_config.max_validators,
-            "liveliness_threshold": str(scenario.epoch_config.liveliness_threshold),
-            "mining_threshold": scenario.epoch_config.mining_threshold,
-            "jail_sentence_epochs": scenario.epoch_config.jail_sentence_epochs,
-            "growth_cap": scenario.epoch_config.growth_cap,
-            "ranking": scenario.epoch_config.ranking.value,
-        },
-        "security": {
-            "modulus_bits": scenario.security.modulus_bits,
-            "prime_length_bits": scenario.security.prime_length_bits,
-            "iterations": scenario.security.iterations,
-        },
+        "epoch_config": scenario.epoch_config.to_doc(),
+        "security": scenario.security.to_doc(),
         "population": [
             {
                 "address": address.hex(),

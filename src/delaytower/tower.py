@@ -143,9 +143,8 @@ def record_valid(tower: Tower, index: int) -> bool:
             record_digest(tower.records[index - 1]), tower.params.modulus)
     if record.input != expected_input:
         return False
-    if vdf.fast_reject(tower.security, record.proof):
-        return False
-    return vdf.verify(tower.params, record.input, record.output, record.proof)
+    return vdf.check_proof(tower.security, tower.params.modulus, record.input,
+                           record.output, record.proof) is None
 
 
 def validate_chain(tower: Tower) -> bool:
@@ -205,12 +204,7 @@ def _deserialize(data: bytes) -> Tower:
             records.append(ProofRecord(index=index, input=input_, output=output,
                                        proof=proof, created_epoch=created_epoch))
         reader.expect_end()
-        params = vdf.PublicParams(
-            modulus=modulus,
-            input_digest=vdf.derive_input_digest(owner, endpoint),
-            iterations=vdf.effective_iterations(security.iterations),
-            prime_length_bits=security.prime_length_bits,
-        )
+        params = vdf.setup(security, owner, endpoint, modulus=modulus)
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:
         raise CorruptTower(f"cannot parse tower file: {exc}") from exc
     return Tower(owner_public_key=owner, endpoint=endpoint, security=security,

@@ -28,11 +28,12 @@ group, which is what makes a chain of these proofs non-transferable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint
+from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
+    fields_from_doc
 
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
 DEFAULT_PRIME_LENGTH_BITS = 512
@@ -101,6 +102,15 @@ class SecurityParams:
                 f"prime_length_bits must be >= {_MIN_PRIME_LENGTH_BITS}, got {self.prime_length_bits}")
         if self.iterations < 1:
             raise InvalidSecurityParams(f"iterations must be >= 1, got {self.iterations}")
+
+    def to_doc(self) -> dict:
+        """JSON object of every field; ``from_doc`` reads it back."""
+        return asdict(self)
+
+    @classmethod
+    def from_doc(cls, doc) -> "SecurityParams":
+        """Parse ``to_doc``'s form; missing keys take the field defaults."""
+        return cls(**fields_from_doc(cls, doc))
 
 
 @dataclass(frozen=True)
@@ -375,9 +385,8 @@ def eval(
     return y, proof
 
 
-def verify(pp: PublicParams, x: int, y: int, proof: VdfProof) -> bool:
-    """Check a transcript in O(log t) group work; malformed input yields False."""
-    modulus = pp.modulus
+def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
+    """Check that proof shows x^(2^iterations) = y mod modulus; malformed input yields False."""
     if not isinstance(x, int) or not isinstance(y, int):
         return False
     if not 1 <= x < modulus or not 1 <= y < modulus:
@@ -388,7 +397,7 @@ def verify(pp: PublicParams, x: int, y: int, proof: VdfProof) -> bool:
         if not isinstance(midpoint, int) or not 1 <= midpoint < modulus:
             return False
 
-    xi, yi, remaining = x, y, pp.iterations
+    xi, yi, remaining = x, y, iterations
     level = 1
     for midpoint in proof.checkpoints:
         if remaining <= 1:
@@ -426,6 +435,20 @@ def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:
         if not isinstance(midpoint, int) or not 1 <= midpoint < bound:
             return True
     return False
+
+
+def check_proof(security: SecurityParams, modulus: int, x: int, y: int,
+                proof: VdfProof) -> Optional[str]:
+    """Screen with ``fast_reject``, then ``verify`` at the effective step count.
+
+    Returns None for a good proof, otherwise the check that failed: "screen"
+    or "transcript". A screened-out proof never reaches ``verify``.
+    """
+    if fast_reject(security, proof):
+        return "screen"
+    if not verify(modulus, effective_iterations(security.iterations), x, y, proof):
+        return "transcript"
+    return None
 
 
 def serialize_proof(proof: VdfProof) -> bytes:

@@ -66,7 +66,7 @@ def test_criterion_01_vdf_correctness(acceptance_modulus):
             for _ in range(200):
                 x = rng.randrange(1, pp.modulus)
                 output, proof = vdf.eval(pp, x)
-                assert vdf.verify(pp, x, output, proof)
+                assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
         elapsed = time.perf_counter() - started
         assert elapsed < 120, f"took {elapsed:.1f}s, budget is 120s"
 
@@ -103,7 +103,7 @@ def test_criterion_02_vdf_soundness(acceptance_modulus):
                 checkpoints[idx] = fresh
                 candidate = (x, output, vdf.VdfProof(output, tuple(checkpoints), 512))
             trials += 1
-            if vdf.verify(pp, *candidate):
+            if vdf.verify(pp.modulus, pp.iterations, *candidate):
                 accepted += 1
         assert accepted == 0, f"{accepted} tampered transcripts accepted"
 
@@ -148,7 +148,7 @@ def timings(acceptance_modulus):
         output, proof = vdf.eval(pp, x)
         data[f"verify{label}"] = measure(
             lambda pp=pp, x=x, output=output, proof=proof:
-            vdf.verify(pp, x, output, proof))
+            vdf.verify(pp.modulus, pp.iterations, x, output, proof))
 
     security16 = vdf.SecurityParams(modulus_bits=512, iterations=1 << 16)
     pp16 = params_at(acceptance_modulus, 1 << 16)
@@ -158,7 +158,7 @@ def timings(acceptance_modulus):
 
     def screened_submission():
         if not vdf.fast_reject(security16, invalid):
-            vdf.verify(pp16, x16, output, invalid)
+            vdf.verify(pp16.modulus, pp16.iterations, x16, output, invalid)
 
     data["fastreject16"] = measure(screened_submission, n=200)
     return data
@@ -351,6 +351,7 @@ def random_scenario(seed: int) -> sim.Scenario:
         growth_cap=max(mu + 2, 10),
     )
     rounds = rng.randrange(8, 17)
+    cfg = dataclasses.replace(cfg, rounds_per_epoch=rounds)
     population = []
     n_validators = rng.randrange(4, 11)
     for i in range(n_validators):
@@ -371,7 +372,6 @@ def random_scenario(seed: int) -> sim.Scenario:
     return sim.Scenario(
         seed=seed,
         epochs=rng.randrange(3, 6),
-        rounds_per_epoch=rounds,
         population=tuple(population),
         genesis_validators=tuple(a for a, _ in population[:n_validators]),
         epoch_config=cfg,

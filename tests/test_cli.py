@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
+
+import pytest
 
 from delaytower import tower
 from delaytower.cli import main
 
 FAST = ["--iterations", "64", "--modulus-bits", "256"]
+
+# SHA-256 of simulate's CSV and summary for each bundled scenario.
+SIMULATE_SHA256 = {
+    "healthy-100": ("7a93045cd1710c490f7995c632bf44c88623ccb2e78ad31e6a0bac541d41a5be",
+                    "3917a2890a39985b374dbf5c0f162194a78f0935d8697c77c7f5da24a2ce71ee"),
+    "crash-minority": ("9bef0fe40d323f83f5ce5190892c08bed81e1199e7679915bd45ba5bb3b372f8",
+                       "efdc36f58d2c0d0301628c02a7a14791576cb5af0fbaf430d8a320eb8a8cb470"),
+    "crash-majority": ("53901d853a17374fbcfbd6a7391d2f7180928ba0f802ea3a99a40fd9996a305d",
+                       "ace6f95a0510592a9f15b0512d5fdb39453a27b1acd48ea0ad2069508b29124b"),
+}
 
 
 def mine(tmp_path, *extra) -> int:
@@ -160,6 +173,28 @@ class TestSimulate:
                    "--out-csv", str(tmp_path / "m.csv"),
                    "--out-summary", str(tmp_path / "m.json")])
         assert rc == 2
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_SHA256))
+    def test_bundled_outputs_pinned(self, tmp_path, name):
+        paths = (tmp_path / "m.csv", tmp_path / "m.json")
+        assert main(["simulate", "--scenario", name, "--out-csv", str(paths[0]),
+                     "--out-summary", str(paths[1])]) == 0
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == \
+            SIMULATE_SHA256[name]
+
+    def test_malformed_scenario_shape_no_outputs(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({
+            "seed": 1, "epochs": 2,
+            "population": [{"address": "aa", "behavior": "honest", "mining_rate": 1}],
+            "genesis_validators": ["aa"],
+        }))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "bad.json" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_scenario_name(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaytower import tower, vdf
+from delaytower import ledger, tower, vdf
 from delaytower.ledger import (
     AlreadyRegistered,
     EpochConfig,
@@ -20,6 +21,7 @@ from delaytower.ledger import (
     InvalidSignature,
     LedgerState,
     NoBlocksThisEpoch,
+    Ranking,
     UnknownMiner,
     quorum,
     registration_message,
@@ -347,4 +349,94 @@ class TestSnapshot:
     def test_bad_version_rejected(self, state):
         text = state.export_snapshot().replace('"version": 1', '"version": 9')
         with pytest.raises(ValueError):
+            LedgerState.import_snapshot(text)
+
+
+def pinned_ledger() -> LedgerState:
+    """A fixed ledger touching every snapshot field with a non-default value."""
+    config = EpochConfig(rounds_per_epoch=7, max_validators=5,
+                         liveliness_threshold=Fraction(2, 3), mining_threshold=3,
+                         jail_sentence_epochs=2, growth_cap=6,
+                         ranking=Ranking.BY_COMPLIANT_EPOCHS)
+    state = LedgerState(TINY_SECURITY, config, SCHEME)
+    miner = Miner(state, b"alice")
+    miner.register()
+    assert miner.submit(miner.next_record())
+    for name in (b"v-1", b"v-2", b"v-3", b"v-4"):
+        state.bootstrap_miner(name, height=3)
+    state.install_validators([b"v-1", b"alice", b"v-2", b"v-3", b"v-4"])
+    state.record_block([b"alice", b"v-1", b"v-2", b"v-3"])
+    state.record_block([b"alice", b"v-1", b"v-2", b"v-4"])
+    state.epoch = 4
+    jailed = state.miner_pool[b"v-4"]
+    jailed.jailed, jailed.jail_sentence, jailed.compliant_epochs = True, 2, 3
+    return state
+
+
+ALICE = b"alice".hex()
+DROP = object()
+
+
+def edit(*path_and_value):
+    """Snapshot mutation: set the value at a key path, or delete it when the value is DROP."""
+    *path, value = path_and_value
+
+    def apply(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return json.dumps(doc)
+    return apply
+
+BAD_SNAPSHOTS = {
+    "malformed-json": lambda doc: json.dumps(doc)[:-2],
+    "not-an-object": lambda doc: json.dumps([doc]),
+    "missing-key": edit("epoch_signatures", DROP),
+    "missing-miner-field": edit("miner_pool", ALICE, "num", DROP),
+    "miner-pool-not-object": edit("miner_pool", [ALICE]),
+    "miner-not-object": edit("miner_pool", ALICE, 5),
+    "security-not-object": edit("security", "x"),
+    "config-not-object": edit("epoch_config", [7]),
+    "height-string": edit("miner_pool", ALICE, "height", "5"),
+    "height-float": edit("miner_pool", ALICE, "height", 5.0),
+    "modulus-not-decimal": edit("modulus", "0x1f"),
+    "modulus-degenerate": edit("modulus", "3"),  # hash_to_group would never return
+    "bad-hash-hex": edit("miner_pool", ALICE, "hash", "zz"),
+    "bad-validator-hex": edit("validator_set", 0, "zz"),
+    "bad-signer-hex": edit("epoch_signatures", {"zz": 1}),
+    "negative-epoch": edit("epoch", -1),
+    "negative-height": edit("miner_pool", ALICE, "height", -5),
+    "negative-num": edit("miner_pool", ALICE, "num", -1),
+    "negative-jail-sentence": edit("miner_pool", ALICE, "jail_sentence", -1),
+    "negative-compliant-epochs": edit("miner_pool", ALICE, "compliant_epochs", -1),
+    "negative-blocks-total": edit("epoch_blocks_total", -1),
+    "negative-signature-count": edit("epoch_signatures", ALICE, -1),
+    "jailed-string": edit("miner_pool", ALICE, "jailed", "yes"),
+    "jailed-int": edit("miner_pool", ALICE, "jailed", 1),
+    "config-out-of-range": edit("epoch_config", "max_validators", 3),
+    "config-bad-threshold": edit("epoch_config", "liveliness_threshold", "x/y"),
+    "config-bad-ranking": edit("epoch_config", "ranking", "by-luck"),
+    "config-float": edit("epoch_config", "growth_cap", 6.5),
+    "security-out-of-range": edit("security", "iterations", 0),
+    "security-missing-field": edit("security", "modulus_bits", DROP),
+    "unknown-scheme": edit("scheme", "rot13"),
+    "too-few-validators": edit("validator_set", [ALICE]),
+}
+
+
+class TestSnapshotImport:
+    def test_bytes_pinned(self):
+        text = pinned_ledger().export_snapshot()
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "1c1cc5886ea46c83a8d916e82f6fc1b7125941a8d87a5297de8b529982292e55"
+        assert LedgerState.import_snapshot(text).export_snapshot() == text
+
+    @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+    def test_malformed_snapshot_raises_invalid_snapshot(self, case):
+        text = BAD_SNAPSHOTS[case](json.loads(pinned_ledger().export_snapshot()))
+        with pytest.raises(ledger.InvalidSnapshot):
             LedgerState.import_snapshot(text)

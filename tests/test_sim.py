@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -52,7 +53,6 @@ def build_scenario(
     return Scenario(
         seed=seed,
         epochs=epochs,
-        rounds_per_epoch=rounds,
         population=tuple(population),
         genesis_validators=tuple(addr(f"val-{i:02d}") for i in range(validators)),
         epoch_config=EpochConfig(rounds_per_epoch=rounds, max_validators=max_validators),
@@ -114,7 +114,8 @@ class TestHealthyRuns:
             scenario = build_scenario(seed=seed, crashed=1, silent=2, validators=8)
             metrics = sim.run(scenario)
             for record in metrics.epochs:
-                assert record.committed_blocks + record.timeouts == scenario.rounds
+                assert record.committed_blocks + record.timeouts == \
+                    scenario.epoch_config.rounds_per_epoch
 
     def test_validator_history_recorded(self):
         metrics = sim.run(build_scenario(validators=6, spares=4, epochs=3))
@@ -164,7 +165,6 @@ class TestFaults:
                                   spare_mining=0, epochs=3, rounds=15)
         scenario = Scenario(
             seed=scenario.seed, epochs=scenario.epochs,
-            rounds_per_epoch=scenario.rounds_per_epoch,
             population=tuple(
                 (a, Behavior.honest(mining=0) if b.kind is sim.BehaviorKind.HONEST else b)
                 for a, b in scenario.population),
@@ -214,7 +214,7 @@ class TestRealVdf:
             + [(addr("real"), Behavior(mining=RealVdf(proofs_per_epoch=2)))]
         )
         scenario = Scenario(
-            seed=3, epochs=2, rounds_per_epoch=4,
+            seed=3, epochs=2,
             population=population,
             genesis_validators=tuple(addr(f"val-{i}") for i in range(4)),
             epoch_config=EpochConfig(rounds_per_epoch=4, max_validators=6),
@@ -250,6 +250,25 @@ class TestMetricsApi:
         assert len(lines) == 4
 
 
+def scenario_doc() -> dict:
+    return json.loads(sim.scenario_to_json(build_scenario()))
+
+
+def _with_behavior(doc: dict, behavior) -> dict:
+    first = {**doc["population"][0], "behavior": behavior}
+    return {**doc, "population": [first] + doc["population"][1:]}
+
+
+MALFORMED_SCENARIOS = {
+    "top-level-list": lambda doc: [doc],
+    "epoch-config-list": lambda doc: {**doc, "epoch_config": [1]},
+    "behavior-string": lambda doc: _with_behavior(doc, "honest"),
+    "security-string": lambda doc: {**doc, "security": "x"},
+    "seed-string": lambda doc: {**doc, "seed": "1"},
+    "config-float": lambda doc: {**doc, "epoch_config": {"max_validators": 10.5}},
+}
+
+
 class TestScenarioJson:
     def test_roundtrip(self):
         scenario = build_scenario(crashed=1, silent=1, spares=2)
@@ -263,7 +282,7 @@ class TestScenarioJson:
             + [(addr("real"), Behavior(mining=RealVdf(proofs_per_epoch=1)))]
         )
         scenario = Scenario(
-            seed=3, epochs=1, rounds_per_epoch=4, population=population,
+            seed=3, epochs=1, population=population,
             genesis_validators=tuple(addr(f"v{i}") for i in range(4)),
             epoch_config=EpochConfig(rounds_per_epoch=4, max_validators=6),
             security=vdf.SecurityParams(modulus_bits=256, iterations=16),
@@ -274,6 +293,24 @@ class TestScenarioJson:
     def test_bad_document_raises_invalid_scenario(self):
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json('{"seed": 1, "epochs": 2}')
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_shapes_raise_invalid_scenario(self, case):
+        text = json.dumps(MALFORMED_SCENARIOS[case](scenario_doc()))
+        with pytest.raises(InvalidScenario):
+            sim.scenario_from_json(text)
+
+    def test_top_level_rounds_must_match_epoch_config(self):
+        doc = scenario_doc()
+        doc["rounds_per_epoch"] = doc["epoch_config"]["rounds_per_epoch"] + 1
+        with pytest.raises(InvalidScenario):
+            sim.scenario_from_json(json.dumps(doc))
+        del doc["epoch_config"]["rounds_per_epoch"]
+        with pytest.raises(InvalidScenario):  # the default, 100, applies first
+            sim.scenario_from_json(json.dumps(doc))
+        doc["rounds_per_epoch"] = 100
+        assert sim.scenario_from_json(json.dumps(doc)).epoch_config.rounds_per_epoch == 100
+        assert "rounds_per_epoch" not in json.loads(sim.scenario_to_json(build_scenario()))
 
     def test_bundled_scenarios_parse_and_run(self):
         from importlib import resources

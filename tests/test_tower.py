@@ -194,6 +194,22 @@ class TestPersistence:
         assert hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest() == \
             "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
 
+    def test_empty_owner_file_rejected(self, tmp_path):
+        # The chain is sound, but setup refuses empty keys, so no file may claim one.
+        digest = vdf.derive_input_digest(b"", b"ep")
+        params = dataclasses.replace(vdf.setup(SMALL_SECURITY, b"k", b"ep"),
+                                     input_digest=digest)
+        x0 = vdf.hash_to_group(digest, params.modulus)
+        output, proof = vdf.eval(params, x0)
+        twr = tower.Tower(owner_public_key=b"", endpoint=b"ep", security=SMALL_SECURITY,
+                          params=params,
+                          records=(tower.ProofRecord(0, x0, output, proof),))
+        assert tower.validate_chain(twr)
+        tower.save_tower(twr, tmp_path / "t.bin")
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower):
+                tower.load_tower(tmp_path / "t.bin", validate=validate)
+
     def test_load_without_validation_still_checks_format(self, tmp_path, height3):
         path = tmp_path / "t.bin"
         tower.save_tower(height3, path)

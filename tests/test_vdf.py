@@ -96,7 +96,7 @@ class TestEval:
         pp = small_modulus_params(35, 3)
         output, proof = vdf.eval(pp, 2)
         assert output == 11
-        assert vdf.verify(pp, 2, output, proof)
+        assert vdf.verify(pp.modulus, pp.iterations, 2, output, proof)
 
     def test_one_is_fixed_point(self):
         pp = small_modulus_params(35, 5)
@@ -130,7 +130,7 @@ class TestEval:
         pp = small_modulus_params(n, t)
         output, proof = vdf.eval(pp, x)
         assert output == pow(x, 1 << t, n)
-        assert vdf.verify(pp, x, output, proof)
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
 
 
 class TestStoredPowers:
@@ -240,13 +240,13 @@ def valid_proof(small_params):
 class TestVerify:
     def test_roundtrip(self, transcript):
         pp, x, output, proof = transcript
-        assert vdf.verify(pp, x, output, proof)
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
 
     def test_output_tamper_rejected(self, transcript):
         pp, x, output, proof = transcript
         bad_output = output + 1 if output + 1 < pp.modulus else output - 1
         bad = vdf.VdfProof(bad_output, proof.checkpoints, 512)
-        assert not vdf.verify(pp, x, bad_output, bad)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, bad_output, bad)
 
     def test_every_checkpoint_tamper_rejected(self, transcript):
         pp, x, output, proof = transcript
@@ -254,21 +254,22 @@ class TestVerify:
             checkpoints = list(proof.checkpoints)
             checkpoints[i] = 1 if checkpoints[i] != 1 else 2
             bad = vdf.VdfProof(output, tuple(checkpoints), 512)
-            assert not vdf.verify(pp, x, output, bad), f"checkpoint {i} tamper accepted"
+            assert not vdf.verify(pp.modulus, pp.iterations, x, output, bad), \
+                f"checkpoint {i} tamper accepted"
 
     def test_wrong_checkpoint_count_rejected(self, transcript):
         pp, x, output, proof = transcript
         short = vdf.VdfProof(output, proof.checkpoints[:-1], 512)
         long = vdf.VdfProof(output, proof.checkpoints + (1,), 512)
-        assert not vdf.verify(pp, x, output, short)
-        assert not vdf.verify(pp, x, output, long)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, output, long)
 
     def test_out_of_range_elements_rejected(self, transcript):
         pp, x, output, proof = transcript
-        assert not vdf.verify(pp, 0, output, proof)
-        assert not vdf.verify(pp, x, pp.modulus, proof)
+        assert not vdf.verify(pp.modulus, pp.iterations, 0, output, proof)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, pp.modulus, proof)
         bad = vdf.VdfProof(output, (pp.modulus,) + proof.checkpoints[1:], 512)
-        assert not vdf.verify(pp, x, output, bad)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, output, bad)
 
     def test_soundness_random_tampering(self, transcript):
         pp, x, output, proof = transcript
@@ -288,7 +289,7 @@ class TestVerify:
                     continue
                 checkpoints[field] = replacement
                 candidate = (x, output, vdf.VdfProof(output, tuple(checkpoints), 512))
-            if vdf.verify(pp, *candidate):
+            if vdf.verify(pp.modulus, pp.iterations, *candidate):
                 accepted += 1
         assert accepted == 0
 
@@ -296,7 +297,8 @@ class TestVerify:
         pp, x, output, proof = transcript
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: vdf.verify(pp, x, output, proof), range(64)))
+                lambda _: vdf.verify(pp.modulus, pp.iterations, x, output, proof),
+                range(64)))
         assert all(results)
 
 
@@ -325,6 +327,32 @@ class TestFastReject:
             results = list(pool.map(
                 lambda _: vdf.fast_reject(SMALL_SECURITY, valid_proof), range(64)))
         assert not any(results)
+
+
+class TestCheckProof:
+    def test_outcomes(self, small_params, valid_proof):
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        output = valid_proof.output
+
+        def check(proof):
+            return vdf.check_proof(SMALL_SECURITY, small_params.modulus, x, output, proof)
+
+        assert check(valid_proof) is None
+        assert check(vdf.VdfProof(output, valid_proof.checkpoints, 511)) == "screen"
+        tampered = (1 if valid_proof.checkpoints[0] != 1 else 2,) + valid_proof.checkpoints[1:]
+        assert check(vdf.VdfProof(output, tampered, 512)) == "transcript"
+
+    def test_screen_reject_skips_transcript(self, monkeypatch, small_params, valid_proof):
+        calls = []
+        monkeypatch.setattr(vdf, "verify", lambda *args: calls.append(args) or True)
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        screened = vdf.VdfProof(valid_proof.output, valid_proof.checkpoints, 511)
+        assert vdf.check_proof(SMALL_SECURITY, small_params.modulus, x,
+                               valid_proof.output, screened) == "screen"
+        assert calls == []
+        assert vdf.check_proof(SMALL_SECURITY, small_params.modulus, x,
+                               valid_proof.output, valid_proof) is None
+        assert calls == [(small_params.modulus, 16, x, valid_proof.output, valid_proof)]
 
 
 class TestSerialization:
