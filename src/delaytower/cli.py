@@ -130,6 +130,7 @@ def cmd_bench(args) -> int:
         print("error: --iterations-list needs positive integers", file=sys.stderr)
         return EXIT_USAGE
 
+    print(f"powmod: {vdf.powmod_engine()}")
     reports = []
     for t in iteration_points:
         security = vdf.SecurityParams(modulus_bits=args.modulus_bits, iterations=t)

@@ -89,6 +89,13 @@ class Reader:
             raise DecodeError("trailing bytes after end of structure")
 
 
+def json_int(name: str, value) -> int:
+    """``value`` if it is a JSON integer; floats, strings and bools raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def fields_from_doc(cls, doc, **parsers) -> dict:
     """Constructor arguments for the dataclass ``cls`` from the JSON object ``doc``.
 
@@ -100,9 +107,5 @@ def fields_from_doc(cls, doc, **parsers) -> dict:
     values = {}
     for name in (f.name for f in dataclasses.fields(cls) if f.name in doc):
         value = doc[name]
-        if name in parsers:
-            value = parsers[name](value)
-        elif type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        values[name] = value
+        values[name] = parsers[name](value) if name in parsers else json_int(name, value)
     return values

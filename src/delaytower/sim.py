@@ -29,7 +29,7 @@ from .ledger import (
 )
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
-from .serialization import encode_bytes, encode_uint
+from .serialization import encode_bytes, encode_uint, json_int
 
 _DOMAIN_DRAW = b"delay-tower/sim-draw/v1"
 
@@ -335,13 +335,13 @@ def _parse_behavior(doc: dict) -> Behavior:
     if isinstance(mining_doc, dict):
         if not mining_doc.get("real_vdf"):
             raise InvalidScenario(f"unrecognised mining rate {mining_doc!r}")
-        mining: Union[int, RealVdf] = RealVdf(
-            proofs_per_epoch=mining_doc.get("proofs_per_epoch", 1))
+        mining: Union[int, RealVdf] = RealVdf(proofs_per_epoch=json_int(
+            "proofs_per_epoch", mining_doc.get("proofs_per_epoch", 1)))
     else:
-        mining = int(mining_doc)
+        mining = json_int("mining_rate", mining_doc)
     return Behavior(
         kind=kind,
-        from_round=conduct.get("from_round", 0),
+        from_round=json_int("from_round", conduct.get("from_round", 0)),
         sign_probability=_parse_rational(conduct.get("sign_probability", 1)),
         mining=mining,
     )
@@ -367,8 +367,8 @@ def scenario_from_json(text: str) -> Scenario:
             for entry in doc["population"]
         )
         scenario = Scenario(
-            seed=doc["seed"],
-            epochs=doc["epochs"],
+            seed=json_int("seed", doc["seed"]),
+            epochs=json_int("epochs", doc["epochs"]),
             population=population,
             genesis_validators=tuple(bytes.fromhex(a) for a in doc["genesis_validators"]),
             epoch_config=epoch_config,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import random
 import statistics
 import time
@@ -118,6 +119,10 @@ def test_criterion_03_oracle_equivalence():
             x = rng.randrange(1, n)
             t = rng.randrange(1, 257)
             pp = params_at(n, t)
+            if math.gcd(x, n) != 1:
+                with pytest.raises(vdf.InputOutOfRange):
+                    vdf.eval(pp, x)
+                continue
             output, _ = vdf.eval(pp, x)
             assert output == pow(x, 1 << t, n), (n, x, t)
 

@@ -7,10 +7,11 @@ import hashlib
 import json
 import os
 import re
+from importlib import resources
 
 import pytest
 
-from delaytower import tower
+from delaytower import tower, vdf
 from delaytower.cli import main
 
 FAST = ["--iterations", "64", "--modulus-bits", "256"]
@@ -107,6 +108,7 @@ class TestBench:
         rc = main(["bench", "--iterations-list", "64,128", "--samples", "4",
                    "--out", str(out_path), "--modulus-bits", "256"])
         assert rc == 0
+        assert capsys.readouterr().out.startswith(f"powmod: {vdf.powmod_engine()}\n")
         with open(out_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         operations = {(r["operation"], r["iterations"]) for r in rows}
@@ -195,6 +197,18 @@ class TestSimulate:
                    "--out-summary", str(tmp_path / "m.json")])
         assert rc == 2
         assert "bad.json" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_non_integer_epochs_usage_error(self, tmp_path, capsys):
+        doc = json.loads(resources.files("delaytower").joinpath(
+            "scenarios", "crash-minority.json").read_text())
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({**doc, "epochs": 2.5}))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "epochs must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_scenario_name(self, tmp_path, capsys):

@@ -254,18 +254,26 @@ def scenario_doc() -> dict:
     return json.loads(sim.scenario_to_json(build_scenario()))
 
 
-def _with_behavior(doc: dict, behavior) -> dict:
-    first = {**doc["population"][0], "behavior": behavior}
+def _with_first(doc: dict, **fields) -> dict:
+    first = {**doc["population"][0], **fields}
     return {**doc, "population": [first] + doc["population"][1:]}
 
 
 MALFORMED_SCENARIOS = {
     "top-level-list": lambda doc: [doc],
     "epoch-config-list": lambda doc: {**doc, "epoch_config": [1]},
-    "behavior-string": lambda doc: _with_behavior(doc, "honest"),
+    "behavior-string": lambda doc: _with_first(doc, behavior="honest"),
     "security-string": lambda doc: {**doc, "security": "x"},
     "seed-string": lambda doc: {**doc, "seed": "1"},
     "config-float": lambda doc: {**doc, "epoch_config": {"max_validators": 10.5}},
+    "seed-float": lambda doc: {**doc, "seed": 1.5},
+    "epochs-float": lambda doc: {**doc, "epochs": 2.5},
+    "from-round-float": lambda doc: _with_first(
+        doc, behavior={"kind": "crashed", "from_round": 2.5}),
+    "mining-rate-string": lambda doc: _with_first(doc, mining_rate="48"),
+    "mining-rate-float": lambda doc: _with_first(doc, mining_rate=48.9),
+    "proofs-per-epoch-float": lambda doc: _with_first(
+        doc, mining_rate={"real_vdf": True, "proofs_per_epoch": 1.5}),
 }
 
 

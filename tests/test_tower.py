@@ -28,6 +28,21 @@ def height8() -> tower.Tower:
     return twr
 
 
+# Digest of the tower below as written before eval built midpoints from stored
+# powers and before exponentiations ran on libcrypto: the proof and file
+# formats must not drift.
+PINNED_TOWER_SHA256 = "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
+
+
+def pinned_tower_sha256(tmp_path) -> str:
+    security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
+    twr = tower.init_tower(security, b"pinned-owner", b"pinned-endpoint")
+    twr = tower.extend(twr, created_epoch=1)
+    twr = tower.extend(twr, created_epoch=2)
+    tower.save_tower(twr, tmp_path / "t.bin")
+    return hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest()
+
+
 def tamper_record(twr: tower.Tower, index: int) -> tower.Tower:
     record = twr.records[index]
     bad_output = record.output + 1 if record.output + 1 < twr.params.modulus else 1
@@ -184,15 +199,11 @@ class TestPersistence:
             tower.load_tower(tmp_path / "absent.bin")
 
     def test_file_bytes_unchanged(self, tmp_path):
-        security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
-        twr = tower.init_tower(security, b"pinned-owner", b"pinned-endpoint")
-        twr = tower.extend(twr, created_epoch=1)
-        twr = tower.extend(twr, created_epoch=2)
-        tower.save_tower(twr, tmp_path / "t.bin")
-        # Digest of the same tower written before eval built midpoints from
-        # stored powers: the proof and file formats must not drift.
-        assert hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest() == \
-            "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
+        assert pinned_tower_sha256(tmp_path) == PINNED_TOWER_SHA256
+
+    def test_file_bytes_unchanged_on_builtin_pow(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        assert pinned_tower_sha256(tmp_path) == PINNED_TOWER_SHA256
 
     def test_empty_owner_file_rejected(self, tmp_path):
         # The chain is sound, but setup refuses empty keys, so no file may claim one.

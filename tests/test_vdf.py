@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -115,10 +117,34 @@ class TestEval:
         with pytest.raises(vdf.InputOutOfRange):
             vdf.eval(small_params, small_params.modulus)
 
+    def test_non_unit_input_rejected(self):
+        # 39 shares the factor 3 with 3^10, so 39^(2^4) is 0 mod 3^10: there
+        # is no output in [1, N) that verify could accept.
+        n = random_composite(random.Random(624))
+        assert n == 3 ** 10
+        with pytest.raises(vdf.InputOutOfRange):
+            vdf.eval(small_modulus_params(n, 4), 39)
+        # 3^(2^1) = 9 is honest arithmetic, but neither 3 nor 9 is a unit.
+        assert not vdf.verify(n, 1, 3, 9, vdf.VdfProof(9, (), 512))
+        assert vdf.verify(n, 1, 2, 4, vdf.VdfProof(4, (), 512))
+
     def test_checkpoint_count_for_power_of_two(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
         _, proof = vdf.eval(small_params, x)
         assert len(proof.checkpoints) == 4  # log2(16)
+
+    def test_thread_safe(self, small_params):
+        pp = small_modulus_params(small_params.modulus, 1024)
+        xs = [vdf.hash_to_group(bytes([i]), pp.modulus) for i in range(16)]
+        expected = [vdf.eval(pp, x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda x: vdf.eval(pp, x), xs * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
@@ -128,6 +154,10 @@ class TestEval:
         x = data.draw(st.integers(1, n - 1))
         t = data.draw(st.integers(1, 256))
         pp = small_modulus_params(n, t)
+        if math.gcd(x, n) != 1:
+            with pytest.raises(vdf.InputOutOfRange):
+                vdf.eval(pp, x)
+            return
         output, proof = vdf.eval(pp, x)
         assert output == pow(x, 1 << t, n)
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
@@ -152,7 +182,8 @@ class TestStoredPowers:
         n = random_composite(rng)
         x = data.draw(st.integers(1, n - 1))
         t = data.draw(st.integers(1, 256))
-        assert_straight_transcript(small_modulus_params(n, t), x)
+        if math.gcd(x, n) == 1:
+            assert_straight_transcript(small_modulus_params(n, t), x)
 
 
 class TestCancellation:
@@ -377,6 +408,46 @@ class TestSerialization:
         blob[0] = 99
         with pytest.raises(ValueError):
             vdf.deserialize_proof(bytes(blob))
+
+
+class TestPowmod:
+    """The libcrypto engine and the builtin fallback compute the same powers."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_matches_builtin_pow(self, data):
+        bits = data.draw(st.integers(64, 4096))
+        modulus = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        base = data.draw(st.one_of(st.sampled_from([0, 1, modulus - 1]),
+                                   st.integers(0, modulus - 1)))
+        exponent = data.draw(st.integers(0, (1 << data.draw(st.integers(0, 1100))) - 1))
+        assert vdf._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    def test_builtin_fallback_gives_same_results(self, monkeypatch, transcript):
+        pp, x, output, proof = transcript
+        tampered = vdf.VdfProof(output, (proof.checkpoints[0] ^ 1,) + proof.checkpoints[1:], 512)
+
+        def run():
+            return (vdf.eval(pp, x),
+                    vdf.verify(pp.modulus, pp.iterations, x, output, proof),
+                    vdf.verify(pp.modulus, pp.iterations, x, output, tampered),
+                    vdf.is_probable_prime(pp.modulus), vdf.is_probable_prime((1 << 127) - 1))
+
+        engine = run()
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        assert vdf.powmod_engine() == "builtin pow"
+        assert run() == engine == ((output, proof), True, False, False, True)
+
+    def test_loader_tries_only_versioned_sonames(self, monkeypatch):
+        tried = []
+
+        def refuse(name):
+            tried.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(vdf.ctypes, "CDLL", refuse)
+        assert vdf._load_libcrypto() is None
+        assert tried == ["libcrypto.so.3", "libcrypto.so.1.1"]
 
 
 class TestGroupMapping:
