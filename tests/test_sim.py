@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,8 @@ from delaytower.sim import (
     nakamoto_liveness,
     recovery_time,
 )
+
+from test_acceptance import random_scenario
 
 
 def addr(name: str) -> bytes:
@@ -328,3 +331,53 @@ class TestScenarioJson:
             scenario = sim.scenario_from_json(text)
             metrics = sim.run(scenario)
             assert len(metrics.epochs) == scenario.epochs
+
+
+def _edge_scenarios() -> list[Scenario]:
+    """Crashes on and around epoch edges, a silent leader, and boundary probabilities."""
+    rounds = 10
+    crashes = [Behavior.crashed(r, mining=30) for r in (0, 10, 19, 29, 40, 45, 60)]
+    scenarios = []
+    for seed, faults in enumerate(
+            [crashes[:3], crashes[3:]]
+            + [[Behavior.silent(p, mining=30)] * 2
+               for p in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                         Fraction(57, 100))]
+            + [[Behavior.silent(Fraction(1, 3), mining=30),
+                Behavior.crashed(2 * rounds - 1, mining=30)]]):
+        # the faulty nodes come first, so each of them leads rounds 0, 7, ...
+        behaviors = faults + [Behavior.honest(mining=30)] * (7 - len(faults))
+        population = tuple((addr(f"val-{i:02d}"), b) for i, b in enumerate(behaviors)) \
+            + tuple((addr(f"spare-{i:02d}"), Behavior.honest(mining=40)) for i in range(3))
+        scenarios.append(Scenario(
+            seed=1000 + seed, epochs=5, population=population,
+            genesis_validators=tuple(a for a, _ in population[:7]),
+            epoch_config=EpochConfig(rounds_per_epoch=rounds, max_validators=8)))
+    return scenarios
+
+
+def outputs_digest(scenarios) -> str:
+    """SHA-256 over each run's CSV, summary and every post-boundary snapshot."""
+    digest = hashlib.sha256()
+
+    def observe(phase, epoch, state):
+        if phase == "post-boundary":
+            digest.update(state.export_snapshot().encode())
+
+    for scenario in scenarios:
+        metrics = sim.run(scenario, observer=observe)
+        digest.update(metrics.to_csv().encode())
+        digest.update(metrics.to_summary_json().encode())
+    return digest.hexdigest()
+
+
+class TestOutputsPinned:
+    """Who signs each round follows from the draws alone, so these bytes must not move."""
+
+    def test_random_scenarios_pinned(self):
+        assert outputs_digest(random_scenario(seed) for seed in range(100)) == \
+            "9c115df204d791ea5f9b9698bc6f0c8158bae182d6eab2faf2ab036d29c19d43"
+
+    def test_edge_scenarios_pinned(self):
+        assert outputs_digest(_edge_scenarios()) == \
+            "cdc09c12eeca69c0186687c0694b0d8979eabd93749d72e498cecedbdf287cb2"
