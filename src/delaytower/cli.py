@@ -45,6 +45,9 @@ def cmd_mine(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read key file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if not key:
+        print("error: key file holds no key", file=sys.stderr)
+        return EXIT_DOMAIN
 
     if os.path.exists(args.tower_file):
         started = time.perf_counter()
@@ -128,6 +131,9 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     if not iteration_points or any(t < 1 for t in iteration_points):
         print("error: --iterations-list needs positive integers", file=sys.stderr)
+        return EXIT_USAGE
+    if args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
 
     print(f"powmod: {vdf.powmod_engine()}")

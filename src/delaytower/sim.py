@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -206,6 +207,12 @@ def _draw(seed: int, epoch: int, round_index: int, address: bytes) -> float:
     return int.from_bytes(digest[:8], "big") / _U64
 
 
+def _sign_bound(probability: Fraction) -> float:
+    """Smallest float not below ``probability``: a float is below both or neither."""
+    bound = float(probability)
+    return math.nextafter(bound, math.inf) if bound < probability else bound
+
+
 def _validate(scenario: Scenario) -> None:
     if not 0 <= scenario.seed < _U64:
         raise InvalidScenario("seed must fit in 64 bits")
@@ -223,22 +230,10 @@ def _validate(scenario: Scenario) -> None:
 
 
 class _Node:
-    def __init__(self, address: bytes, behavior: Behavior):
-        self.address = address
+    def __init__(self, behavior: Behavior):
         self.behavior = behavior
+        self.sign_bound = _sign_bound(behavior.sign_probability)
         self.tower: Optional[tower.Tower] = None
-
-    def crashed_at(self, global_round: int) -> bool:
-        return (self.behavior.kind is BehaviorKind.CRASHED
-                and global_round >= self.behavior.from_round)
-
-    def participates(self, seed: int, epoch: int, round_index: int,
-                     global_round: int) -> bool:
-        if self.crashed_at(global_round):
-            return False
-        if self.behavior.kind is BehaviorKind.SILENT:
-            return _draw(seed, epoch, round_index, self.address) < self.behavior.sign_probability
-        return True
 
 
 def run(
@@ -255,8 +250,7 @@ def run(
     """
     _validate(scenario)
     scheme = KeyedHashScheme()
-    nodes = {address: _Node(address, behavior)
-             for address, behavior in scenario.population}
+    nodes = {address: _Node(behavior) for address, behavior in scenario.population}
 
     state = LedgerState(scenario.security, scenario.epoch_config, scheme)
     for address, node in nodes.items():
@@ -283,19 +277,25 @@ def run(
         committed = 0
         timeouts = 0
         validator_set = tuple(state.validator_set)
+        # The set is frozen for the epoch, so class its members once: they sign
+        # every round, until their crash round, by draw, or (crashed) never.
+        first = epoch_index * rounds
+        always, until, silent = [], [], []
+        for address in validator_set:
+            node = nodes[address]
+            if node.behavior.kind is BehaviorKind.SILENT:
+                silent.append((address, node.sign_bound))
+            elif (node.behavior.kind is BehaviorKind.HONEST
+                  or node.behavior.from_round >= first + rounds):
+                always.append(address)
+            elif node.behavior.from_round > first:
+                until.append((address, node.behavior.from_round - first))
         for round_index in range(rounds):
-            global_round = epoch_index * rounds + round_index
-            leader = nodes[validator_set[round_index % len(validator_set)]]
-            if not leader.participates(scenario.seed, epoch_index, round_index,
-                                       global_round):
-                timeouts += 1
-                continue
-            signers = [
-                address for address in validator_set
-                if nodes[address].participates(scenario.seed, epoch_index,
-                                               round_index, global_round)
-            ]
-            if state.record_block(signers):
+            signers = always + [a for a, stop in until if round_index < stop] + [
+                a for a, bound in silent
+                if _draw(scenario.seed, epoch_index, round_index, a) < bound]
+            leader = validator_set[round_index % len(validator_set)]
+            if leader in signers and state.record_block(signers):
                 committed += 1
             else:
                 timeouts += 1

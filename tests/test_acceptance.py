@@ -133,27 +133,33 @@ def timings(acceptance_modulus):
     samples = 20
     data = {}
 
-    def measure(fn, n=samples):
-        out = []
-        fn()  # warm up
+    def measure(*fns, n=samples):
+        """Time each fn n times, taking turns, so host drift hits every fn alike."""
+        for fn in fns:
+            fn()  # warm up
+        out = [[] for _ in fns]
         for _ in range(n):
-            start = time.perf_counter()
-            fn()
-            out.append((time.perf_counter() - start) * 1000.0)
+            for fn, times in zip(fns, out):
+                start = time.perf_counter()
+                fn()
+                times.append((time.perf_counter() - start) * 1000.0)
         return out
 
+    evals = []
     for label, t in (("15", 1 << 15), ("16", 1 << 16)):
         pp = params_at(acceptance_modulus, t)
         x = vdf.hash_to_group(b"timing" + label.encode(), pp.modulus)
-        data[f"eval{label}"] = measure(lambda pp=pp, x=x: vdf.eval(pp, x))
+        evals.append(lambda pp=pp, x=x: vdf.eval(pp, x))
+    data["eval15"], data["eval16"] = measure(*evals)
 
+    verifies = []
     for label, t in (("10", 1 << 10), ("16", 1 << 16)):
         pp = params_at(acceptance_modulus, t)
         x = vdf.hash_to_group(b"timing" + label.encode(), pp.modulus)
         output, proof = vdf.eval(pp, x)
-        data[f"verify{label}"] = measure(
-            lambda pp=pp, x=x, output=output, proof=proof:
-            vdf.verify(pp.modulus, pp.iterations, x, output, proof))
+        verifies.append(lambda pp=pp, x=x, output=output, proof=proof:
+                        vdf.verify(pp.modulus, pp.iterations, x, output, proof))
+    data["verify10"], data["verify16"] = measure(*verifies)
 
     security16 = vdf.SecurityParams(modulus_bits=512, iterations=1 << 16)
     pp16 = params_at(acceptance_modulus, 1 << 16)
@@ -165,7 +171,7 @@ def timings(acceptance_modulus):
         if not vdf.fast_reject(security16, invalid):
             vdf.verify(pp16.modulus, pp16.iterations, x16, output, invalid)
 
-    data["fastreject16"] = measure(screened_submission, n=200)
+    data["fastreject16"], = measure(screened_submission, n=200)
     return data
 
 

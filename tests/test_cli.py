@@ -73,6 +73,13 @@ class TestMine:
         (tmp_path / "k.hex").write_text("ab" * 32 + "\n")
         assert mine(tmp_path, "--proofs", "1") == 1
 
+    @pytest.mark.parametrize("content", ["", "\n"])
+    def test_empty_key_file_domain_error(self, tmp_path, capsys, content):
+        (tmp_path / "k.hex").write_text(content)
+        assert mine(tmp_path, "--proofs", "1") == 1
+        assert capsys.readouterr().err == "error: key file holds no key\n"
+        assert not (tmp_path / "t.bin").exists()
+
 
 class TestVerifyTower:
     def test_valid_file_exit_zero(self, tmp_path, capsys):
@@ -127,6 +134,15 @@ class TestBench:
         rc = main(["bench", "--iterations-list", "ten", "--samples", "2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_nonpositive_samples_usage_error(self, tmp_path, capsys, samples):
+        out_path = tmp_path / "b.csv"
+        rc = main(["bench", "--iterations-list", "16", "--samples", samples,
+                   "--out", str(out_path)])
+        assert rc == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestSimulate:

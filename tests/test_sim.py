@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -234,6 +235,19 @@ class TestRealVdf:
         assert metrics.total_commits == 8
 
 
+class TestSignBound:
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
+                                   Fraction(57, 100), Fraction(2, 3), Fraction(1)])
+    def test_float_comparison_matches_fraction(self, p):
+        bound = sim._sign_bound(p)
+        nearest = float(p)
+        draws = [v for v in (math.nextafter(nearest, -math.inf), nearest,
+                             math.nextafter(nearest, math.inf)) if 0 <= v < 1]
+        assert draws
+        for v in draws:
+            assert (v < bound) == (v < p), (p, v)
+
+
 class TestMetricsApi:
     def test_nakamoto_values(self):
         assert nakamoto_liveness(100) == 33
@@ -345,7 +359,7 @@ def _edge_scenarios() -> list[Scenario]:
                          Fraction(57, 100))]
             + [[Behavior.silent(Fraction(1, 3), mining=30),
                 Behavior.crashed(2 * rounds - 1, mining=30)]]):
-        # the faulty nodes come first, so each of them leads rounds 0, 7, ...
+        # faulty nodes open the genesis set, so in epoch 0 they lead rounds 0, 1, ...
         behaviors = faults + [Behavior.honest(mining=30)] * (7 - len(faults))
         population = tuple((addr(f"val-{i:02d}"), b) for i, b in enumerate(behaviors)) \
             + tuple((addr(f"spare-{i:02d}"), Behavior.honest(mining=40)) for i in range(3))
