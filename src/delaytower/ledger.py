@@ -4,13 +4,15 @@ Proof submissions go through a fixed gauntlet: signature, chain-tip match,
 height progression, cheap structural screen, then full transcript
 verification. A submission that fails any step leaves the state untouched.
 Block production is abstracted to signature events; a block commits when a
-two-thirds quorum of the current validator set endorses it.
+two-thirds quorum of the current validator set endorses it. ``validator_set``
+is a read-only tuple; a new set replaces it by assignment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -172,12 +174,31 @@ class LedgerState:
             security.modulus_bits, modulus_seed)
         self.iterations = vdf.effective_iterations(security.iterations)
         self.epoch: int = 0
-        self.validator_set: list[bytes] = []
+        self.validator_set = ()
         self.miner_pool: dict[bytes, MinerState] = {}
         self.epoch_blocks_total: int = 0
-        self.epoch_signatures: dict[bytes, int] = {}
+        self.epoch_signatures = {}
 
     # -- invariant helpers -------------------------------------------------
+
+    @property
+    def validator_set(self) -> tuple[bytes, ...]:
+        return self._validator_set
+
+    @validator_set.setter
+    def validator_set(self, addresses: Iterable[bytes]) -> None:
+        # The frozenset serves membership tests; both change only here.
+        self._validator_set = tuple(addresses)
+        self._validator_members = frozenset(self._validator_set)
+
+    @property
+    def epoch_signatures(self) -> Counter[bytes]:
+        """Blocks each validator signed this epoch; an assigned mapping is copied."""
+        return self._epoch_signatures
+
+    @epoch_signatures.setter
+    def epoch_signatures(self, counts: dict[bytes, int]) -> None:
+        self._epoch_signatures = Counter(counts)
 
     @property
     def jail_set(self) -> set[bytes]:
@@ -201,7 +222,7 @@ class LedgerState:
         missing = [a for a in addresses if a not in self.miner_pool]
         if missing:
             raise ValueError(f"validators not in miner pool: {[m.hex() for m in missing]}")
-        self.validator_set = list(addresses)
+        self.validator_set = addresses
 
     def _check_params_match_genesis(self, params: vdf.PublicParams) -> None:
         if (params.modulus != self.modulus
@@ -281,60 +302,74 @@ class LedgerState:
     # -- block accounting ----------------------------------------------------
 
     def record_block(self, signers: Iterable[bytes]) -> bool:
-        """Tally one proposed block; True iff the signer set reaches quorum."""
+        """Tally one proposed block; True iff the signer set reaches quorum.
+
+        With no validator set seated nothing can commit, not even an empty block.
+        """
         signers = set(signers)
-        foreign = signers - set(self.validator_set)
-        if foreign:
+        if not signers <= self._validator_members:
+            foreign = signers - self._validator_members
             raise ForeignSigner(f"signers outside validator set: {[a.hex() for a in foreign]}")
-        if len(signers) < quorum(len(self.validator_set)):
+        if not self._validator_set or len(signers) < quorum(len(self._validator_set)):
             return False
         self.epoch_blocks_total += 1
-        for address in signers:
-            self.epoch_signatures[address] = self.epoch_signatures.get(address, 0) + 1
+        self._epoch_signatures.update(signers)
         return True
 
     def liveliness(self, address: bytes) -> Fraction:
         """Fraction of this epoch's committed blocks the validator signed."""
-        if address not in self.validator_set:
+        if address not in self._validator_members:
             raise ValueError(f"{address.hex()} is not in the validator set")
         if self.epoch_blocks_total == 0:
             raise NoBlocksThisEpoch("no blocks committed this epoch")
-        return Fraction(self.epoch_signatures.get(address, 0), self.epoch_blocks_total)
+        return Fraction(self._epoch_signatures[address], self.epoch_blocks_total)
 
     # -- snapshots -------------------------------------------------------------
 
     def export_snapshot(self) -> str:
-        """Canonical JSON snapshot (stable key order) for checkpointing."""
-        doc = {
-            "version": SNAPSHOT_VERSION,
-            "scheme": self.scheme.name,
-            "security": self.security.to_doc(),
-            "modulus": str(self.modulus),
-            "epoch_config": self.epoch_config.to_doc(),
-            "epoch": self.epoch,
-            "validator_set": [a.hex() for a in self.validator_set],
-            "miner_pool": {
-                a.hex(): {
-                    "height": ms.height,
-                    "hash": ms.hash.hex(),
-                    "num": ms.num,
-                    "jailed": ms.jailed,
-                    "jail_sentence": ms.jail_sentence,
-                    "compliant_epochs": ms.compliant_epochs,
-                }
-                for a, ms in self.miner_pool.items()
-            },
-            "epoch_blocks_total": self.epoch_blocks_total,
-            "epoch_signatures": {a.hex(): n for a, n in self.epoch_signatures.items()},
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        """Canonical snapshot: ``json.dumps(doc, sort_keys=True, indent=2)`` plus a
+        newline, where ``doc`` holds the fields below with addresses and hashes
+        in hex and the modulus as a decimal string.
+
+        The fixed layout is written by hand because an indented ``json.dumps``
+        runs the pure-Python encoder. Hex and decimal text needs no escaping.
+        """
+        signatures = [f'    "{a}": {n}' for a, n in
+                      sorted((a.hex(), n) for a, n in self._epoch_signatures.items())]
+        miners = [
+            f'    "{a}": {{\n'
+            f'      "compliant_epochs": {ms.compliant_epochs},\n'
+            f'      "hash": "{ms.hash.hex()}",\n'
+            f'      "height": {ms.height},\n'
+            f'      "jail_sentence": {ms.jail_sentence},\n'
+            f'      "jailed": {"true" if ms.jailed else "false"},\n'
+            f'      "num": {ms.num}\n'
+            '    }'
+            for a, ms in sorted((a.hex(), ms) for a, ms in self.miner_pool.items())
+        ]
+        validators = [f'    "{a.hex()}"' for a in self._validator_set]
+        return (
+            "{\n"
+            f'  "epoch": {self.epoch},\n'
+            f'  "epoch_blocks_total": {self.epoch_blocks_total},\n'
+            f'  "epoch_config": {_nested_doc(self.epoch_config.to_doc())},\n'
+            f'  "epoch_signatures": {_nested_block("{}", signatures)},\n'
+            f'  "miner_pool": {_nested_block("{}", miners)},\n'
+            f'  "modulus": "{self.modulus}",\n'
+            f'  "scheme": {json.dumps(self.scheme.name)},\n'
+            f'  "security": {_nested_doc(self.security.to_doc())},\n'
+            f'  "validator_set": {_nested_block("[]", validators)},\n'
+            f'  "version": {SNAPSHOT_VERSION}\n'
+            "}\n"
+        )
 
     @classmethod
     def import_snapshot(cls, text: str) -> "LedgerState":
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on
         malformed JSON, a missing key, a wrong type, bad hex, a negative count, a
         non-bool ``jailed``, a modulus that is not odd and above 3, an invalid
-        config or another version."""
+        config, another version, a signer outside the miner pool or a signature
+        count above ``epoch_blocks_total``."""
         try:
             doc = json.loads(text)
             if doc.get("version") != SNAPSHOT_VERSION:
@@ -366,9 +401,27 @@ class LedgerState:
             state.epoch_signatures = {
                 bytes.fromhex(a): _count(n) for a, n in doc["epoch_signatures"].items()
             }
+            for address, n in state.epoch_signatures.items():
+                if address not in state.miner_pool:
+                    raise ValueError(f"signer {address.hex()} is not in the miner pool")
+                if n > state.epoch_blocks_total:
+                    raise ValueError(f"signer {address.hex()} signed {n} of "
+                                     f"{state.epoch_blocks_total} blocks")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSnapshot(f"bad snapshot: {exc}") from exc
         return state
+
+
+def _nested_block(brackets: str, entries: list[str]) -> str:
+    """A second-level JSON container as indent-2 ``json.dumps`` lays it out."""
+    if not entries:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(entries) + "\n  " + brackets[1]
+
+
+def _nested_doc(doc: dict) -> str:
+    """A small second-level object through ``json.dumps``, re-indented one level."""
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def _count(value) -> int:

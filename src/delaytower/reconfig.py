@@ -110,7 +110,7 @@ def advance_epoch(state: LedgerState) -> EpochSummary:
 
     skipped = len(proposed) < MIN_VALIDATORS
     if not skipped:
-        state.validator_set = list(proposed)
+        state.validator_set = proposed
 
     released = []
     seated = set(state.validator_set)

@@ -194,17 +194,24 @@ def recovery_time(metrics: SimMetrics) -> Union[int, _NeverRecovered]:
     return NEVER_RECOVERED
 
 
-def _draw(seed: int, epoch: int, round_index: int, address: bytes) -> float:
-    """Uniform [0, 1) draw, independent of evaluation order."""
-    material = (
-        _DOMAIN_DRAW
-        + encode_uint(seed, 8)
-        + encode_uint(epoch, 8)
-        + encode_uint(round_index, 8)
-        + encode_bytes(address)
-    )
-    digest = hashlib.sha256(material).digest()
-    return int.from_bytes(digest[:8], "big") / _U64
+def _draw_prefix(seed: int, epoch: int) -> hashlib._Hash:
+    """SHA-256 state over the part of the draw input shared by a whole epoch."""
+    return hashlib.sha256(_DOMAIN_DRAW + encode_uint(seed, 8) + encode_uint(epoch, 8))
+
+
+def _round_draws(prefix: hashlib._Hash, round_index: int,
+                 encoded_addresses: list[bytes]) -> list[float]:
+    """Uniform [0, 1) draws, one per ``encode_bytes(address)``, independent of
+    evaluation order: the first 8 bytes of SHA-256 over the domain, seed, epoch,
+    round and address, read as a fraction of 2^64."""
+    round_prefix = prefix.copy()
+    round_prefix.update(encode_uint(round_index, 8))
+    draws = []
+    for encoded in encoded_addresses:
+        digest = round_prefix.copy()
+        digest.update(encoded)
+        draws.append(int.from_bytes(digest.digest()[:8], "big") / _U64)
+    return draws
 
 
 def _sign_bound(probability: Fraction) -> float:
@@ -276,7 +283,7 @@ def run(
     for epoch_index in range(scenario.epochs):
         committed = 0
         timeouts = 0
-        validator_set = tuple(state.validator_set)
+        validator_set = state.validator_set
         # The set is frozen for the epoch, so class its members once: they sign
         # every round, until their crash round, by draw, or (crashed) never.
         first = epoch_index * rounds
@@ -290,10 +297,12 @@ def run(
                 always.append(address)
             elif node.behavior.from_round > first:
                 until.append((address, node.behavior.from_round - first))
+        prefix = _draw_prefix(scenario.seed, epoch_index)
+        silent_encoded = [encode_bytes(a) for a, _ in silent]
         for round_index in range(rounds):
+            draws = _round_draws(prefix, round_index, silent_encoded)
             signers = always + [a for a, stop in until if round_index < stop] + [
-                a for a, bound in silent
-                if _draw(scenario.seed, epoch_index, round_index, a) < bound]
+                a for (a, bound), draw in zip(silent, draws) if draw < bound]
             leader = validator_set[round_index % len(validator_set)]
             if leader in signers and state.record_block(signers):
                 committed += 1

@@ -323,7 +323,7 @@ def test_criterion_07_reconfiguration_oracle():
             expected = oracle_advance(state)
             summary = advance_epoch(state)
             assert list(summary.proposed) == expected["proposed"]
-            assert state.validator_set == expected["validator_set"]
+            assert state.validator_set == tuple(expected["validator_set"])
             assert list(summary.jailed) == expected["newly_jailed"]
             assert list(summary.released) == expected["released"]
             assert summary.reconfiguration_skipped == expected["skipped"]

@@ -20,6 +20,7 @@ from delaytower.ledger import (
     InvalidProof,
     InvalidSignature,
     LedgerState,
+    MinerState,
     NoBlocksThisEpoch,
     Ranking,
     UnknownMiner,
@@ -27,9 +28,10 @@ from delaytower.ledger import (
     registration_message,
     submission_message,
 )
-from delaytower.signing import KeyedHashScheme
+from delaytower.reconfig import advance_epoch
+from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import TINY_SECURITY, make_ledger
+from conftest import SMALL_SECURITY, TINY_SECURITY, make_ledger
 
 SCHEME = KeyedHashScheme()
 
@@ -283,6 +285,12 @@ class TestBlocks:
         assert state.record_block(members)
         assert all(state.epoch_signatures[m] == 1 for m in members)
 
+    def test_no_seated_set_refuses_block(self, state):
+        before = fingerprint(state)
+        assert not state.record_block([])
+        assert state.epoch_blocks_total == 0
+        assert fingerprint(state) == before
+
     def test_foreign_signer_rejected(self):
         state = make_ledger(miners=6, validators=4)
         with pytest.raises(ForeignSigner):
@@ -296,6 +304,56 @@ class TestBlocks:
         signers = [f"m-{i:02d}".encode() for i in range(k)]
         committed = state.record_block(signers)
         assert committed == (k >= math.ceil(Fraction(2 * n, 3)))
+
+
+NEW_SET = [f"m-{i:02d}".encode() for i in range(4, 8)]
+
+
+def _install(state: LedgerState) -> LedgerState:
+    state.install_validators(NEW_SET)
+    return state
+
+
+def _assign(state: LedgerState) -> LedgerState:
+    state.validator_set = NEW_SET
+    return state
+
+
+def _advance_epoch(state: LedgerState) -> LedgerState:
+    for address in NEW_SET:
+        state.miner_pool[address].num = state.epoch_config.mining_threshold + 1
+    advance_epoch(state)
+    return state
+
+
+def _import(state: LedgerState) -> LedgerState:
+    doc = json.loads(state.export_snapshot())
+    doc["validator_set"] = [a.hex() for a in NEW_SET]
+    return LedgerState.import_snapshot(json.dumps(doc))
+
+
+class TestValidatorSet:
+    @pytest.mark.parametrize("replace", [_install, _assign, _advance_epoch, _import])
+    def test_replacement_keeps_tally_in_step(self, replace):
+        state = make_ledger(miners=8, validators=4)
+        assert state.record_block([b"m-00", b"m-01", b"m-02"])
+        state = replace(state)
+        assert state.validator_set == tuple(NEW_SET)
+        state.epoch_blocks_total, state.epoch_signatures = 0, {}
+        with pytest.raises(ForeignSigner):
+            state.record_block([b"m-00"] + NEW_SET[:2])
+        assert state.record_block(NEW_SET[:3])
+        assert state.liveliness(NEW_SET[0]) == 1
+        assert state.liveliness(NEW_SET[3]) == 0
+        with pytest.raises(ValueError):
+            state.liveliness(b"m-00")
+
+    def test_read_only(self):
+        state = make_ledger(miners=5, validators=4)
+        with pytest.raises(AttributeError):
+            state.validator_set.append(b"m-04")
+        with pytest.raises(ForeignSigner):
+            state.record_block([b"m-00", b"m-01", b"m-04"])
 
 
 class TestLiveliness:
@@ -415,6 +473,8 @@ BAD_SNAPSHOTS = {
     "negative-compliant-epochs": edit("miner_pool", ALICE, "compliant_epochs", -1),
     "negative-blocks-total": edit("epoch_blocks_total", -1),
     "negative-signature-count": edit("epoch_signatures", ALICE, -1),
+    "signature-count-above-blocks": edit("epoch_signatures", ALICE, 3),
+    "signer-not-in-pool": edit("epoch_signatures", b"ghost".hex(), 1),
     "jailed-string": edit("miner_pool", ALICE, "jailed", "yes"),
     "jailed-int": edit("miner_pool", ALICE, "jailed", 1),
     "config-out-of-range": edit("epoch_config", "max_validators", 3),
@@ -426,6 +486,81 @@ BAD_SNAPSHOTS = {
     "unknown-scheme": edit("scheme", "rot13"),
     "too-few-validators": edit("validator_set", [ALICE]),
 }
+
+
+def snapshot_doc(state: LedgerState) -> dict:
+    """The snapshot document that ``export_snapshot`` lays out by hand."""
+    return {
+        "version": ledger.SNAPSHOT_VERSION,
+        "scheme": state.scheme.name,
+        "security": state.security.to_doc(),
+        "modulus": str(state.modulus),
+        "epoch_config": state.epoch_config.to_doc(),
+        "epoch": state.epoch,
+        "validator_set": [a.hex() for a in state.validator_set],
+        "miner_pool": {
+            a.hex(): {
+                "height": ms.height,
+                "hash": ms.hash.hex(),
+                "num": ms.num,
+                "jailed": ms.jailed,
+                "jail_sentence": ms.jail_sentence,
+                "compliant_epochs": ms.compliant_epochs,
+            }
+            for a, ms in state.miner_pool.items()
+        },
+        "epoch_blocks_total": state.epoch_blocks_total,
+        "epoch_signatures": {a.hex(): n for a, n in state.epoch_signatures.items()},
+    }
+
+
+COUNTS = st.one_of(st.just(0), st.integers(0, 1000), st.integers(2**64, 2**80))
+THRESHOLDS = st.one_of(st.sampled_from([Fraction(0), Fraction(9, 10), Fraction(1)]),
+                       st.fractions(0, 1))
+
+
+@st.composite
+def ledger_states(draw) -> LedgerState:
+    """Any field values of the right types; consistency between fields is not needed."""
+    mining_threshold = draw(st.integers(1, 50))
+    config = EpochConfig(
+        rounds_per_epoch=draw(st.integers(1, 10**6)),
+        max_validators=draw(st.integers(4, 1000)),
+        liveliness_threshold=draw(THRESHOLDS),
+        mining_threshold=mining_threshold,
+        jail_sentence_epochs=draw(st.integers(1, 10)),
+        growth_cap=draw(st.integers(mining_threshold, 100)),
+        ranking=draw(st.sampled_from(Ranking)),
+    )
+    state = LedgerState(draw(st.sampled_from([TINY_SECURITY, SMALL_SECURITY])), config,
+                        SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))],
+                        modulus=draw(st.integers(2, 2**300)) * 2 + 1)
+    state.epoch = draw(COUNTS)
+    state.epoch_blocks_total = draw(COUNTS)
+    pool = draw(st.lists(st.binary(min_size=1, max_size=6), unique=True, max_size=8))
+    for address in pool:
+        state.miner_pool[address] = MinerState(
+            address=address, height=draw(COUNTS), hash=draw(st.binary(max_size=32)),
+            num=draw(COUNTS), jailed=draw(st.booleans()), jail_sentence=draw(COUNTS),
+            compliant_epochs=draw(COUNTS))
+    if pool:
+        members = st.lists(st.sampled_from(pool), unique=True)
+        state.validator_set = draw(members)
+        state.epoch_signatures = {a: draw(COUNTS) for a in draw(members)}
+    return state
+
+
+class TestSnapshotWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(state=ledger_states())
+    def test_equals_indented_json_dumps(self, state):
+        expected = json.dumps(snapshot_doc(state), sort_keys=True, indent=2) + "\n"
+        assert state.export_snapshot() == expected
+
+    def test_empty_and_pinned_ledgers(self, state):
+        for subject in (state, pinned_ledger()):
+            expected = json.dumps(snapshot_doc(subject), sort_keys=True, indent=2) + "\n"
+            assert subject.export_snapshot() == expected
 
 
 class TestSnapshotImport:

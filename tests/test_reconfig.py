@@ -188,7 +188,7 @@ class TestAdvanceEpoch:
         summary = advance_epoch(state)
         assert summary.reconfiguration_skipped
         assert summary.proposed == (b"m-00", b"m-01", b"m-02")
-        assert state.validator_set == previous
+        assert state.validator_set == tuple(previous)
         assert state.epoch == 1
 
     def test_jailed_validator_removed_and_released_after_serving(self):
@@ -383,7 +383,7 @@ def test_advance_epoch_matches_bruteforce_oracle(seed):
         assert list(summary.jailed) == expected["newly_jailed"]
         assert list(summary.released) == expected["released"]
         assert summary.reconfiguration_skipped == expected["skipped"]
-        assert state.validator_set == expected["validator_set"]
+        assert state.validator_set == tuple(expected["validator_set"])
         assert state.epoch == expected["epoch"]
         assert state.epoch_blocks_total == 0 and state.epoch_signatures == {}
         for a, m in expected["pool"].items():

@@ -9,9 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaytower import sim, vdf
 from delaytower.ledger import EpochConfig
+from delaytower.serialization import encode_bytes, encode_uint
 from delaytower.sim import (
     NEVER_RECOVERED,
     Behavior,
@@ -246,6 +249,28 @@ class TestSignBound:
         assert draws
         for v in draws:
             assert (v < bound) == (v < p), (p, v)
+
+
+def reference_draw(seed: int, epoch: int, round_index: int, address: bytes) -> float:
+    """One silent-signer draw, hashed from scratch."""
+    material = (b"delay-tower/sim-draw/v1" + encode_uint(seed, 8) + encode_uint(epoch, 8)
+                + encode_uint(round_index, 8) + encode_bytes(address))
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") / 2**64
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+class TestDraws:
+    @settings(deadline=None, max_examples=100)
+    @given(seed=U64, epoch=U64, rounds=st.lists(U64, min_size=1, max_size=4),
+           addresses=st.lists(st.binary(max_size=40), max_size=6))
+    def test_hoisted_prefix_matches_reference(self, seed, epoch, rounds, addresses):
+        prefix = sim._draw_prefix(seed, epoch)
+        encoded = [encode_bytes(a) for a in addresses]
+        for round_index in rounds:  # one prefix serves every round of its epoch
+            assert sim._round_draws(prefix, round_index, encoded) == [
+                reference_draw(seed, epoch, round_index, a) for a in addresses]
 
 
 class TestMetricsApi:
