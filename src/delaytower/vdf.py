@@ -2,22 +2,17 @@
 
 Evaluation computes x^(2^t) mod N by t strictly sequential squarings, so the
 wall time grows linearly with t no matter how much hardware is thrown at it.
-Verification replays a halving transcript: the prover publishes the midpoint
-mu = x^(2^(t/2)) at each level, both sides fold the claim
+Verification replays a halving transcript (Pietrzak, "Simple Verifiable Delay
+Functions", ITCS 2019): the prover publishes the midpoint mu = x^(2^(t/2))
+at each level, and both sides fold the claim
 
     x^(2^t) = y   into   (x^r * mu)^(2^(t/2)) = mu^r * y
 
-with a hash-derived challenge r, and after about log2(t) levels the verifier
-is left with a single squaring to check. Verification therefore costs
-O(log t) group exponentiations with short exponents.
-
-The prover does not pay log2(t) further squaring runs for the midpoints. The
-squaring loop stores the evenly spaced powers x^(2^(j*t/2^k)), and the first k
-midpoints are products of those powers raised to products of the earlier
-challenges (Pietrzak, "Simple Verifiable Delay Functions", ITCS 2019). Only
-the later levels, t/2^k squarings in all, square again. The transcript is the
-same one the straight fold would produce, so the proof format does not
-depend on k.
+with a hash-derived challenge r. The fold stops once at most
+``MAX_DIRECT_SQUARINGS`` (2^7) squarings remain, and the verifier checks that
+last claim by squaring itself. A proof for t = 2^k therefore carries
+max(0, k - 7) midpoints, and verification costs two exponentiations by short
+challenges per level plus at most 128 squarings.
 
 Exponentiations other than the delay run on OpenSSL's ``BN_mod_exp``
 through ``_powmod``: verify's fold, every exponentiation that builds the
@@ -50,7 +45,15 @@ from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, enc
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
 DEFAULT_PRIME_LENGTH_BITS = 512
 
-PROOF_FORMAT_VERSION = 1
+PROOF_FORMAT_VERSION = 2
+
+# Proof format 2 stops the fold once at most this many squarings remain; the
+# verifier does them itself and never more. A level costs the verifier two
+# exponentiations by 128-bit challenges, about as much as 380 squarings at
+# 2048 bits, so the 7 levels dropped cost more than the squarings that
+# replace them. A later stop saves little more and makes verify grow faster
+# with t.
+MAX_DIRECT_SQUARINGS = 1 << 7
 
 _DOMAIN_INPUT = b"delay-tower/input/v1"
 _DOMAIN_GROUP = b"delay-tower/group/v1"
@@ -59,15 +62,6 @@ _DOMAIN_PRIME = b"delay-tower/prime/v1"
 _DOMAIN_WITNESS = b"delay-tower/witness/v1"
 
 _CHALLENGE_BYTES = 16
-
-# At most this many leading transcript levels reuse powers stored by the
-# squaring loop. Level i costs 2^(i-1) exponentiations by products of i-1
-# challenges and saves t/2^i squarings. With a 2048-bit modulus and _powmod on
-# libcrypto (Python 3.11, 2-vCPU Xeon, median eval in ms for a cap of 0/2/3):
-# t = 1024 29.1/26.6/28.6, t = 4096 88.0/86.8/85.2, t = 2^16 1255/1157/1137.
-# A third level moves eval by less than run-to-run noise; under the builtin
-# pow the stored levels save much more.
-_MAX_STORED_LEVELS = 2
 
 _MIN_MODULUS_BITS = 64
 _MIN_PRIME_LENGTH_BITS = 16
@@ -158,12 +152,10 @@ class InputOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class EvalCheckpoint:
-    """Partial evaluation state: squarings completed, the running value, and
-    the evenly spaced powers the loop has stored so far (see ``eval``)."""
+    """Partial evaluation state: squarings completed and the running value."""
 
     iterations_done: int
     value: int
-    powers: tuple[int, ...] = ()
 
 
 class EvalCancelled(Exception):
@@ -241,8 +233,12 @@ def effective_iterations(requested: int) -> int:
 
 
 def expected_checkpoint_count(iterations: int) -> int:
-    """Number of halving midpoints a transcript for ``iterations`` steps carries."""
-    return iterations.bit_length() - 1
+    """Number of halving midpoints a transcript for ``iterations`` steps carries.
+
+    One per level while more than ``MAX_DIRECT_SQUARINGS`` steps remain; after
+    j levels floor(t / 2^j) remain. For t = 2^k that is max(0, k - 7).
+    """
+    return (iterations // (MAX_DIRECT_SQUARINGS + 1)).bit_length()
 
 
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
@@ -376,42 +372,25 @@ def _challenge(modulus: int, x: int, y: int, midpoint: int, level: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:_CHALLENGE_BYTES], "big")
 
 
-def _build_transcript(modulus: int, x: int, t: int, powers: tuple[int, ...]) -> tuple[int, ...]:
-    """Fold the claim x^(2^t) = y down to a single squaring, collecting midpoints.
+def _build_transcript(modulus: int, x: int, y: int, t: int) -> tuple[int, ...]:
+    """Fold the claim x^(2^t) = y until at most MAX_DIRECT_SQUARINGS remain,
+    collecting midpoints.
 
-    ``powers`` are x^(2^(j*t/2^k)) for j = 1..2^k, the last being y. At level
-    i <= k the base is a product of stored powers raised to products of the
-    earlier challenges, so its midpoint is the same product over the powers
-    halfway between; later levels square the folded base again. Odd step
-    counts shed one squaring onto the instance first, so any t >= 1 is
-    supported; power-of-two t yields exactly log2(t) midpoints.
+    Odd step counts shed one squaring onto the instance first, so any t >= 1
+    is supported.
     """
-    k = len(powers).bit_length() - 1
-    stored = (x,) + powers
-    exponents = [1]  # the level's base is prod_j stored[2j * 2^(k-level)] ** exponents[j]
     checkpoints = []
-    xi, yi, remaining = x, powers[-1], t
-    level = 1
-    while remaining > 1:
+    xi, yi, remaining = x, y, t
+    while remaining > MAX_DIRECT_SQUARINGS:
         if remaining % 2 == 1:
             xi = xi * xi % modulus
             remaining -= 1
-        half = remaining // 2
-        if level <= k:
-            step = 1 << (k - level)
-            midpoint = 1
-            for j, e in enumerate(exponents):
-                midpoint = midpoint * _powmod(stored[(2 * j + 1) * step], e, modulus) % modulus
-        else:
-            midpoint = _powmod(xi, 1 << half, modulus)
-        r = _challenge(modulus, xi, yi, midpoint, level)
+        remaining //= 2
+        midpoint = _powmod(xi, 1 << remaining, modulus)
+        checkpoints.append(midpoint)
+        r = _challenge(modulus, xi, yi, midpoint, len(checkpoints))
         xi = _powmod(xi, r, modulus) * midpoint % modulus
         yi = _powmod(midpoint, r, modulus) * yi % modulus
-        if level < k:
-            exponents = [f for e in exponents for f in (e * r, e)]
-        remaining = half
-        checkpoints.append(midpoint)
-        level += 1
     return tuple(checkpoints)
 
 
@@ -429,49 +408,39 @@ def eval(
     x must be a unit mod N; any other input raises InputOutOfRange, because
     its powers can reach 0, which no proof verifies.
 
-    Every t/2^k squarings the loop stores the running value, where k is the
-    number of times 2 divides t, capped at 2. The first k midpoints are built
-    from those stored powers instead of by squaring again; odd t (k = 0)
-    stores only y and folds as before.
+    The midpoints are computed after the loop, by squaring each level's folded
+    base again on ``_powmod``: about t further squarings, in native code.
 
     ``should_cancel`` is polled every ``check_every`` squarings; when it returns
     true an EvalCancelled carrying a resumable checkpoint is raised, and a later
-    call can continue from it via ``resume``. The checkpoint carries the powers
-    stored so far, so a resumed run keeps the saving. The output and the
-    transcript are fully deterministic for fixed inputs.
+    call can continue from it via ``resume``. The output and the transcript are
+    fully deterministic for fixed inputs.
     """
     modulus = pp.modulus
     t = pp.iterations
     if not isinstance(x, int) or not 1 <= x < modulus or math.gcd(x, modulus) != 1:
         raise InputOutOfRange(f"input must be a unit in [1, modulus), got {x}")
 
-    stride = t >> min(_MAX_STORED_LEVELS, (t & -t).bit_length() - 1)  # t / 2^k
     start = 0
     y = x
-    powers = []
     if resume is not None:
-        if not 0 <= resume.iterations_done <= t \
-                or len(resume.powers) != resume.iterations_done // stride:
+        if not 0 <= resume.iterations_done <= t:
             raise ValueError("resume checkpoint does not match these parameters")
-        if not all(1 <= v < modulus for v in (resume.value, *resume.powers)):
+        if not 1 <= resume.value < modulus:
             raise ValueError("resume checkpoint value out of range")
-        start, y, powers = resume.iterations_done, resume.value, list(resume.powers)
+        start, y = resume.iterations_done, resume.value
 
-    for i in range(start, t):
+    for done in range(start + 1, t + 1):
         y = y * y % modulus
-        done = i + 1
-        if done % stride == 0:
-            powers.append(y)
         if done % check_every == 0 or done == t:
             if on_progress is not None:
                 on_progress(done, t)
             if should_cancel is not None and done < t and should_cancel():
-                raise EvalCancelled(EvalCheckpoint(done, y, tuple(powers)))
+                raise EvalCancelled(EvalCheckpoint(done, y))
 
-    checkpoints = _build_transcript(modulus, x, t, tuple(powers))
     proof = VdfProof(
         output=y,
-        checkpoints=checkpoints,
+        checkpoints=_build_transcript(modulus, x, y, t),
         embedded_prime_length_bits=pp.prime_length_bits,
     )
     return y, proof
@@ -480,7 +449,9 @@ def eval(
 def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
     """Check that proof shows x^(2^iterations) = y mod modulus.
 
-    Malformed input, including an x or y that is not a unit mod modulus, yields False.
+    Malformed input, including an x or y that is not a unit mod modulus, yields
+    False. Whatever the proof, at most ``MAX_DIRECT_SQUARINGS`` squarings follow
+    the fold.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         return False
@@ -493,9 +464,8 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
             return False
 
     xi, yi, remaining = x, y, iterations
-    level = 1
-    for midpoint in proof.checkpoints:
-        if remaining <= 1:
+    for level, midpoint in enumerate(proof.checkpoints, 1):
+        if remaining <= MAX_DIRECT_SQUARINGS:
             return False
         if remaining % 2 == 1:
             xi = xi * xi % modulus
@@ -504,10 +474,9 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
         xi = _powmod(xi, r, modulus) * midpoint % modulus
         yi = _powmod(midpoint, r, modulus) * yi % modulus
         remaining //= 2
-        level += 1
-    if remaining != 1:
+    if not 1 <= remaining <= MAX_DIRECT_SQUARINGS:
         return False
-    return yi == xi * xi % modulus
+    return yi == _powmod(xi, 1 << remaining, modulus)
 
 
 def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:

@@ -75,11 +75,12 @@ def test_criterion_01_vdf_correctness(acceptance_modulus):
 def test_criterion_02_vdf_soundness(acceptance_modulus):
     with criterion(2, "VDF soundness under tampering"):
         rng = random.Random(202)
-        pp = params_at(acceptance_modulus, 1 << 6)
+        pp = params_at(acceptance_modulus, 1 << 10)
         transcripts = []
         for _ in range(25):
             x = rng.randrange(1, pp.modulus)
             output, proof = vdf.eval(pp, x)
+            assert len(proof.checkpoints) >= 2
             transcripts.append((x, output, proof))
         accepted = 0
         trials = 0

@@ -567,7 +567,7 @@ class TestSnapshotImport:
     def test_bytes_pinned(self):
         text = pinned_ledger().export_snapshot()
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "1c1cc5886ea46c83a8d916e82f6fc1b7125941a8d87a5297de8b529982292e55"
+            "85857a81cf22f40527f8dbf6c97308e8d0fcc703fe6ffc7a5922304f59deffd2"
         assert LedgerState.import_snapshot(text).export_snapshot() == text
 
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

@@ -10,7 +10,7 @@ import pytest
 
 from delaytower import tower, vdf
 
-from conftest import SMALL_SECURITY
+from conftest import SMALL_SECURITY, full_fold
 
 
 @pytest.fixture(scope="module")
@@ -28,18 +28,22 @@ def height8() -> tower.Tower:
     return twr
 
 
-# Digest of the tower below as written before eval built midpoints from stored
-# powers and before exponentiations ran on libcrypto: the proof and file
-# formats must not drift.
-PINNED_TOWER_SHA256 = "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
+# Digests of the tower below as saved in proof format 2, and as proof format 1
+# saved it (its transcripts folded down to a single squaring): the proof and
+# file formats must not drift.
+PINNED_TOWER_SHA256 = "82141d64b0df675553728e41f58dd3592102c77dd8fe425bbe281df825679afd"
+FORMAT_1_TOWER_SHA256 = "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
 
 
-def pinned_tower_sha256(tmp_path) -> str:
+def pinned_tower() -> tower.Tower:
     security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
     twr = tower.init_tower(security, b"pinned-owner", b"pinned-endpoint")
     twr = tower.extend(twr, created_epoch=1)
-    twr = tower.extend(twr, created_epoch=2)
-    tower.save_tower(twr, tmp_path / "t.bin")
+    return tower.extend(twr, created_epoch=2)
+
+
+def pinned_tower_sha256(tmp_path) -> str:
+    tower.save_tower(pinned_tower(), tmp_path / "t.bin")
     return hashlib.sha256((tmp_path / "t.bin").read_bytes()).hexdigest()
 
 
@@ -204,6 +208,24 @@ class TestPersistence:
     def test_file_bytes_unchanged_on_builtin_pow(self, monkeypatch, tmp_path):
         monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
         assert pinned_tower_sha256(tmp_path) == PINNED_TOWER_SHA256
+
+    def test_format_1_file_refused(self, monkeypatch, tmp_path):
+        real_eval = vdf.eval
+
+        def format_1_eval(pp, x):
+            output, proof = real_eval(pp, x)
+            full, _ = full_fold(pp.modulus, x, pp.iterations, output)
+            return output, dataclasses.replace(proof, checkpoints=full)
+
+        path = tmp_path / "t.bin"
+        with monkeypatch.context() as patch:
+            patch.setattr(vdf, "eval", format_1_eval)
+            patch.setattr(vdf, "PROOF_FORMAT_VERSION", 1)
+            tower.save_tower(pinned_tower(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FORMAT_1_TOWER_SHA256
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="version 1"):
+                tower.load_tower(path, validate=validate)
 
     def test_empty_owner_file_rejected(self, tmp_path):
         # The chain is sound, but setup refuses empty keys, so no file may claim one.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import sys
@@ -13,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytower import vdf
+from delaytower.serialization import DecodeError
 
-from conftest import SMALL_SECURITY
+from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold
 
 
 def small_modulus_params(modulus: int, iterations: int) -> vdf.PublicParams:
@@ -29,31 +29,15 @@ def random_composite(rng: random.Random, upper: int = 1 << 16) -> int:
             return n
 
 
-def straight_transcript(modulus: int, x: int, t: int, y: int) -> tuple[int, ...]:
-    """Reference fold: every midpoint by squaring the folded base again."""
-    checkpoints = []
-    xi, yi, remaining = x, y, t
-    level = 1
-    while remaining > 1:
-        if remaining % 2 == 1:
-            xi = xi * xi % modulus
-            remaining -= 1
-        half = remaining // 2
-        midpoint = pow(xi, 1 << half, modulus)
-        r = vdf._challenge(modulus, xi, yi, midpoint, level)
-        xi = pow(xi, r, modulus) * midpoint % modulus
-        yi = pow(midpoint, r, modulus) * yi % modulus
-        remaining = half
-        checkpoints.append(midpoint)
-        level += 1
-    return tuple(checkpoints)
-
-
-def assert_straight_transcript(pp: vdf.PublicParams, x: int) -> None:
+def assert_transcript_prefix(pp: vdf.PublicParams, x: int) -> None:
+    """eval's midpoints are the full fold's levels begun with more than 2^7 steps left."""
     output, proof = vdf.eval(pp, x)
     assert output == pow(x, 1 << pp.iterations, pp.modulus)
-    assert proof.checkpoints == straight_transcript(pp.modulus, x, pp.iterations, output), \
-        f"t={pp.iterations}"
+    full, entered = full_fold(pp.modulus, x, pp.iterations, output)
+    kept = sum(1 for remaining in entered if remaining > 128)
+    assert proof.checkpoints == full[:kept], f"t={pp.iterations}"
+    assert vdf.expected_checkpoint_count(pp.iterations) == kept
+    assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
 
 
 class TestSetup:
@@ -128,10 +112,11 @@ class TestEval:
         assert not vdf.verify(n, 1, 3, 9, vdf.VdfProof(9, (), 512))
         assert vdf.verify(n, 1, 2, 4, vdf.VdfProof(4, (), 512))
 
-    def test_checkpoint_count_for_power_of_two(self, small_params):
-        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        _, proof = vdf.eval(small_params, x)
-        assert len(proof.checkpoints) == 4  # log2(16)
+    def test_checkpoint_count_for_power_of_two(self, transcript):
+        _, _, _, proof = transcript
+        assert len(proof.checkpoints) == 3  # log2(1024) - 7
+        for k in range(24):
+            assert vdf.expected_checkpoint_count(1 << k) == max(0, k - 7)
 
     def test_thread_safe(self, small_params):
         pp = small_modulus_params(small_params.modulus, 1024)
@@ -163,17 +148,19 @@ class TestEval:
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
 
 
-class TestStoredPowers:
-    """Midpoints built from the loop's stored powers equal the straight fold."""
+class TestTranscriptPrefix:
+    """eval's midpoints are the leading levels of the full fold (``full_fold``),
+    up to where 2^7 steps or fewer remain."""
 
     def test_every_small_step_count(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        for t in range(1, 65):
-            assert_straight_transcript(small_modulus_params(small_params.modulus, t), x)
+        for t in range(1, 301):
+            assert_transcript_prefix(small_modulus_params(small_params.modulus, t), x)
 
     def test_cli_step_count(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        assert_straight_transcript(small_modulus_params(small_params.modulus, 4096), x)
+        for t in (1024, 4096):
+            assert_transcript_prefix(small_modulus_params(small_params.modulus, t), x)
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
@@ -181,9 +168,9 @@ class TestStoredPowers:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         n = random_composite(rng)
         x = data.draw(st.integers(1, n - 1))
-        t = data.draw(st.integers(1, 256))
+        t = data.draw(st.integers(1, 2048))
         if math.gcd(x, n) == 1:
-            assert_straight_transcript(small_modulus_params(n, t), x)
+            assert_transcript_prefix(small_modulus_params(n, t), x)
 
 
 class TestCancellation:
@@ -206,15 +193,11 @@ class TestCancellation:
         resumed = vdf.eval(pp, x, resume=checkpoint)
         assert resumed == straight
 
-    def test_resume_around_each_stored_power(self, small_params):
+    def test_resume_at_several_cut_points(self, small_params):
         pp = small_modulus_params(small_params.modulus, 1024)
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
         straight = vdf.eval(pp, x)
-        stride = 256  # 1024 / 2^2: the loop stores a power every 256 squarings
-        targets = sorted({d for j in range(1, 5) for d in (j * stride - 1, j * stride,
-                                                          j * stride + 1)
-                          if d < 1024})
-        for target in targets:
+        for target in (1, 255, 256, 257, 511, 512, 513, 767, 768, 769, 1023):
             calls = {"n": 0}
 
             def cancel_at_target() -> bool:
@@ -225,8 +208,9 @@ class TestCancellation:
                 vdf.eval(pp, x, should_cancel=cancel_at_target, check_every=1)
             checkpoint = excinfo.value.checkpoint
             assert checkpoint.iterations_done == target
-            assert len(checkpoint.powers) == target // stride
-            assert vdf.eval(pp, x, resume=checkpoint) == straight, f"resumed at {target}"
+            resumed = vdf.eval(pp, x, resume=checkpoint)
+            assert resumed == straight, f"resumed at {target}"
+            assert vdf.serialize_proof(resumed[1]) == vdf.serialize_proof(straight[1])
 
     def test_progress_reported(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
@@ -238,34 +222,18 @@ class TestCancellation:
 
     def test_bad_resume_rejected(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        with pytest.raises(ValueError):
-            vdf.eval(small_params, x, resume=vdf.EvalCheckpoint(10_000, x))
-
-    def test_resume_with_mismatched_powers_rejected(self, small_params):
-        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        with pytest.raises(vdf.EvalCancelled) as excinfo:
-            vdf.eval(small_params, x, should_cancel=lambda: True, check_every=8)
-        checkpoint = excinfo.value.checkpoint
-        assert checkpoint.iterations_done == 8 and len(checkpoint.powers) == 2
-        for powers in ((), checkpoint.powers[:1], checkpoint.powers + (x,)):
-            bad = dataclasses.replace(checkpoint, powers=powers)
-            with pytest.raises(ValueError, match="does not match"):
+        for bad in (vdf.EvalCheckpoint(10_000, x), vdf.EvalCheckpoint(-1, x),
+                    vdf.EvalCheckpoint(8, 0), vdf.EvalCheckpoint(8, small_params.modulus)):
+            with pytest.raises(ValueError):
                 vdf.eval(small_params, x, resume=bad)
 
 
 @pytest.fixture(scope="module")
-def transcript(small_params):
-    pp = vdf.PublicParams(small_params.modulus, small_params.input_digest, 256, 512)
+def transcript():
+    pp = vdf.setup(FOLD_SECURITY, b"fixture-key", b"fixture-endpoint")
     x = vdf.hash_to_group(pp.input_digest, pp.modulus)
     output, proof = vdf.eval(pp, x)
     return pp, x, output, proof
-
-
-@pytest.fixture(scope="module")
-def valid_proof(small_params):
-    x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-    _, proof = vdf.eval(small_params, x)
-    return proof
 
 
 class TestVerify:
@@ -281,6 +249,7 @@ class TestVerify:
 
     def test_every_checkpoint_tamper_rejected(self, transcript):
         pp, x, output, proof = transcript
+        assert len(proof.checkpoints) >= 2
         for i in range(len(proof.checkpoints)):
             checkpoints = list(proof.checkpoints)
             checkpoints[i] = 1 if checkpoints[i] != 1 else 2
@@ -290,10 +259,37 @@ class TestVerify:
 
     def test_wrong_checkpoint_count_rejected(self, transcript):
         pp, x, output, proof = transcript
-        short = vdf.VdfProof(output, proof.checkpoints[:-1], 512)
-        long = vdf.VdfProof(output, proof.checkpoints + (1,), 512)
-        assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
-        assert not vdf.verify(pp.modulus, pp.iterations, x, output, long)
+        # One level further, and format 1's fold to a single squaring, are
+        # honest transcripts of the same claim; only one proof may verify.
+        full, _ = full_fold(pp.modulus, x, pp.iterations, output)
+        count = len(proof.checkpoints)
+        assert full[:count] == proof.checkpoints
+        for checkpoints in (proof.checkpoints[:-1], proof.checkpoints + (1,),
+                            full[:count + 1], full):
+            wrong = vdf.VdfProof(output, checkpoints, 512)
+            assert vdf.fast_reject(FOLD_SECURITY, wrong)
+            assert not vdf.verify(pp.modulus, pp.iterations, x, output, wrong)
+
+    def test_work_bounded_whatever_the_midpoints(self, monkeypatch):
+        security = vdf.SecurityParams(modulus_bits=512, iterations=1 << 16)
+        pp = vdf.setup(security, b"fixture-key", b"fixture-endpoint")
+        x = vdf.hash_to_group(pp.input_digest, pp.modulus)
+        output, proof = vdf.eval(pp, x)
+        assert len(proof.checkpoints) == 9
+        exponents = []
+        powmod = vdf._powmod
+
+        def spy(base, exponent, modulus):
+            exponents.append(exponent)
+            return powmod(base, exponent, modulus)
+
+        monkeypatch.setattr(vdf, "_powmod", spy)
+        for checkpoints in ((), proof.checkpoints[:1], proof.checkpoints[:-1]):
+            short = vdf.VdfProof(output, checkpoints, 512)
+            assert vdf.fast_reject(security, short)
+            assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+        assert exponents and max(exponents) <= 1 << 128
 
     def test_out_of_range_elements_rejected(self, transcript):
         pp, x, output, proof = transcript
@@ -304,6 +300,7 @@ class TestVerify:
 
     def test_soundness_random_tampering(self, transcript):
         pp, x, output, proof = transcript
+        assert len(proof.checkpoints) >= 2
         rng = random.Random(1234)
         accepted = 0
         for _ in range(250):
@@ -334,56 +331,56 @@ class TestVerify:
 
 
 class TestFastReject:
-    def test_accepts_valid(self, valid_proof):
-        assert not vdf.fast_reject(SMALL_SECURITY, valid_proof)
+    def test_accepts_valid(self, transcript):
+        assert not vdf.fast_reject(FOLD_SECURITY, transcript[3])
 
-    def test_rejects_wrong_prime_length(self, valid_proof):
-        bad = vdf.VdfProof(valid_proof.output, valid_proof.checkpoints, 511)
-        assert vdf.fast_reject(SMALL_SECURITY, bad)
+    def test_rejects_wrong_prime_length(self, transcript):
+        proof = transcript[3]
+        bad = vdf.VdfProof(proof.output, proof.checkpoints, 511)
+        assert vdf.fast_reject(FOLD_SECURITY, bad)
 
-    def test_rejects_zero_checkpoints(self, valid_proof):
-        security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
-        bad = vdf.VdfProof(valid_proof.output, (), 512)
-        assert vdf.fast_reject(security, bad)
+    def test_rejects_zero_checkpoints(self, transcript):
+        bad = vdf.VdfProof(transcript[3].output, (), 512)
+        assert vdf.fast_reject(FOLD_SECURITY, bad)
 
-    def test_rejects_oversized_elements(self, valid_proof):
-        bad = vdf.VdfProof(1 << 513, valid_proof.checkpoints, 512)
-        assert vdf.fast_reject(SMALL_SECURITY, bad)
-        bad = vdf.VdfProof(valid_proof.output,
-                           (1 << 513,) + valid_proof.checkpoints[1:], 512)
-        assert vdf.fast_reject(SMALL_SECURITY, bad)
+    def test_rejects_oversized_elements(self, transcript):
+        proof = transcript[3]
+        bad = vdf.VdfProof(1 << 513, proof.checkpoints, 512)
+        assert vdf.fast_reject(FOLD_SECURITY, bad)
+        bad = vdf.VdfProof(proof.output, (1 << 513,) + proof.checkpoints[1:], 512)
+        assert vdf.fast_reject(FOLD_SECURITY, bad)
 
-    def test_thread_safe(self, valid_proof):
+    def test_thread_safe(self, transcript):
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: vdf.fast_reject(SMALL_SECURITY, valid_proof), range(64)))
+                lambda _: vdf.fast_reject(FOLD_SECURITY, transcript[3]), range(64)))
         assert not any(results)
 
 
 class TestCheckProof:
-    def test_outcomes(self, small_params, valid_proof):
-        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        output = valid_proof.output
+    def test_outcomes(self, transcript):
+        pp, x, output, proof = transcript
 
-        def check(proof):
-            return vdf.check_proof(SMALL_SECURITY, small_params.modulus, x, output, proof)
+        def check(candidate):
+            return vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, candidate)
 
-        assert check(valid_proof) is None
-        assert check(vdf.VdfProof(output, valid_proof.checkpoints, 511)) == "screen"
-        tampered = (1 if valid_proof.checkpoints[0] != 1 else 2,) + valid_proof.checkpoints[1:]
-        assert check(vdf.VdfProof(output, tampered, 512)) == "transcript"
+        assert check(proof) is None
+        assert check(vdf.VdfProof(output, proof.checkpoints, 511)) == "screen"
+        assert len(proof.checkpoints) >= 2
+        for i in range(len(proof.checkpoints)):
+            tampered = list(proof.checkpoints)
+            tampered[i] = 1 if tampered[i] != 1 else 2
+            assert check(vdf.VdfProof(output, tuple(tampered), 512)) == "transcript"
 
-    def test_screen_reject_skips_transcript(self, monkeypatch, small_params, valid_proof):
+    def test_screen_reject_skips_transcript(self, monkeypatch, transcript):
+        pp, x, output, proof = transcript
         calls = []
         monkeypatch.setattr(vdf, "verify", lambda *args: calls.append(args) or True)
-        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
-        screened = vdf.VdfProof(valid_proof.output, valid_proof.checkpoints, 511)
-        assert vdf.check_proof(SMALL_SECURITY, small_params.modulus, x,
-                               valid_proof.output, screened) == "screen"
+        screened = vdf.VdfProof(output, proof.checkpoints, 511)
+        assert vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, screened) == "screen"
         assert calls == []
-        assert vdf.check_proof(SMALL_SECURITY, small_params.modulus, x,
-                               valid_proof.output, valid_proof) is None
-        assert calls == [(small_params.modulus, 16, x, valid_proof.output, valid_proof)]
+        assert vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, proof) is None
+        assert calls == [(pp.modulus, 1024, x, output, proof)]
 
 
 class TestSerialization:
@@ -400,6 +397,14 @@ class TestSerialization:
             vdf.deserialize_proof(blob[:-3])
         with pytest.raises(ValueError):
             vdf.deserialize_proof(blob + b"\x00")
+
+    def test_format_1_refused(self, transcript):
+        pp, x, output, proof = transcript
+        full, _ = full_fold(pp.modulus, x, pp.iterations, output)
+        blob = bytearray(vdf.serialize_proof(vdf.VdfProof(output, full, 512)))
+        blob[0] = 1
+        with pytest.raises(DecodeError, match="version 1"):
+            vdf.deserialize_proof(bytes(blob))
 
     def test_bad_version_rejected(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
