@@ -42,11 +42,12 @@ def jail_failed_validators(state: LedgerState) -> list[bytes]:
     """
     if state.epoch_blocks_total == 0:
         return []
-    threshold = state.epoch_config.liveliness_threshold
+    # Liveliness (signed / blocks) <= p / q, cross-multiplied so both sides are exact.
+    p, q = state.epoch_config.liveliness_threshold.as_integer_ratio()
     newly_jailed = []
     for address in state.validator_set:
         ms = state.miner_pool[address]
-        if state.liveliness(address) <= threshold:
+        if state.epoch_signatures[address] * q <= p * state.epoch_blocks_total:
             if not ms.jailed:
                 newly_jailed.append(address)
             ms.jailed = True

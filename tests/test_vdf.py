@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -226,6 +227,128 @@ class TestCancellation:
                     vdf.EvalCheckpoint(8, 0), vdf.EvalCheckpoint(8, small_params.modulus)):
             with pytest.raises(ValueError):
                 vdf.eval(small_params, x, resume=bad)
+
+    def test_check_every_below_one_rejected(self, small_params):
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        for bad in (0, -1, -256):
+            seen = []
+            with pytest.raises(ValueError, match="check_every"):
+                vdf.eval(small_params, x, check_every=bad,
+                         on_progress=lambda done, total: seen.append(done))
+            assert seen == [], f"check_every={bad} did work before refusing"
+
+
+# Step counts on both sides of MAX_DIRECT_SQUARINGS, of the poll intervals and
+# of powers of two; poll intervals that do and do not divide them.
+LOOP_STEPS = (1, 2, 127, 128, 129, 255, 256, 257, 1000, 1024, 4096)
+POLL_INTERVALS = (1, 7, 256)
+
+
+@pytest.fixture(scope="module")
+def loop_input(small_params):
+    return small_params.modulus, vdf.hash_to_group(small_params.input_digest,
+                                                   small_params.modulus)
+
+
+@functools.lru_cache(maxsize=None)
+def squaring_oracle(modulus: int, x: int, t: int) -> tuple[int, tuple[int, ...]]:
+    """Output by t squarings ``y * y % N`` and the transcript ``full_fold`` keeps."""
+    y = x
+    for _ in range(t):
+        y = y * y % modulus
+    full, entered = full_fold(modulus, x, t, y)
+    return y, full[:sum(1 for remaining in entered if remaining > vdf.MAX_DIRECT_SQUARINGS)]
+
+
+def polls(t: int, check_every: int, start: int = 0) -> list[int]:
+    """Where eval polls: each multiple of ``check_every`` after ``start``, and t."""
+    done = list(range((start // check_every + 1) * check_every, t + 1, check_every))
+    return done + [t] if start < t and t % check_every else done
+
+
+class TestChunkedLoop:
+    """The squaring loop runs on ``_powmod`` one poll interval at a time; outputs,
+    proof bytes, polls and checkpoints are those of t squarings ``y * y % N``."""
+
+    @pytest.mark.parametrize("check_every", POLL_INTERVALS)
+    @pytest.mark.parametrize("t", LOOP_STEPS)
+    def test_engines_match_squaring_oracle(self, monkeypatch, loop_input, t, check_every):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        output, checkpoints = squaring_oracle(modulus, x, t)
+        expected = (output, vdf.VdfProof(output, checkpoints, 512))
+        assert vdf.eval(pp, x, check_every=check_every) == expected
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        assert vdf.eval(pp, x, check_every=check_every) == expected
+
+    @pytest.mark.parametrize("check_every", POLL_INTERVALS)
+    @pytest.mark.parametrize("t", LOOP_STEPS)
+    def test_polls_and_cancel_checkpoints(self, loop_input, t, check_every):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        seen = []
+        vdf.eval(pp, x, check_every=check_every,
+                 on_progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(done, t) for done in polls(t, check_every)]
+        # should_cancel is asked at every poll but the last; cancel at the first few.
+        for asked, target in enumerate(polls(t, check_every)[:-1][:3], 1):
+            answers = [False] * (asked - 1) + [True]
+            with pytest.raises(vdf.EvalCancelled) as excinfo:
+                vdf.eval(pp, x, check_every=check_every, should_cancel=lambda: answers.pop(0))
+            assert answers == []
+            assert excinfo.value.checkpoint == vdf.EvalCheckpoint(
+                target, pow(x, 1 << target, modulus))
+
+    def test_polls_pinned(self, loop_input):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, 20)
+        for check_every, start, expected in ((7, 0, [7, 14, 20]), (7, 10, [14, 20]),
+                                             (7, 14, [20]), (7, 20, []), (1, 17, [18, 19, 20]),
+                                             (256, 0, [20]), (5, 3, [5, 10, 15, 20])):
+            resume = vdf.EvalCheckpoint(start, pow(x, 1 << start, modulus))
+            seen = []
+            vdf.eval(pp, x, check_every=check_every, resume=resume,
+                     on_progress=lambda done, total: seen.append(done))
+            assert seen == expected == polls(20, check_every, start)
+            if len(expected) > 2:
+                answers = [False, True]
+                with pytest.raises(vdf.EvalCancelled) as excinfo:
+                    vdf.eval(pp, x, check_every=check_every, resume=resume,
+                             should_cancel=lambda: answers.pop(0))
+                assert excinfo.value.checkpoint.iterations_done == expected[1]
+
+    @pytest.mark.parametrize("t", [t for t in LOOP_STEPS if t > vdf.MAX_DIRECT_SQUARINGS])
+    def test_resume_around_first_midpoint(self, loop_input, t):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        straight = vdf.serialize_proof(vdf.eval(pp, x)[1])
+        half = t - t // 2
+        for cut in (half - 1, half, half + 1):
+            resume = vdf.EvalCheckpoint(cut, pow(x, 1 << cut, modulus))
+            for check_every in POLL_INTERVALS:
+                resumed = vdf.eval(pp, x, check_every=check_every, resume=resume)
+                assert vdf.serialize_proof(resumed[1]) == straight, (cut, check_every)
+
+    def test_loop_does_exactly_t_squarings(self, monkeypatch, loop_input):
+        modulus, x = loop_input
+        t = 4096
+        calls = []
+        powmod = vdf._powmod
+
+        def spy(base, exponent, n):
+            calls.append(exponent)
+            return powmod(base, exponent, n)
+
+        calls_at_poll = []
+        monkeypatch.setattr(vdf, "_powmod", spy)
+        output, _ = vdf.eval(small_modulus_params(modulus, t), x,
+                             on_progress=lambda done, total: calls_at_poll.append(len(calls)))
+        assert output == squaring_oracle(modulus, x, t)[0]
+        loop = calls[:calls_at_poll[-1]]
+        assert len(loop) == t // 256
+        assert all(e & (e - 1) == 0 for e in loop)
+        assert sum(e.bit_length() - 1 for e in loop) == t
+        assert 1 << (t // 2) not in calls
 
 
 @pytest.fixture(scope="module")
