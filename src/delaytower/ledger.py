@@ -412,11 +412,12 @@ class LedgerState:
         return state
 
 
-def _nested_block(brackets: str, entries: list[str]) -> str:
-    """A second-level JSON container as indent-2 ``json.dumps`` lays it out."""
+def _nested_block(brackets: str, entries: list[str], indent: int = 2) -> str:
+    """A JSON container whose key sits ``indent`` spaces deep, as indent-2
+    ``json.dumps`` lays it out; ``entries`` come indented two spaces deeper."""
     if not entries:
         return brackets
-    return brackets[0] + "\n" + ",\n".join(entries) + "\n  " + brackets[1]
+    return brackets[0] + "\n" + ",\n".join(entries) + "\n" + " " * indent + brackets[1]
 
 
 def _nested_doc(doc: dict) -> str:

@@ -24,6 +24,7 @@ from . import tower, vdf
 from .ledger import (
     EpochConfig,
     LedgerState,
+    _nested_block,
     _parse_rational,
     registration_message,
     submission_message,
@@ -138,8 +139,12 @@ class SimMetrics:
         ])
         for rec in self.epochs:
             if rec.liveliness:
-                mean = sum(rec.liveliness.values(), Fraction(0)) / len(rec.liveliness)
-                mean_text = f"{float(mean):.6f}"
+                # The mean over a common denominator in integers; int / int
+                # rounds exactly as float(Fraction) does.
+                shares = rec.liveliness.values()
+                common = math.lcm(*(share.denominator for share in shares))
+                total = sum(share.numerator * (common // share.denominator) for share in shares)
+                mean_text = f"{total / (common * len(shares)):.6f}"
             else:
                 mean_text = ""
             writer.writerow([
@@ -150,27 +155,50 @@ class SimMetrics:
         return buf.getvalue()
 
     def to_summary_json(self) -> str:
+        """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, where
+        ``doc`` holds every epoch record with addresses in hex and liveliness as
+        fraction strings, the two totals and ``recovery_epochs`` (a count or
+        "never").
+
+        The fixed layout is written by hand because an indented ``json.dumps``
+        runs the pure-Python encoder. Hex, fraction and number text needs no
+        escaping.
+        """
         recovery = recovery_time(self)
-        doc = {
-            "epochs": [
-                {
-                    "epoch": rec.epoch,
-                    "committed_blocks": rec.committed_blocks,
-                    "timeouts": rec.timeouts,
-                    "validator_set": [a.hex() for a in rec.validator_set],
-                    "jailed": [a.hex() for a in rec.jailed],
-                    "released": [a.hex() for a in rec.released],
-                    "liveliness": {a.hex(): str(v) for a, v in rec.liveliness.items()},
-                    "nakamoto_liveness": rec.nakamoto_liveness,
-                    "reconfiguration_skipped": rec.reconfiguration_skipped,
-                }
-                for rec in self.epochs
-            ],
-            "total_commits": self.total_commits,
-            "total_timeouts": self.total_timeouts,
-            "recovery_epochs": "never" if recovery is NEVER_RECOVERED else recovery,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        epochs = [
+            "    {\n"
+            f'      "committed_blocks": {rec.committed_blocks},\n'
+            f'      "epoch": {rec.epoch},\n'
+            f'      "jailed": {_hex_list(rec.jailed)},\n'
+            f'      "liveliness": {_liveliness_object(rec.liveliness)},\n'
+            f'      "nakamoto_liveness": {rec.nakamoto_liveness},\n'
+            f'      "reconfiguration_skipped": {str(rec.reconfiguration_skipped).lower()},\n'
+            f'      "released": {_hex_list(rec.released)},\n'
+            f'      "timeouts": {rec.timeouts},\n'
+            f'      "validator_set": {_hex_list(rec.validator_set)}\n'
+            "    }"
+            for rec in self.epochs
+        ]
+        recovery_text = '"never"' if recovery is NEVER_RECOVERED else recovery
+        return (
+            "{\n"
+            f'  "epochs": {_nested_block("[]", epochs)},\n'
+            f'  "recovery_epochs": {recovery_text},\n'
+            f'  "total_commits": {self.total_commits},\n'
+            f'  "total_timeouts": {self.total_timeouts}\n'
+            "}\n"
+        )
+
+
+def _hex_list(addresses: tuple[bytes, ...]) -> str:
+    """A third-level JSON list of hex addresses as indent-2 ``json.dumps`` lays it out."""
+    return _nested_block("[]", [f'        "{a.hex()}"' for a in addresses], 6)
+
+
+def _liveliness_object(liveliness: dict[bytes, Fraction]) -> str:
+    """A third-level JSON object of hex address -> fraction string, keys sorted."""
+    entries = sorted((a.hex(), share) for a, share in liveliness.items())
+    return _nested_block("{}", [f'        "{a}": "{share}"' for a, share in entries], 6)
 
 
 def nakamoto_liveness(n: int) -> int:
@@ -309,9 +337,13 @@ def run(
             else:
                 timeouts += 1
 
+        # One Fraction per distinct signature count, shared by the validators
+        # that signed that many of the epoch's blocks.
         liveliness_map = {}
         if state.epoch_blocks_total > 0:
-            liveliness_map = {a: state.liveliness(a) for a in validator_set}
+            counts = {a: state.epoch_signatures[a] for a in validator_set}
+            shares = {n: Fraction(n, state.epoch_blocks_total) for n in set(counts.values())}
+            liveliness_map = {a: shares[n] for a, n in counts.items()}
 
         _apply_mining(state, nodes, scheme, epoch_index, rounds)
         if observer is not None:

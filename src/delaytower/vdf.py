@@ -14,11 +14,19 @@ last claim by squaring itself. A proof for t = 2^k therefore carries
 max(0, k - 7) midpoints, and verification costs two exponentiations by short
 challenges per level plus at most 128 squarings.
 
-Every exponentiation runs on OpenSSL's ``BN_mod_exp`` through ``_powmod``,
-the delay included: eval's t sequential squarings, one call per poll interval,
-the transcript's midpoints, verify's fold, and Miller-Rabin during modulus
-derivation. Where libcrypto cannot be loaded, ``_powmod`` falls back to the
-builtin ``pow`` with the same results; ``powmod_engine`` names the one in use.
+All group arithmetic runs on four registers per computation (``_registers``):
+eval's t sequential squarings, one exponentiation per poll interval, the
+transcript's midpoints, the fold step both sides share, and Miller-Rabin during
+modulus derivation. Where libcrypto loads, the registers are ``BIGNUM``s and
+every exponentiation is ``BN_mod_exp_mont`` on the modulus's ``_MontContext``,
+its ``BIGNUM`` and Montgomery constants. That context is built once per odd
+modulus, kept in a bounded cache and shared by every thread, which is safe
+because nothing writes it after construction; the scratch space libcrypto does
+write, a ``BN_CTX``, belongs to one computation. A fold's running values leave
+libcrypto only as the bytes each challenge hashes and as the midpoints a proof
+publishes. Without libcrypto, or for an even modulus, the registers hold ints
+and the builtin ``pow`` gives the same results; ``powmod_engine`` names the
+engine in use.
 The delay runs on the fastest engine available because tower height is a fair
 measure only if honest miners square about as fast as anyone can: a proof
 certifies the count of sequential squarings, not the engine that did them.
@@ -66,17 +74,24 @@ _MIN_MODULUS_BITS = 64
 _MIN_PRIME_LENGTH_BITS = 16
 
 
-# The libcrypto bignum calls _powmod makes: name -> (argtypes, restype).
-# BN_CTX and BIGNUM pointers are opaque, so each is a c_void_p.
+# The libcrypto bignum calls the group arithmetic makes: name -> (argtypes,
+# restype). BN_CTX, BIGNUM and BN_MONT_CTX pointers are opaque c_void_p.
+_P = ctypes.c_void_p
 _BN_SIGNATURES = {
-    "BN_CTX_new": ([], ctypes.c_void_p),
-    "BN_CTX_free": ([ctypes.c_void_p], None),
-    "BN_new": ([], ctypes.c_void_p),
-    "BN_free": ([ctypes.c_void_p], None),
-    "BN_bin2bn": ([ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p], ctypes.c_void_p),
-    "BN_bn2bin": ([ctypes.c_void_p, ctypes.c_char_p], ctypes.c_int),
-    "BN_num_bits": ([ctypes.c_void_p], ctypes.c_int),
-    "BN_mod_exp": ([ctypes.c_void_p] * 5, ctypes.c_int),
+    "BN_CTX_new": ([], _P),
+    "BN_CTX_free": ([_P], None),
+    "BN_CTX_start": ([_P], None),
+    "BN_CTX_get": ([_P], _P),
+    "BN_CTX_end": ([_P], None),
+    "BN_free": ([_P], None),
+    "BN_bin2bn": ([ctypes.c_char_p, ctypes.c_int, _P], _P),
+    "BN_bn2binpad": ([_P, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
+    "BN_copy": ([_P, _P], _P),
+    "BN_mod_mul": ([_P] * 5, ctypes.c_int),
+    "BN_MONT_CTX_new": ([], _P),
+    "BN_MONT_CTX_set": ([_P] * 3, ctypes.c_int),
+    "BN_MONT_CTX_free": ([_P], None),
+    "BN_mod_exp_mont": ([_P] * 6, ctypes.c_int),
 }
 
 
@@ -104,41 +119,170 @@ _LIBCRYPTO = _load_libcrypto()
 
 
 def powmod_engine() -> str:
-    """Name of the library that runs ``_powmod``: a libcrypto soname or "builtin pow"."""
+    """Name of the library the group arithmetic runs on: a libcrypto soname or "builtin pow"."""
     return _LIBCRYPTO._name if _LIBCRYPTO is not None else "builtin pow"
+
+
+def _magnitude(value: int) -> bytes:
+    """Minimal big-endian bytes of ``value`` >= 0, the magnitude ``encode_bigint`` writes."""
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
+class _MontContext:
+    """An odd modulus on libcrypto: its ``BIGNUM`` and its ``BN_MONT_CTX``.
+
+    Built once per modulus and only read afterwards: ``BN_mod_exp_mont`` and
+    ``BN_mod_mul`` take both as inputs, the way OpenSSL's RSA keys share their
+    cached ``BN_MONT_CTX`` across threads. Both are freed with the last
+    reference, which for a context nobody is using is its eviction from
+    ``_mont_context``'s cache.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, modulus: int):
+        self.lib = lib
+        self.modulus_bytes = _magnitude(modulus)
+        self.modulus = lib.BN_bin2bn(self.modulus_bytes, len(self.modulus_bytes), None)
+        self.mont = lib.BN_MONT_CTX_new()
+        ctx = lib.BN_CTX_new()
+        try:
+            if not (self.modulus and self.mont and ctx
+                    and lib.BN_MONT_CTX_set(self.mont, self.modulus, ctx)):
+                raise MemoryError("BN_MONT_CTX_set failed")
+        finally:
+            lib.BN_CTX_free(ctx)
+
+    def __del__(self):
+        self.lib.BN_MONT_CTX_free(self.mont)
+        self.lib.BN_free(self.modulus)
+
+
+@lru_cache(maxsize=16)
+def _mont_context(lib: ctypes.CDLL, modulus: int) -> _MontContext:
+    return _MontContext(lib, modulus)
+
+
+# Registers of one computation: the claim X^(2^t) = Y being folded, the level's
+# midpoint MU, and a temporary T. Eval's loop runs its value in Y.
+_X, _Y, _MU, _T = range(4)
+
+
+class _LibcryptoRegisters:
+    """The four registers as ``BIGNUM``s mod one odd modulus, on its cached
+    ``_MontContext`` and a ``BN_CTX`` of their own, freed on exit. Values
+    leave libcrypto only through ``value`` and ``magnitude``."""
+
+    def __init__(self, context: _MontContext):
+        lib = context.lib
+        self._lib, self._context = lib, context
+        self._ctx = lib.BN_CTX_new()
+        if not self._ctx:
+            raise MemoryError("BN_CTX_new failed")
+        lib.BN_CTX_start(self._ctx)
+        # The fifth holds exponents; if one BN_CTX_get fails, so do all later ones.
+        self._regs = [lib.BN_CTX_get(self._ctx) for _ in range(5)]
+        if not self._regs[-1]:
+            self.__exit__()
+            raise MemoryError("BN_CTX_get failed")
+        self._out = ctypes.create_string_buffer(len(context.modulus_bytes))
+
+    def __enter__(self) -> "_LibcryptoRegisters":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._lib.BN_CTX_end(self._ctx)
+        self._lib.BN_CTX_free(self._ctx)
+
+    @property
+    def modulus_bytes(self) -> bytes:
+        return self._context.modulus_bytes
+
+    def load(self, reg: int, value: int) -> None:
+        self._set(self._regs[reg], value)
+
+    def _set(self, bignum: int, value: int) -> None:
+        data = _magnitude(value)
+        if not self._lib.BN_bin2bn(data, len(data), bignum):
+            raise MemoryError("BN_bin2bn failed")
+
+    def magnitude(self, reg: int) -> bytes:
+        if self._lib.BN_bn2binpad(self._regs[reg], self._out, len(self._out)) < 0:
+            raise ValueError("register value is wider than the modulus")
+        return self._out.raw.lstrip(b"\0")
+
+    def value(self, reg: int) -> int:
+        return int.from_bytes(self.magnitude(reg), "big")
+
+    def copy(self, dst: int, src: int) -> None:
+        if not self._lib.BN_copy(self._regs[dst], self._regs[src]):
+            raise MemoryError("BN_copy failed")
+
+    def power(self, dst: int, src: int, exponent: int) -> None:
+        """dst = src^exponent for exponent >= 0; dst may be src."""
+        lib, regs, context = self._lib, self._regs, self._context
+        self._set(regs[4], exponent)
+        if not lib.BN_mod_exp_mont(regs[dst], regs[src], regs[4], context.modulus,
+                                   self._ctx, context.mont):
+            raise ValueError("BN_mod_exp_mont failed")
+
+    def mul(self, dst: int, a: int, b: int) -> None:
+        """dst = a * b; dst may be a or b."""
+        if not self._lib.BN_mod_mul(self._regs[dst], self._regs[a], self._regs[b],
+                                    self._context.modulus, self._ctx):
+            raise ValueError("BN_mod_mul failed")
+
+
+class _BuiltinRegisters:
+    """The same registers as Python ints, on the builtin ``pow``."""
+
+    def __init__(self, modulus: int):
+        self._modulus = modulus
+        self.modulus_bytes = _magnitude(modulus)
+        self._regs = [0] * 4
+
+    def __enter__(self) -> "_BuiltinRegisters":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def load(self, reg: int, value: int) -> None:
+        self._regs[reg] = value
+
+    def magnitude(self, reg: int) -> bytes:
+        return _magnitude(self._regs[reg])
+
+    def value(self, reg: int) -> int:
+        return self._regs[reg]
+
+    def copy(self, dst: int, src: int) -> None:
+        self._regs[dst] = self._regs[src]
+
+    def power(self, dst: int, src: int, exponent: int) -> None:
+        self._regs[dst] = pow(self._regs[src], exponent, self._modulus)
+
+    def mul(self, dst: int, a: int, b: int) -> None:
+        self._regs[dst] = self._regs[a] * self._regs[b] % self._modulus
+
+
+def _registers(modulus: int):
+    """Registers mod ``modulus`` > 1, for one computation in one thread: on
+    libcrypto when it loaded and the modulus is odd, else on the builtin."""
+    lib = _LIBCRYPTO
+    if lib is None or modulus % 2 == 0:
+        return _BuiltinRegisters(modulus)
+    return _LibcryptoRegisters(_mont_context(lib, modulus))
 
 
 def _powmod(base: int, exponent: int, modulus: int) -> int:
     """pow(base, exponent, modulus) for base, exponent >= 0 and modulus > 1.
 
-    Runs on OpenSSL's ``BN_mod_exp`` when libcrypto loaded, else on the
-    builtin. Every call allocates its own context and bignums, because ctypes
-    releases the GIL around each foreign call and threads may call at once.
+    Runs on ``BN_mod_exp_mont`` with the modulus's cached ``_MontContext``
+    when libcrypto loaded and the modulus is odd, else on the builtin.
     """
-    lib = _LIBCRYPTO
-    if lib is None:
-        return pow(base, exponent, modulus)
-    ctx = lib.BN_CTX_new()
-    if not ctx:
-        raise MemoryError("BN_CTX_new failed")
-    handles = []
-    try:
-        for value in (base, exponent, modulus):
-            data = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            handles.append(lib.BN_bin2bn(data, len(data), None))
-        handles.append(lib.BN_new())
-        if not all(handles):
-            raise MemoryError("bignum allocation failed")
-        a, p, m, r = handles
-        if not lib.BN_mod_exp(r, a, p, m, ctx):
-            raise ValueError("BN_mod_exp failed")
-        out = ctypes.create_string_buffer((lib.BN_num_bits(r) + 7) // 8)
-        lib.BN_bn2bin(r, out)
-        return int.from_bytes(out.raw, "big")
-    finally:
-        for handle in handles:
-            lib.BN_free(handle)
-        lib.BN_CTX_free(ctx)
+    with _registers(modulus) as regs:
+        regs.load(_X, base)
+        regs.power(_X, _X, exponent)
+        return regs.value(_X)
 
 
 class InvalidSecurityParams(ValueError):
@@ -359,40 +503,44 @@ def setup(
     )
 
 
-def _challenge(modulus: int, x: int, y: int, midpoint: int, level: int) -> int:
+def _challenge(modulus: bytes, x: bytes, y: bytes, midpoint: bytes, level: int) -> int:
+    """A level's 128-bit challenge; each element is given by its magnitude,
+    so the hash covers ``encode_bigint`` of each."""
     material = (
         _DOMAIN_CHALLENGE
-        + encode_bigint(modulus)
-        + encode_bigint(x)
-        + encode_bigint(y)
-        + encode_bigint(midpoint)
+        + encode_bytes(modulus)
+        + encode_bytes(x)
+        + encode_bytes(y)
+        + encode_bytes(midpoint)
         + encode_uint(level, 4)
     )
     return int.from_bytes(hashlib.sha256(material).digest()[:_CHALLENGE_BYTES], "big")
 
 
-def _build_transcript(modulus: int, x: int, y: int, t: int,
-                      midpoint: Optional[int]) -> tuple[int, ...]:
-    """Fold the claim x^(2^t) = y until at most MAX_DIRECT_SQUARINGS remain,
-    collecting midpoints; ``midpoint`` is the first, x^(2^(t - t // 2)), or None.
+def _fold(regs, remaining: int, load_midpoint: Callable[[int, int], None]) -> int:
+    """Fold the claim X^(2^remaining) = Y held in ``regs`` until at most
+    MAX_DIRECT_SQUARINGS squarings remain, and return how many do.
 
-    Odd step counts shed one squaring onto the instance first, so any t >= 1
-    is supported.
+    Each level halves ``remaining``, then ``load_midpoint(level, remaining)``
+    puts X^(2^remaining) into MU (or what a proof claims it is), and the claim
+    becomes (X^r * MU)^(2^remaining) = MU^r * Y for the level's challenge r.
+    Odd step counts shed one squaring onto X first, so any t >= 1 is supported.
     """
-    checkpoints = []
-    xi, yi, remaining = x, y, t
+    level = 0
     while remaining > MAX_DIRECT_SQUARINGS:
         if remaining % 2 == 1:
-            xi = xi * xi % modulus
+            regs.power(_X, _X, 2)
             remaining -= 1
         remaining //= 2
-        if checkpoints or midpoint is None:
-            midpoint = _powmod(xi, 1 << remaining, modulus)
-        checkpoints.append(midpoint)
-        r = _challenge(modulus, xi, yi, midpoint, len(checkpoints))
-        xi = _powmod(xi, r, modulus) * midpoint % modulus
-        yi = _powmod(midpoint, r, modulus) * yi % modulus
-    return tuple(checkpoints)
+        level += 1
+        load_midpoint(level, remaining)
+        r = _challenge(regs.modulus_bytes, regs.magnitude(_X), regs.magnitude(_Y),
+                       regs.magnitude(_MU), level)
+        regs.power(_T, _MU, r)
+        regs.mul(_Y, _T, _Y)
+        regs.power(_X, _X, r)
+        regs.mul(_X, _X, _MU)
+    return remaining
 
 
 def eval(
@@ -409,13 +557,15 @@ def eval(
     x must be a unit mod N; any other input raises InputOutOfRange, because
     its powers can reach 0, which no proof verifies.
 
-    The loop makes one ``_powmod`` call per poll interval and stops at the first
-    midpoint, x^(2^(t - t // 2)); the others take about t/2 squarings after it.
+    The loop makes one exponentiation per poll interval and keeps the first
+    midpoint, x^(2^(t - t // 2)), as it passes; the others take about t/2
+    squarings after it.
 
     ``should_cancel`` is polled every ``check_every`` (>= 1) squarings, and each
-    poll costs a ``_powmod`` call (about 40 us at 2048 bits); when it returns
-    true an EvalCancelled carrying a resumable checkpoint is raised, and a later
-    call can continue from it via ``resume``. Output and proof are deterministic.
+    poll costs an exponentiation call (10 to 50 us at 2048 bits on top of its
+    squarings); when it returns true an EvalCancelled carrying a resumable
+    checkpoint is raised, and a later call can continue from it via ``resume``.
+    Output and proof are deterministic.
     """
     if check_every < 1:
         raise ValueError(f"check_every must be >= 1, got {check_every}")
@@ -433,23 +583,37 @@ def eval(
         done, y = resume.iterations_done, resume.value
 
     half = t - t // 2  # the transcript's first midpoint is x^(2^half)
-    midpoint = y if done == half else None
-    while done < t:
-        stop = min(t, (done // check_every + 1) * check_every)
-        if done < half < stop:  # keep the first midpoint
-            stop = half
-        done, y = stop, _powmod(y, 1 << (stop - done), modulus)
-        if done == half:
-            midpoint = y
-        if done % check_every == 0 or done == t:
-            if on_progress is not None:
-                on_progress(done, t)
-            if should_cancel is not None and done < t and should_cancel():
-                raise EvalCancelled(EvalCheckpoint(done, y))
+    first_kept = done <= half  # the loop starts at it or passes it
+    with _registers(modulus) as regs:
+        regs.load(_Y, y)
+        regs.copy(_MU, _Y)  # the first midpoint when resumed at it
+        while done < t:
+            stop = min(t, (done // check_every + 1) * check_every)
+            if done < half < stop:  # keep the first midpoint
+                stop = half
+            regs.power(_Y, _Y, 1 << (stop - done))
+            done = stop
+            if done == half:
+                regs.copy(_MU, _Y)
+            if done % check_every == 0 or done == t:
+                if on_progress is not None:
+                    on_progress(done, t)
+                if should_cancel is not None and done < t and should_cancel():
+                    raise EvalCancelled(EvalCheckpoint(done, regs.value(_Y)))
+        y = regs.value(_Y)
+        regs.load(_X, x)
+        checkpoints = []
+
+        def load_midpoint(level: int, remaining: int) -> None:
+            if level > 1 or not first_kept:
+                regs.power(_MU, _X, 1 << remaining)
+            checkpoints.append(regs.value(_MU))
+
+        _fold(regs, t, load_midpoint)
 
     proof = VdfProof(
         output=y,
-        checkpoints=_build_transcript(modulus, x, y, t, midpoint),
+        checkpoints=tuple(checkpoints),
         embedded_prime_length_bits=pp.prime_length_bits,
     )
     return y, proof
@@ -458,34 +622,30 @@ def eval(
 def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
     """Check that proof shows x^(2^iterations) = y mod modulus.
 
-    Malformed input, including an x or y that is not a unit mod modulus, yields
-    False. Whatever the proof, at most ``MAX_DIRECT_SQUARINGS`` squarings follow
-    the fold.
+    Malformed input, including an x or y that is not a unit mod modulus, or a
+    midpoint count other than ``expected_checkpoint_count``, yields False before
+    any exponentiation. At most ``MAX_DIRECT_SQUARINGS`` squarings follow the
+    fold.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         return False
     if not 1 <= x < modulus or not 1 <= y < modulus or math.gcd(x * y, modulus) != 1:
         return False
-    if proof.output != y:
+    if proof.output != y or iterations < 1:
+        return False
+    if len(proof.checkpoints) != expected_checkpoint_count(iterations):
         return False
     for midpoint in proof.checkpoints:
         if not isinstance(midpoint, int) or not 1 <= midpoint < modulus:
             return False
 
-    xi, yi, remaining = x, y, iterations
-    for level, midpoint in enumerate(proof.checkpoints, 1):
-        if remaining <= MAX_DIRECT_SQUARINGS:
-            return False
-        if remaining % 2 == 1:
-            xi = xi * xi % modulus
-            remaining -= 1
-        r = _challenge(modulus, xi, yi, midpoint, level)
-        xi = _powmod(xi, r, modulus) * midpoint % modulus
-        yi = _powmod(midpoint, r, modulus) * yi % modulus
-        remaining //= 2
-    if not 1 <= remaining <= MAX_DIRECT_SQUARINGS:
-        return False
-    return yi == _powmod(xi, 1 << remaining, modulus)
+    with _registers(modulus) as regs:
+        regs.load(_X, x)
+        regs.load(_Y, y)
+        remaining = _fold(regs, iterations,
+                          lambda level, _: regs.load(_MU, proof.checkpoints[level - 1]))
+        regs.power(_X, _X, 1 << remaining)
+        return regs.magnitude(_X) == regs.magnitude(_Y)
 
 
 def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:

@@ -45,7 +45,7 @@ def full_fold(modulus: int, x: int, t: int, y: int) -> tuple[tuple[int, ...], tu
         remaining //= 2
         midpoint = pow(xi, 1 << remaining, modulus)
         checkpoints.append(midpoint)
-        r = vdf._challenge(modulus, xi, yi, midpoint, len(checkpoints))
+        r = vdf._challenge(*map(vdf._magnitude, (modulus, xi, yi, midpoint)), len(checkpoints))
         xi = pow(xi, r, modulus) * midpoint % modulus
         yi = pow(midpoint, r, modulus) * yi % modulus
     return tuple(checkpoints), tuple(entered)

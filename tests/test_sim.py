@@ -273,6 +273,23 @@ class TestDraws:
                 reference_draw(seed, epoch, round_index, a) for a in addresses]
 
 
+ADDRESSES = st.lists(st.binary(min_size=1, max_size=4), max_size=5, unique=True).map(tuple)
+SHARES = st.integers(1, 10 ** 6).flatmap(
+    lambda blocks: st.builds(Fraction, st.integers(0, blocks), st.just(blocks)))
+RECORDS = st.builds(
+    sim.EpochRecord,
+    epoch=st.integers(0, 10 ** 6),
+    committed_blocks=st.integers(0, 10 ** 6),
+    timeouts=st.integers(0, 2),
+    validator_set=ADDRESSES,
+    jailed=ADDRESSES,
+    released=ADDRESSES,
+    liveliness=st.dictionaries(st.binary(min_size=1, max_size=4), SHARES, max_size=6),
+    nakamoto_liveness=st.integers(0, 10 ** 6),
+    reconfiguration_skipped=st.booleans(),
+)
+
+
 class TestMetricsApi:
     def test_nakamoto_values(self):
         assert nakamoto_liveness(100) == 33
@@ -290,6 +307,47 @@ class TestMetricsApi:
         lines = text.strip().split("\n")
         assert lines[0].startswith("epoch,committed_blocks,timeouts,")
         assert len(lines) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(metrics=st.builds(sim.SimMetrics, epochs=st.lists(RECORDS, max_size=4).map(tuple),
+                             total_commits=st.integers(0, 10 ** 6),
+                             total_timeouts=st.integers(0, 10 ** 6)))
+    def test_summary_json_is_indented_json_dumps(self, metrics):
+        assert metrics.to_summary_json() == json.dumps(
+            summary_doc(metrics), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(record=RECORDS)
+    def test_csv_mean_is_the_fraction_mean(self, record):
+        metrics = sim.SimMetrics(epochs=(record,), total_commits=0, total_timeouts=0)
+        mean_text = metrics.to_csv().split("\n")[1].rsplit(",", 1)[1]
+        shares = list(record.liveliness.values())
+        assert mean_text == (f"{float(sum(shares, Fraction(0)) / len(shares)):.6f}"
+                             if shares else "")
+
+
+def summary_doc(metrics: sim.SimMetrics) -> dict:
+    """The document ``to_summary_json`` lays out."""
+    recovery = recovery_time(metrics)
+    return {
+        "epochs": [
+            {
+                "epoch": rec.epoch,
+                "committed_blocks": rec.committed_blocks,
+                "timeouts": rec.timeouts,
+                "validator_set": [a.hex() for a in rec.validator_set],
+                "jailed": [a.hex() for a in rec.jailed],
+                "released": [a.hex() for a in rec.released],
+                "liveliness": {a.hex(): str(v) for a, v in rec.liveliness.items()},
+                "nakamoto_liveness": rec.nakamoto_liveness,
+                "reconfiguration_skipped": rec.reconfiguration_skipped,
+            }
+            for rec in metrics.epochs
+        ],
+        "total_commits": metrics.total_commits,
+        "total_timeouts": metrics.total_timeouts,
+        "recovery_epochs": "never" if recovery is NEVER_RECOVERED else recovery,
+    }
 
 
 def scenario_doc() -> dict:

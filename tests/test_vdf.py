@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -238,6 +241,19 @@ class TestCancellation:
             assert seen == [], f"check_every={bad} did work before refusing"
 
 
+@pytest.fixture
+def power_calls(monkeypatch) -> list[int]:
+    """Exponents of every exponentiation in the group, on either engine, in order."""
+    exponents = []
+    for registers in (vdf._LibcryptoRegisters, vdf._BuiltinRegisters):
+        def spy(self, dst, src, exponent, power=registers.power):
+            exponents.append(exponent)
+            power(self, dst, src, exponent)
+
+        monkeypatch.setattr(registers, "power", spy)
+    return exponents
+
+
 # Step counts on both sides of MAX_DIRECT_SQUARINGS, of the poll intervals and
 # of powers of two; poll intervals that do and do not divide them.
 LOOP_STEPS = (1, 2, 127, 128, 129, 255, 256, 257, 1000, 1024, 4096)
@@ -318,7 +334,7 @@ class TestChunkedLoop:
                 assert excinfo.value.checkpoint.iterations_done == expected[1]
 
     @pytest.mark.parametrize("t", [t for t in LOOP_STEPS if t > vdf.MAX_DIRECT_SQUARINGS])
-    def test_resume_around_first_midpoint(self, loop_input, t):
+    def test_resume_around_first_midpoint(self, power_calls, loop_input, t):
         modulus, x = loop_input
         pp = small_modulus_params(modulus, t)
         straight = vdf.serialize_proof(vdf.eval(pp, x)[1])
@@ -326,21 +342,20 @@ class TestChunkedLoop:
         for cut in (half - 1, half, half + 1):
             resume = vdf.EvalCheckpoint(cut, pow(x, 1 << cut, modulus))
             for check_every in POLL_INTERVALS:
-                resumed = vdf.eval(pp, x, check_every=check_every, resume=resume)
+                power_calls.clear()
+                calls_at_poll = []
+                resumed = vdf.eval(pp, x, check_every=check_every, resume=resume,
+                                   on_progress=lambda *_: calls_at_poll.append(len(power_calls)))
                 assert vdf.serialize_proof(resumed[1]) == straight, (cut, check_every)
+                # Only a run resumed past the first midpoint computes it again.
+                transcript = power_calls[calls_at_poll[-1]:]
+                assert ((1 << t // 2) in transcript) == (cut > half), (cut, check_every)
 
-    def test_loop_does_exactly_t_squarings(self, monkeypatch, loop_input):
+    def test_loop_does_exactly_t_squarings(self, power_calls, loop_input):
         modulus, x = loop_input
         t = 4096
-        calls = []
-        powmod = vdf._powmod
-
-        def spy(base, exponent, n):
-            calls.append(exponent)
-            return powmod(base, exponent, n)
-
+        calls = power_calls
         calls_at_poll = []
-        monkeypatch.setattr(vdf, "_powmod", spy)
         output, _ = vdf.eval(small_modulus_params(modulus, t), x,
                              on_progress=lambda done, total: calls_at_poll.append(len(calls)))
         assert output == squaring_oracle(modulus, x, t)[0]
@@ -393,20 +408,14 @@ class TestVerify:
             assert vdf.fast_reject(FOLD_SECURITY, wrong)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, wrong)
 
-    def test_work_bounded_whatever_the_midpoints(self, monkeypatch):
+    def test_work_bounded_whatever_the_midpoints(self, power_calls):
         security = vdf.SecurityParams(modulus_bits=512, iterations=1 << 16)
         pp = vdf.setup(security, b"fixture-key", b"fixture-endpoint")
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
         output, proof = vdf.eval(pp, x)
         assert len(proof.checkpoints) == 9
-        exponents = []
-        powmod = vdf._powmod
-
-        def spy(base, exponent, modulus):
-            exponents.append(exponent)
-            return powmod(base, exponent, modulus)
-
-        monkeypatch.setattr(vdf, "_powmod", spy)
+        exponents = power_calls
+        exponents.clear()
         for checkpoints in ((), proof.checkpoints[:1], proof.checkpoints[:-1]):
             short = vdf.VdfProof(output, checkpoints, 512)
             assert vdf.fast_reject(security, short)
@@ -576,6 +585,128 @@ class TestPowmod:
         monkeypatch.setattr(vdf.ctypes, "CDLL", refuse)
         assert vdf._load_libcrypto() is None
         assert tried == ["libcrypto.so.3", "libcrypto.so.1.1"]
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Switch threads every 10 us, so they interleave at many more points."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+requires_libcrypto = pytest.mark.skipif(vdf._LIBCRYPTO is None, reason="libcrypto did not load")
+
+
+class TestMontContextCache:
+    """One cached, shared ``_MontContext`` per odd modulus; every result equals ``pow``."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        vdf._mont_context.cache_clear()
+
+    def test_more_moduli_than_the_cache_holds(self):
+        rng = random.Random(77)
+        capacity = vdf._mont_context.cache_info().maxsize
+        moduli = [rng.getrandbits(rng.choice((64, 512, 2048))) | 1 | 1 << 63
+                  for _ in range(capacity + 5)]
+        # Round robin over more moduli than fit, then a shuffled repeat, so
+        # lookups hit evicted, rebuilt and resident contexts in turn.
+        order = moduli * 2 + rng.sample(moduli * 2, 2 * len(moduli))
+        for modulus in order:
+            base, exponent = rng.randrange(modulus), rng.getrandbits(rng.choice((1, 2, 130)))
+            assert vdf._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+        if vdf._LIBCRYPTO is not None:
+            info = vdf._mont_context.cache_info()
+            assert info.currsize == capacity
+            assert info.misses > len(moduli)  # evicted contexts were rebuilt
+
+    @requires_libcrypto
+    def test_evicted_context_is_freed(self, monkeypatch):
+        lib = vdf._LIBCRYPTO
+        freed = []
+        free = lib.BN_MONT_CTX_free
+        monkeypatch.setattr(lib, "BN_MONT_CTX_free", lambda mont: freed.append(mont) or free(mont))
+        context = vdf._mont_context(lib, vdf.generate_modulus(512))
+        mont, alive = context.mont, weakref.ref(context)
+        del context
+        for other in range(3, 2 * vdf._mont_context.cache_info().maxsize + 3, 2):
+            vdf._powmod(2, 5, (1 << 80) + other)
+        assert alive() is None
+        assert mont in freed
+
+    def test_even_moduli(self):
+        rng = random.Random(78)
+        moduli = [2, 4, 6, 1 << 64, (1 << 2048) - 2] + [rng.getrandbits(512) & ~1 | 2
+                                                        for _ in range(20)]
+        for modulus in moduli:
+            for base, exponent in ((0, 0), (0, 5), (1, 9), (modulus - 1, 3),
+                                   (rng.randrange(modulus), rng.getrandbits(300))):
+                assert vdf._powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+        assert vdf._mont_context.cache_info().currsize == 0
+
+    def test_four_threads_share_one_context(self, transcript):
+        pp, x, output, proof = transcript
+        rng = random.Random(79)
+        cases = [(rng.randrange(pp.modulus), rng.getrandbits(256)) for _ in range(50)]
+        vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+        start = threading.Barrier(4, timeout=60)
+
+        def work(_):
+            start.wait()
+            return ([vdf._powmod(base, exponent, pp.modulus) for base, exponent in cases],
+                    [vdf.verify(pp.modulus, pp.iterations, x, output, proof) for _ in range(5)],
+                    vdf.eval(pp, x))
+
+        with switching_often(), ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4), timeout=120))
+        expected = ([pow(base, exponent, pp.modulus) for base, exponent in cases],
+                    [True] * 5, (output, proof))
+        assert results == [expected] * 4
+        if vdf._LIBCRYPTO is not None:
+            assert vdf._mont_context.cache_info().misses == 1  # built once, then shared
+
+    def test_eviction_while_in_use(self, transcript):
+        # Two threads hold registers on one context while two others push it
+        # out of the cache: it must outlive its eviction until they finish.
+        pp, x, output, proof = transcript
+        capacity = vdf._mont_context.cache_info().maxsize
+        start = threading.Barrier(4, timeout=60)
+
+        def use(_):
+            with vdf._registers(pp.modulus) as regs:
+                regs.load(vdf._X, x)
+                start.wait()
+                for _ in range(200):
+                    regs.power(vdf._X, vdf._X, 1 << 256)
+                return regs.value(vdf._X)
+
+        def churn(seed):
+            start.wait()
+            rng = random.Random(seed)
+            moduli = [rng.getrandbits(512) | 1 | 1 << 511 for _ in range(2 * capacity)]
+            return all(vdf._powmod(3, 65537, m) == pow(3, 65537, m) for m in moduli)
+
+        with switching_often(), ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(use, 0), pool.submit(use, 1),
+                       pool.submit(churn, 2), pool.submit(churn, 3)]
+            results = [future.result(timeout=120) for future in futures]
+        assert results == [pow(x, 1 << (200 * 256), pp.modulus)] * 2 + [True] * 2
+
+    @requires_libcrypto
+    def test_builtin_after_warm_cache(self, monkeypatch, transcript):
+        pp, x, output, proof = transcript
+        assert vdf.eval(pp, x) == (output, proof)
+        warm = vdf._mont_context.cache_info()
+        assert warm.currsize == 1
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        assert vdf.eval(pp, x) == (output, proof)
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+        assert vdf._powmod(x, 12345, pp.modulus) == pow(x, 12345, pp.modulus)
+        assert vdf._mont_context.cache_info() == warm  # the builtin never looks
 
 
 class TestGroupMapping:
