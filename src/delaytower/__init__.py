@@ -41,8 +41,6 @@ from .signing import Ed25519Scheme, KeyedHashScheme, SignatureScheme
 from .tower import CorruptTower, ProofRecord, Tower, extend, init_tower, load_tower, \
     record_digest, save_tower, validate_chain
 from .vdf import (
-    EvalCancelled,
-    EvalCheckpoint,
     InputOutOfRange,
     InvalidSecurityParams,
     PublicParams,

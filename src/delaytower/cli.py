@@ -40,6 +40,12 @@ def _load_key(path: str) -> bytes:
 
 
 def cmd_mine(args) -> int:
+    if not 0 <= args.epoch < 1 << 64:
+        print("error: --epoch must be in [0, 2^64)", file=sys.stderr)
+        return EXIT_USAGE
+    if args.proofs < 0:
+        print("error: --proofs must be at least 0", file=sys.stderr)
+        return EXIT_USAGE
     try:
         key = _load_key(args.key_file)
     except (OSError, ValueError) as exc:

@@ -165,13 +165,12 @@ class LedgerState:
         scheme: SignatureScheme,
         *,
         modulus: Optional[int] = None,
-        modulus_seed: bytes = vdf.DEFAULT_MODULUS_SEED,
     ):
         self.security = security
         self.epoch_config = epoch_config
         self.scheme = scheme
         self.modulus = modulus if modulus is not None else vdf.generate_modulus(
-            security.modulus_bits, modulus_seed)
+            security.modulus_bits)
         self.iterations = vdf.effective_iterations(security.iterations)
         self.epoch: int = 0
         self.validator_set = ()

@@ -85,11 +85,10 @@ def init_tower(
     public_key: bytes,
     endpoint: bytes,
     *,
-    modulus_seed: bytes = vdf.DEFAULT_MODULUS_SEED,
     created_epoch: int = 0,
 ) -> Tower:
     """Run setup and evaluate the first proof on the setup-derived input."""
-    params = vdf.setup(security, public_key, endpoint, modulus_seed=modulus_seed)
+    params = vdf.setup(security, public_key, endpoint)
     x0 = vdf.hash_to_group(params.input_digest, params.modulus)
     output, proof = vdf.eval(params, x0)
     record = ProofRecord(index=0, input=x0, output=output, proof=proof,

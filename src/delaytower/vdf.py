@@ -15,18 +15,19 @@ max(0, k - 7) midpoints, and verification costs two exponentiations by short
 challenges per level plus at most 128 squarings.
 
 All group arithmetic runs on four registers per computation (``_registers``):
-eval's t sequential squarings, one exponentiation per poll interval, the
-transcript's midpoints, the fold step both sides share, and Miller-Rabin during
-modulus derivation. Where libcrypto loads, the registers are ``BIGNUM``s and
-every exponentiation is ``BN_mod_exp_mont`` on the modulus's ``_MontContext``,
-its ``BIGNUM`` and Montgomery constants. That context is built once per odd
-modulus, kept in a bounded cache and shared by every thread, which is safe
-because nothing writes it after construction; the scratch space libcrypto does
-write, a ``BN_CTX``, belongs to one computation. A fold's running values leave
-libcrypto only as the bytes each challenge hashes and as the midpoints a proof
-publishes. Without libcrypto, or for an even modulus, the registers hold ints
-and the builtin ``pow`` gives the same results; ``powmod_engine`` names the
-engine in use.
+eval's t sequential squarings, the transcript's midpoints, the fold step both
+sides share, and Miller-Rabin during modulus derivation. Where libcrypto loads,
+the registers are ``BIGNUM``s and every exponentiation is ``BN_mod_exp_mont``
+on the modulus's ``_MontContext``, its ``BIGNUM`` and Montgomery constants.
+That context is built once per odd modulus, kept in a bounded cache and shared
+by every thread, which is safe because nothing writes it after construction;
+the scratch space libcrypto does write, a ``BN_CTX``, belongs to one
+computation. A fold's running values leave libcrypto only as the bytes each
+challenge hashes and as the midpoints a proof publishes. Without libcrypto, or
+for an even modulus, the registers hold ints and the builtin ``pow`` gives the
+same results; ``powmod_engine`` names the engine in use.
+Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
+native call cannot be interrupted, so that bounds how long Ctrl-C waits.
 The delay runs on the fastest engine available because tower height is a fair
 measure only if honest miners square about as fast as anyone can: a proof
 certifies the count of sequential squarings, not the engine that did them.
@@ -61,6 +62,9 @@ PROOF_FORMAT_VERSION = 2
 # replace them. A later stop saves little more and makes verify grow faster
 # with t.
 MAX_DIRECT_SQUARINGS = 1 << 7
+
+# Most squarings in one native call of eval's: bounds Ctrl-C's wait (54 ms at 2048 bits).
+_LOOP_CHUNK = 1 << 16
 
 _DOMAIN_INPUT = b"delay-tower/input/v1"
 _DOMAIN_GROUP = b"delay-tower/group/v1"
@@ -294,22 +298,6 @@ class InputOutOfRange(ValueError):
 
 
 @dataclass(frozen=True)
-class EvalCheckpoint:
-    """Partial evaluation state: squarings completed and the running value."""
-
-    iterations_done: int
-    value: int
-
-
-class EvalCancelled(Exception):
-    """Evaluation stopped cooperatively; carries the resumable checkpoint."""
-
-    def __init__(self, checkpoint: EvalCheckpoint):
-        super().__init__(f"evaluation cancelled after {checkpoint.iterations_done} squarings")
-        self.checkpoint = checkpoint
-
-
-@dataclass(frozen=True)
 class SecurityParams:
     """Network-wide difficulty profile, fixed at genesis for every participant."""
 
@@ -482,19 +470,18 @@ def setup(
     public_key: bytes,
     endpoint: bytes,
     *,
-    modulus_seed: bytes = DEFAULT_MODULUS_SEED,
     modulus: Optional[int] = None,
 ) -> PublicParams:
     """Derive a participant's public parameters.
 
-    The modulus comes from the genesis seed (or is passed in directly when a
-    network has already published one). The requested iteration count is
+    The modulus comes from ``DEFAULT_MODULUS_SEED`` (or is passed in directly
+    when a network has already published one). The requested iteration count is
     rounded up to the next power of two and recorded as the effective value.
     """
     if not public_key:
         raise ValueError("public_key must be non-empty")
     if modulus is None:
-        modulus = generate_modulus(security.modulus_bits, modulus_seed)
+        modulus = generate_modulus(security.modulus_bits)
     return PublicParams(
         modulus=modulus,
         input_digest=derive_input_digest(public_key, endpoint),
@@ -543,70 +530,41 @@ def _fold(regs, remaining: int, load_midpoint: Callable[[int, int], None]) -> in
     return remaining
 
 
-def eval(
-    pp: PublicParams,
-    x: int,
-    *,
-    should_cancel: Optional[Callable[[], bool]] = None,
-    on_progress: Optional[Callable[[int, int], None]] = None,
-    check_every: int = 256,
-    resume: Optional[EvalCheckpoint] = None,
-) -> tuple[int, VdfProof]:
+def _square(regs, reg: int, steps: int) -> None:
+    """reg = reg^(2^steps): ``steps`` squarings, at most ``_LOOP_CHUNK`` a call."""
+    for done in range(0, steps, _LOOP_CHUNK):
+        regs.power(reg, reg, 1 << min(_LOOP_CHUNK, steps - done))
+
+
+def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
     """Evaluate x^(2^t) mod N by t sequential squarings and build its transcript.
 
     x must be a unit mod N; any other input raises InputOutOfRange, because
     its powers can reach 0, which no proof verifies.
 
-    The loop makes one exponentiation per poll interval and keeps the first
-    midpoint, x^(2^(t - t // 2)), as it passes; the others take about t/2
-    squarings after it.
-
-    ``should_cancel`` is polled every ``check_every`` (>= 1) squarings, and each
-    poll costs an exponentiation call (10 to 50 us at 2048 bits on top of its
-    squarings); when it returns true an EvalCancelled carrying a resumable
-    checkpoint is raised, and a later call can continue from it via ``resume``.
-    Output and proof are deterministic.
+    The loop keeps the first midpoint, x^(2^(t - t // 2)), as it passes; the
+    others take about t/2 squarings after it. No call squares more than
+    ``_LOOP_CHUNK`` times, which bounds how long an interrupt waits.
     """
-    if check_every < 1:
-        raise ValueError(f"check_every must be >= 1, got {check_every}")
     modulus = pp.modulus
     t = pp.iterations
     if not isinstance(x, int) or not 1 <= x < modulus or math.gcd(x, modulus) != 1:
         raise InputOutOfRange(f"input must be a unit in [1, modulus), got {x}")
 
-    done, y = 0, x
-    if resume is not None:
-        if not 0 <= resume.iterations_done <= t:
-            raise ValueError("resume checkpoint does not match these parameters")
-        if not 1 <= resume.value < modulus:
-            raise ValueError("resume checkpoint value out of range")
-        done, y = resume.iterations_done, resume.value
-
     half = t - t // 2  # the transcript's first midpoint is x^(2^half)
-    first_kept = done <= half  # the loop starts at it or passes it
     with _registers(modulus) as regs:
-        regs.load(_Y, y)
-        regs.copy(_MU, _Y)  # the first midpoint when resumed at it
-        while done < t:
-            stop = min(t, (done // check_every + 1) * check_every)
-            if done < half < stop:  # keep the first midpoint
-                stop = half
-            regs.power(_Y, _Y, 1 << (stop - done))
-            done = stop
-            if done == half:
-                regs.copy(_MU, _Y)
-            if done % check_every == 0 or done == t:
-                if on_progress is not None:
-                    on_progress(done, t)
-                if should_cancel is not None and done < t and should_cancel():
-                    raise EvalCancelled(EvalCheckpoint(done, regs.value(_Y)))
+        regs.load(_Y, x)
+        _square(regs, _Y, half)
+        regs.copy(_MU, _Y)
+        _square(regs, _Y, t - half)
         y = regs.value(_Y)
         regs.load(_X, x)
         checkpoints = []
 
         def load_midpoint(level: int, remaining: int) -> None:
-            if level > 1 or not first_kept:
-                regs.power(_MU, _X, 1 << remaining)
+            if level > 1:
+                regs.copy(_MU, _X)
+                _square(regs, _MU, remaining)
             checkpoints.append(regs.value(_MU))
 
         _fold(regs, t, load_midpoint)

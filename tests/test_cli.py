@@ -13,6 +13,8 @@ import pytest
 
 from delaytower import tower, vdf
 from delaytower.cli import main
+from delaytower.ledger import EpochConfig, LedgerState
+from delaytower.signing import KeyedHashScheme
 
 FAST = ["--iterations", "64", "--modulus-bits", "256"]
 
@@ -53,6 +55,29 @@ class TestMine:
         first = capsys.readouterr().out.splitlines()[0]
         assert re.fullmatch(r"resuming tower at height 4 \(t=64, modulus 256 bits; "
                             r"validated in \d+\.\d ms\)", first), first
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the default modulus is derived "
+                       "from a public seed, so anyone can factor it")
+    def test_fresh_modulus_not_derived_from_public_seed(self, tmp_path):
+        public = vdf.generate_modulus(512, vdf.DEFAULT_MODULUS_SEED)
+        security = vdf.SecurityParams(modulus_bits=512, iterations=64)
+        state = LedgerState(security, EpochConfig(), KeyedHashScheme())
+        assert state.modulus != public
+        assert main(["mine", "--tower-file", str(tmp_path / "t.bin"),
+                     "--key-file", str(tmp_path / "k.hex"), "--proofs", "0",
+                     "--iterations", "64", "--modulus-bits", "512"]) == 0
+        assert tower.load_tower(tmp_path / "t.bin").params.modulus != public
+
+    @pytest.mark.parametrize("option, value",
+                             [("--epoch", "-1"), ("--epoch", str(1 << 64)), ("--proofs", "-3")])
+    def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, option, value):
+        assert mine(tmp_path, option, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option} must be ")
+        assert list(tmp_path.iterdir()) == []  # refused before any key or tower is written
+
+    def test_largest_epoch_accepted(self, tmp_path):
+        assert mine(tmp_path, "--proofs", "0", "--epoch", str((1 << 64) - 1)) == 0
+        assert tower.load_tower(tmp_path / "t.bin").records[0].created_epoch == (1 << 64) - 1
 
     def test_new_key_file_private(self, tmp_path):
         assert mine(tmp_path, "--proofs", "1") == 0
