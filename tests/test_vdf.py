@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import random
 import sys
@@ -212,9 +213,41 @@ def squaring_oracle(modulus: int, x: int, t: int) -> tuple[int, tuple[int, ...]]
     return y, full[:sum(1 for remaining in entered if remaining > vdf.MAX_DIRECT_SQUARINGS)]
 
 
+def polls(t: int, chunk: int) -> list[int]:
+    """Squarings done as each loop call returns to Python, where a pending
+    interrupt is raised: each half of the loop is cut into ``chunk``s on its own."""
+    half = t - t // 2
+    return [start + min(done + chunk, steps)
+            for start, steps in ((0, half), (half, t - half))
+            for done in range(0, steps, chunk)]
+
+
+class LoopSpy:
+    """Records the (squarings, value) of each call eval's loop makes, the only
+    exponentiations into register Y, on either engine; raises KeyboardInterrupt
+    after call ``interrupt_after``, as Ctrl-C arriving during it would."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[int, int]] = []
+        self.interrupt_after = None
+        for registers in (vdf._LibcryptoRegisters, vdf._BuiltinRegisters):
+            def spy(regs, dst, src, exponent, power=registers.power):
+                power(regs, dst, src, exponent)
+                if dst == vdf._Y:
+                    self.calls.append((exponent.bit_length() - 1, regs.value(dst)))
+                    if len(self.calls) == self.interrupt_after:
+                        raise KeyboardInterrupt
+
+            monkeypatch.setattr(registers, "power", spy)
+
+    def polls(self) -> list[int]:
+        return list(itertools.accumulate(steps for steps, _ in self.calls))
+
+
 class TestChunkedLoop:
     """The squaring loop raises to 2^k, at most ``_LOOP_CHUNK`` squarings a call;
-    outputs and proofs are those of t squarings ``y * y % N``."""
+    outputs and proofs are those of t squarings ``y * y % N``, and an interrupt
+    can stop it after any call."""
 
     @pytest.mark.parametrize("chunk", LOOP_CHUNKS)
     @pytest.mark.parametrize("t", LOOP_STEPS)
@@ -227,6 +260,48 @@ class TestChunkedLoop:
         assert vdf.eval(pp, x) == expected
         monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
         assert vdf.eval(pp, x) == expected
+
+    @pytest.mark.parametrize("chunk", LOOP_CHUNKS[:-1])
+    @pytest.mark.parametrize("t", LOOP_STEPS[:-1])
+    def test_polls_and_cancel_checkpoints(self, monkeypatch, loop_input, t, chunk):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
+        spy = LoopSpy(monkeypatch)
+        straight = vdf.eval(pp, x)
+        assert straight[0] == squaring_oracle(modulus, x, t)[0]
+        done = spy.polls()
+        assert done == polls(t, chunk)
+        # Each call leaves x^(2^done) in Y: every poll is a checkpoint of the loop.
+        y, squared = x, 0
+        for (_, value), target in zip(spy.calls, done):
+            for _ in range(target - squared):
+                y = y * y % modulus
+            squared = target
+            assert value == y, target
+        # An interrupt at one of the first few polls stops eval there, and the
+        # shared Montgomery context still gives the straight result afterwards.
+        for interrupt_after in range(1, min(len(done), 3) + 1):
+            spy.calls.clear()
+            spy.interrupt_after = interrupt_after
+            with pytest.raises(KeyboardInterrupt):
+                vdf.eval(pp, x)
+            assert spy.polls() == done[:interrupt_after]
+        spy.interrupt_after = None
+        assert vdf.eval(pp, x) == straight
+
+    def test_polls_pinned(self, monkeypatch, loop_input):
+        modulus, x = loop_input
+        spy = LoopSpy(monkeypatch)
+        for t, chunk, expected in ((20, 7, [7, 10, 17, 20]), (20, 1, list(range(1, 21))),
+                                   (20, 256, [10, 20]), (20, 3, [3, 6, 9, 10, 13, 16, 19, 20]),
+                                   (21, 5, [5, 10, 11, 16, 21]), (1, 7, [1]),
+                                   (4096, vdf._LOOP_CHUNK, [2048, 4096]),
+                                   (1 << 17, vdf._LOOP_CHUNK, [1 << 16, 1 << 17])):
+            monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
+            spy.calls.clear()
+            vdf.eval(small_modulus_params(modulus, t), x)
+            assert spy.polls() == expected == polls(t, chunk), (t, chunk)
 
     def test_loop_does_exactly_t_squarings(self, monkeypatch, power_calls, loop_input):
         modulus, x = loop_input
