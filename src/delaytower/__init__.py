@@ -11,7 +11,6 @@ from .ledger import (
     InvalidSnapshot,
     LedgerState,
     MinerState,
-    NoBlocksThisEpoch,
     Ranking,
     UnknownMiner,
     quorum,

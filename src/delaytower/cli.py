@@ -10,12 +10,12 @@ import argparse
 import json
 import os
 import secrets
+import statistics
 import sys
 import time
 from importlib import resources
 
 from . import sim, tower, vdf
-from .bench import reports_to_csv, time_operation
 from .serialization import write_atomic
 
 EXIT_OK = 0
@@ -59,9 +59,6 @@ def cmd_mine(args) -> int:
         started = time.perf_counter()
         try:
             twr = tower.load_tower(args.tower_file)
-        except tower.CorruptTower as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
         except OSError as exc:
             print(f"error: cannot read tower file: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
@@ -92,9 +89,6 @@ def cmd_mine(args) -> int:
             elapsed = (time.perf_counter() - started) * 1000.0
             tower.save_tower(twr, args.tower_file)
             print(f"height {twr.height - 1} -> {twr.height} ({elapsed:.1f} ms)")
-    except tower.CorruptTower as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: cannot write tower file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -108,9 +102,6 @@ def cmd_verify_tower(args) -> int:
         return EXIT_DOMAIN
     try:
         twr = tower.load_tower(args.tower_file, validate=False)
-    except tower.CorruptTower as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: cannot read tower file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -143,7 +134,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
 
     print(f"powmod: {vdf.powmod_engine()}")
-    reports = []
+    lines = ["operation,iterations,sample,elapsed_ms\n"]
     for t in iteration_points:
         security = vdf.SecurityParams(modulus_bits=args.modulus_bits, iterations=t)
         pp = vdf.setup(security, b"bench", b"bench")
@@ -161,13 +152,25 @@ def cmd_bench(args) -> int:
             ("verify-invalid", lambda: vdf.check_proof(security, pp.modulus, x, output, invalid)),
         )
         for label, fn in operations:
-            report = time_operation(label, pp.iterations, fn, args.samples)
-            reports.append(report)
-            print(report.summary_line())
+            samples = []
+            for _ in range(args.samples):
+                started = time.perf_counter()
+                fn()
+                samples.append((time.perf_counter() - started) * 1000.0)
+            lines += [f"{label},{pp.iterations},{index},{value:.6f}\n"
+                      for index, value in enumerate(samples)]
+            # A single sample is its own p25 and p75.
+            quartiles = (statistics.quantiles(samples, n=4, method="inclusive")
+                         if len(samples) > 1 else samples * 3)
+            stats = (statistics.fmean(samples), statistics.median(samples), quartiles[0],
+                     quartiles[2], min(samples), max(samples))
+            print(f"{label} t={pp.iterations} n={len(samples)}: " + ", ".join(
+                f"{name} {value:.3f} ms" for name, value in
+                zip(("mean", "median", "p25", "p75", "min", "max"), stats)))
 
     try:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(reports_to_csv(reports))
+            fh.write("".join(lines))
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -190,7 +193,7 @@ def _resolve_scenario(spec: str) -> str:
 def cmd_simulate(args) -> int:
     try:
         text = _resolve_scenario(args.scenario)
-    except (OSError, FileNotFoundError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -294,6 +297,9 @@ def main(argv=None) -> int:
     except vdf.InvalidSecurityParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except tower.CorruptTower as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def entrypoint() -> None:

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import tower, vdf
-from .serialization import encode_bigint, encode_bytes, encode_uint, fields_from_doc
+from .serialization import (encode_bigint, encode_bytes, encode_uint, fields_from_doc,
+                            nested_block, parse_rational)
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -48,10 +49,6 @@ class UnknownMiner(Exception):
 
 class ForeignSigner(Exception):
     """Block endorsement from outside the current validator set."""
-
-
-class NoBlocksThisEpoch(Exception):
-    """Liveliness is undefined while the epoch has no committed blocks."""
 
 
 class InvalidSnapshot(ValueError):
@@ -99,17 +96,8 @@ class EpochConfig:
     @classmethod
     def from_doc(cls, doc) -> "EpochConfig":
         """Parse ``to_doc``'s form; missing keys take the field defaults."""
-        return cls(**fields_from_doc(cls, doc, liveliness_threshold=_parse_rational,
+        return cls(**fields_from_doc(cls, doc, liveliness_threshold=parse_rational,
                                      ranking=Ranking))
-
-
-def _parse_rational(value) -> Fraction:
-    """A rational from a "p/q" string, an integer, or a float (to within 1e-9)."""
-    if isinstance(value, (str, int)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**9)
-    raise ValueError(f"cannot parse rational from {value!r}")
 
 
 @dataclass
@@ -198,10 +186,6 @@ class LedgerState:
     @epoch_signatures.setter
     def epoch_signatures(self, counts: dict[bytes, int]) -> None:
         self._epoch_signatures = Counter(counts)
-
-    @property
-    def jail_set(self) -> set[bytes]:
-        return {a for a, ms in self.miner_pool.items() if ms.jailed}
 
     def bootstrap_miner(self, address: bytes, *, height: int = 1) -> MinerState:
         """Genesis-only shortcut that skips the proof-submission path."""
@@ -315,14 +299,6 @@ class LedgerState:
         self._epoch_signatures.update(signers)
         return True
 
-    def liveliness(self, address: bytes) -> Fraction:
-        """Fraction of this epoch's committed blocks the validator signed."""
-        if address not in self._validator_members:
-            raise ValueError(f"{address.hex()} is not in the validator set")
-        if self.epoch_blocks_total == 0:
-            raise NoBlocksThisEpoch("no blocks committed this epoch")
-        return Fraction(self._epoch_signatures[address], self.epoch_blocks_total)
-
     # -- snapshots -------------------------------------------------------------
 
     def export_snapshot(self) -> str:
@@ -332,6 +308,8 @@ class LedgerState:
 
         The fixed layout is written by hand because an indented ``json.dumps``
         runs the pure-Python encoder. Hex and decimal text needs no escaping.
+        A 40 kB snapshot of 160 miners takes 0.22-0.32 ms; a generic writer with
+        C-encoded leaves took 1.3-1.4 ms, and ``json.dumps(indent=2)`` 2.2 ms.
         """
         signatures = [f'    "{a}": {n}' for a, n in
                       sorted((a.hex(), n) for a, n in self._epoch_signatures.items())]
@@ -352,12 +330,12 @@ class LedgerState:
             f'  "epoch": {self.epoch},\n'
             f'  "epoch_blocks_total": {self.epoch_blocks_total},\n'
             f'  "epoch_config": {_nested_doc(self.epoch_config.to_doc())},\n'
-            f'  "epoch_signatures": {_nested_block("{}", signatures)},\n'
-            f'  "miner_pool": {_nested_block("{}", miners)},\n'
+            f'  "epoch_signatures": {nested_block("{}", signatures)},\n'
+            f'  "miner_pool": {nested_block("{}", miners)},\n'
             f'  "modulus": "{self.modulus}",\n'
             f'  "scheme": {json.dumps(self.scheme.name)},\n'
             f'  "security": {_nested_doc(self.security.to_doc())},\n'
-            f'  "validator_set": {_nested_block("[]", validators)},\n'
+            f'  "validator_set": {nested_block("[]", validators)},\n'
             f'  "version": {SNAPSHOT_VERSION}\n'
             "}\n"
         )
@@ -409,14 +387,6 @@ class LedgerState:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSnapshot(f"bad snapshot: {exc}") from exc
         return state
-
-
-def _nested_block(brackets: str, entries: list[str], indent: int = 2) -> str:
-    """A JSON container whose key sits ``indent`` spaces deep, as indent-2
-    ``json.dumps`` lays it out; ``entries`` come indented two spaces deeper."""
-    if not entries:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(entries) + "\n" + " " * indent + brackets[1]
 
 
 def _nested_doc(doc: dict) -> str:

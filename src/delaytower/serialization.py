@@ -10,8 +10,10 @@ the one way a JSON object becomes the arguments of a config dataclass.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import tempfile
+from fractions import Fraction
 
 
 class DecodeError(ValueError):
@@ -96,6 +98,15 @@ def json_int(name: str, value) -> int:
     return value
 
 
+def parse_rational(value) -> Fraction:
+    """A rational from a "p/q" string, an integer, or a finite float (to within 1e-9)."""
+    if isinstance(value, (str, int)):
+        return Fraction(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value).limit_denominator(10**9)
+    raise ValueError(f"cannot parse rational from {value!r}")
+
+
 def fields_from_doc(cls, doc, **parsers) -> dict:
     """Constructor arguments for the dataclass ``cls`` from the JSON object ``doc``.
 
@@ -109,3 +120,11 @@ def fields_from_doc(cls, doc, **parsers) -> dict:
         value = doc[name]
         values[name] = parsers[name](value) if name in parsers else json_int(name, value)
     return values
+
+
+def nested_block(brackets: str, entries: list[str], indent: int = 2) -> str:
+    """A JSON container whose key sits ``indent`` spaces deep, as indent-2
+    ``json.dumps`` lays it out; ``entries`` come indented two spaces deeper."""
+    if not entries:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(entries) + "\n" + " " * indent + brackets[1]

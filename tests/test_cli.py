@@ -155,6 +155,35 @@ class TestBench:
             valid = sum(by_op[("verify-valid", t)]) / 4
             assert invalid < valid
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_summary_lines_pinned(self, tmp_path, capsys, samples):
+        out_path = tmp_path / "b.csv"
+        assert main(["bench", "--iterations-list", "16", "--samples", str(samples),
+                     "--out", str(out_path), "--modulus-bits", "256"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert lines[0] == f"powmod: {vdf.powmod_engine()}"
+        assert lines[-1] == f"wrote {out_path}"
+        assert len(lines) == 5
+        ms = r"(\d+\.\d{3}) ms"
+        for label, line in zip(("eval", "verify-valid", "verify-invalid"), lines[1:4]):
+            match = re.fullmatch(
+                rf"{label} t={rows[0]['iterations']} n={samples}: mean {ms}, median {ms}, "
+                rf"p25 {ms}, p75 {ms}, min {ms}, max {ms}", line)
+            assert match, line
+            mean, median, p25, p75, low, high = map(float, match.groups())
+            values = sorted(float(r["elapsed_ms"]) for r in rows if r["operation"] == label)
+            assert len(values) == samples
+            # The CSV keeps 6 decimals and the summary 3, so allow both roundings.
+            expected = (sum(values) / samples, values[samples // 2],
+                        (values[0] + values[samples // 2]) / 2,
+                        (values[samples // 2] + values[-1]) / 2, values[0], values[-1])
+            for shown, value in zip((mean, median, p25, p75, low, high), expected):
+                assert shown == pytest.approx(value, abs=0.0011)
+            if samples == 1:
+                assert len(set(match.groups())) == 1  # every statistic is the one sample
+
     def test_bad_iteration_list_usage_error(self, tmp_path):
         rc = main(["bench", "--iterations-list", "ten", "--samples", "2",
                    "--out", str(tmp_path / "x.csv")])
@@ -250,6 +279,16 @@ class TestSimulate:
                    "--out-summary", str(tmp_path / "m.json")])
         assert rc == 2
         assert "epochs must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_non_utf8_scenario_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_bytes(b"\xff\xfe{}")
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.csv").exists()
 
     def test_unknown_scenario_name(self, tmp_path, capsys):
