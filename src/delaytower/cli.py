@@ -133,7 +133,10 @@ def cmd_bench(args) -> int:
         print("error: --samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"powmod: {vdf.powmod_engine()}")
+    # From 2048-bit moduli, verify runs one side of its fold on a second core,
+    # so its times depend on how many CPUs the process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    print(f"powmod: {vdf.powmod_engine()}; cpus: {cpus}")
     lines = ["operation,iterations,sample,elapsed_ms\n"]
     for t in iteration_points:
         security = vdf.SecurityParams(modulus_bits=args.modulus_bits, iterations=t)

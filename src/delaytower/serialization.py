@@ -99,8 +99,11 @@ def json_int(name: str, value) -> int:
 
 
 def parse_rational(value) -> Fraction:
-    """A rational from a "p/q" string, an integer, or a finite float (to within 1e-9)."""
-    if isinstance(value, (str, int)):
+    """A rational from a "p/q" string, an integer, or a finite float (to within 1e-9).
+
+    Booleans are refused, as ``json_int`` refuses them.
+    """
+    if isinstance(value, str) or type(value) is int:
         return Fraction(value)
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(value).limit_denominator(10**9)

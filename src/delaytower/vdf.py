@@ -3,29 +3,37 @@
 Evaluation computes x^(2^t) mod N by t strictly sequential squarings, so the
 wall time grows linearly with t no matter how much hardware is thrown at it.
 Verification replays a halving transcript (Pietrzak, "Simple Verifiable Delay
-Functions", ITCS 2019): the prover publishes the midpoint mu = x^(2^(t/2))
-at each level, and both sides fold the claim
+Functions", ITCS 2019): the prover publishes the midpoint mu = X^(2^(t/2))
+at each level, and the claim X^(2^t) = Y folds into
 
-    x^(2^t) = y   into   (x^r * mu)^(2^(t/2)) = mu^r * y
+    (X^r * mu)^(2^(t/2)) = mu^r * Y
 
-with a hash-derived challenge r. The fold stops once at most
-``MAX_DIRECT_SQUARINGS`` (2^7) squarings remain, and the verifier checks that
-last claim by squaring itself. A proof for t = 2^k therefore carries
-max(0, k - 7) midpoints, and verification costs two exponentiations by short
-challenges per level plus at most 128 squarings.
+with a challenge r. The fold stops once at most ``MAX_DIRECT_SQUARINGS``
+(2^7) squarings remain, and the verifier checks that last claim by squaring
+itself. A proof for t = 2^k therefore carries max(0, k - 7) midpoints.
 
-All group arithmetic runs on four registers per computation (``_registers``):
-eval's t sequential squarings, the transcript's midpoints, the fold step both
-sides share, and Miller-Rabin during modulus derivation. Where libcrypto loads,
+Format 3 draws level j's 128-bit challenge from a running SHA-256 over what
+the proof publishes, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
+X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
+Eval keeps only the left side, up to the last midpoint, and makes level 2's
+midpoint from powers its loop kept (``_loop_stops``). For moduli of
+``_HAND_OFF_BITS`` and more, verify hands the right side to a worker thread and
+folds the left. Every input, output and midpoint is canonical, min(v, N - v),
+and verify compares the sides up to sign: -1 has order 2 mod N, so otherwise
+N - y would pass for y.
+
+All group arithmetic runs on registers, one set per computation (``_registers``):
+eval's t sequential squarings, the transcript's midpoints, each side of the
+fold, and Miller-Rabin during modulus derivation. Where libcrypto loads,
 the registers are ``BIGNUM``s and every exponentiation is ``BN_mod_exp_mont``
 on the modulus's ``_MontContext``, its ``BIGNUM`` and Montgomery constants.
 That context is built once per odd modulus, kept in a bounded cache and shared
 by every thread, which is safe because nothing writes it after construction;
 the scratch space libcrypto does write, a ``BN_CTX``, belongs to one
-computation. A fold's running values leave libcrypto only as the bytes each
-challenge hashes and as the midpoints a proof publishes. Without libcrypto, or
-for an even modulus, the registers hold ints and the builtin ``pow`` gives the
-same results; ``powmod_engine`` names the engine in use.
+computation. libcrypto drops the GIL inside each ctypes call, so the two
+sides of a verify run at once. Without libcrypto, or for an even modulus, the
+registers hold ints and the builtin ``pow`` gives the same results;
+``powmod_engine`` names the engine in use.
 Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
 native call cannot be interrupted, so that bounds how long Ctrl-C waits.
 The delay runs on the fastest engine available because tower height is a fair
@@ -43,8 +51,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
@@ -53,10 +63,10 @@ from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, enc
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
 DEFAULT_PRIME_LENGTH_BITS = 512
 
-PROOF_FORMAT_VERSION = 2
+PROOF_FORMAT_VERSION = 3
 
-# Proof format 2 stops the fold once at most this many squarings remain; the
-# verifier does them itself and never more. A level costs the verifier two
+# Proof formats 2 and 3 stop the fold once at most this many squarings remain;
+# the verifier does them itself and never more. A level costs the verifier two
 # exponentiations by 128-bit challenges, about as much as 380 squarings at
 # 2048 bits, so the 7 levels dropped cost more than the squarings that
 # replace them. A later stop saves little more and makes verify grow faster
@@ -68,7 +78,7 @@ _LOOP_CHUNK = 1 << 16
 
 _DOMAIN_INPUT = b"delay-tower/input/v1"
 _DOMAIN_GROUP = b"delay-tower/group/v1"
-_DOMAIN_CHALLENGE = b"delay-tower/challenge/v1"
+_DOMAIN_CHALLENGE = b"delay-tower/challenge/v3"
 _DOMAIN_PRIME = b"delay-tower/prime/v1"
 _DOMAIN_WITNESS = b"delay-tower/witness/v1"
 
@@ -165,15 +175,16 @@ def _mont_context(lib: ctypes.CDLL, modulus: int) -> _MontContext:
     return _MontContext(lib, modulus)
 
 
-# Registers of one computation: the claim X^(2^t) = Y being folded, the level's
-# midpoint MU, and a temporary T. Eval's loop runs its value in Y.
-_X, _Y, _MU, _T = range(4)
+# Registers of one computation: the left side X and the right side Y of the
+# claim X^(2^t) = Y being folded, and the level's midpoint MU. Eval's loop runs
+# in Y and keeps its powers (``_loop_stops``) in Q1, MU and Q3.
+_X, _Y, _MU, _Q1, _Q3 = _REGISTERS = range(5)
 
 
 class _LibcryptoRegisters:
-    """The four registers as ``BIGNUM``s mod one odd modulus, on its cached
+    """The registers as ``BIGNUM``s mod one odd modulus, on its cached
     ``_MontContext`` and a ``BN_CTX`` of their own, freed on exit. Values
-    leave libcrypto only through ``value`` and ``magnitude``."""
+    leave libcrypto only through ``value``."""
 
     def __init__(self, context: _MontContext):
         lib = context.lib
@@ -182,8 +193,8 @@ class _LibcryptoRegisters:
         if not self._ctx:
             raise MemoryError("BN_CTX_new failed")
         lib.BN_CTX_start(self._ctx)
-        # The fifth holds exponents; if one BN_CTX_get fails, so do all later ones.
-        self._regs = [lib.BN_CTX_get(self._ctx) for _ in range(5)]
+        # One more holds exponents; if one BN_CTX_get fails, so do all later ones.
+        self._regs = [lib.BN_CTX_get(self._ctx) for _ in range(len(_REGISTERS) + 1)]
         if not self._regs[-1]:
             self.__exit__()
             raise MemoryError("BN_CTX_get failed")
@@ -196,10 +207,6 @@ class _LibcryptoRegisters:
         self._lib.BN_CTX_end(self._ctx)
         self._lib.BN_CTX_free(self._ctx)
 
-    @property
-    def modulus_bytes(self) -> bytes:
-        return self._context.modulus_bytes
-
     def load(self, reg: int, value: int) -> None:
         self._set(self._regs[reg], value)
 
@@ -208,13 +215,10 @@ class _LibcryptoRegisters:
         if not self._lib.BN_bin2bn(data, len(data), bignum):
             raise MemoryError("BN_bin2bn failed")
 
-    def magnitude(self, reg: int) -> bytes:
+    def value(self, reg: int) -> int:
         if self._lib.BN_bn2binpad(self._regs[reg], self._out, len(self._out)) < 0:
             raise ValueError("register value is wider than the modulus")
-        return self._out.raw.lstrip(b"\0")
-
-    def value(self, reg: int) -> int:
-        return int.from_bytes(self.magnitude(reg), "big")
+        return int.from_bytes(self._out.raw, "big")
 
     def copy(self, dst: int, src: int) -> None:
         if not self._lib.BN_copy(self._regs[dst], self._regs[src]):
@@ -223,8 +227,8 @@ class _LibcryptoRegisters:
     def power(self, dst: int, src: int, exponent: int) -> None:
         """dst = src^exponent for exponent >= 0; dst may be src."""
         lib, regs, context = self._lib, self._regs, self._context
-        self._set(regs[4], exponent)
-        if not lib.BN_mod_exp_mont(regs[dst], regs[src], regs[4], context.modulus,
+        self._set(regs[-1], exponent)
+        if not lib.BN_mod_exp_mont(regs[dst], regs[src], regs[-1], context.modulus,
                                    self._ctx, context.mont):
             raise ValueError("BN_mod_exp_mont failed")
 
@@ -240,8 +244,7 @@ class _BuiltinRegisters:
 
     def __init__(self, modulus: int):
         self._modulus = modulus
-        self.modulus_bytes = _magnitude(modulus)
-        self._regs = [0] * 4
+        self._regs = [0] * len(_REGISTERS)
 
     def __enter__(self) -> "_BuiltinRegisters":
         return self
@@ -251,9 +254,6 @@ class _BuiltinRegisters:
 
     def load(self, reg: int, value: int) -> None:
         self._regs[reg] = value
-
-    def magnitude(self, reg: int) -> bytes:
-        return _magnitude(self._regs[reg])
 
     def value(self, reg: int) -> int:
         return self._regs[reg]
@@ -451,8 +451,14 @@ def derive_input_digest(public_key: bytes, endpoint: bytes) -> bytes:
         _DOMAIN_INPUT + encode_bytes(public_key) + encode_bytes(endpoint)).digest()
 
 
+def _canonical(value: int, modulus: int) -> int:
+    """The form of ``value`` and ``modulus - value`` in which elements are hashed,
+    published and compared: the smaller one."""
+    return min(value, modulus - value)
+
+
 def hash_to_group(digest: bytes, modulus: int) -> int:
-    """Map a digest into [2, modulus - 1) by rejection sampling."""
+    """Map a digest to a canonical element of [2, modulus - 1) by rejection sampling."""
     bits = modulus.bit_length()
     nbytes = (bits + 7) // 8
     counter = 0
@@ -461,7 +467,7 @@ def hash_to_group(digest: bytes, modulus: int) -> int:
             _DOMAIN_GROUP + digest + counter.to_bytes(4, "big")).digest(nbytes)
         candidate = int.from_bytes(stream, "big") & ((1 << bits) - 1)
         if 2 <= candidate < modulus - 1:
-            return candidate
+            return _canonical(candidate, modulus)
         counter += 1
 
 
@@ -490,44 +496,23 @@ def setup(
     )
 
 
-def _challenge(modulus: bytes, x: bytes, y: bytes, midpoint: bytes, level: int) -> int:
-    """A level's 128-bit challenge; each element is given by its magnitude,
-    so the hash covers ``encode_bigint`` of each."""
-    material = (
-        _DOMAIN_CHALLENGE
-        + encode_bytes(modulus)
-        + encode_bytes(x)
-        + encode_bytes(y)
-        + encode_bytes(midpoint)
-        + encode_uint(level, 4)
-    )
-    return int.from_bytes(hashlib.sha256(material).digest()[:_CHALLENGE_BYTES], "big")
+class _Transcript:
+    """Fiat-Shamir over what a proof publishes: one running SHA-256 over the
+    modulus, t, x and y, to which each level appends its midpoint. Level j's
+    128-bit challenge hashes that state and j."""
 
+    def __init__(self, modulus: int, iterations: int, x: int, y: int):
+        self._hash = hashlib.sha256(_DOMAIN_CHALLENGE + b"".join(
+            map(encode_bigint, (modulus, iterations, x, y))))
+        self._level = 0
 
-def _fold(regs, remaining: int, load_midpoint: Callable[[int, int], None]) -> int:
-    """Fold the claim X^(2^remaining) = Y held in ``regs`` until at most
-    MAX_DIRECT_SQUARINGS squarings remain, and return how many do.
-
-    Each level halves ``remaining``, then ``load_midpoint(level, remaining)``
-    puts X^(2^remaining) into MU (or what a proof claims it is), and the claim
-    becomes (X^r * MU)^(2^remaining) = MU^r * Y for the level's challenge r.
-    Odd step counts shed one squaring onto X first, so any t >= 1 is supported.
-    """
-    level = 0
-    while remaining > MAX_DIRECT_SQUARINGS:
-        if remaining % 2 == 1:
-            regs.power(_X, _X, 2)
-            remaining -= 1
-        remaining //= 2
-        level += 1
-        load_midpoint(level, remaining)
-        r = _challenge(regs.modulus_bytes, regs.magnitude(_X), regs.magnitude(_Y),
-                       regs.magnitude(_MU), level)
-        regs.power(_T, _MU, r)
-        regs.mul(_Y, _T, _Y)
-        regs.power(_X, _X, r)
-        regs.mul(_X, _X, _MU)
-    return remaining
+    def challenge(self, midpoint: int) -> int:
+        """The next level's challenge, once its midpoint is published."""
+        self._level += 1
+        self._hash.update(encode_bigint(midpoint))
+        level = self._hash.copy()
+        level.update(encode_uint(self._level, 4))
+        return int.from_bytes(level.digest()[:_CHALLENGE_BYTES], "big")
 
 
 def _square(regs, reg: int, steps: int) -> None:
@@ -536,38 +521,65 @@ def _square(regs, reg: int, steps: int) -> None:
         regs.power(reg, reg, 1 << min(_LOOP_CHUNK, steps - done))
 
 
+def _loop_stops(t: int) -> tuple[int, int, int]:
+    """Squarings a, half, b after which eval's loop keeps x^(2^a), x^(2^half), x^(2^b).
+
+    Level 1's midpoint is x^(2^half). Level 2 squares X_1 = x^(2^(t % 2) * r_1) *
+    x^(2^half) q = t//2 - t//4 times, so its midpoint is (x^(2^a))^{r_1} * x^(2^b).
+    """
+    half = t - t // 2
+    q = t // 2 - t // 4
+    return t % 2 + q, half, half + q
+
+
 def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
     """Evaluate x^(2^t) mod N by t sequential squarings and build its transcript.
 
-    x must be a unit mod N; any other input raises InputOutOfRange, because
-    its powers can reach 0, which no proof verifies.
+    x must be a canonical unit mod N, as ``hash_to_group`` returns; any other
+    input raises InputOutOfRange, because no proof for it verifies. The output
+    and every midpoint are canonical.
 
-    The loop keeps the first midpoint, x^(2^(t - t // 2)), as it passes; the
-    others take about t/2 squarings after it. No call squares more than
-    ``_LOOP_CHUNK`` times, which bounds how long an interrupt waits.
+    The loop keeps level 1's midpoint and the two powers level 2's is made of
+    as it passes (``_loop_stops``); the later levels take about t/4 squarings
+    after it. No call squares more than ``_LOOP_CHUNK`` times, which bounds how
+    long an interrupt waits.
     """
     modulus = pp.modulus
     t = pp.iterations
-    if not isinstance(x, int) or not 1 <= x < modulus or math.gcd(x, modulus) != 1:
-        raise InputOutOfRange(f"input must be a unit in [1, modulus), got {x}")
+    if (not isinstance(x, int) or not 1 <= x <= modulus // 2
+            or math.gcd(x, modulus) != 1):
+        raise InputOutOfRange(f"input must be a canonical unit in [1, modulus / 2], got {x}")
 
-    half = t - t // 2  # the transcript's first midpoint is x^(2^half)
+    levels = expected_checkpoint_count(t)
     with _registers(modulus) as regs:
         regs.load(_Y, x)
-        _square(regs, _Y, half)
-        regs.copy(_MU, _Y)
-        _square(regs, _Y, t - half)
-        y = regs.value(_Y)
-        regs.load(_X, x)
-        checkpoints = []
+        done = 0
+        for reg, stop in zip((_Q1, _MU, _Q3), _loop_stops(t)):
+            _square(regs, _Y, stop - done)
+            regs.copy(reg, _Y)
+            done = stop
+        _square(regs, _Y, t - done)
+        y = _canonical(regs.value(_Y), modulus)
 
-        def load_midpoint(level: int, remaining: int) -> None:
-            if level > 1:
+        transcript = _Transcript(modulus, t, x, y)
+        checkpoints = []
+        regs.load(_X, x)
+        remaining = t
+        for level in range(1, levels + 1):
+            if remaining % 2 == 1:
+                regs.power(_X, _X, 2)
+            remaining //= 2
+            if level == 2:
+                regs.power(_MU, _Q1, r)
+                regs.mul(_MU, _MU, _Q3)
+            elif level > 2:
                 regs.copy(_MU, _X)
                 _square(regs, _MU, remaining)
-            checkpoints.append(regs.value(_MU))
-
-        _fold(regs, t, load_midpoint)
+            checkpoints.append(_canonical(regs.value(_MU), modulus))
+            r = transcript.challenge(checkpoints[-1])
+            if level < levels:
+                regs.power(_X, _X, r)
+                regs.mul(_X, _X, _MU)
 
     proof = VdfProof(
         output=y,
@@ -577,33 +589,105 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
     return y, proof
 
 
-def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
-    """Check that proof shows x^(2^iterations) = y mod modulus.
+def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: list[int],
+                rival: Optional[Future] = None) -> Optional[int]:
+    """y * prod mu_j^{r_j}, the right side of a folded claim, on registers of its
+    own; None once ``rival``, the worker computing the same, has finished."""
+    with _registers(modulus) as regs:
+        regs.load(_Y, y)
+        for midpoint, r in zip(midpoints, challenges):
+            if rival is not None and rival.done():
+                return None
+            regs.load(_MU, midpoint)
+            regs.power(_MU, _MU, r)
+            regs.mul(_Y, _Y, _MU)
+        return regs.value(_Y)
 
-    Malformed input, including an x or y that is not a unit mod modulus, or a
-    midpoint count other than ``expected_checkpoint_count``, yields False before
-    any exponentiation. At most ``MAX_DIRECT_SQUARINGS`` squarings follow the
-    fold.
+
+def _start_worker() -> None:
+    """Create verify's worker; its thread starts on the first verify.
+
+    Also run in a forked child, which inherits the executor but not its thread.
     """
-    if not isinstance(x, int) or not isinstance(y, int):
-        return False
-    if not 1 <= x < modulus or not 1 <= y < modulus or math.gcd(x * y, modulus) != 1:
-        return False
+    global _RIGHT_SIDES
+    _RIGHT_SIDES = ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaytower-verify")
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)
+
+# The smallest modulus whose right side verify hands to its worker. Splitting
+# pays only while one 128-bit exponentiation outlasts a thread's wake-up, about
+# 50 us on a shared 2-vCPU VM. At 512 bits one took 28 us, and split verifies
+# were no faster in the median than one thread and several times slower in the
+# tail. At 2048 bits one took 150-265 us, and split verifies at t = 4096 took
+# 1.8 ms in the median against 2.5-2.9 ms on one thread.
+_HAND_OFF_BITS = 2048
+
+
+def _hand_off(modulus: int, *args) -> Callable[[], int]:
+    """Start ``_right_side(modulus, *args)`` on verify's worker, and return
+    what gets its value once the caller's left side is done.
+
+    If the worker has not begun by then, the caller computes the right side
+    itself; if it has, the caller races it level by level and takes whichever
+    finishes first. So a worker whose core is busy elsewhere costs verify about
+    the time of computing the right side itself, not the time it waits for
+    the core.
+    Below ``_HAND_OFF_BITS``, and once interpreter shutdown has begun (while it
+    waits for the threads still running, executors take no work), the caller
+    simply computes it.
+    """
+    if modulus.bit_length() >= _HAND_OFF_BITS:
+        try:
+            future = _RIGHT_SIDES.submit(_right_side, modulus, *args)
+        except RuntimeError:
+            pass
+        else:
+            def value() -> int:
+                ours = _right_side(modulus, *args, rival=None if future.cancel() else future)
+                return future.result() if ours is None else ours
+            return value
+    return partial(_right_side, modulus, *args)
+
+
+def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
+    """Check that proof shows x^(2^iterations) = y mod modulus, up to sign.
+
+    Malformed input yields False before any exponentiation: an x, y or
+    midpoint that is not canonical, an x or y that is not a unit mod modulus,
+    or a midpoint count other than ``expected_checkpoint_count``. Otherwise
+    this thread folds the left side and does at most ``MAX_DIRECT_SQUARINGS``
+    squarings while, from ``_HAND_OFF_BITS`` on, the worker folds the right.
+    """
     if proof.output != y or iterations < 1:
         return False
     if len(proof.checkpoints) != expected_checkpoint_count(iterations):
         return False
-    for midpoint in proof.checkpoints:
-        if not isinstance(midpoint, int) or not 1 <= midpoint < modulus:
+    for element in (x, y, *proof.checkpoints):
+        if not isinstance(element, int) or not 1 <= element <= modulus // 2:
             return False
+    if math.gcd(x * y, modulus) != 1:
+        return False
 
+    transcript = _Transcript(modulus, iterations, x, y)
+    challenges = [transcript.challenge(midpoint) for midpoint in proof.checkpoints]
     with _registers(modulus) as regs:
+        # Submitted once these registers have put the modulus's context in the
+        # cache, so the worker finds it there rather than building a second.
+        right = _hand_off(modulus, y, proof.checkpoints, challenges)
         regs.load(_X, x)
-        regs.load(_Y, y)
-        remaining = _fold(regs, iterations,
-                          lambda level, _: regs.load(_MU, proof.checkpoints[level - 1]))
+        remaining = iterations
+        for midpoint, r in zip(proof.checkpoints, challenges):
+            if remaining % 2 == 1:
+                regs.power(_X, _X, 2)
+            remaining //= 2
+            regs.load(_MU, midpoint)
+            regs.power(_X, _X, r)
+            regs.mul(_X, _X, _MU)
         regs.power(_X, _X, 1 << remaining)
-        return regs.magnitude(_X) == regs.magnitude(_Y)
+        left = regs.value(_X)
+    return _canonical(left, modulus) == _canonical(right(), modulus)
 
 
 def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from delaytower import vdf
@@ -32,11 +34,20 @@ def scheme() -> KeyedHashScheme:
 def full_fold(modulus: int, x: int, t: int, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reference fold down to a single squaring, every midpoint by squaring again.
 
-    Returns the midpoints and, for each level, the steps left when it began.
-    Proof format 1 carried all of these midpoints.
+    Written from proof format 3's rule, not from ``vdf``: every midpoint is
+    canonical, min(v, N - v), and level j's challenge is the first 16 bytes of
+    SHA-256 over b"delay-tower/challenge/v3", then N, t, x, y and the midpoints
+    of levels 1 to j, each as a 4-byte length and its minimal big-endian bytes,
+    then j in 4 bytes. Returns the midpoints and, for each level, the steps left
+    when it began. Proof format 1 carried all of these midpoints.
     """
+    def encode(value: int) -> bytes:
+        magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        return len(magnitude).to_bytes(4, "big") + magnitude
+
+    published = b"delay-tower/challenge/v3" + b"".join(map(encode, (modulus, t, x, y)))
     checkpoints, entered = [], []
-    xi, yi, remaining = x, y, t
+    xi, remaining = x, t
     while remaining > 1:
         entered.append(remaining)
         if remaining % 2 == 1:
@@ -44,10 +55,11 @@ def full_fold(modulus: int, x: int, t: int, y: int) -> tuple[tuple[int, ...], tu
             remaining -= 1
         remaining //= 2
         midpoint = pow(xi, 1 << remaining, modulus)
+        midpoint = min(midpoint, modulus - midpoint)
         checkpoints.append(midpoint)
-        r = vdf._challenge(*map(vdf._magnitude, (modulus, xi, yi, midpoint)), len(checkpoints))
-        xi = pow(xi, r, modulus) * midpoint % modulus
-        yi = pow(midpoint, r, modulus) * yi % modulus
+        published += encode(midpoint)
+        digest = hashlib.sha256(published + len(checkpoints).to_bytes(4, "big")).digest()
+        xi = pow(xi, int.from_bytes(digest[:16], "big"), modulus) * midpoint % modulus
     return tuple(checkpoints), tuple(entered)
 
 

@@ -140,7 +140,7 @@ class TestBench:
         rc = main(["bench", "--iterations-list", "64,128", "--samples", "4",
                    "--out", str(out_path), "--modulus-bits", "256"])
         assert rc == 0
-        assert capsys.readouterr().out.startswith(f"powmod: {vdf.powmod_engine()}\n")
+        assert capsys.readouterr().out.startswith(f"powmod: {vdf.powmod_engine()}; cpus: ")
         with open(out_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         operations = {(r["operation"], r["iterations"]) for r in rows}
@@ -163,7 +163,8 @@ class TestBench:
         lines = capsys.readouterr().out.splitlines()
         with open(out_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert lines[0] == f"powmod: {vdf.powmod_engine()}"
+        header = re.fullmatch(rf"powmod: {re.escape(vdf.powmod_engine())}; cpus: (\d+)", lines[0])
+        assert header and 1 <= int(header.group(1)) <= os.cpu_count(), lines[0]
         assert lines[-1] == f"wrote {out_path}"
         assert len(lines) == 5
         ms = r"(\d+\.\d{3}) ms"

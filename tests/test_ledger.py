@@ -464,6 +464,7 @@ BAD_SNAPSHOTS = {
     "config-bad-threshold": edit("epoch_config", "liveliness_threshold", "x/y"),
     # 1e400 overflows to inf; json.loads reads the text 1e400 as inf too.
     "config-infinite-threshold": edit("epoch_config", "liveliness_threshold", 1e400),
+    "config-boolean-threshold": edit("epoch_config", "liveliness_threshold", True),
     "config-bad-ranking": edit("epoch_config", "ranking", "by-luck"),
     "config-float": edit("epoch_config", "growth_cap", 6.5),
     "security-out-of-range": edit("security", "iterations", 0),
@@ -552,7 +553,7 @@ class TestSnapshotImport:
     def test_bytes_pinned(self):
         text = pinned_ledger().export_snapshot()
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "85857a81cf22f40527f8dbf6c97308e8d0fcc703fe6ffc7a5922304f59deffd2"
+            "521ad9501834ba76c4e52e94ceae8f7a74038ccae9114a30fdd499a06805a619"
         assert LedgerState.import_snapshot(text).export_snapshot() == text
 
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

@@ -379,6 +379,10 @@ MALFORMED_SCENARIOS = {
     # 1e400 overflows to inf; json.loads reads the text 1e400 as inf too.
     "sign-probability-infinite": lambda doc: _with_first(
         doc, behavior={"kind": "silent", "sign_probability": 1e400}),
+    "sign-probability-boolean": lambda doc: _with_first(
+        doc, behavior={"kind": "silent", "sign_probability": True}),
+    "liveliness-threshold-boolean": lambda doc: {
+        **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
 }
 
 

@@ -28,11 +28,11 @@ def height8() -> tower.Tower:
     return twr
 
 
-# Digests of the tower below as saved in proof format 2, and as proof format 1
-# saved it (its transcripts folded down to a single squaring): the proof and
+# Digests of the tower below as saved in proof format 3, and in format 1's
+# layout (its transcripts folded down to a single squaring): the proof and
 # file formats must not drift.
-PINNED_TOWER_SHA256 = "82141d64b0df675553728e41f58dd3592102c77dd8fe425bbe281df825679afd"
-FORMAT_1_TOWER_SHA256 = "84a36a4bb089d8f62b4d5d94bf13e305b18d9dd4c55630eca694eb20062ac533"
+PINNED_TOWER_SHA256 = "a94d058a33ea727b4352a64da229fc91561e39ab0ed5cdfef095c3c69d67d6d8"
+FORMAT_1_TOWER_SHA256 = "666e77ad803eb3d0f12767c74d8e94f82db2043ba394b79a5dd50b003ba69a32"
 
 
 def pinned_tower() -> tower.Tower:
@@ -225,6 +225,15 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FORMAT_1_TOWER_SHA256
         for validate in (True, False):
             with pytest.raises(tower.CorruptTower, match="version 1"):
+                tower.load_tower(path, validate=validate)
+
+    def test_format_2_file_refused(self, monkeypatch, tmp_path):
+        path = tmp_path / "t.bin"
+        with monkeypatch.context() as patch:
+            patch.setattr(vdf, "PROOF_FORMAT_VERSION", 2)
+            tower.save_tower(pinned_tower(), path)
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="version 2"):
                 tower.load_tower(path, validate=validate)
 
     def test_empty_owner_file_rejected(self, tmp_path):

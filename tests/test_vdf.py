@@ -6,11 +6,16 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import random
+import signal
+import subprocess
 import sys
+import textwrap
 import threading
+import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +39,14 @@ def random_composite(rng: random.Random, upper: int = 1 << 16) -> int:
             return n
 
 
+def canonical(value: int, modulus: int) -> int:
+    return min(value, modulus - value)
+
+
 def assert_transcript_prefix(pp: vdf.PublicParams, x: int) -> None:
     """eval's midpoints are the full fold's levels begun with more than 2^7 steps left."""
     output, proof = vdf.eval(pp, x)
-    assert output == pow(x, 1 << pp.iterations, pp.modulus)
+    assert output == canonical(pow(x, 1 << pp.iterations, pp.modulus), pp.modulus)
     full, entered = full_fold(pp.modulus, x, pp.iterations, output)
     kept = sum(1 for remaining in entered if remaining > 128)
     assert proof.checkpoints == full[:kept], f"t={pp.iterations}"
@@ -105,6 +114,9 @@ class TestEval:
             vdf.eval(small_params, 0)
         with pytest.raises(vdf.InputOutOfRange):
             vdf.eval(small_params, small_params.modulus)
+        x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
+        with pytest.raises(vdf.InputOutOfRange, match="canonical"):
+            vdf.eval(small_params, small_params.modulus - x)
 
     def test_non_unit_input_rejected(self):
         # 39 shares the factor 3 with 3^10, so 39^(2^4) is 0 mod 3^10: there
@@ -141,7 +153,7 @@ class TestEval:
     def test_matches_bruteforce_oracle(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         n = random_composite(rng)
-        x = data.draw(st.integers(1, n - 1))
+        x = data.draw(st.integers(1, n // 2))
         t = data.draw(st.integers(1, 256))
         pp = small_modulus_params(n, t)
         if math.gcd(x, n) != 1:
@@ -149,7 +161,7 @@ class TestEval:
                 vdf.eval(pp, x)
             return
         output, proof = vdf.eval(pp, x)
-        assert output == pow(x, 1 << t, n)
+        assert output == canonical(pow(x, 1 << t, n), n)
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
 
 
@@ -172,23 +184,24 @@ class TestTranscriptPrefix:
     def test_matches_straight_fold_oracle(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         n = random_composite(rng)
-        x = data.draw(st.integers(1, n - 1))
+        x = data.draw(st.integers(1, n // 2))
         t = data.draw(st.integers(1, 2048))
         if math.gcd(x, n) == 1:
             assert_transcript_prefix(small_modulus_params(n, t), x)
 
 
 @pytest.fixture
-def power_calls(monkeypatch) -> list[int]:
-    """Exponents of every exponentiation in the group, on either engine, in order."""
-    exponents = []
+def power_calls(monkeypatch) -> list[tuple[int, int]]:
+    """(Register written, exponent) of every exponentiation in the group, on
+    either engine, in order."""
+    calls = []
     for registers in (vdf._LibcryptoRegisters, vdf._BuiltinRegisters):
         def spy(self, dst, src, exponent, power=registers.power):
-            exponents.append(exponent)
+            calls.append((dst, exponent))
             power(self, dst, src, exponent)
 
         monkeypatch.setattr(registers, "power", spy)
-    return exponents
+    return calls
 
 
 # Step counts on both sides of MAX_DIRECT_SQUARINGS, of the chunk lengths and
@@ -205,21 +218,26 @@ def loop_input(small_params):
 
 @functools.lru_cache(maxsize=None)
 def squaring_oracle(modulus: int, x: int, t: int) -> tuple[int, tuple[int, ...]]:
-    """Output by t squarings ``y * y % N`` and the transcript ``full_fold`` keeps."""
+    """Canonical output by t squarings ``y * y % N`` and the transcript ``full_fold`` keeps."""
     y = x
     for _ in range(t):
         y = y * y % modulus
+    y = canonical(y, modulus)
     full, entered = full_fold(modulus, x, t, y)
     return y, full[:sum(1 for remaining in entered if remaining > vdf.MAX_DIRECT_SQUARINGS)]
 
 
 def polls(t: int, chunk: int) -> list[int]:
     """Squarings done as each loop call returns to Python, where a pending
-    interrupt is raised: each half of the loop is cut into ``chunk``s on its own."""
-    half = t - t // 2
-    return [start + min(done + chunk, steps)
-            for start, steps in ((0, half), (half, t - half))
-            for done in range(0, steps, chunk)]
+    interrupt is raised. The loop stops to keep level 1's midpoint, after
+    half = t - t//2 squarings, and the powers level 2's is made of, q = t//2 - t//4
+    squarings before and after it (t % 2 more before); each stretch between
+    stops is cut into ``chunk``s on its own."""
+    half, q = t - t // 2, t // 2 - t // 4
+    stops = (0, t % 2 + q, half, half + q, t)
+    return [start + min(done + chunk, end - start)
+            for start, end in zip(stops, stops[1:])
+            for done in range(0, end - start, chunk)]
 
 
 class LoopSpy:
@@ -293,11 +311,13 @@ class TestChunkedLoop:
     def test_polls_pinned(self, monkeypatch, loop_input):
         modulus, x = loop_input
         spy = LoopSpy(monkeypatch)
-        for t, chunk, expected in ((20, 7, [7, 10, 17, 20]), (20, 1, list(range(1, 21))),
-                                   (20, 256, [10, 20]), (20, 3, [3, 6, 9, 10, 13, 16, 19, 20]),
-                                   (21, 5, [5, 10, 11, 16, 21]), (1, 7, [1]),
-                                   (4096, vdf._LOOP_CHUNK, [2048, 4096]),
-                                   (1 << 17, vdf._LOOP_CHUNK, [1 << 16, 1 << 17])):
+        for t, chunk, expected in ((20, 7, [5, 10, 15, 20]), (20, 1, list(range(1, 21))),
+                                   (20, 256, [5, 10, 15, 20]),
+                                   (20, 3, [3, 5, 8, 10, 13, 15, 18, 20]),
+                                   (21, 5, [5, 6, 11, 16, 21]), (1, 7, [1]),
+                                   (4096, vdf._LOOP_CHUNK, [1024, 2048, 3072, 4096]),
+                                   (1 << 17, vdf._LOOP_CHUNK,
+                                    [1 << 15, 1 << 16, 3 << 15, 1 << 17])):
             monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
             spy.calls.clear()
             vdf.eval(small_modulus_params(modulus, t), x)
@@ -305,38 +325,35 @@ class TestChunkedLoop:
 
     def test_loop_does_exactly_t_squarings(self, monkeypatch, power_calls, loop_input):
         modulus, x = loop_input
-        t, half = 4096, 2048
-        calls_at_fold = []
-
-        def fold(*args, fold=vdf._fold):
-            calls_at_fold.append(len(power_calls))
-            return fold(*args)
-
-        monkeypatch.setattr(vdf, "_fold", fold)
-        for chunk in (256, 1000, vdf._LOOP_CHUNK):
+        for t, chunk in itertools.product((512, 1024, 4096), (256, 1000, vdf._LOOP_CHUNK)):
             monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
             power_calls.clear()
-            calls_at_fold.clear()
-            output, _ = vdf.eval(small_modulus_params(modulus, t), x)
-            assert output == squaring_oracle(modulus, x, t)[0]
-            loop, transcript = power_calls[:calls_at_fold[0]], power_calls[calls_at_fold[0]:]
-            assert len(loop) == -(-half // chunk) + -(-(t - half) // chunk), chunk
+            output, proof = vdf.eval(small_modulus_params(modulus, t), x)
+            assert (output, proof.checkpoints) == squaring_oracle(modulus, x, t)
+            # The loop runs in Y and is the only computation that writes it.
+            loop = [e for dst, e in power_calls if dst == vdf._Y]
+            transcript = [e for dst, e in power_calls if dst != vdf._Y]
+            assert len(loop) == len(polls(t, chunk)), (t, chunk)
             assert all(e & (e - 1) == 0 for e in loop)
             assert sum(e.bit_length() - 1 for e in loop) == t
-            # The first midpoint comes from the loop: the transcript squares only
-            # for levels 2 to 5 (1024 + 512 + 256 + 128 steps).
-            assert 1 << (t // 2) not in transcript, chunk
+            # Levels 1 and 2 come from the loop's powers, so the transcript
+            # squares only for levels 3 on (t/8 + ... + 128 steps), and never
+            # again by the stretches the loop already squared.
+            assert not {1 << (t // 2), 1 << (t // 4)} & set(transcript), (t, chunk)
             squarings = [e.bit_length() - 1 for e in transcript if e & (e - 1) == 0]
-            assert sum(squarings) == t // 2 - vdf.MAX_DIRECT_SQUARINGS, chunk
+            assert sum(squarings) == t // 4 - vdf.MAX_DIRECT_SQUARINGS, (t, chunk)
 
 
 def sign_flip_forgery(modulus: int, t: int, x: int) -> tuple[int, vdf.VdfProof]:
-    """Claim N - x^(2^t), negating each midpoint while the claim is still flipped.
+    """Claim N - y for the canonical output y, negating each midpoint while the
+    claim is still flipped; challenges follow format 3's transcript rule.
 
     (-mu)^r * (-y) = mu^r * y for odd r, so a level with an odd challenge
-    repairs the claim; the forgery fails only if every challenge is even.
+    repairs the claim. A verifier that took any element in [1, N) and compared
+    the two sides exactly would reject it only if every challenge were even.
     """
-    claim = modulus - pow(x, 1 << t, modulus)
+    claim = modulus - canonical(pow(x, 1 << t, modulus), modulus)
+    transcript = vdf._Transcript(modulus, t, x, claim)
     xi, yi, remaining, midpoints = x, claim, t, []
     while remaining > vdf.MAX_DIRECT_SQUARINGS:
         if remaining % 2 == 1:
@@ -347,10 +364,40 @@ def sign_flip_forgery(modulus: int, t: int, x: int) -> tuple[int, vdf.VdfProof]:
         if pow(xi, 1 << (2 * remaining), modulus) != yi:  # still flipped
             midpoint = modulus - midpoint
         midpoints.append(midpoint)
-        r = vdf._challenge(*map(vdf._magnitude, (modulus, xi, yi, midpoint)), len(midpoints))
+        r = transcript.challenge(midpoint)
         xi = pow(xi, r, modulus) * midpoint % modulus
         yi = pow(midpoint, r, modulus) * yi % modulus
     return claim, vdf.VdfProof(claim, tuple(midpoints), 512)
+
+
+def tampered_claims(pp, x, output, proof) -> list[tuple[int, int, vdf.VdfProof]]:
+    """(x, y, proof) of the honest claim, then with the input, the output or one
+    midpoint moved to a neighbouring canonical element. The input enters only
+    the left side of the fold, the output only the right, a midpoint both."""
+    def moved(value: int) -> int:
+        return value - 1 if value > 2 else value + 1
+
+    claims = [(x, output, proof), (moved(x), output, proof),
+              (x, moved(output), vdf.VdfProof(moved(output), proof.checkpoints, 512))]
+    for i in range(len(proof.checkpoints)):
+        midpoints = list(proof.checkpoints)
+        midpoints[i] = moved(midpoints[i])
+        claims.append((x, output, vdf.VdfProof(output, tuple(midpoints), 512)))
+    return claims
+
+
+@pytest.fixture
+def hand_offs(monkeypatch) -> list[tuple]:
+    """Arguments of every right side handed to verify's worker, at any modulus size."""
+    monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+    calls = []
+
+    def submit(fn, *args, submit=vdf._RIGHT_SIDES.submit):
+        calls.append(args)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(vdf._RIGHT_SIDES, "submit", submit)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -401,14 +448,13 @@ class TestVerify:
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
         output, proof = vdf.eval(pp, x)
         assert len(proof.checkpoints) == 9
-        exponents = power_calls
-        exponents.clear()
+        power_calls.clear()
         for checkpoints in ((), proof.checkpoints[:1], proof.checkpoints[:-1]):
             short = vdf.VdfProof(output, checkpoints, 512)
             assert vdf.fast_reject(security, short)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
-        assert exponents and max(exponents) <= 1 << 128
+        assert power_calls and max(e for _, e in power_calls) <= 1 << 128
 
     def test_out_of_range_elements_rejected(self, transcript):
         pp, x, output, proof = transcript
@@ -440,8 +486,6 @@ class TestVerify:
                 accepted += 1
         assert accepted == 0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: N - 1 has order 2, so an "
-                       "output can be claimed with its sign flipped")
     def test_sign_flipped_output_rejected(self, transcript):
         pp, _, _, _ = transcript
         modulus, t = pp.modulus, pp.iterations
@@ -453,13 +497,108 @@ class TestVerify:
                 accepted.append(seed)
         assert accepted == []
 
-    def test_thread_safe(self, transcript):
+    def test_malformed_rejected_before_handoff(self, hand_offs, power_calls, transcript):
         pp, x, output, proof = transcript
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda _: vdf.verify(pp.modulus, pp.iterations, x, output, proof),
-                range(64)))
-        assert all(results)
+        n, midpoints = pp.modulus, proof.checkpoints
+        for claim in ((n - x, output, proof),
+                      (x, n - output, vdf.VdfProof(n - output, midpoints, 512)),
+                      (x, output, vdf.VdfProof(output, (n - midpoints[0],) + midpoints[1:], 512)),
+                      (x, output, vdf.VdfProof(output, midpoints[:-1], 512))):
+            assert not vdf.verify(n, pp.iterations, *claim)
+        assert hand_offs == [] and power_calls == []
+        assert vdf.verify(n, pp.iterations, x, output, proof)
+        assert len(hand_offs) == 1
+
+    def test_hands_off_from_hand_off_bits(self, monkeypatch, hand_offs, transcript):
+        pp, x, output, proof = transcript
+        for bits, expected in ((pp.modulus.bit_length() + 1, 0), (pp.modulus.bit_length(), 1)):
+            hand_offs.clear()
+            monkeypatch.setattr(vdf, "_HAND_OFF_BITS", bits)
+            assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+            assert len(hand_offs) == expected, bits
+
+    def test_right_side_from_whichever_finishes_first(self, monkeypatch, transcript):
+        # The worker's right side is a wrong 1 here, so a False verdict shows
+        # verify took the worker's value and True that it computed its own.
+        pp, x, output, proof = transcript
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+
+        def submit(state):
+            future = Future()
+            if state != "not begun":
+                future.set_running_or_notify_cancel()
+            if state == "finished":
+                future.set_result(1)
+            return future
+
+        for state, verdict in (("not begun", True), ("never finishing", True), ("finished", False)):
+            monkeypatch.setattr(vdf._RIGHT_SIDES, "submit", lambda *args: submit(state))
+            assert vdf.verify(pp.modulus, pp.iterations, x, output, proof) is verdict, state
+
+    def test_thread_safe(self, monkeypatch, hand_offs, transcript):
+        # Verdicts on honest and tampered claims, alone and from 8 threads, on
+        # either engine: a tampered input, output or midpoint fails on either
+        # side. Eight callers share one worker, so some compute right sides the
+        # worker has not begun.
+        pp = transcript[0]
+        claims = tampered_claims(*transcript)
+        expected = [True] + [False] * (len(claims) - 1)
+        assert [vdf.verify(pp.modulus, pp.iterations, *claim) for claim in claims] == expected
+        claims, expected = claims * 8, expected * 8
+        for engine in ("libcrypto", "builtin pow"):
+            if engine == "builtin pow":
+                monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+            with switching_often(), ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(
+                    lambda claim: vdf.verify(pp.modulus, pp.iterations, *claim), claims,
+                    timeout=120))
+            assert results == expected, engine
+
+    def test_verify_in_forked_child(self, hand_offs, transcript):
+        pp, x, output, proof = transcript
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)  # worker running
+        assert hand_offs
+        pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit, whatever happens
+            code = 2
+            try:
+                verdict = vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+                # A verify whose worker never starts computes the right side
+                # itself, so check the worker runs in the child too.
+                vdf._RIGHT_SIDES.submit(int).result(timeout=30)
+                code = 0 if verdict else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("verify hung in a forked child")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_verify_after_main_thread_returns(self):
+        # Python joins the threads still running only after it has shut down
+        # every executor, so their verifies cannot hand off.
+        script = textwrap.dedent("""
+            import threading
+            from delaytower import vdf
+            vdf._HAND_OFF_BITS = 0
+            pp = vdf.setup(vdf.SecurityParams(modulus_bits=512, iterations=1024), b"k", b"e")
+            x = vdf.hash_to_group(pp.input_digest, pp.modulus)
+            output, proof = vdf.eval(pp, x)
+
+            def late():
+                threading.main_thread().join()  # returns once shutdown has begun
+                print(vdf.verify(pp.modulus, pp.iterations, x, output, proof))
+
+            threading.Thread(target=late).start()
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 class TestFastReject:
@@ -536,6 +675,12 @@ class TestSerialization:
         blob = bytearray(vdf.serialize_proof(vdf.VdfProof(output, full, 512)))
         blob[0] = 1
         with pytest.raises(DecodeError, match="version 1"):
+            vdf.deserialize_proof(bytes(blob))
+
+    def test_format_2_refused(self, transcript):
+        blob = bytearray(vdf.serialize_proof(transcript[3]))
+        blob[0] = 2
+        with pytest.raises(DecodeError, match="version 2"):
             vdf.deserialize_proof(bytes(blob))
 
     def test_bad_version_rejected(self, small_params):
@@ -715,7 +860,7 @@ class TestGroupMapping:
         for _ in range(200):
             n = random_composite(rng)
             value = vdf.hash_to_group(rng.randbytes(32), n)
-            assert 2 <= value < n - 1
+            assert 2 <= value <= n // 2
 
     def test_modulus_is_composite_and_sized(self):
         n = vdf.generate_modulus(512, b"test-seed")
