@@ -105,6 +105,9 @@ def cmd_verify_tower(args) -> int:
     except OSError as exc:
         print(f"error: cannot read tower file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if not twr.records:
+        print("error: tower file holds no records", file=sys.stderr)
+        return EXIT_DOMAIN
 
     for index in range(twr.height):
         started = time.perf_counter()

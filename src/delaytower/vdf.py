@@ -22,17 +22,17 @@ folds the left. Every input, output and midpoint is canonical, min(v, N - v),
 and verify compares the sides up to sign: -1 has order 2 mod N, so otherwise
 N - y would pass for y.
 
-All group arithmetic runs on registers, one set per computation (``_registers``):
+All group arithmetic is one function on ints, ``_powmod``: b^e * f mod N, for
 eval's t sequential squarings, the transcript's midpoints, each side of the
-fold, and Miller-Rabin during modulus derivation. Where libcrypto loads,
-the registers are ``BIGNUM``s and every exponentiation is ``BN_mod_exp_mont``
-on the modulus's ``_MontContext``, its ``BIGNUM`` and Montgomery constants.
-That context is built once per odd modulus, kept in a bounded cache and shared
-by every thread, which is safe because nothing writes it after construction;
-the scratch space libcrypto does write, a ``BN_CTX``, belongs to one
-computation. libcrypto drops the GIL inside each ctypes call, so the two
-sides of a verify run at once. Without libcrypto, or for an even modulus, the
-registers hold ints and the builtin ``pow`` gives the same results;
+fold, and Miller-Rabin during modulus derivation. Where libcrypto loads and N
+is odd, it is ``BN_mod_exp_mont`` on the modulus's ``_MontContext``, its
+``BIGNUM`` and Montgomery constants, then ``BN_mod_mul`` by f. That context
+is built once per odd modulus, kept in a bounded cache and shared by every
+thread, which is safe because nothing writes it after construction; the
+scratch space libcrypto does write, a ``BN_CTX`` and four ``BIGNUM``s,
+belongs to one thread (``_Scratch``). libcrypto drops the GIL inside each
+ctypes call, so the two sides of a verify run at once. Without libcrypto, or
+for an even modulus, the builtin ``pow`` gives the same results;
 ``powmod_engine`` names the engine in use.
 Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
 native call cannot be interrupted, so that bounds how long Ctrl-C waits.
@@ -52,6 +52,7 @@ import ctypes
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
@@ -94,13 +95,10 @@ _P = ctypes.c_void_p
 _BN_SIGNATURES = {
     "BN_CTX_new": ([], _P),
     "BN_CTX_free": ([_P], None),
-    "BN_CTX_start": ([_P], None),
-    "BN_CTX_get": ([_P], _P),
-    "BN_CTX_end": ([_P], None),
+    "BN_new": ([], _P),
     "BN_free": ([_P], None),
     "BN_bin2bn": ([ctypes.c_char_p, ctypes.c_int, _P], _P),
     "BN_bn2binpad": ([_P, ctypes.c_char_p, ctypes.c_int], ctypes.c_int),
-    "BN_copy": ([_P, _P], _P),
     "BN_mod_mul": ([_P] * 5, ctypes.c_int),
     "BN_MONT_CTX_new": ([], _P),
     "BN_MONT_CTX_set": ([_P] * 3, ctypes.c_int),
@@ -175,118 +173,69 @@ def _mont_context(lib: ctypes.CDLL, modulus: int) -> _MontContext:
     return _MontContext(lib, modulus)
 
 
-# Registers of one computation: the left side X and the right side Y of the
-# claim X^(2^t) = Y being folded, and the level's midpoint MU. Eval's loop runs
-# in Y and keeps its powers (``_loop_stops``) in Q1, MU and Q3.
-_X, _Y, _MU, _Q1, _Q3 = _REGISTERS = range(5)
+# Held around each ``_mont_context`` lookup: ``lru_cache`` takes no lock while it
+# builds a missing entry, so threads that miss at once would each build one.
+_MONT_LOCK = threading.Lock()
 
 
-class _LibcryptoRegisters:
-    """The registers as ``BIGNUM``s mod one odd modulus, on its cached
-    ``_MontContext`` and a ``BN_CTX`` of their own, freed on exit. Values
-    leave libcrypto only through ``value``."""
+class _Scratch:
+    """One thread's libcrypto scratch: a ``BN_CTX`` and four ``BIGNUM``s, for
+    the base, the exponent, the factor and the result. Keeping it saves
+    ``BN_mod_exp_mont`` allocating its temporaries again on every call."""
 
-    def __init__(self, context: _MontContext):
-        lib = context.lib
-        self._lib, self._context = lib, context
-        self._ctx = lib.BN_CTX_new()
-        if not self._ctx:
-            raise MemoryError("BN_CTX_new failed")
-        lib.BN_CTX_start(self._ctx)
-        # One more holds exponents; if one BN_CTX_get fails, so do all later ones.
-        self._regs = [lib.BN_CTX_get(self._ctx) for _ in range(len(_REGISTERS) + 1)]
-        if not self._regs[-1]:
-            self.__exit__()
-            raise MemoryError("BN_CTX_get failed")
-        self._out = ctypes.create_string_buffer(len(context.modulus_bytes))
+    def __init__(self, lib: ctypes.CDLL):
+        self.lib = lib
+        self.ctx = lib.BN_CTX_new()
+        self.bignums = [lib.BN_new() for _ in range(4)]
+        if not (self.ctx and all(self.bignums)):
+            raise MemoryError("BN_CTX_new or BN_new failed")
 
-    def __enter__(self) -> "_LibcryptoRegisters":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._lib.BN_CTX_end(self._ctx)
-        self._lib.BN_CTX_free(self._ctx)
-
-    def load(self, reg: int, value: int) -> None:
-        self._set(self._regs[reg], value)
-
-    def _set(self, bignum: int, value: int) -> None:
-        data = _magnitude(value)
-        if not self._lib.BN_bin2bn(data, len(data), bignum):
-            raise MemoryError("BN_bin2bn failed")
-
-    def value(self, reg: int) -> int:
-        if self._lib.BN_bn2binpad(self._regs[reg], self._out, len(self._out)) < 0:
-            raise ValueError("register value is wider than the modulus")
-        return int.from_bytes(self._out.raw, "big")
-
-    def copy(self, dst: int, src: int) -> None:
-        if not self._lib.BN_copy(self._regs[dst], self._regs[src]):
-            raise MemoryError("BN_copy failed")
-
-    def power(self, dst: int, src: int, exponent: int) -> None:
-        """dst = src^exponent for exponent >= 0; dst may be src."""
-        lib, regs, context = self._lib, self._regs, self._context
-        self._set(regs[-1], exponent)
-        if not lib.BN_mod_exp_mont(regs[dst], regs[src], regs[-1], context.modulus,
-                                   self._ctx, context.mont):
-            raise ValueError("BN_mod_exp_mont failed")
-
-    def mul(self, dst: int, a: int, b: int) -> None:
-        """dst = a * b; dst may be a or b."""
-        if not self._lib.BN_mod_mul(self._regs[dst], self._regs[a], self._regs[b],
-                                    self._context.modulus, self._ctx):
-            raise ValueError("BN_mod_mul failed")
+    def __del__(self):
+        for bignum in self.bignums:
+            self.lib.BN_free(bignum)
+        self.lib.BN_CTX_free(self.ctx)
 
 
-class _BuiltinRegisters:
-    """The same registers as Python ints, on the builtin ``pow``."""
-
-    def __init__(self, modulus: int):
-        self._modulus = modulus
-        self._regs = [0] * len(_REGISTERS)
-
-    def __enter__(self) -> "_BuiltinRegisters":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-    def load(self, reg: int, value: int) -> None:
-        self._regs[reg] = value
-
-    def value(self, reg: int) -> int:
-        return self._regs[reg]
-
-    def copy(self, dst: int, src: int) -> None:
-        self._regs[dst] = self._regs[src]
-
-    def power(self, dst: int, src: int, exponent: int) -> None:
-        self._regs[dst] = pow(self._regs[src], exponent, self._modulus)
-
-    def mul(self, dst: int, a: int, b: int) -> None:
-        self._regs[dst] = self._regs[a] * self._regs[b] % self._modulus
+# Each thread's ``_Scratch``, in the slot "scratch", dropped and so freed when
+# its thread ends. A ``threading.local`` subclass's own ``__del__`` would run
+# once for the object, not once per thread.
+_THREAD = threading.local()
 
 
-def _registers(modulus: int):
-    """Registers mod ``modulus`` > 1, for one computation in one thread: on
-    libcrypto when it loaded and the modulus is odd, else on the builtin."""
+def _load(lib: ctypes.CDLL, bignum: int, value: int) -> None:
+    data = _magnitude(value)
+    if not lib.BN_bin2bn(data, len(data), bignum):
+        raise MemoryError("BN_bin2bn failed")
+
+
+def _powmod(base: int, exponent: int, modulus: int, factor: int = 1) -> int:
+    """base^exponent * factor mod modulus, for base, exponent, factor >= 0 and modulus > 1.
+
+    Runs on ``BN_mod_exp_mont`` and, unless factor is 1, ``BN_mod_mul``, with
+    the modulus's cached ``_MontContext`` and the thread's ``_Scratch``, when
+    libcrypto loaded and the modulus is odd; else on the builtin.
+    """
     lib = _LIBCRYPTO
     if lib is None or modulus % 2 == 0:
-        return _BuiltinRegisters(modulus)
-    return _LibcryptoRegisters(_mont_context(lib, modulus))
-
-
-def _powmod(base: int, exponent: int, modulus: int) -> int:
-    """pow(base, exponent, modulus) for base, exponent >= 0 and modulus > 1.
-
-    Runs on ``BN_mod_exp_mont`` with the modulus's cached ``_MontContext``
-    when libcrypto loaded and the modulus is odd, else on the builtin.
-    """
-    with _registers(modulus) as regs:
-        regs.load(_X, base)
-        regs.power(_X, _X, exponent)
-        return regs.value(_X)
+        return pow(base, exponent, modulus) * factor % modulus
+    with _MONT_LOCK:
+        context = _mont_context(lib, modulus)
+    scratch = getattr(_THREAD, "scratch", None)
+    if scratch is None:
+        scratch = _THREAD.scratch = _Scratch(lib)
+    ctx, (b, e, f, result) = scratch.ctx, scratch.bignums
+    _load(lib, b, base)
+    _load(lib, e, exponent)
+    if not lib.BN_mod_exp_mont(result, b, e, context.modulus, ctx, context.mont):
+        raise ValueError("BN_mod_exp_mont failed")
+    if factor != 1:
+        _load(lib, f, factor)
+        if not lib.BN_mod_mul(result, result, f, context.modulus, ctx):
+            raise ValueError("BN_mod_mul failed")
+    out = ctypes.create_string_buffer(len(context.modulus_bytes))
+    if lib.BN_bn2binpad(result, out, len(out)) < 0:
+        raise ValueError("result is wider than the modulus")
+    return int.from_bytes(out.raw, "big")
 
 
 class InvalidSecurityParams(ValueError):
@@ -515,10 +464,11 @@ class _Transcript:
         return int.from_bytes(level.digest()[:_CHALLENGE_BYTES], "big")
 
 
-def _square(regs, reg: int, steps: int) -> None:
-    """reg = reg^(2^steps): ``steps`` squarings, at most ``_LOOP_CHUNK`` a call."""
+def _square(value: int, steps: int, modulus: int) -> int:
+    """value^(2^steps) mod modulus: ``steps`` squarings, at most ``_LOOP_CHUNK`` a call."""
     for done in range(0, steps, _LOOP_CHUNK):
-        regs.power(reg, reg, 1 << min(_LOOP_CHUNK, steps - done))
+        value = _powmod(value, 1 << min(_LOOP_CHUNK, steps - done), modulus)
+    return value
 
 
 def _loop_stops(t: int) -> tuple[int, int, int]:
@@ -551,35 +501,29 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
         raise InputOutOfRange(f"input must be a canonical unit in [1, modulus / 2], got {x}")
 
     levels = expected_checkpoint_count(t)
-    with _registers(modulus) as regs:
-        regs.load(_Y, x)
-        done = 0
-        for reg, stop in zip((_Q1, _MU, _Q3), _loop_stops(t)):
-            _square(regs, _Y, stop - done)
-            regs.copy(reg, _Y)
-            done = stop
-        _square(regs, _Y, t - done)
-        y = _canonical(regs.value(_Y), modulus)
+    y, kept, done = x, [], 0
+    for stop in _loop_stops(t):
+        y = _square(y, stop - done, modulus)
+        kept.append(y)
+        done = stop
+    y = _canonical(_square(y, t - done, modulus), modulus)
+    q1, mu, q3 = kept
 
-        transcript = _Transcript(modulus, t, x, y)
-        checkpoints = []
-        regs.load(_X, x)
-        remaining = t
-        for level in range(1, levels + 1):
-            if remaining % 2 == 1:
-                regs.power(_X, _X, 2)
-            remaining //= 2
-            if level == 2:
-                regs.power(_MU, _Q1, r)
-                regs.mul(_MU, _MU, _Q3)
-            elif level > 2:
-                regs.copy(_MU, _X)
-                _square(regs, _MU, remaining)
-            checkpoints.append(_canonical(regs.value(_MU), modulus))
-            r = transcript.challenge(checkpoints[-1])
-            if level < levels:
-                regs.power(_X, _X, r)
-                regs.mul(_X, _X, _MU)
+    transcript = _Transcript(modulus, t, x, y)
+    checkpoints = []
+    X, remaining = x, t
+    for level in range(1, levels + 1):
+        if remaining % 2 == 1:
+            X = _powmod(X, 2, modulus)
+        remaining //= 2
+        if level == 2:
+            mu = _powmod(q1, r, modulus, q3)
+        elif level > 2:
+            mu = _square(X, remaining, modulus)
+        checkpoints.append(_canonical(mu, modulus))
+        r = transcript.challenge(checkpoints[-1])
+        if level < levels:
+            X = _powmod(X, r, modulus, mu)
 
     proof = VdfProof(
         output=y,
@@ -591,17 +535,13 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
 
 def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: list[int],
                 rival: Optional[Future] = None) -> Optional[int]:
-    """y * prod mu_j^{r_j}, the right side of a folded claim, on registers of its
-    own; None once ``rival``, the worker computing the same, has finished."""
-    with _registers(modulus) as regs:
-        regs.load(_Y, y)
-        for midpoint, r in zip(midpoints, challenges):
-            if rival is not None and rival.done():
-                return None
-            regs.load(_MU, midpoint)
-            regs.power(_MU, _MU, r)
-            regs.mul(_Y, _Y, _MU)
-        return regs.value(_Y)
+    """y * prod mu_j^{r_j}, the right side of a folded claim; None once
+    ``rival``, the worker computing the same, has finished."""
+    for midpoint, r in zip(midpoints, challenges):
+        if rival is not None and rival.done():
+            return None
+        y = _powmod(midpoint, r, modulus, y)
+    return y
 
 
 def _start_worker() -> None:
@@ -672,22 +612,15 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
 
     transcript = _Transcript(modulus, iterations, x, y)
     challenges = [transcript.challenge(midpoint) for midpoint in proof.checkpoints]
-    with _registers(modulus) as regs:
-        # Submitted once these registers have put the modulus's context in the
-        # cache, so the worker finds it there rather than building a second.
-        right = _hand_off(modulus, y, proof.checkpoints, challenges)
-        regs.load(_X, x)
-        remaining = iterations
-        for midpoint, r in zip(proof.checkpoints, challenges):
-            if remaining % 2 == 1:
-                regs.power(_X, _X, 2)
-            remaining //= 2
-            regs.load(_MU, midpoint)
-            regs.power(_X, _X, r)
-            regs.mul(_X, _X, _MU)
-        regs.power(_X, _X, 1 << remaining)
-        left = regs.value(_X)
-    return _canonical(left, modulus) == _canonical(right(), modulus)
+    right = _hand_off(modulus, y, proof.checkpoints, challenges)
+    X, remaining = x, iterations
+    for midpoint, r in zip(proof.checkpoints, challenges):
+        if remaining % 2 == 1:
+            X = _powmod(X, 2, modulus)
+        remaining //= 2
+        X = _powmod(X, r, modulus, midpoint)
+    X = _powmod(X, 1 << remaining, modulus)
+    return _canonical(X, modulus) == _canonical(right(), modulus)
 
 
 def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -118,7 +119,6 @@ class TestVerifyTower:
         assert mine(tmp_path, "--proofs", "2") == 0
         path = tmp_path / "t.bin"
         twr = tower.load_tower(path)
-        import dataclasses
         bad_record = dataclasses.replace(
             twr.records[1], output=(twr.records[1].output % twr.params.modulus) + 1)
         records = list(twr.records)
@@ -128,6 +128,19 @@ class TestVerifyTower:
         captured = capsys.readouterr()
         assert "record 1: INVALID" in captured.out
         assert "record 1" in captured.err
+
+    def test_tower_without_records_fails(self, tmp_path, capsys):
+        # load_tower, validate_chain and mine refuse such a file too.
+        assert mine(tmp_path, "--proofs", "0") == 0
+        path = tmp_path / "t.bin"
+        tower.save_tower(dataclasses.replace(tower.load_tower(path), records=()), path)
+        with pytest.raises(tower.CorruptTower):
+            tower.load_tower(path)
+        capsys.readouterr()
+        assert main(["verify-tower", "--tower-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "tower valid" not in captured.out
+        assert captured.err == "error: tower file holds no records\n"
 
     def test_missing_file_distinct_message(self, tmp_path, capsys):
         assert main(["verify-tower", "--tower-file", str(tmp_path / "nope.bin")]) == 1

@@ -190,17 +190,41 @@ class TestTranscriptPrefix:
             assert_transcript_prefix(small_modulus_params(n, t), x)
 
 
-@pytest.fixture
-def power_calls(monkeypatch) -> list[tuple[int, int]]:
-    """(Register written, exponent) of every exponentiation in the group, on
-    either engine, in order."""
-    calls = []
-    for registers in (vdf._LibcryptoRegisters, vdf._BuiltinRegisters):
-        def spy(self, dst, src, exponent, power=registers.power):
-            calls.append((dst, exponent))
-            power(self, dst, src, exponent)
+def spy_powmod(monkeypatch, record) -> None:
+    """Call ``record(in_loop, exponent, value)`` after every ``_powmod``, on
+    either engine, where ``in_loop`` tells the calls of eval's squaring loop
+    from the rest: they are the calls eval makes before it opens its transcript."""
+    in_loop = False
 
-        monkeypatch.setattr(registers, "power", spy)
+    def powmod(base, exponent, modulus, factor=1, powmod=vdf._powmod):
+        value = powmod(base, exponent, modulus, factor)
+        record(in_loop, exponent, value)
+        return value
+
+    def evaluate(pp, x, evaluate=vdf.eval):
+        nonlocal in_loop
+        in_loop = True
+        try:
+            return evaluate(pp, x)
+        finally:
+            in_loop = False
+
+    def open_transcript(transcript, *args, init=vdf._Transcript.__init__):
+        nonlocal in_loop
+        in_loop = False
+        init(transcript, *args)
+
+    monkeypatch.setattr(vdf, "_powmod", powmod)
+    monkeypatch.setattr(vdf, "eval", evaluate)
+    monkeypatch.setattr(vdf._Transcript, "__init__", open_transcript)
+
+
+@pytest.fixture
+def power_calls(monkeypatch) -> list[tuple[bool, int]]:
+    """(Made by eval's squaring loop, exponent) of every exponentiation in the
+    group, on either engine, in order."""
+    calls = []
+    spy_powmod(monkeypatch, lambda in_loop, exponent, _: calls.append((in_loop, exponent)))
     return calls
 
 
@@ -241,22 +265,20 @@ def polls(t: int, chunk: int) -> list[int]:
 
 
 class LoopSpy:
-    """Records the (squarings, value) of each call eval's loop makes, the only
-    exponentiations into register Y, on either engine; raises KeyboardInterrupt
-    after call ``interrupt_after``, as Ctrl-C arriving during it would."""
+    """Records the (squarings, value) of each call eval's loop makes, on either
+    engine (``spy_powmod``); raises KeyboardInterrupt after call
+    ``interrupt_after``, as Ctrl-C arriving during it would."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int]] = []
         self.interrupt_after = None
-        for registers in (vdf._LibcryptoRegisters, vdf._BuiltinRegisters):
-            def spy(regs, dst, src, exponent, power=registers.power):
-                power(regs, dst, src, exponent)
-                if dst == vdf._Y:
-                    self.calls.append((exponent.bit_length() - 1, regs.value(dst)))
-                    if len(self.calls) == self.interrupt_after:
-                        raise KeyboardInterrupt
+        spy_powmod(monkeypatch, self._record)
 
-            monkeypatch.setattr(registers, "power", spy)
+    def _record(self, in_loop: bool, exponent: int, value: int) -> None:
+        if in_loop:
+            self.calls.append((exponent.bit_length() - 1, value))
+            if len(self.calls) == self.interrupt_after:
+                raise KeyboardInterrupt
 
     def polls(self) -> list[int]:
         return list(itertools.accumulate(steps for steps, _ in self.calls))
@@ -290,7 +312,7 @@ class TestChunkedLoop:
         assert straight[0] == squaring_oracle(modulus, x, t)[0]
         done = spy.polls()
         assert done == polls(t, chunk)
-        # Each call leaves x^(2^done) in Y: every poll is a checkpoint of the loop.
+        # Each call returns x^(2^done): every poll is a checkpoint of the loop.
         y, squared = x, 0
         for (_, value), target in zip(spy.calls, done):
             for _ in range(target - squared):
@@ -330,9 +352,8 @@ class TestChunkedLoop:
             power_calls.clear()
             output, proof = vdf.eval(small_modulus_params(modulus, t), x)
             assert (output, proof.checkpoints) == squaring_oracle(modulus, x, t)
-            # The loop runs in Y and is the only computation that writes it.
-            loop = [e for dst, e in power_calls if dst == vdf._Y]
-            transcript = [e for dst, e in power_calls if dst != vdf._Y]
+            loop = [e for in_loop, e in power_calls if in_loop]
+            transcript = [e for in_loop, e in power_calls if not in_loop]
             assert len(loop) == len(polls(t, chunk)), (t, chunk)
             assert all(e & (e - 1) == 0 for e in loop)
             assert sum(e.bit_length() - 1 for e in loop) == t
@@ -692,6 +713,20 @@ class TestSerialization:
             vdf.deserialize_proof(bytes(blob))
 
 
+@contextlib.contextmanager
+def switching_often():
+    """Switch threads every 10 us, so they interleave at many more points."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+requires_libcrypto = pytest.mark.skipif(vdf._LIBCRYPTO is None, reason="libcrypto did not load")
+
+
 class TestPowmod:
     """The libcrypto engine and the builtin fallback compute the same powers."""
 
@@ -720,6 +755,53 @@ class TestPowmod:
         assert vdf.powmod_engine() == "builtin pow"
         assert run() == engine == ((output, proof), True, False, False, True)
 
+    @pytest.mark.parametrize("engine", ("libcrypto", "builtin pow"))
+    def test_factor(self, monkeypatch, engine):
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        elif vdf._LIBCRYPTO is None:
+            pytest.skip("libcrypto did not load")
+        rng = random.Random(80)
+        for modulus in (35, 36, vdf.generate_modulus(512), (1 << 512) - 2,
+                        rng.getrandbits(2048) | 1 | 1 << 2047):
+            element = rng.randrange(2, modulus)
+            cases = [(element, rng.getrandbits(130), factor)
+                     for factor in (0, 1, 2, element, modulus - 1, modulus, 3 * modulus + 2)]
+            cases += [(base, exponent, element) for base in (0, 1, modulus, 5 * modulus + 3)
+                      for exponent in (0, 1, 2, 65537)]
+            for base, exponent, factor in cases:
+                assert vdf._powmod(base, exponent, modulus, factor) == \
+                    pow(base, exponent, modulus) * factor % modulus, (modulus, base, exponent, factor)
+
+    @requires_libcrypto
+    def test_each_thread_frees_its_scratch(self, monkeypatch):
+        freed = []
+        free = vdf._Scratch.__del__
+        monkeypatch.setattr(vdf._Scratch, "__del__", lambda scratch: freed.append(1) or free(scratch))
+        modulus = vdf.generate_modulus(512)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(vdf._powmod(3, 65537, modulus)))
+                   for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [pow(3, 65537, modulus)] * 6
+        assert len(freed) == 6
+
+    def test_threads_agree_with_builtin(self):
+        rng = random.Random(81)
+        moduli = [rng.getrandbits(bits) | 1 | 1 << (bits - 1) for bits in (64, 512, 2048)]
+        cases = [(rng.randrange(3 * modulus), rng.getrandbits(rng.choice((2, 130, 300))), modulus,
+                  rng.choice((0, 1, rng.randrange(modulus))))
+                 for modulus in moduli for _ in range(20)]
+        expected = [pow(base, exponent, modulus) * factor % modulus
+                    for base, exponent, modulus, factor in cases]
+        with switching_often(), ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda case: vdf._powmod(*case), cases * 8, timeout=120))
+        assert results == expected * 8
+
     def test_loader_tries_only_versioned_sonames(self, monkeypatch):
         tried = []
 
@@ -730,20 +812,6 @@ class TestPowmod:
         monkeypatch.setattr(vdf.ctypes, "CDLL", refuse)
         assert vdf._load_libcrypto() is None
         assert tried == ["libcrypto.so.3", "libcrypto.so.1.1"]
-
-
-@contextlib.contextmanager
-def switching_often():
-    """Switch threads every 10 us, so they interleave at many more points."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-requires_libcrypto = pytest.mark.skipif(vdf._LIBCRYPTO is None, reason="libcrypto did not load")
 
 
 class TestMontContextCache:
@@ -815,19 +883,18 @@ class TestMontContextCache:
             assert vdf._mont_context.cache_info().misses == 1  # built once, then shared
 
     def test_eviction_while_in_use(self, transcript):
-        # Two threads hold registers on one context while two others push it
-        # out of the cache: it must outlive its eviction until they finish.
+        # Two threads exponentiate on one context while two others push it out
+        # of the cache: a context evicted during a call must outlive the call.
         pp, x, output, proof = transcript
         capacity = vdf._mont_context.cache_info().maxsize
         start = threading.Barrier(4, timeout=60)
 
         def use(_):
-            with vdf._registers(pp.modulus) as regs:
-                regs.load(vdf._X, x)
-                start.wait()
-                for _ in range(200):
-                    regs.power(vdf._X, vdf._X, 1 << 256)
-                return regs.value(vdf._X)
+            value = x
+            start.wait()
+            for _ in range(200):
+                value = vdf._powmod(value, 1 << 256, pp.modulus)
+            return value
 
         def churn(seed):
             start.wait()
@@ -840,6 +907,33 @@ class TestMontContextCache:
                        pool.submit(churn, 2), pool.submit(churn, 3)]
             results = [future.result(timeout=120) for future in futures]
         assert results == [pow(x, 1 << (200 * 256), pp.modulus)] * 2 + [True] * 2
+
+    @requires_libcrypto
+    def test_cold_lookups_build_once(self, monkeypatch):
+        # Four threads miss the cache at once while the first build is slowed:
+        # they must wait for that build, not make one each.
+        modulus = vdf.generate_modulus(512)
+        vdf._mont_context.cache_clear()
+        built = []
+        init = vdf._MontContext.__init__
+
+        def slow_init(context, lib, value):
+            built.append(value)
+            time.sleep(0.05)
+            init(context, lib, value)
+
+        monkeypatch.setattr(vdf._MontContext, "__init__", slow_init)
+        start = threading.Barrier(4, timeout=60)
+
+        def work(_):
+            start.wait()
+            return vdf._powmod(3, 65537, modulus)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4), timeout=60))
+        assert results == [pow(3, 65537, modulus)] * 4
+        assert built == [modulus]
+        assert vdf._mont_context.cache_info().misses == 1
 
     @requires_libcrypto
     def test_builtin_after_warm_cache(self, monkeypatch, transcript):
