@@ -7,6 +7,7 @@ degenerate input), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import secrets
@@ -146,11 +147,8 @@ def cmd_bench(args) -> int:
         pp = vdf.setup(security, b"bench", b"bench")
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
         output, proof = vdf.eval(pp, x)
-        invalid = vdf.VdfProof(
-            output=proof.output,
-            checkpoints=proof.checkpoints,
-            embedded_prime_length_bits=proof.embedded_prime_length_bits - 1,
-        )
+        invalid = dataclasses.replace(
+            proof, embedded_prime_length_bits=proof.embedded_prime_length_bits - 1)
 
         operations = (
             ("eval", lambda: vdf.eval(pp, x)),

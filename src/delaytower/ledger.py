@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
 from . import tower, vdf
@@ -161,10 +162,10 @@ class LedgerState:
             security.modulus_bits)
         self.iterations = vdf.effective_iterations(security.iterations)
         self.epoch: int = 0
+        self.epoch_signatures = {}
         self.validator_set = ()
         self.miner_pool: dict[bytes, MinerState] = {}
         self.epoch_blocks_total: int = 0
-        self.epoch_signatures = {}
 
     # -- invariant helpers -------------------------------------------------
 
@@ -174,18 +175,30 @@ class LedgerState:
 
     @validator_set.setter
     def validator_set(self, addresses: Iterable[bytes]) -> None:
-        # The frozenset serves membership tests; both change only here.
+        # The frozenset serves membership tests. Misses settle before either changes.
+        self._settle()
         self._validator_set = tuple(addresses)
         self._validator_members = frozenset(self._validator_set)
 
     @property
     def epoch_signatures(self) -> Counter[bytes]:
-        """Blocks each validator signed this epoch; an assigned mapping is copied."""
+        """Blocks each validator signed this epoch; an assigned mapping is copied.
+        ``record_block`` counts each block's misses, and reading settles them."""
+        self._settle()
         return self._epoch_signatures
 
     @epoch_signatures.setter
     def epoch_signatures(self, counts: dict[bytes, int]) -> None:
+        self._misses: list[frozenset[bytes]] = []  # one per committed block, until settled
         self._epoch_signatures = Counter(counts)
+
+    def _settle(self) -> None:
+        """Credit the blocks recorded since the last settlement to their signers."""
+        if self._misses:
+            signed = Counter(dict.fromkeys(self._validator_set, len(self._misses)))
+            signed.subtract(chain.from_iterable(self._misses))
+            self._misses = []
+            self._epoch_signatures.update(+signed)  # no entry for a validator that signed none
 
     def bootstrap_miner(self, address: bytes, *, height: int = 1) -> MinerState:
         """Genesis-only shortcut that skips the proof-submission path."""
@@ -207,12 +220,6 @@ class LedgerState:
             raise ValueError(f"validators not in miner pool: {[m.hex() for m in missing]}")
         self.validator_set = addresses
 
-    def _check_params_match_genesis(self, params: vdf.PublicParams) -> None:
-        if (params.modulus != self.modulus
-                or params.iterations != self.iterations
-                or params.prime_length_bits != self.security.prime_length_bits):
-            raise InvalidProof("public parameters do not match the genesis profile")
-
     # -- proof intake ------------------------------------------------------
 
     def register_miner(
@@ -228,7 +235,9 @@ class LedgerState:
         if not self.scheme.verify(address, registration_message(address, params, first_proof),
                                   signature):
             raise InvalidSignature("registration signature does not verify")
-        self._check_params_match_genesis(params)
+        if (params.modulus != self.modulus or params.iterations != self.iterations
+                or params.prime_length_bits != self.security.prime_length_bits):
+            raise InvalidProof("public parameters do not match the genesis profile")
         if first_proof.index != 0:
             raise InvalidProof("first proof must have index 0")
         if first_proof.input != vdf.hash_to_group(params.input_digest, params.modulus):
@@ -287,16 +296,18 @@ class LedgerState:
     def record_block(self, signers: Iterable[bytes]) -> bool:
         """Tally one proposed block; True iff the signer set reaches quorum.
 
-        With no validator set seated nothing can commit, not even an empty block.
+        A committed block records who missed it until ``epoch_signatures`` is
+        read. With no validator set seated nothing commits, not even an empty block.
         """
-        signers = set(signers)
-        if not signers <= self._validator_members:
-            foreign = signers - self._validator_members
-            raise ForeignSigner(f"signers outside validator set: {[a.hex() for a in foreign]}")
-        if not self._validator_set or len(signers) < quorum(len(self._validator_set)):
+        signers = signers if isinstance(signers, (set, frozenset)) else set(signers)
+        members = self._validator_members
+        if not signers <= members:
+            foreign = sorted(a.hex() for a in signers - members)
+            raise ForeignSigner(f"signers outside validator set: {foreign}")
+        if not members or len(signers) < quorum(len(members)):
             return False
         self.epoch_blocks_total += 1
-        self._epoch_signatures.update(signers)
+        self._misses.append(members - signers)
         return True
 
     # -- snapshots -------------------------------------------------------------
@@ -312,7 +323,7 @@ class LedgerState:
         C-encoded leaves took 1.3-1.4 ms, and ``json.dumps(indent=2)`` 2.2 ms.
         """
         signatures = [f'    "{a}": {n}' for a, n in
-                      sorted((a.hex(), n) for a, n in self._epoch_signatures.items())]
+                      sorted((a.hex(), n) for a, n in self.epoch_signatures.items())]
         miners = [
             f'    "{a}": {{\n'
             f'      "compliant_epochs": {ms.compliant_epochs},\n'

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .ledger import MIN_VALIDATORS, LedgerState, Ranking
 
@@ -73,16 +74,12 @@ def get_validator_universe(state: LedgerState) -> list[bytes]:
     return universe
 
 
-def _rank_primary(state: LedgerState, address: bytes) -> int:
-    ms = state.miner_pool[address]
-    if state.epoch_config.ranking is Ranking.BY_COMPLIANT_EPOCHS:
-        return ms.compliant_epochs
-    return ms.height
-
-
 def propose_validator_set(state: LedgerState, universe: list[bytes]) -> list[bytes]:
     """Top slice of the universe: descending rank, ascending address on ties."""
-    ranked = sorted(universe, key=lambda a: (-_rank_primary(state, a), a))
+    by_epochs = state.epoch_config.ranking is Ranking.BY_COMPLIANT_EPOCHS
+    rank = attrgetter("compliant_epochs" if by_epochs else "height")
+    pool = state.miner_pool
+    ranked = sorted(universe, key=lambda a: (-rank(pool[a]), a))
     return ranked[:state.epoch_config.max_validators]
 
 

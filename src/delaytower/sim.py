@@ -306,22 +306,22 @@ def run(
         # The set is frozen for the epoch, so class its members once: they sign
         # every round, until their crash round, by draw, or (crashed) never.
         first = epoch_index * rounds
-        always, until, silent = [], [], []
+        always, until, silent = set(), [], []
         for address in validator_set:
             node = nodes[address]
             if node.behavior.kind is BehaviorKind.SILENT:
                 silent.append((address, node.sign_bound))
             elif (node.behavior.kind is BehaviorKind.HONEST
                   or node.behavior.from_round >= first + rounds):
-                always.append(address)
+                always.add(address)
             elif node.behavior.from_round > first:
                 until.append((address, node.behavior.from_round - first))
         prefix = _draw_prefix(scenario.seed, epoch_index)
         silent_encoded = [encode_bytes(a) for a, _ in silent]
         for round_index in range(rounds):
             draws = _round_draws(prefix, round_index, silent_encoded)
-            signers = always + [a for a, stop in until if round_index < stop] + [
-                a for (a, bound), draw in zip(silent, draws) if draw < bound]
+            signers = always.union([a for a, stop in until if round_index < stop], [
+                a for (a, bound), draw in zip(silent, draws) if draw < bound])
             leader = validator_set[round_index % len(validator_set)]
             if leader in signers and state.record_block(signers):
                 committed += 1

@@ -133,14 +133,12 @@ def record_valid(tower: Tower, index: int) -> bool:
     if record.index != index:
         return False
     if index == 0:
-        expected_digest = vdf.derive_input_digest(tower.owner_public_key, tower.endpoint)
-        if tower.params.input_digest != expected_digest:
+        digest = vdf.derive_input_digest(tower.owner_public_key, tower.endpoint)
+        if tower.params.input_digest != digest:
             return False
-        expected_input = vdf.hash_to_group(expected_digest, tower.params.modulus)
     else:
-        expected_input = vdf.hash_to_group(
-            record_digest(tower.records[index - 1]), tower.params.modulus)
-    if record.input != expected_input:
+        digest = record_digest(tower.records[index - 1])
+    if record.input != vdf.hash_to_group(digest, tower.params.modulus):
         return False
     return vdf.check_proof(tower.security, tower.params.modulus, record.input,
                            record.output, record.proof) is None
@@ -148,9 +146,7 @@ def record_valid(tower: Tower, index: int) -> bool:
 
 def validate_chain(tower: Tower) -> bool:
     """True iff every record chains correctly and verifies."""
-    if not tower.records:
-        return False
-    return all(record_valid(tower, i) for i in range(len(tower.records)))
+    return bool(tower.records) and all(record_valid(tower, i) for i in range(tower.height))
 
 
 def _serialize(tower: Tower) -> bytes:

@@ -28,12 +28,13 @@ fold, and Miller-Rabin during modulus derivation. Where libcrypto loads and N
 is odd, it is ``BN_mod_exp_mont`` on the modulus's ``_MontContext``, its
 ``BIGNUM`` and Montgomery constants, then ``BN_mod_mul`` by f. That context
 is built once per odd modulus, kept in a bounded cache and shared by every
-thread, which is safe because nothing writes it after construction; the
-scratch space libcrypto does write, a ``BN_CTX`` and four ``BIGNUM``s,
-belongs to one thread (``_Scratch``). libcrypto drops the GIL inside each
-ctypes call, so the two sides of a verify run at once. Without libcrypto, or
-for an even modulus, the builtin ``pow`` gives the same results;
-``powmod_engine`` names the engine in use.
+thread, which is safe because nothing writes it after construction; a prime
+candidate, used once, gets a transient context instead. The scratch space
+libcrypto does write, a ``BN_CTX`` and five ``BIGNUM``s, belongs to one thread
+(``_Scratch``). libcrypto drops the GIL inside each ctypes call, so the two
+sides of a verify run at once. Without libcrypto, or for an even modulus, the
+builtin ``pow`` gives the same results; ``powmod_engine`` names the engine in
+use.
 Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
 native call cannot be interrupted, so that bounds how long Ctrl-C waits.
 The delay runs on the fastest engine available because tower height is a fair
@@ -152,8 +153,8 @@ class _MontContext:
 
     def __init__(self, lib: ctypes.CDLL, modulus: int):
         self.lib = lib
-        self.modulus_bytes = _magnitude(modulus)
-        self.modulus = lib.BN_bin2bn(self.modulus_bytes, len(self.modulus_bytes), None)
+        data = _magnitude(modulus)
+        self.modulus = lib.BN_bin2bn(data, len(data), None)
         self.mont = lib.BN_MONT_CTX_new()
         ctx = lib.BN_CTX_new()
         try:
@@ -179,14 +180,14 @@ _MONT_LOCK = threading.Lock()
 
 
 class _Scratch:
-    """One thread's libcrypto scratch: a ``BN_CTX`` and four ``BIGNUM``s, for
-    the base, the exponent, the factor and the result. Keeping it saves
-    ``BN_mod_exp_mont`` allocating its temporaries again on every call."""
+    """One thread's libcrypto scratch: a ``BN_CTX`` and five ``BIGNUM``s, for the
+    base, the exponent, the factor, an uncached modulus and the result. Keeping
+    it saves ``BN_mod_exp_mont`` allocating its temporaries again on every call."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
         self.ctx = lib.BN_CTX_new()
-        self.bignums = [lib.BN_new() for _ in range(4)]
+        self.bignums = [lib.BN_new() for _ in range(5)]
         if not (self.ctx and all(self.bignums)):
             raise MemoryError("BN_CTX_new or BN_new failed")
 
@@ -208,31 +209,37 @@ def _load(lib: ctypes.CDLL, bignum: int, value: int) -> None:
         raise MemoryError("BN_bin2bn failed")
 
 
-def _powmod(base: int, exponent: int, modulus: int, factor: int = 1) -> int:
+def _powmod(base: int, exponent: int, modulus: int, factor: int = 1,
+            cached: bool = True) -> int:
     """base^exponent * factor mod modulus, for base, exponent, factor >= 0 and modulus > 1.
 
     Runs on ``BN_mod_exp_mont`` and, unless factor is 1, ``BN_mod_mul``, with
-    the modulus's cached ``_MontContext`` and the thread's ``_Scratch``, when
-    libcrypto loaded and the modulus is odd; else on the builtin.
+    the thread's ``_Scratch``, when libcrypto loaded and the modulus is odd;
+    else on the builtin. The modulus's ``_MontContext`` comes from the cache,
+    or, unless ``cached``, libcrypto builds a transient one for this call.
     """
     lib = _LIBCRYPTO
     if lib is None or modulus % 2 == 0:
         return pow(base, exponent, modulus) * factor % modulus
-    with _MONT_LOCK:
-        context = _mont_context(lib, modulus)
     scratch = getattr(_THREAD, "scratch", None)
     if scratch is None:
         scratch = _THREAD.scratch = _Scratch(lib)
-    ctx, (b, e, f, result) = scratch.ctx, scratch.bignums
+    ctx, (b, e, f, n, result), mont = scratch.ctx, scratch.bignums, None
+    if cached:
+        with _MONT_LOCK:
+            context = _mont_context(lib, modulus)
+        n, mont = context.modulus, context.mont
+    else:  # given no BN_MONT_CTX, BN_mod_exp_mont builds one for the call
+        _load(lib, n, modulus)
     _load(lib, b, base)
     _load(lib, e, exponent)
-    if not lib.BN_mod_exp_mont(result, b, e, context.modulus, ctx, context.mont):
+    if not lib.BN_mod_exp_mont(result, b, e, n, ctx, mont):
         raise ValueError("BN_mod_exp_mont failed")
     if factor != 1:
         _load(lib, f, factor)
-        if not lib.BN_mod_mul(result, result, f, context.modulus, ctx):
+        if not lib.BN_mod_mul(result, result, f, n, ctx):
             raise ValueError("BN_mod_mul failed")
-    out = ctypes.create_string_buffer(len(context.modulus_bytes))
+    out = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)
     if lib.BN_bn2binpad(result, out, len(out)) < 0:
         raise ValueError("result is wider than the modulus")
     return int.from_bytes(out.raw, "big")
@@ -325,22 +332,18 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     """Miller-Rabin with witnesses derived from n itself, so results are stable."""
     if n < 2:
         return False
-    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    for p in small_primes:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         if n == p:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
     n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
     for j in range(rounds):
         seed = hashlib.sha256(_DOMAIN_WITNESS + n_bytes + j.to_bytes(4, "big")).digest()
         a = 2 + int.from_bytes(seed, "big") % (n - 3)
-        x = _powmod(a, d, n)
+        x = _powmod(a, d, n, cached=False)
         if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
@@ -364,8 +367,7 @@ def _derive_prime(bits: int, seed: bytes, tag: bytes) -> int:
     while True:
         stream = hashlib.shake_256(
             _DOMAIN_PRIME + seed + tag + counter.to_bytes(4, "big")).digest(nbytes)
-        candidate = int.from_bytes(stream, "big")
-        candidate &= (1 << bits) - 1
+        candidate = int.from_bytes(stream, "big") & ((1 << bits) - 1)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate
@@ -637,12 +639,8 @@ def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:
     if len(proof.checkpoints) != expected:
         return True
     bound = 1 << security.modulus_bits
-    if not isinstance(proof.output, int) or not 1 <= proof.output < bound:
-        return True
-    for midpoint in proof.checkpoints:
-        if not isinstance(midpoint, int) or not 1 <= midpoint < bound:
-            return True
-    return False
+    return not all(isinstance(element, int) and 1 <= element < bound
+                   for element in (proof.output, *proof.checkpoints))
 
 
 def check_proof(security: SecurityParams, modulus: int, x: int, y: int,

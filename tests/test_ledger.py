@@ -6,6 +6,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -295,6 +300,26 @@ class TestBlocks:
         with pytest.raises(ForeignSigner):
             state.record_block([b"m-00", b"m-01", b"m-05"])
 
+    def test_foreign_signers_named_in_one_order(self):
+        # Set order follows the hash seed; the message must not.
+        script = textwrap.dedent("""
+            from conftest import make_ledger
+            state = make_ledger(miners=16, validators=4)
+            try:
+                state.record_block([f"m-{i:02d}".encode() for i in range(15, 0, -1)])
+            except Exception as exc:
+                print(type(exc).__name__, exc)
+        """)
+        messages = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=60)
+            assert (done.returncode, done.stderr) == (0, "")
+            messages.append(done.stdout)
+        foreign = [f"m-{i:02d}".encode().hex() for i in range(4, 16)]
+        assert messages == [f"ForeignSigner signers outside validator set: {foreign}\n"] * 2
+
     @settings(deadline=None, max_examples=60)
     @given(n=st.integers(4, 200), k=st.integers(0, 200))
     def test_commit_decision_matches_oracle(self, n, k):
@@ -561,3 +586,73 @@ class TestSnapshotImport:
         text = BAD_SNAPSHOTS[case](json.loads(pinned_ledger().export_snapshot()))
         with pytest.raises(ledger.InvalidSnapshot):
             LedgerState.import_snapshot(text)
+
+
+POOL = [f"m-{i:02d}".encode() for i in range(9)]
+SHAPES = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
+          "generator": lambda signers: (a for a in signers)}
+# Built once: strategies made inside the loop cost more than the ledger calls.
+INDICES = st.lists(st.integers(0, len(POOL) - 1), max_size=4)
+FOREIGN = st.lists(st.sampled_from(POOL + [b"ghost"]), max_size=2)
+SHAPE = st.sampled_from(sorted(SHAPES))
+SHUFFLE = st.randoms(use_true_random=False)
+STEP_CHANGES = st.sampled_from(["none", "seat", "install", "assign", "snapshot"])
+SEATS = st.lists(st.sampled_from(POOL), min_size=4, unique=True)
+
+
+class TestTallyOracle:
+    """``record_block`` counts each block's non-signers and settles them on read;
+    the result equals a plain count of who signed each committed block."""
+
+    @staticmethod
+    def block(data, state: LedgerState, expected: Counter) -> None:
+        members = list(state.validator_set)
+        missing = {members[i % len(members)] for i in data.draw(INDICES)}
+        signers = [a for a in members if a not in missing] or members[:1]
+        signers += [signers[i % len(signers)] for i in data.draw(INDICES)]  # duplicates
+        foreign = [a for a in data.draw(FOREIGN) if a not in members]
+        signers += foreign
+        data.draw(SHUFFLE).shuffle(signers)
+        shaped = SHAPES[data.draw(SHAPE)](signers)
+        if not foreign and len(set(signers)) >= quorum(len(members)):
+            blocks = state.epoch_blocks_total
+            assert state.record_block(shaped)
+            assert state.epoch_blocks_total == blocks + 1
+            expected.update(set(signers))
+            return
+        before = state.export_snapshot()
+        if foreign:
+            with pytest.raises(ForeignSigner):
+                state.record_block(shaped)
+        else:
+            assert not state.record_block(shaped)
+        assert state.export_snapshot() == before  # no rejection changes state
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_equals_counter_of_committed_signers(self, data):
+        state = make_ledger(miners=len(POOL), validators=data.draw(st.integers(4, len(POOL))))
+        expected = Counter()
+        for _ in range(data.draw(st.integers(1, 8))):
+            # A step is a few blocks, then one change, so unsettled blocks meet it.
+            for _ in range(data.draw(st.integers(0, 4))):
+                self.block(data, state, expected)
+            change = data.draw(STEP_CHANGES)
+            if change in ("seat", "install"):
+                seated = data.draw(SEATS)
+                if change == "seat":
+                    state.validator_set = seated
+                else:
+                    state.install_validators(seated)
+            elif change == "assign":
+                counts = data.draw(st.dictionaries(
+                    st.sampled_from(POOL), st.integers(0, state.epoch_blocks_total)))
+                state.epoch_signatures = counts
+                expected = Counter(counts)
+            elif change == "snapshot":
+                state = LedgerState.import_snapshot(state.export_snapshot())
+            text = state.export_snapshot()
+            assert dict(state.epoch_signatures) == dict(expected)  # zero counts included
+            doc = {**snapshot_doc(state),
+                   "epoch_signatures": {a.hex(): n for a, n in expected.items()}}
+            assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"

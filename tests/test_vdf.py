@@ -947,6 +947,19 @@ class TestMontContextCache:
         assert vdf._powmod(x, 12345, pp.modulus) == pow(x, 12345, pp.modulus)
         assert vdf._mont_context.cache_info() == warm  # the builtin never looks
 
+    @requires_libcrypto
+    def test_prime_search_keeps_the_network_context(self):
+        # Miller-Rabin exponentiates modulo each prime candidate once: caching
+        # those contexts would evict the ones verify and eval reuse.
+        modulus = vdf.generate_modulus(2048)
+        vdf._powmod(3, 65537, modulus)
+        context = vdf._mont_context(vdf._LIBCRYPTO, modulus)
+        warm = vdf._mont_context.cache_info()
+        vdf._derive_modulus.__wrapped__(1024, b"fresh-seed")  # past generate_modulus's cache
+        assert vdf._mont_context.cache_info().misses == warm.misses
+        assert vdf._mont_context(vdf._LIBCRYPTO, modulus) is context
+        assert vdf._powmod(3, 65537, modulus) == pow(3, 65537, modulus)
+
 
 class TestGroupMapping:
     def test_hash_to_group_in_range(self):
