@@ -173,6 +173,17 @@ class TestRegistration:
             state.register_miner(b"alice", foreign, record,
                                  SCHEME.sign(b"alice", message))
 
+    @pytest.mark.xfail(strict=True, reason="register_miner trusts the declared input digest")
+    def test_foreign_owner_rejected(self, state):
+        # Owner B's tower, registered under address A with A's valid signature.
+        owner_b = Miner(state, b"bob")
+        params, record = owner_b.tower.params, owner_b.tower.records[0]
+        message = registration_message(b"alice", params, record)
+        before = fingerprint(state)
+        with pytest.raises(InvalidProof):
+            state.register_miner(b"alice", params, record, SCHEME.sign(b"alice", message))
+        assert fingerprint(state) == before
+
     def test_nonzero_index_rejected(self, state):
         miner = Miner(state, b"alice")
         record = dataclasses.replace(miner.tower.records[0], index=1)
