@@ -63,7 +63,7 @@ def cmd_mine(args) -> int:
         except OSError as exc:
             print(f"error: cannot read tower file: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-        if twr.owner_public_key != key:
+        if twr.params.public_key != key:
             print("error: tower file belongs to a different key", file=sys.stderr)
             return EXIT_DOMAIN
         elapsed = (time.perf_counter() - started) * 1000.0

@@ -1,8 +1,8 @@
 """Validator-side chain state: miner records, proof acceptance, block tallies.
 
-Proof submissions go through a fixed gauntlet: signature, chain-tip match,
-height progression, cheap structural screen, then full transcript
-verification. A submission that fails any step leaves the state untouched.
+Proof submissions go through a fixed gauntlet: signature, height progression,
+then the chain rule towers obey, ``tower.check_link`` (index, chained input,
+structural screen, transcript). A failed step leaves the state untouched.
 Block production is abstracted to signature events; a block commits when a
 two-thirds quorum of the current validator set endorses it. ``validator_set``
 is a read-only tuple; a new set replaces it by assignment.
@@ -160,7 +160,6 @@ class LedgerState:
         self.scheme = scheme
         self.modulus = modulus if modulus is not None else vdf.generate_modulus(
             security.modulus_bits)
-        self.iterations = vdf.effective_iterations(security.iterations)
         self.epoch: int = 0
         self.epoch_signatures = {}
         self.validator_set = ()
@@ -229,21 +228,20 @@ class LedgerState:
         first_proof: tower.ProofRecord,
         signature: bytes,
     ) -> MinerState:
-        """Admit a full node into the miner pool on a valid first proof."""
+        """Admit a full node on a valid first proof of a tower that ``address`` owns."""
         if address in self.miner_pool:
             raise AlreadyRegistered(f"{address.hex()} already registered")
         if not self.scheme.verify(address, registration_message(address, params, first_proof),
                                   signature):
             raise InvalidSignature("registration signature does not verify")
-        if (params.modulus != self.modulus or params.iterations != self.iterations
-                or params.prime_length_bits != self.security.prime_length_bits):
-            raise InvalidProof("public parameters do not match the genesis profile")
-        if first_proof.index != 0:
-            raise InvalidProof("first proof must have index 0")
-        if first_proof.input != vdf.hash_to_group(params.input_digest, params.modulus):
-            raise InvalidProof("first proof input does not match the declared parameters")
-        failed = vdf.check_proof(self.security, self.modulus, first_proof.input,
-                                 first_proof.output, first_proof.proof)
+        try:
+            expected = vdf.setup(self.security, address, params.endpoint, modulus=self.modulus)
+        except ValueError as exc:
+            raise InvalidProof(f"no public parameters for this address: {exc}") from exc
+        if params != expected:  # the genesis profile, and record 0's input bound to this address
+            raise InvalidProof("public parameters are not this address's on this network")
+        failed = tower.check_link(self.security, self.modulus, params.input_digest, 0,
+                                  first_proof)
         if failed is not None:
             raise InvalidProof(f"first proof fails the {failed} check")
         ms = MinerState(
@@ -265,11 +263,11 @@ class LedgerState:
         """Validate one tower extension; True and a state update only when every
         gate passes, False and an untouched state otherwise.
 
-        Gates, in order: signature; the record chains from the stored tip (its
-        input is derived from the stored digest and its index is the next one);
-        the claimed height exceeds the stored height; the structural screen and
-        the full transcript check. Runs in O(1) state reads plus one transcript
-        verification, independent of tower height.
+        Gates, in order: signature; the claimed height exceeds the stored
+        height; ``tower.check_link`` from the stored tip (the index is the next
+        one, the input is derived from the stored digest, then the structural
+        screen and the full transcript check). Runs in O(1) state reads plus
+        one transcript verification, independent of tower height.
         """
         if address not in self.miner_pool:
             raise UnknownMiner(f"{address.hex()} has no miner state")
@@ -277,14 +275,10 @@ class LedgerState:
         message = submission_message(address, claimed_height, record)
         if not self.scheme.verify(address, message, signature):
             return False
-        if record.input != vdf.hash_to_group(ms.hash, self.modulus):
-            return False
-        if record.index != ms.height:
-            return False
         if not ms.height < claimed_height:
             return False
-        if vdf.check_proof(self.security, self.modulus, record.input, record.output,
-                           record.proof) is not None:
+        if tower.check_link(self.security, self.modulus, ms.hash, ms.height,
+                            record) is not None:
             return False
         ms.height += 1
         ms.num = min(ms.num + 1, self.epoch_config.growth_cap)

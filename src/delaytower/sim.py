@@ -249,6 +249,8 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidScenario("population contains duplicate addresses")
     if len(scenario.genesis_validators) < 4:
         raise InvalidScenario("at least 4 genesis validators are required")
+    if len(set(scenario.genesis_validators)) != len(scenario.genesis_validators):
+        raise InvalidScenario("genesis_validators contains duplicate addresses")
     missing = set(scenario.genesis_validators) - set(addresses)
     if missing:
         raise InvalidScenario(

@@ -1,9 +1,9 @@
 """Miner-side chain of delay proofs with durable file persistence.
 
-A tower starts from an input bound to the owner's key and endpoint; every
-later proof evaluates on a group element derived from the digest of the
-previous record. Re-validating the file under a different key fails at
-record 0, which is what makes a tower non-transferable.
+A tower starts from an input bound to the owner's key and endpoint, which its
+``params`` hold; every later proof evaluates on a group element derived from
+the digest of the previous record. ``check_link`` is that rule, for the ledger
+too. Checked under another key, a tower fails at record 0: it cannot be moved.
 
 A tower is validated once, at its boundary, not before every link: each
 ``Tower`` privately counts the records known to chain and verify. Only
@@ -45,8 +45,6 @@ class ProofRecord:
 
 @dataclass(frozen=True)
 class Tower:
-    owner_public_key: bytes
-    endpoint: bytes
     security: vdf.SecurityParams
     params: vdf.PublicParams
     records: tuple[ProofRecord, ...]
@@ -93,13 +91,7 @@ def init_tower(
     output, proof = vdf.eval(params, x0)
     record = ProofRecord(index=0, input=x0, output=output, proof=proof,
                          created_epoch=created_epoch)
-    return _validated(Tower(
-        owner_public_key=bytes(public_key),
-        endpoint=bytes(endpoint),
-        security=security,
-        params=params,
-        records=(record,),
-    ))
+    return _validated(Tower(security=security, params=params, records=(record,)))
 
 
 def next_input(tower: Tower) -> int:
@@ -125,23 +117,31 @@ def extend(tower: Tower, *, created_epoch: int = 0) -> Tower:
     return _validated(replace(tower, records=tower.records + (record,)))
 
 
-def record_valid(tower: Tower, index: int) -> bool:
-    """Check one record: correct position, correct chained input, valid proof."""
-    if index < 0 or index >= len(tower.records):
-        return False
-    record = tower.records[index]
+def check_link(security: vdf.SecurityParams, modulus: int, previous_digest: bytes,
+               index: int, record: ProofRecord) -> str | None:
+    """The chain rule for one link, shared by towers and the ledger.
+
+    ``record`` must sit at ``index`` and evaluate on the group element hashed
+    from ``previous_digest``: the owner's ``PublicParams.input_digest`` for
+    record 0, the previous record's digest after it. Returns None for a good
+    link, otherwise the first gate it fails: "index", "input", or
+    ``check_proof``'s "screen" or "transcript".
+    """
     if record.index != index:
+        return "index"
+    if record.input != vdf.hash_to_group(previous_digest, modulus):
+        return "input"
+    return vdf.check_proof(security, modulus, record.input, record.output, record.proof)
+
+
+def record_valid(tower: Tower, index: int) -> bool:
+    """True iff record ``index`` exists and passes ``check_link`` in its place."""
+    if not 0 <= index < tower.height:
         return False
-    if index == 0:
-        digest = vdf.derive_input_digest(tower.owner_public_key, tower.endpoint)
-        if tower.params.input_digest != digest:
-            return False
-    else:
-        digest = record_digest(tower.records[index - 1])
-    if record.input != vdf.hash_to_group(digest, tower.params.modulus):
-        return False
-    return vdf.check_proof(tower.security, tower.params.modulus, record.input,
-                           record.output, record.proof) is None
+    previous = (tower.params.input_digest if index == 0
+                else record_digest(tower.records[index - 1]))
+    return check_link(tower.security, tower.params.modulus, previous, index,
+                      tower.records[index]) is None
 
 
 def validate_chain(tower: Tower) -> bool:
@@ -155,8 +155,8 @@ def _serialize(tower: Tower) -> bytes:
     body += encode_uint(tower.security.modulus_bits, 4)
     body += encode_uint(tower.security.prime_length_bits, 4)
     body += encode_uint(tower.security.iterations, 8)
-    body += encode_bytes(tower.owner_public_key)
-    body += encode_bytes(tower.endpoint)
+    body += encode_bytes(tower.params.public_key)
+    body += encode_bytes(tower.params.endpoint)
     body += encode_bigint(tower.params.modulus)
     body += encode_uint(len(tower.records), 4)
     for record in tower.records:
@@ -202,8 +202,7 @@ def _deserialize(data: bytes) -> Tower:
         params = vdf.setup(security, owner, endpoint, modulus=modulus)
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:
         raise CorruptTower(f"cannot parse tower file: {exc}") from exc
-    return Tower(owner_public_key=owner, endpoint=endpoint, security=security,
-                 params=params, records=tuple(records))
+    return Tower(security=security, params=params, records=tuple(records))
 
 
 def save_tower(tower: Tower, path: str | os.PathLike) -> None:

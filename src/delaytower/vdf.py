@@ -283,14 +283,13 @@ class SecurityParams:
 
 @dataclass(frozen=True)
 class PublicParams:
-    """Per-participant evaluation parameters over the shared group.
-
-    ``input_digest`` binds the participant's public key and endpoint;
-    ``iterations`` is the effective (power-of-two) sequential step count.
+    """Per-participant evaluation parameters over the shared group: the participant's
+    key and endpoint, and the effective (power-of-two) sequential step count.
     """
 
     modulus: int
-    input_digest: bytes
+    public_key: bytes
+    endpoint: bytes
     iterations: int
     prime_length_bits: int = DEFAULT_PRIME_LENGTH_BITS
 
@@ -301,6 +300,12 @@ class PublicParams:
             raise ValueError("modulus must be composite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+
+    @property
+    def input_digest(self) -> bytes:
+        """Domain-separated digest of key and endpoint; record 0's input is hashed from it."""
+        return hashlib.sha256(_DOMAIN_INPUT + encode_bytes(self.public_key)
+                              + encode_bytes(self.endpoint)).digest()
 
 
 @dataclass(frozen=True)
@@ -396,12 +401,6 @@ generate_modulus.cache_clear = _derive_modulus.cache_clear
 generate_modulus.cache_info = _derive_modulus.cache_info
 
 
-def derive_input_digest(public_key: bytes, endpoint: bytes) -> bytes:
-    """Domain-separated digest binding a participant key and endpoint."""
-    return hashlib.sha256(
-        _DOMAIN_INPUT + encode_bytes(public_key) + encode_bytes(endpoint)).digest()
-
-
 def _canonical(value: int, modulus: int) -> int:
     """The form of ``value`` and ``modulus - value`` in which elements are hashed,
     published and compared: the smaller one."""
@@ -441,7 +440,8 @@ def setup(
         modulus = generate_modulus(security.modulus_bits)
     return PublicParams(
         modulus=modulus,
-        input_digest=derive_input_digest(public_key, endpoint),
+        public_key=bytes(public_key),
+        endpoint=bytes(endpoint),
         iterations=effective_iterations(security.iterations),
         prime_length_bits=security.prime_length_bits,
     )

@@ -54,7 +54,7 @@ def acceptance_modulus() -> int:
 
 
 def params_at(modulus: int, iterations: int) -> vdf.PublicParams:
-    return vdf.PublicParams(modulus=modulus, input_digest=b"\x00" * 32,
+    return vdf.PublicParams(modulus=modulus, public_key=b"test-key", endpoint=b"",
                             iterations=iterations, prime_length_bits=512)
 
 

@@ -295,6 +295,19 @@ class TestSimulate:
         assert "epochs must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_repeated_genesis_validator_usage_error(self, tmp_path, capsys):
+        doc = json.loads(resources.files("delaytower").joinpath(
+            "scenarios", "crash-minority.json").read_text())
+        scenario = tmp_path / "bad.json"
+        validators = doc["genesis_validators"]
+        scenario.write_text(json.dumps({**doc, "genesis_validators": validators[:1] + validators}))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_non_utf8_scenario_usage_error(self, tmp_path, capsys):
         scenario = tmp_path / "bad.json"
         scenario.write_bytes(b"\xff\xfe{}")

@@ -35,7 +35,7 @@ from delaytower.ledger import (
 from delaytower.reconfig import advance_epoch
 from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import SMALL_SECURITY, TINY_SECURITY, make_ledger
+from conftest import FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, make_ledger
 
 SCHEME = KeyedHashScheme()
 
@@ -162,18 +162,13 @@ class TestRegistration:
     def test_foreign_genesis_params_rejected(self, state):
         miner = Miner(state, b"alice")
         record = miner.tower.records[0]
-        foreign = vdf.PublicParams(
-            modulus=vdf.generate_modulus(256, b"another-network"),
-            input_digest=miner.tower.params.input_digest,
-            iterations=miner.tower.params.iterations,
-            prime_length_bits=miner.tower.params.prime_length_bits,
-        )
+        foreign = dataclasses.replace(
+            miner.tower.params, modulus=vdf.generate_modulus(256, b"another-network"))
         message = registration_message(b"alice", foreign, record)
         with pytest.raises(InvalidProof):
             state.register_miner(b"alice", foreign, record,
                                  SCHEME.sign(b"alice", message))
 
-    @pytest.mark.xfail(strict=True, reason="register_miner trusts the declared input digest")
     def test_foreign_owner_rejected(self, state):
         # Owner B's tower, registered under address A with A's valid signature.
         owner_b = Miner(state, b"bob")
@@ -184,6 +179,17 @@ class TestRegistration:
             state.register_miner(b"alice", params, record, SCHEME.sign(b"alice", message))
         assert fingerprint(state) == before
 
+    def test_address_setup_refuses_is_invalid_proof(self, state):
+        params = dataclasses.replace(vdf.setup(state.security, b"k", b"ep"), public_key=b"")
+        x0 = vdf.hash_to_group(params.input_digest, params.modulus)
+        output, proof = vdf.eval(params, x0)
+        record = tower.ProofRecord(index=0, input=x0, output=output, proof=proof)
+        message = registration_message(b"", params, record)
+        before = fingerprint(state)
+        with pytest.raises(InvalidProof):
+            state.register_miner(b"", params, record, SCHEME.sign(b"", message))
+        assert fingerprint(state) == before
+
     def test_nonzero_index_rejected(self, state):
         miner = Miner(state, b"alice")
         record = dataclasses.replace(miner.tower.records[0], index=1)
@@ -191,6 +197,19 @@ class TestRegistration:
         with pytest.raises(InvalidProof):
             state.register_miner(b"alice", miner.tower.params, record,
                                  SCHEME.sign(b"alice", message))
+
+
+class TestMessages:
+    # SHA-256 of an honest miner's registration message followed by its
+    # submission of link 1: what miners sign must not drift.
+    PINNED_SHA256 = "bf4c7a86fac13d53c64430685bea338a1b3db3e4b0d91982d137f0a4f289b746"
+
+    def test_bytes_pinned(self, state):
+        miner = Miner(state, b"alice")
+        record = miner.next_record()
+        message = (registration_message(b"alice", miner.tower.params, miner.tower.records[0])
+                   + submission_message(b"alice", 2, record))
+        assert hashlib.sha256(message).hexdigest() == self.PINNED_SHA256
 
 
 class TestSubmission:
@@ -271,6 +290,66 @@ class TestSubmission:
         for _ in range(4):
             assert miner.submit(miner.next_record())
         assert tower.validate_chain(miner.tower)
+
+
+@pytest.fixture(scope="module")
+def fold_tower() -> tower.Tower:
+    """Height 3 at a profile whose proofs carry midpoints to tamper with."""
+    return tower.extend(tower.extend(tower.init_tower(FOLD_SECURITY, b"carol", b"ep")))
+
+
+def _replace_proof(record: tower.ProofRecord, **fields) -> tower.ProofRecord:
+    return dataclasses.replace(record, proof=dataclasses.replace(record.proof, **fields))
+
+
+# Gate -> a tampering of record 2 that check_link must reject at that gate;
+# None leaves the honest record, which every check accepts.
+LINK_FAULTS = {
+    None: lambda twr, record: record,
+    "index": lambda twr, record: dataclasses.replace(record, index=record.index + 1),
+    "input": lambda twr, record: dataclasses.replace(record, input=twr.records[1].input),
+    "screen": lambda twr, record: _replace_proof(
+        record, embedded_prime_length_bits=record.proof.embedded_prime_length_bits - 1),
+    "transcript": lambda twr, record: _replace_proof(
+        record, checkpoints=(record.proof.checkpoints[0] * 2 % twr.params.modulus,)
+        + record.proof.checkpoints[1:]),
+}
+
+
+class TestLinkGates:
+    """One chain rule: the tower and the ledger reject a link at the same gate."""
+
+    @staticmethod
+    def ledger_at_height_2(twr: tower.Tower) -> LedgerState:
+        state = LedgerState(FOLD_SECURITY, EpochConfig(), SCHEME)
+        address, first, second = twr.params.public_key, twr.records[0], twr.records[1]
+        state.register_miner(address, twr.params, first, SCHEME.sign(
+            address, registration_message(address, twr.params, first)))
+        assert state.submit_proof(address, 2, second, SCHEME.sign(
+            address, submission_message(address, 2, second)))
+        return state
+
+    def submit_last(self, twr: tower.Tower, record: tower.ProofRecord) -> tuple[bool, bool]:
+        """Whether the ledger accepts ``record`` as link 2, and whether its state moved."""
+        state = self.ledger_at_height_2(twr)
+        address = twr.params.public_key
+        before = fingerprint(state)
+        accepted = state.submit_proof(address, 3, record, SCHEME.sign(
+            address, submission_message(address, 3, record)))
+        return accepted, fingerprint(state) != before
+
+    def check_last(self, twr: tower.Tower, record: tower.ProofRecord):
+        previous = tower.record_digest(twr.records[1])
+        return tower.check_link(FOLD_SECURITY, twr.params.modulus, previous, 2, record)
+
+    @pytest.mark.parametrize("gate", list(LINK_FAULTS))
+    def test_link_fails_the_same_gate_everywhere(self, fold_tower, gate):
+        assert len(fold_tower.records[2].proof.checkpoints) == 3
+        record = LINK_FAULTS[gate](fold_tower, fold_tower.records[2])
+        tampered = dataclasses.replace(fold_tower, records=fold_tower.records[:2] + (record,))
+        assert self.check_last(fold_tower, record) == gate
+        assert tower.record_valid(tampered, 2) is (gate is None)
+        assert self.submit_last(fold_tower, record) == (gate is None, gate is None)
 
 
 class TestBlocks:

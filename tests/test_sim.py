@@ -381,6 +381,8 @@ MALFORMED_SCENARIOS = {
         doc, behavior={"kind": "silent", "sign_probability": 1e400}),
     "sign-probability-boolean": lambda doc: _with_first(
         doc, behavior={"kind": "silent", "sign_probability": True}),
+    "genesis-validator-twice": lambda doc: {
+        **doc, "genesis_validators": doc["genesis_validators"][:1] + doc["genesis_validators"]},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
 }

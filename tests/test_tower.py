@@ -56,6 +56,12 @@ def tamper_record(twr: tower.Tower, index: int) -> tower.Tower:
     return dataclasses.replace(twr, records=tuple(records))
 
 
+def rekeyed(twr: tower.Tower, public_key: bytes) -> tower.Tower:
+    """The same records claimed by another key."""
+    return dataclasses.replace(twr, params=dataclasses.replace(twr.params,
+                                                               public_key=public_key))
+
+
 class TestInit:
     def test_height_one_with_index_zero(self):
         twr = tower.init_tower(SMALL_SECURITY, b"k", b"e")
@@ -92,9 +98,8 @@ class TestExtend:
         for index in range(height8.height):
             with pytest.raises(tower.CorruptTower):
                 tower.extend(tamper_record(height8, index))
-        stolen = dataclasses.replace(height8, owner_public_key=b"other-owner")
         with pytest.raises(tower.CorruptTower):
-            tower.extend(stolen)
+            tower.extend(rekeyed(height8, b"other-owner"))
         records = list(height8.records)
         records[2], records[3] = records[3], records[2]
         with pytest.raises(tower.CorruptTower):
@@ -158,7 +163,7 @@ class TestValidateChain:
                 f"tamper at record {index} not detected"
 
     def test_non_transferable(self, height3):
-        stolen = dataclasses.replace(height3, owner_public_key=b"other-owner")
+        stolen = rekeyed(height3, b"other-owner")
         assert not tower.validate_chain(stolen)
         assert not tower.record_valid(stolen, 0)
 
@@ -238,13 +243,10 @@ class TestPersistence:
 
     def test_empty_owner_file_rejected(self, tmp_path):
         # The chain is sound, but setup refuses empty keys, so no file may claim one.
-        digest = vdf.derive_input_digest(b"", b"ep")
-        params = dataclasses.replace(vdf.setup(SMALL_SECURITY, b"k", b"ep"),
-                                     input_digest=digest)
-        x0 = vdf.hash_to_group(digest, params.modulus)
+        params = dataclasses.replace(vdf.setup(SMALL_SECURITY, b"k", b"ep"), public_key=b"")
+        x0 = vdf.hash_to_group(params.input_digest, params.modulus)
         output, proof = vdf.eval(params, x0)
-        twr = tower.Tower(owner_public_key=b"", endpoint=b"ep", security=SMALL_SECURITY,
-                          params=params,
+        twr = tower.Tower(security=SMALL_SECURITY, params=params,
                           records=(tower.ProofRecord(0, x0, output, proof),))
         assert tower.validate_chain(twr)
         tower.save_tower(twr, tmp_path / "t.bin")

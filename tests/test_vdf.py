@@ -28,7 +28,7 @@ from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold
 
 
 def small_modulus_params(modulus: int, iterations: int) -> vdf.PublicParams:
-    return vdf.PublicParams(modulus=modulus, input_digest=b"\x00" * 32,
+    return vdf.PublicParams(modulus=modulus, public_key=b"test-key", endpoint=b"",
                             iterations=iterations, prime_length_bits=512)
 
 
