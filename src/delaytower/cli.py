@@ -41,9 +41,6 @@ def _load_key(path: str) -> bytes:
 
 
 def cmd_mine(args) -> int:
-    if not 0 <= args.epoch < 1 << 64:
-        print("error: --epoch must be in [0, 2^64)", file=sys.stderr)
-        return EXIT_USAGE
     if args.proofs < 0:
         print("error: --proofs must be at least 0", file=sys.stderr)
         return EXIT_USAGE
@@ -77,8 +74,7 @@ def cmd_mine(args) -> int:
         if effective != args.iterations:
             print(f"note: iterations rounded up to {effective}")
         started = time.perf_counter()
-        twr = tower.init_tower(security, key, args.endpoint.encode(),
-                               created_epoch=args.epoch)
+        twr = tower.init_tower(security, key, args.endpoint.encode())
         elapsed = (time.perf_counter() - started) * 1000.0
         tower.save_tower(twr, args.tower_file)
         print(f"initialized tower, height 1 ({elapsed:.1f} ms)")
@@ -86,7 +82,7 @@ def cmd_mine(args) -> int:
     try:
         for _ in range(args.proofs):
             started = time.perf_counter()
-            twr = tower.extend(twr, created_epoch=args.epoch)
+            twr = tower.extend(twr)
             elapsed = (time.perf_counter() - started) * 1000.0
             tower.save_tower(twr, args.tower_file)
             print(f"height {twr.height - 1} -> {twr.height} ({elapsed:.1f} ms)")
@@ -259,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sequential squarings per proof (fresh towers only)")
     p_mine.add_argument("--modulus-bits", type=int, default=2048)
     p_mine.add_argument("--endpoint", default=DEFAULT_ENDPOINT)
-    p_mine.add_argument("--epoch", type=int, default=0,
-                        help="epoch tag stored on new proofs")
     p_mine.set_defaults(fn=cmd_mine)
 
     p_verify = sub.add_parser("verify-tower", help="validate a tower file")

@@ -26,8 +26,8 @@ from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
 
-_DOMAIN_REGISTER = b"delay-tower/register/v1"
-_DOMAIN_SUBMIT = b"delay-tower/submit/v1"
+_DOMAIN_REGISTER = b"delay-tower/register/v2"
+_DOMAIN_SUBMIT = b"delay-tower/submit/v2"
 
 MIN_VALIDATORS = 4
 
@@ -129,7 +129,6 @@ def registration_message(address: bytes, params: vdf.PublicParams,
         + encode_uint(params.iterations, 8)
         + encode_uint(params.prime_length_bits, 4)
         + tower.record_digest_bytes(record)
-        + encode_uint(record.created_epoch, 8)
     )
 
 
@@ -140,7 +139,6 @@ def submission_message(address: bytes, claimed_height: int,
         + encode_bytes(address)
         + encode_uint(claimed_height, 8)
         + tower.record_digest_bytes(record)
-        + encode_uint(record.created_epoch, 8)
     )
 
 
@@ -349,18 +347,21 @@ class LedgerState:
     def import_snapshot(cls, text: str) -> "LedgerState":
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on
         malformed JSON, a missing key, a wrong type, bad hex, a negative count, a
-        non-bool ``jailed``, a modulus that is not odd and above 3, an invalid
-        config, another version, a signer outside the miner pool or a signature
-        count above ``epoch_blocks_total``."""
+        non-bool ``jailed``, a modulus that ``vdf.check_modulus`` refuses or whose
+        size is not ``security.modulus_bits``, an invalid config, another version,
+        a signer outside the miner pool or a signature count above
+        ``epoch_blocks_total``."""
         try:
             doc = json.loads(text)
             if doc.get("version") != SNAPSHOT_VERSION:
                 raise ValueError(f"unsupported snapshot version {doc.get('version')}")
+            security = vdf.SecurityParams.from_doc(doc["security"])
             modulus = int(doc["modulus"], 10)  # a decimal string only
-            if modulus <= 3 or modulus % 2 == 0:
-                raise ValueError("modulus must be an odd integer greater than 3")
-            state = cls(vdf.SecurityParams.from_doc(doc["security"]),
-                        EpochConfig.from_doc(doc["epoch_config"]),
+            vdf.check_modulus(modulus)
+            if modulus.bit_length() != security.modulus_bits:
+                raise ValueError(f"modulus has {modulus.bit_length()} bits, "
+                                 f"not {security.modulus_bits}")
+            state = cls(security, EpochConfig.from_doc(doc["epoch_config"]),
                         scheme_by_name(doc["scheme"]), modulus=modulus)
             state.epoch = _count(doc["epoch"])
             for addr_hex, fields in doc["miner_pool"].items():

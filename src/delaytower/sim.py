@@ -245,6 +245,8 @@ def _validate(scenario: Scenario) -> None:
     if scenario.epochs < 1:
         raise InvalidScenario("epochs must be positive")
     addresses = [address for address, _ in scenario.population]
+    if b"" in addresses:
+        raise InvalidScenario("population contains an empty address")
     if len(set(addresses)) != len(addresses):
         raise InvalidScenario("population contains duplicate addresses")
     if len(scenario.genesis_validators) < 4:
@@ -283,8 +285,7 @@ def run(
     state = LedgerState(scenario.security, scenario.epoch_config, scheme)
     for address, node in nodes.items():
         if isinstance(node.behavior.mining, RealVdf):
-            node.tower = tower.init_tower(scenario.security, address, b"sim",
-                                          created_epoch=0)
+            node.tower = tower.init_tower(scenario.security, address, b"sim")
             record = node.tower.records[0]
             signature = scheme.sign(
                 address, registration_message(address, node.tower.params, record))
@@ -460,7 +461,7 @@ def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
             if crashed:
                 continue
             for _ in range(node.behavior.mining.proofs_per_epoch):
-                node.tower = tower.extend(node.tower, created_epoch=epoch_index)
+                node.tower = tower.extend(node.tower)
                 record = node.tower.records[-1]
                 claimed = len(node.tower.records)
                 signature = scheme.sign(

@@ -23,7 +23,7 @@ from . import vdf
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
     write_atomic
 
-TOWER_FILE_VERSION = 1
+TOWER_FILE_VERSION = 2
 
 _DOMAIN_RECORD = b"delay-tower/record/v1"
 
@@ -40,7 +40,6 @@ class ProofRecord:
     input: int
     output: int
     proof: vdf.VdfProof
-    created_epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def _validated(tower: Tower) -> Tower:
 
 
 def record_digest_bytes(record: ProofRecord) -> bytes:
-    """Canonical bytes hashed into the chain link (created_epoch excluded)."""
+    """Canonical bytes hashed into the chain link."""
     return (
         _DOMAIN_RECORD
         + encode_uint(record.index, 8)
@@ -78,19 +77,12 @@ def record_digest(record: ProofRecord) -> bytes:
     return hashlib.sha256(record_digest_bytes(record)).digest()
 
 
-def init_tower(
-    security: vdf.SecurityParams,
-    public_key: bytes,
-    endpoint: bytes,
-    *,
-    created_epoch: int = 0,
-) -> Tower:
+def init_tower(security: vdf.SecurityParams, public_key: bytes, endpoint: bytes) -> Tower:
     """Run setup and evaluate the first proof on the setup-derived input."""
     params = vdf.setup(security, public_key, endpoint)
     x0 = vdf.hash_to_group(params.input_digest, params.modulus)
     output, proof = vdf.eval(params, x0)
-    record = ProofRecord(index=0, input=x0, output=output, proof=proof,
-                         created_epoch=created_epoch)
+    record = ProofRecord(index=0, input=x0, output=output, proof=proof)
     return _validated(Tower(security=security, params=params, records=(record,)))
 
 
@@ -99,7 +91,7 @@ def next_input(tower: Tower) -> int:
     return vdf.hash_to_group(record_digest(tower.records[-1]), tower.params.modulus)
 
 
-def extend(tower: Tower, *, created_epoch: int = 0) -> Tower:
+def extend(tower: Tower) -> Tower:
     """Append one proof chained from the digest of the current tip.
 
     A tower that fails validation cannot be extended. The whole chain is
@@ -112,8 +104,7 @@ def extend(tower: Tower, *, created_epoch: int = 0) -> Tower:
         raise CorruptTower("refusing to extend a tower that fails chain validation")
     x = next_input(tower)
     output, proof = vdf.eval(tower.params, x)
-    record = ProofRecord(index=len(tower.records), input=x, output=output,
-                         proof=proof, created_epoch=created_epoch)
+    record = ProofRecord(index=len(tower.records), input=x, output=output, proof=proof)
     return _validated(replace(tower, records=tower.records + (record,)))
 
 
@@ -152,7 +143,6 @@ def validate_chain(tower: Tower) -> bool:
 def _serialize(tower: Tower) -> bytes:
     body = bytearray()
     body += encode_uint(TOWER_FILE_VERSION, 1)
-    body += encode_uint(tower.security.modulus_bits, 4)
     body += encode_uint(tower.security.prime_length_bits, 4)
     body += encode_uint(tower.security.iterations, 8)
     body += encode_bytes(tower.params.public_key)
@@ -161,7 +151,6 @@ def _serialize(tower: Tower) -> bytes:
     body += encode_uint(len(tower.records), 4)
     for record in tower.records:
         body += encode_uint(record.index, 8)
-        body += encode_uint(record.created_epoch, 8)
         body += encode_bigint(record.input)
         body += encode_bigint(record.output)
         body += encode_bytes(vdf.serialize_proof(record.proof))
@@ -180,24 +169,21 @@ def _deserialize(data: bytes) -> Tower:
         version = reader.uint(1)
         if version != TOWER_FILE_VERSION:
             raise CorruptTower(f"unsupported tower file version {version}")
-        security = vdf.SecurityParams(
-            modulus_bits=reader.uint(4),
-            prime_length_bits=reader.uint(4),
-            iterations=reader.uint(8),
-        )
+        prime_length_bits = reader.uint(4)
+        iterations = reader.uint(8)
         owner = reader.bytes_()
         endpoint = reader.bytes_()
         modulus = reader.bigint()
+        # The modulus states its own size: the file carries no separate claim of it.
+        security = vdf.SecurityParams(modulus_bits=modulus.bit_length(),
+                                      prime_length_bits=prime_length_bits,
+                                      iterations=iterations)
         count = reader.uint(4)
         records = []
         for _ in range(count):
-            index = reader.uint(8)
-            created_epoch = reader.uint(8)
-            input_ = reader.bigint()
-            output = reader.bigint()
-            proof = vdf.deserialize_proof(reader.bytes_())
-            records.append(ProofRecord(index=index, input=input_, output=output,
-                                       proof=proof, created_epoch=created_epoch))
+            records.append(ProofRecord(index=reader.uint(8), input=reader.bigint(),
+                                       output=reader.bigint(),
+                                       proof=vdf.deserialize_proof(reader.bytes_())))
         reader.expect_end()
         params = vdf.setup(security, owner, endpoint, modulus=modulus)
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:

@@ -294,10 +294,7 @@ class PublicParams:
     prime_length_bits: int = DEFAULT_PRIME_LENGTH_BITS
 
     def __post_init__(self):
-        if self.modulus <= 3 or self.modulus % 2 == 0:
-            raise ValueError("modulus must be an odd integer greater than 3")
-        if _is_prime_modulus(self.modulus):
-            raise ValueError("modulus must be composite")
+        check_modulus(self.modulus)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -363,6 +360,14 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
 @lru_cache(maxsize=64)
 def _is_prime_modulus(n: int) -> bool:
     return is_probable_prime(n, rounds=8)
+
+
+def check_modulus(modulus: int) -> None:
+    """Raise ValueError unless ``modulus`` is odd, above 3 and composite."""
+    if modulus <= 3 or modulus % 2 == 0:
+        raise ValueError("modulus must be an odd integer greater than 3")
+    if _is_prime_modulus(modulus):
+        raise ValueError("modulus must be composite")
 
 
 def _derive_prime(bits: int, seed: bytes, tag: bytes) -> int:

@@ -69,16 +69,11 @@ class TestMine:
                      "--iterations", "64", "--modulus-bits", "512"]) == 0
         assert tower.load_tower(tmp_path / "t.bin").params.modulus != public
 
-    @pytest.mark.parametrize("option, value",
-                             [("--epoch", "-1"), ("--epoch", str(1 << 64)), ("--proofs", "-3")])
+    @pytest.mark.parametrize("option, value", [("--proofs", "-3")])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, option, value):
         assert mine(tmp_path, option, value) == 2
         assert capsys.readouterr().err.startswith(f"error: {option} must be ")
         assert list(tmp_path.iterdir()) == []  # refused before any key or tower is written
-
-    def test_largest_epoch_accepted(self, tmp_path):
-        assert mine(tmp_path, "--proofs", "0", "--epoch", str((1 << 64) - 1)) == 0
-        assert tower.load_tower(tmp_path / "t.bin").records[0].created_epoch == (1 << 64) - 1
 
     def test_new_key_file_private(self, tmp_path):
         assert mine(tmp_path, "--proofs", "1") == 0
@@ -294,6 +289,21 @@ class TestSimulate:
         assert rc == 2
         assert "epochs must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    def test_empty_address_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        population = [{"address": a, "mining_rate": 1} for a in ("aa", "bb", "cc", "dd")]
+        scenario.write_text(json.dumps({
+            "seed": 1, "epochs": 1,
+            "population": population + [{"address": "", "mining_rate": {"real_vdf": True}}],
+            "genesis_validators": ["aa", "bb", "cc", "dd"],
+        }))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "empty address" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_repeated_genesis_validator_usage_error(self, tmp_path, capsys):
         doc = json.loads(resources.files("delaytower").joinpath(

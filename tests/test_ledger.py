@@ -202,7 +202,7 @@ class TestRegistration:
 class TestMessages:
     # SHA-256 of an honest miner's registration message followed by its
     # submission of link 1: what miners sign must not drift.
-    PINNED_SHA256 = "bf4c7a86fac13d53c64430685bea338a1b3db3e4b0d91982d137f0a4f289b746"
+    PINNED_SHA256 = "b7e99fc9b1c1bd85b35d2f5bbf01b6cb93017956189d0cc5b04091c456a5f470"
 
     def test_bytes_pinned(self, state):
         miner = Miner(state, b"alice")
@@ -210,6 +210,26 @@ class TestMessages:
         message = (registration_message(b"alice", miner.tower.params, miner.tower.records[0])
                    + submission_message(b"alice", 2, record))
         assert hashlib.sha256(message).hexdigest() == self.PINNED_SHA256
+
+    @staticmethod
+    def version_1(message: bytes, tag: bytes) -> bytes:
+        """The same fields under version 1's tag, then its trailing 8-byte epoch label."""
+        assert message.startswith(tag + b"/v2")
+        return tag + b"/v1" + message[len(tag) + 3:] + bytes(8)
+
+    def test_version_1_signatures_refused(self, state):
+        miner = Miner(state, b"alice")
+        params, record = miner.tower.params, miner.tower.records[0]
+        old = self.version_1(registration_message(b"alice", params, record),
+                             b"delay-tower/register")
+        with pytest.raises(InvalidSignature):
+            state.register_miner(b"alice", params, record, SCHEME.sign(b"alice", old))
+        miner.register()
+        record = miner.next_record()
+        old = self.version_1(submission_message(b"alice", 2, record), b"delay-tower/submit")
+        before = fingerprint(state)
+        assert not state.submit_proof(b"alice", 2, record, SCHEME.sign(b"alice", old))
+        assert fingerprint(state) == before
 
 
 class TestSubmission:
@@ -561,6 +581,8 @@ BAD_SNAPSHOTS = {
     "height-float": edit("miner_pool", ALICE, "height", 5.0),
     "modulus-not-decimal": edit("modulus", "0x1f"),
     "modulus-degenerate": edit("modulus", "3"),  # hash_to_group would never return
+    "modulus-prime": edit("modulus", str(2**256 - 189)),  # every registration would fail
+    "modulus-size": edit("modulus", str(vdf.generate_modulus(512))),
     "bad-hash-hex": edit("miner_pool", ALICE, "hash", "zz"),
     "bad-validator-hex": edit("validator_set", 0, "zz"),
     "bad-signer-hex": edit("epoch_signatures", {"zz": 1}),

@@ -383,6 +383,9 @@ MALFORMED_SCENARIOS = {
         doc, behavior={"kind": "silent", "sign_probability": True}),
     "genesis-validator-twice": lambda doc: {
         **doc, "genesis_validators": doc["genesis_validators"][:1] + doc["genesis_validators"]},
+    # Renamed in the genesis list too, so only the empty address is wrong.
+    "empty-address": lambda doc: {
+        **_with_first(doc, address=""), "genesis_validators": [""] + doc["genesis_validators"][1:]},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
 }

@@ -16,8 +16,7 @@ from conftest import SMALL_SECURITY, full_fold
 @pytest.fixture(scope="module")
 def height3() -> tower.Tower:
     twr = tower.init_tower(SMALL_SECURITY, b"owner-a", b"ep-a")
-    twr = tower.extend(twr, created_epoch=1)
-    return tower.extend(twr, created_epoch=2)
+    return tower.extend(tower.extend(twr))
 
 
 @pytest.fixture(scope="module")
@@ -28,18 +27,17 @@ def height8() -> tower.Tower:
     return twr
 
 
-# Digests of the tower below as saved in proof format 3, and in format 1's
-# layout (its transcripts folded down to a single squaring): the proof and
-# file formats must not drift.
-PINNED_TOWER_SHA256 = "a94d058a33ea727b4352a64da229fc91561e39ab0ed5cdfef095c3c69d67d6d8"
-FORMAT_1_TOWER_SHA256 = "666e77ad803eb3d0f12767c74d8e94f82db2043ba394b79a5dd50b003ba69a32"
+# Digests of the tower below as saved in tower file version 2 with proof
+# format 3, and with proof format 1's layout (its transcripts folded down to a
+# single squaring): the proof and file formats must not drift.
+PINNED_TOWER_SHA256 = "3a104bb447dc61c8db5517dc13a21c8c2e26fad0fdee36cfa3a3ea8e42fcfac4"
+FORMAT_1_TOWER_SHA256 = "6f58ee2d5fd83da2a462ba1141e656f64d7f7b289e1a8b11811c26d684ee93b8"
 
 
 def pinned_tower() -> tower.Tower:
     security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
     twr = tower.init_tower(security, b"pinned-owner", b"pinned-endpoint")
-    twr = tower.extend(twr, created_epoch=1)
-    return tower.extend(twr, created_epoch=2)
+    return tower.extend(tower.extend(twr))
 
 
 def pinned_tower_sha256(tmp_path) -> str:
@@ -231,6 +229,23 @@ class TestPersistence:
         for validate in (True, False):
             with pytest.raises(tower.CorruptTower, match="version 1"):
                 tower.load_tower(path, validate=validate)
+
+    def test_tower_file_version_1_refused(self, tmp_path, height3):
+        path = tmp_path / "t.bin"
+        tower.save_tower(height3, path)
+        body = b"\x01" + path.read_bytes()[1:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="tower file version 1"):
+                tower.load_tower(path, validate=validate)
+
+    def test_modulus_size_read_from_modulus(self, tmp_path, height3):
+        # The file states no modulus size of its own, so no claim can disagree.
+        claimed = dataclasses.replace(height3.security, modulus_bits=2048)
+        tower.save_tower(dataclasses.replace(height3, security=claimed), tmp_path / "t.bin")
+        loaded = tower.load_tower(tmp_path / "t.bin")
+        assert loaded.security.modulus_bits == 512
+        assert loaded == height3
 
     def test_format_2_file_refused(self, monkeypatch, tmp_path):
         path = tmp_path / "t.bin"
