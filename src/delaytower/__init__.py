@@ -37,8 +37,8 @@ from .sim import (
     run,
 )
 from .signing import Ed25519Scheme, KeyedHashScheme, SignatureScheme
-from .tower import CorruptTower, ProofRecord, Tower, extend, init_tower, load_tower, \
-    record_digest, save_tower, validate_chain
+from .tower import CorruptTower, ProofRecord, Tower, extend, grow, init_tower, link_digest, \
+    load_tower, save_tower, validate_chain
 from .vdf import (
     InputOutOfRange,
     InvalidSecurityParams,

@@ -44,16 +44,26 @@ def cmd_mine(args) -> int:
     if args.proofs < 0:
         print("error: --proofs must be at least 0", file=sys.stderr)
         return EXIT_USAGE
+    fresh = not os.path.exists(args.tower_file)
+    if fresh:  # refuse out-of-range parameters before any file is written
+        security = vdf.SecurityParams(modulus_bits=args.modulus_bits,
+                                      iterations=args.iterations)
+    verb = "read" if os.path.exists(args.key_file) else "write"
     try:
         key = _load_key(args.key_file)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read key file: {exc}", file=sys.stderr)
+        print(f"error: cannot {verb} key file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if not key:
         print("error: key file holds no key", file=sys.stderr)
         return EXIT_DOMAIN
 
-    if os.path.exists(args.tower_file):
+    if fresh:
+        twr = tower.Tower(security=security, records=(),
+                          params=vdf.setup(security, key, args.endpoint.encode()))
+        if twr.params.iterations != args.iterations:
+            print(f"note: iterations rounded up to {twr.params.iterations}")
+    else:
         started = time.perf_counter()
         try:
             twr = tower.load_tower(args.tower_file)
@@ -67,25 +77,19 @@ def cmd_mine(args) -> int:
         print(f"resuming tower at height {twr.height} "
               f"(t={twr.params.iterations}, modulus {twr.security.modulus_bits} bits; "
               f"validated in {elapsed:.1f} ms)")
-    else:
-        security = vdf.SecurityParams(modulus_bits=args.modulus_bits,
-                                      iterations=args.iterations)
-        effective = vdf.effective_iterations(args.iterations)
-        if effective != args.iterations:
-            print(f"note: iterations rounded up to {effective}")
-        started = time.perf_counter()
-        twr = tower.init_tower(security, key, args.endpoint.encode())
-        elapsed = (time.perf_counter() - started) * 1000.0
-        tower.save_tower(twr, args.tower_file)
-        print(f"initialized tower, height 1 ({elapsed:.1f} ms)")
+
+    last_saved = time.perf_counter()
+
+    def save(grown: tower.Tower) -> None:  # each link once proved, on grow's worker
+        nonlocal last_saved
+        tower.save_tower(grown, args.tower_file)
+        now = time.perf_counter()
+        elapsed, last_saved = (now - last_saved) * 1000.0, now
+        print(f"initialized tower, height 1 ({elapsed:.1f} ms)" if grown.height == 1 else
+              f"height {grown.height - 1} -> {grown.height} ({elapsed:.1f} ms)")
 
     try:
-        for _ in range(args.proofs):
-            started = time.perf_counter()
-            twr = tower.extend(twr)
-            elapsed = (time.perf_counter() - started) * 1000.0
-            tower.save_tower(twr, args.tower_file)
-            print(f"height {twr.height - 1} -> {twr.height} ({elapsed:.1f} ms)")
+        twr = tower.grow(twr, args.proofs + fresh, save)  # and record 0 of a fresh tower
     except OSError as exc:
         print(f"error: cannot write tower file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -142,12 +146,15 @@ def cmd_bench(args) -> int:
         security = vdf.SecurityParams(modulus_bits=args.modulus_bits, iterations=t)
         pp = vdf.setup(security, b"bench", b"bench")
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
-        output, proof = vdf.eval(pp, x)
+        output, powers = vdf.squarings(pp, x)
+        proof = vdf.prove(pp, x, output, powers)
         invalid = dataclasses.replace(
             proof, embedded_prime_length_bits=proof.embedded_prime_length_bits - 1)
 
-        operations = (
+        operations = (  # eval, then its two halves: mine runs them on two cores
             ("eval", lambda: vdf.eval(pp, x)),
+            ("eval-squarings", lambda: vdf.squarings(pp, x)),
+            ("eval-prove", lambda: vdf.prove(pp, x, output, powers)),
             ("verify-valid", lambda: vdf.check_proof(security, pp.modulus, x, output, proof)),
             ("verify-invalid", lambda: vdf.check_proof(security, pp.modulus, x, output, invalid)),
         )

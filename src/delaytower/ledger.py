@@ -128,7 +128,7 @@ def registration_message(address: bytes, params: vdf.PublicParams,
         + encode_bytes(params.input_digest)
         + encode_uint(params.iterations, 8)
         + encode_uint(params.prime_length_bits, 4)
-        + tower.record_digest_bytes(record)
+        + tower.record_bytes(record)
     )
 
 
@@ -138,7 +138,7 @@ def submission_message(address: bytes, claimed_height: int,
         _DOMAIN_SUBMIT
         + encode_bytes(address)
         + encode_uint(claimed_height, 8)
-        + tower.record_digest_bytes(record)
+        + tower.record_bytes(record)
     )
 
 
@@ -245,7 +245,7 @@ class LedgerState:
         ms = MinerState(
             address=address,
             height=1,
-            hash=tower.record_digest(first_proof),
+            hash=tower.link_digest(first_proof.index, first_proof.input, first_proof.output),
             num=1,
         )
         self.miner_pool[address] = ms
@@ -280,7 +280,7 @@ class LedgerState:
             return False
         ms.height += 1
         ms.num = min(ms.num + 1, self.epoch_config.growth_cap)
-        ms.hash = tower.record_digest(record)
+        ms.hash = tower.link_digest(record.index, record.input, record.output)
         return True
 
     # -- block accounting ----------------------------------------------------

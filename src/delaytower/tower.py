@@ -1,31 +1,33 @@
 """Miner-side chain of delay proofs with durable file persistence.
 
 A tower starts from an input bound to the owner's key and endpoint, which its
-``params`` hold; every later proof evaluates on a group element derived from
-the digest of the previous record. ``check_link`` is that rule, for the ledger
+``params`` hold; every later proof evaluates on a group element hashed from the
+previous record's ``link_digest``. ``check_link`` is that rule, for the ledger
 too. Checked under another key, a tower fails at record 0: it cannot be moved.
 
 A tower is validated once, at its boundary, not before every link: each
-``Tower`` privately counts the records known to chain and verify. Only
-``init_tower``, ``extend`` and ``load_tower(validate=True)`` set that count.
-Any other tower, including one built by the constructor or by
-``dataclasses.replace`` (a tampered, re-keyed or reordered copy), starts at 0
-and is validated in full before ``extend`` appends to it.
+``Tower`` privately counts the records known to chain and verify. Only ``grow``
+and ``load_tower(validate=True)`` set that count. Any other tower, including one
+built by the constructor or by ``dataclasses.replace`` (a tampered, re-keyed or
+reordered copy), starts at 0 and is validated in full before it grows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import vdf
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
     write_atomic
 
-TOWER_FILE_VERSION = 2
+TOWER_FILE_VERSION = 3
 
 _DOMAIN_RECORD = b"delay-tower/record/v1"
+_DOMAIN_LINK = b"delay-tower/link/v1"
 
 
 class CorruptTower(Exception):
@@ -61,8 +63,8 @@ def _validated(tower: Tower) -> Tower:
     return tower
 
 
-def record_digest_bytes(record: ProofRecord) -> bytes:
-    """Canonical bytes hashed into the chain link."""
+def record_bytes(record: ProofRecord) -> bytes:
+    """Canonical bytes of a whole record, proof included; the ledger's messages sign them."""
     return (
         _DOMAIN_RECORD
         + encode_uint(record.index, 8)
@@ -72,40 +74,70 @@ def record_digest_bytes(record: ProofRecord) -> bytes:
     )
 
 
-def record_digest(record: ProofRecord) -> bytes:
-    """Digest of a record; the next record's input is derived from this."""
-    return hashlib.sha256(record_digest_bytes(record)).digest()
+def link_digest(index: int, input: int, output: int) -> bytes:
+    """Digest of a link's index, input and output; the next input is hashed from it.
+
+    It leaves the proof out, so the next link can square while the proof is
+    built. Every gate still checks the proof, and the ledger's signatures cover it."""
+    return hashlib.sha256(_DOMAIN_LINK + encode_uint(index, 8) + encode_bigint(input)
+                          + encode_bigint(output)).digest()
+
+
+def _previous_digest(tower: Tower, index: int) -> bytes:
+    """What record ``index``'s input is hashed from."""
+    if index == 0:
+        return tower.params.input_digest
+    previous = tower.records[index - 1]
+    return link_digest(previous.index, previous.input, previous.output)
 
 
 def init_tower(security: vdf.SecurityParams, public_key: bytes, endpoint: bytes) -> Tower:
     """Run setup and evaluate the first proof on the setup-derived input."""
     params = vdf.setup(security, public_key, endpoint)
-    x0 = vdf.hash_to_group(params.input_digest, params.modulus)
-    output, proof = vdf.eval(params, x0)
-    record = ProofRecord(index=0, input=x0, output=output, proof=proof)
-    return _validated(Tower(security=security, params=params, records=(record,)))
+    return extend(Tower(security=security, params=params, records=()))
 
 
 def next_input(tower: Tower) -> int:
     """Group element the next record must evaluate on."""
-    return vdf.hash_to_group(record_digest(tower.records[-1]), tower.params.modulus)
+    return vdf.hash_to_group(_previous_digest(tower, tower.height), tower.params.modulus)
+
+
+def _append(tower: Tower, x: int, y: int, powers: tuple[int, int, int],
+            on_link: Callable[[Tower], object]) -> Tower:
+    record = ProofRecord(tower.height, x, y, vdf.prove(tower.params, x, y, powers))
+    tower = _validated(replace(tower, records=tower.records + (record,)))
+    on_link(tower)
+    return tower
+
+
+def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _: None) -> Tower:
+    """Append ``links`` chained records, from record 0 for an empty tower.
+
+    This thread squares link k while one worker proves link k-1 and passes the
+    tower ending in it to ``on_link`` (a miner saves it there). Link k-1 is
+    joined before link k+1 starts: an exception from ``on_link`` stops growth
+    within one link, and one raised here, such as Ctrl-C between two squaring
+    calls, waits for the link in flight. A tower not known to be valid (from
+    ``grow`` or a validating ``load_tower``) is validated in full first, once
+    per session, not once per link; one that fails cannot grow.
+    """
+    if tower._validated_height != tower.height and not validate_chain(tower):
+        raise CorruptTower("refusing to extend a tower that fails chain validation")
+    digest, in_flight = _previous_digest(tower, tower.height), None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaytower-prove") as worker:
+        for index in range(tower.height, tower.height + links):
+            x = vdf.hash_to_group(digest, tower.params.modulus)
+            y, powers = vdf.squarings(tower.params, x)
+            if in_flight is not None:
+                tower = in_flight.result()
+            in_flight = worker.submit(_append, tower, x, y, powers, on_link)
+            digest = link_digest(index, x, y)
+        return tower if in_flight is None else in_flight.result()
 
 
 def extend(tower: Tower) -> Tower:
-    """Append one proof chained from the digest of the current tip.
-
-    A tower that fails validation cannot be extended. The whole chain is
-    validated first unless every record is already known to be valid, that
-    is, the tower came from ``init_tower``, ``extend`` or a validating
-    ``load_tower``; so a miner verifies its chain once per session, not once
-    per link.
-    """
-    if not 0 < tower._validated_height == tower.height and not validate_chain(tower):
-        raise CorruptTower("refusing to extend a tower that fails chain validation")
-    x = next_input(tower)
-    output, proof = vdf.eval(tower.params, x)
-    record = ProofRecord(index=len(tower.records), input=x, output=output, proof=proof)
-    return _validated(replace(tower, records=tower.records + (record,)))
+    """``grow`` by one link."""
+    return grow(tower, 1)
 
 
 def check_link(security: vdf.SecurityParams, modulus: int, previous_digest: bytes,
@@ -114,7 +146,7 @@ def check_link(security: vdf.SecurityParams, modulus: int, previous_digest: byte
 
     ``record`` must sit at ``index`` and evaluate on the group element hashed
     from ``previous_digest``: the owner's ``PublicParams.input_digest`` for
-    record 0, the previous record's digest after it. Returns None for a good
+    record 0, the previous record's ``link_digest`` after it. Returns None for a good
     link, otherwise the first gate it fails: "index", "input", or
     ``check_proof``'s "screen" or "transcript".
     """
@@ -129,10 +161,8 @@ def record_valid(tower: Tower, index: int) -> bool:
     """True iff record ``index`` exists and passes ``check_link`` in its place."""
     if not 0 <= index < tower.height:
         return False
-    previous = (tower.params.input_digest if index == 0
-                else record_digest(tower.records[index - 1]))
-    return check_link(tower.security, tower.params.modulus, previous, index,
-                      tower.records[index]) is None
+    return check_link(tower.security, tower.params.modulus, _previous_digest(tower, index),
+                      index, tower.records[index]) is None
 
 
 def validate_chain(tower: Tower) -> bool:

@@ -15,8 +15,9 @@ itself. A proof for t = 2^k therefore carries max(0, k - 7) midpoints.
 Format 3 draws level j's 128-bit challenge from a running SHA-256 over what
 the proof publishes, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
 X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
-Eval keeps only the left side, up to the last midpoint, and makes level 2's
-midpoint from powers its loop kept (``_loop_stops``). For moduli of
+Eval is two halves: ``squarings``, which keeps three powers as it passes
+(``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
+folds only the left side, up to the last midpoint. For moduli of
 ``_HAND_OFF_BITS`` and more, verify hands the right side to a worker thread and
 folds the left. Every input, output and midpoint is canonical, min(v, N - v),
 and verify compares the sides up to sign: -1 has order 2 mod N, so otherwise
@@ -489,33 +490,34 @@ def _loop_stops(t: int) -> tuple[int, int, int]:
     return t % 2 + q, half, half + q
 
 
-def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
-    """Evaluate x^(2^t) mod N by t sequential squarings and build its transcript.
+def squarings(pp: PublicParams, x: int) -> tuple[int, tuple[int, int, int]]:
+    """The sequential half of ``eval``: the canonical x^(2^t) mod N, and the
+    three powers of x (``_loop_stops``) that ``prove`` reuses.
 
     x must be a canonical unit mod N, as ``hash_to_group`` returns; any other
-    input raises InputOutOfRange, because no proof for it verifies. The output
-    and every midpoint are canonical.
-
-    The loop keeps level 1's midpoint and the two powers level 2's is made of
-    as it passes (``_loop_stops``); the later levels take about t/4 squarings
-    after it. No call squares more than ``_LOOP_CHUNK`` times, which bounds how
-    long an interrupt waits.
+    input raises InputOutOfRange, because no proof for it verifies. No call
+    squares more than ``_LOOP_CHUNK`` times, which bounds how long an interrupt waits.
     """
     modulus = pp.modulus
-    t = pp.iterations
     if (not isinstance(x, int) or not 1 <= x <= modulus // 2
             or math.gcd(x, modulus) != 1):
         raise InputOutOfRange(f"input must be a canonical unit in [1, modulus / 2], got {x}")
-
-    levels = expected_checkpoint_count(t)
     y, kept, done = x, [], 0
-    for stop in _loop_stops(t):
+    for stop in _loop_stops(pp.iterations):
         y = _square(y, stop - done, modulus)
         kept.append(y)
         done = stop
-    y = _canonical(_square(y, t - done, modulus), modulus)
-    q1, mu, q3 = kept
+    return _canonical(_square(y, pp.iterations - done, modulus), modulus), tuple(kept)
 
+
+def prove(pp: PublicParams, x: int, y: int, powers: tuple[int, int, int]) -> VdfProof:
+    """The other half of ``eval``: the transcript for ``squarings``' y and powers.
+
+    Levels 1 and 2 take the kept powers; the later ones about t/4 squarings, so
+    at t = 4096 a proof costs about half as much as the squarings. A miner
+    builds it on a second core while the next link squares."""
+    modulus, t, (q1, mu, q3) = pp.modulus, pp.iterations, powers
+    levels = expected_checkpoint_count(t)
     transcript = _Transcript(modulus, t, x, y)
     checkpoints = []
     X, remaining = x, t
@@ -531,13 +533,14 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
         r = transcript.challenge(checkpoints[-1])
         if level < levels:
             X = _powmod(X, r, modulus, mu)
+    return VdfProof(output=y, checkpoints=tuple(checkpoints),
+                    embedded_prime_length_bits=pp.prime_length_bits)
 
-    proof = VdfProof(
-        output=y,
-        checkpoints=tuple(checkpoints),
-        embedded_prime_length_bits=pp.prime_length_bits,
-    )
-    return y, proof
+
+def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
+    """x^(2^t) mod N by t sequential squarings, and its proof: ``squarings``, then ``prove``."""
+    y, powers = squarings(pp, x)
+    return y, prove(pp, x, y, powers)
 
 
 def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: list[int],

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from delaytower import vdf
+from delaytower import tower, vdf
 from delaytower.ledger import EpochConfig, LedgerState
 from delaytower.signing import KeyedHashScheme
 
@@ -14,6 +15,23 @@ SMALL_SECURITY = vdf.SecurityParams(modulus_bits=512, iterations=16)
 TINY_SECURITY = vdf.SecurityParams(modulus_bits=256, iterations=16)
 # Smallest power-of-two profile whose proofs carry 3 midpoints to tamper with.
 FOLD_SECURITY = vdf.SecurityParams(modulus_bits=512, iterations=1 << 10)
+
+
+def link_of(record: tower.ProofRecord) -> bytes:
+    """The digest the record after ``record`` hashes its input from."""
+    return tower.link_digest(record.index, record.input, record.output)
+
+
+def serial_chain(security: vdf.SecurityParams, key: bytes, endpoint: bytes,
+                 height: int) -> tower.Tower:
+    """The tower built one whole ``vdf.eval`` at a time, without ``tower.grow``."""
+    twr = tower.Tower(security=security, params=vdf.setup(security, key, endpoint), records=())
+    for index in range(height):
+        x = tower.next_input(twr)
+        output, proof = vdf.eval(twr.params, x)
+        record = tower.ProofRecord(index=index, input=x, output=output, proof=proof)
+        twr = dataclasses.replace(twr, records=twr.records + (record,))
+    return twr
 
 
 @pytest.fixture(scope="session")

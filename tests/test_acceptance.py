@@ -29,6 +29,7 @@ from delaytower.ledger import (
 from delaytower.reconfig import LifecycleState, advance_epoch, lifecycle_of
 from delaytower.signing import KeyedHashScheme
 
+from conftest import link_of
 from test_reconfig import oracle_advance, random_ledger
 
 SCHEME = KeyedHashScheme()
@@ -249,7 +250,7 @@ def test_criterion_06_algorithm_one_conformance():
                     op = "valid"
                 else:
                     parent = miner.tower.records[-2]
-                    x = vdf.hash_to_group(tower.record_digest(parent), state.modulus)
+                    x = vdf.hash_to_group(link_of(parent), state.modulus)
                     output, proof = vdf.eval(miner.tower.params, x)
                     record = tower.ProofRecord(index=miner.tower.height, input=x,
                                                output=output, proof=proof)
@@ -305,7 +306,7 @@ def test_criterion_06_algorithm_one_conformance():
                 assert pre_height < claimed
                 post = state.miner_pool[miner.address]
                 assert post.height == pre_height + 1
-                assert post.hash == tower.record_digest(record)
+                assert post.hash == link_of(record)
                 miner.accept_locally(record)
             else:
                 assert fingerprint() == before, f"rejected {op} mutated state"

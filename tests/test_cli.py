@@ -8,16 +8,25 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import threading
 from importlib import resources
 
 import pytest
 
 from delaytower import tower, vdf
-from delaytower.cli import main
+from delaytower.cli import DEFAULT_ENDPOINT, main
 from delaytower.ledger import EpochConfig, LedgerState
 from delaytower.signing import KeyedHashScheme
 
+from conftest import serial_chain
+
 FAST = ["--iterations", "64", "--modulus-bits", "256"]
+# Enough squarings for a proof with three midpoints, so the worker has work to do.
+DEEP = ["--iterations", "1024"]
+# The main thread's squaring calls per link at 1024 squarings: the loop stops three times.
+LINK_CALLS = 4
 
 # SHA-256 of simulate's CSV and summary for each bundled scenario.
 SIMULATE_SHA256 = {
@@ -69,11 +78,95 @@ class TestMine:
                      "--iterations", "64", "--modulus-bits", "512"]) == 0
         assert tower.load_tower(tmp_path / "t.bin").params.modulus != public
 
-    @pytest.mark.parametrize("option, value", [("--proofs", "-3")])
+    @pytest.mark.parametrize("option, value", [("--proofs", "-3"), ("--modulus-bits", "32"),
+                                               ("--iterations", "0")])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, option, value):
+        # Out-of-range security parameters are named by their field.
+        name = {"--modulus-bits": "modulus_bits", "--iterations": "iterations"}.get(option, option)
         assert mine(tmp_path, option, value) == 2
-        assert capsys.readouterr().err.startswith(f"error: {option} must be ")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be ")
         assert list(tmp_path.iterdir()) == []  # refused before any key or tower is written
+
+    def test_resume_ignores_fresh_tower_parameters(self, tmp_path):
+        assert mine(tmp_path, "--proofs", "0") == 0
+        assert mine(tmp_path, "--proofs", "1", "--modulus-bits", "32", "--iterations", "0") == 0
+        twr = tower.load_tower(tmp_path / "t.bin")
+        assert (twr.height, twr.params.iterations, twr.security.modulus_bits) == (2, 64, 256)
+
+    @pytest.mark.parametrize("broken, message", [
+        ("--tower-file", "error: cannot write tower file: "),
+        ("--key-file", "error: cannot write key file: "),
+    ])
+    def test_unwritable_path_is_domain_error(self, tmp_path, broken, message):
+        files = {"--tower-file": tmp_path / "t.bin", "--key-file": tmp_path / "k.hex"}
+        files[broken] = tmp_path / "missing" / "file"
+        argv = [arg for option, path in files.items() for arg in (option, str(path))]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-m", "delaytower.cli", "mine", *argv, *FAST],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith(message) and "Traceback" not in run.stderr, run.stderr
+        assert not (tmp_path / "t.bin").exists()
+
+    def test_pipelined_file_matches_serial_chain(self, tmp_path):
+        # One session of 5 links, and sessions of 2 and then 3, give the same bytes.
+        assert mine(tmp_path, *DEEP, "--proofs", "5") == 0
+        key = bytes.fromhex((tmp_path / "k.hex").read_text())
+        security = vdf.SecurityParams(modulus_bits=256, iterations=1024)
+        tower.save_tower(serial_chain(security, key, DEFAULT_ENDPOINT.encode(), 6),
+                         tmp_path / "serial.bin")
+        expected = (tmp_path / "serial.bin").read_bytes()
+        assert (tmp_path / "t.bin").read_bytes() == expected
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        (resumed / "k.hex").write_bytes((tmp_path / "k.hex").read_bytes())
+        assert mine(resumed, *DEEP, "--proofs", "2") == 0
+        assert mine(resumed, *DEEP, "--proofs", "3") == 0
+        assert (resumed / "t.bin").read_bytes() == expected
+
+    def test_interrupt_keeps_the_link_in_flight(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C lands in the main thread's squarings of link k + 1; link k,
+        # then in its proof or save on the worker, still reaches the file.
+        k, real = 2, vdf._powmod
+        squaring_calls = 0
+
+        def powmod(base, exponent, modulus, factor=1, cached=True):
+            nonlocal squaring_calls
+            if cached and threading.current_thread() is threading.main_thread():
+                squaring_calls += 1  # Miller-Rabin's calls are the uncached ones
+                if squaring_calls == LINK_CALLS * (k + 1) + 2:
+                    raise KeyboardInterrupt
+            return real(base, exponent, modulus, factor, cached)
+
+        monkeypatch.setattr(vdf, "_powmod", powmod)
+        with pytest.raises(KeyboardInterrupt):
+            mine(tmp_path, *DEEP, "--proofs", "5")
+        monkeypatch.undo()
+        assert squaring_calls == LINK_CALLS * (k + 1) + 2
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"height {k} -> {k + 1} (")
+        assert tower.load_tower(tmp_path / "t.bin").height == k + 1
+
+    def test_failed_save_stops_within_one_link(self, tmp_path, monkeypatch, capsys):
+        # Saving link k fails on the worker while link k + 1 squares; link k + 2 never starts.
+        k, real_save, real_squarings = 2, tower.save_tower, vdf.squarings
+        squared = []
+
+        def save(twr, path):
+            if twr.height == k + 1:
+                raise OSError(28, "No space left on device")
+            real_save(twr, path)
+
+        def squarings(pp, x):
+            squared.append(x)
+            return real_squarings(pp, x)
+
+        monkeypatch.setattr(tower, "save_tower", save)
+        monkeypatch.setattr(vdf, "squarings", squarings)
+        assert mine(tmp_path, *DEEP, "--proofs", "5") == 1
+        assert capsys.readouterr().err == \
+            "error: cannot write tower file: [Errno 28] No space left on device\n"
+        assert len(squared) == k + 2
+        assert tower.load_tower(tmp_path / "t.bin").height == k
 
     def test_new_key_file_private(self, tmp_path):
         assert mine(tmp_path, "--proofs", "1") == 0
@@ -152,8 +245,8 @@ class TestBench:
         with open(out_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         operations = {(r["operation"], r["iterations"]) for r in rows}
-        assert len(operations) == 6  # three labelled blocks per iteration point
-        assert len(rows) == 24
+        assert len(operations) == 10  # five labelled blocks per iteration point
+        assert len(rows) == 40
         by_op = {}
         for row in rows:
             by_op.setdefault((row["operation"], row["iterations"]), []).append(
@@ -174,9 +267,10 @@ class TestBench:
         header = re.fullmatch(rf"powmod: {re.escape(vdf.powmod_engine())}; cpus: (\d+)", lines[0])
         assert header and 1 <= int(header.group(1)) <= os.cpu_count(), lines[0]
         assert lines[-1] == f"wrote {out_path}"
-        assert len(lines) == 5
+        assert len(lines) == 7
         ms = r"(\d+\.\d{3}) ms"
-        for label, line in zip(("eval", "verify-valid", "verify-invalid"), lines[1:4]):
+        labels = ("eval", "eval-squarings", "eval-prove", "verify-valid", "verify-invalid")
+        for label, line in zip(labels, lines[1:6]):
             match = re.fullmatch(
                 rf"{label} t={rows[0]['iterations']} n={samples}: mean {ms}, median {ms}, "
                 rf"p25 {ms}, p75 {ms}, min {ms}, max {ms}", line)

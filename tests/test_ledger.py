@@ -35,7 +35,7 @@ from delaytower.ledger import (
 from delaytower.reconfig import advance_epoch
 from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, make_ledger
+from conftest import FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, link_of, make_ledger
 
 SCHEME = KeyedHashScheme()
 
@@ -126,7 +126,7 @@ class TestRegistration:
         assert ms.height == 1
         assert ms.num == 1
         assert not ms.jailed and ms.jail_sentence == 0
-        assert ms.hash == tower.record_digest(miner.tower.records[0])
+        assert ms.hash == link_of(miner.tower.records[0])
         assert b"alice" in state.miner_pool
 
     def test_duplicate_rejected(self, state):
@@ -202,7 +202,7 @@ class TestRegistration:
 class TestMessages:
     # SHA-256 of an honest miner's registration message followed by its
     # submission of link 1: what miners sign must not drift.
-    PINNED_SHA256 = "b7e99fc9b1c1bd85b35d2f5bbf01b6cb93017956189d0cc5b04091c456a5f470"
+    PINNED_SHA256 = "5937f974d6ca8ad83465dbba9459c4ed0db13a871e4f6664e3c7935e0ec01184"
 
     def test_bytes_pinned(self, state):
         miner = Miner(state, b"alice")
@@ -239,7 +239,7 @@ class TestSubmission:
         ms = state.miner_pool[b"alice"]
         assert ms.height == 2
         assert ms.num == 2
-        assert ms.hash == tower.record_digest(record)
+        assert ms.hash == link_of(record)
 
     def test_replay_of_tip_rejected(self, state, miner):
         record = miner.next_record()
@@ -254,7 +254,7 @@ class TestSubmission:
         first = miner.next_record()
         assert miner.submit(first)
         stale_input = vdf.hash_to_group(
-            tower.record_digest(miner.tower.records[0]), state.modulus)
+            link_of(miner.tower.records[0]), state.modulus)
         output, proof = vdf.eval(miner.tower.params, stale_input)
         stale = tower.ProofRecord(index=2, input=stale_input, output=output, proof=proof)
         before = fingerprint(state)
@@ -359,7 +359,7 @@ class TestLinkGates:
         return accepted, fingerprint(state) != before
 
     def check_last(self, twr: tower.Tower, record: tower.ProofRecord):
-        previous = tower.record_digest(twr.records[1])
+        previous = link_of(twr.records[1])
         return tower.check_link(FOLD_SECURITY, twr.params.modulus, previous, 2, record)
 
     @pytest.mark.parametrize("gate", list(LINK_FAULTS))
@@ -690,7 +690,7 @@ class TestSnapshotImport:
     def test_bytes_pinned(self):
         text = pinned_ledger().export_snapshot()
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "521ad9501834ba76c4e52e94ceae8f7a74038ccae9114a30fdd499a06805a619"
+            "979691adb57e7cbdb5cbb45f063b343879e27019c0c7220f063a6f455b37ad3a"
         assert LedgerState.import_snapshot(text).export_snapshot() == text
 
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

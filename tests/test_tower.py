@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import sys
 
 import pytest
 
 from delaytower import tower, vdf
 
-from conftest import SMALL_SECURITY, full_fold
+from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold, link_of, serial_chain
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +28,11 @@ def height8() -> tower.Tower:
     return twr
 
 
-# Digests of the tower below as saved in tower file version 2 with proof
+# Digests of the tower below as saved in tower file version 3 with proof
 # format 3, and with proof format 1's layout (its transcripts folded down to a
-# single squaring): the proof and file formats must not drift.
-PINNED_TOWER_SHA256 = "3a104bb447dc61c8db5517dc13a21c8c2e26fad0fdee36cfa3a3ea8e42fcfac4"
-FORMAT_1_TOWER_SHA256 = "6f58ee2d5fd83da2a462ba1141e656f64d7f7b289e1a8b11811c26d684ee93b8"
+# single squaring): the proof and file formats and the chain rule must not drift.
+PINNED_TOWER_SHA256 = "aec58862f5ea4b8be982445aab51bba5868caaeb10363777e81e5218a769ae5a"
+FORMAT_1_TOWER_SHA256 = "f3fd4ffbff318a4df08e96f9fd2f8784819a22ba2806ed293680f883d2f0cac4"
 
 
 def pinned_tower() -> tower.Tower:
@@ -70,7 +71,7 @@ class TestInit:
     def test_same_inputs_same_first_record(self):
         a = tower.init_tower(SMALL_SECURITY, b"k", b"e")
         b = tower.init_tower(SMALL_SECURITY, b"k", b"e")
-        assert tower.record_digest(a.records[0]) == tower.record_digest(b.records[0])
+        assert link_of(a.records[0]) == link_of(b.records[0])
 
     def test_different_keys_different_inputs(self):
         a = tower.init_tower(SMALL_SECURITY, b"k1", b"e")
@@ -80,7 +81,7 @@ class TestInit:
 
 class TestExtend:
     def test_chains_from_parent_digest(self, height3):
-        parent_digest = tower.record_digest(height3.records[1])
+        parent_digest = link_of(height3.records[1])
         expected = vdf.hash_to_group(parent_digest, height3.params.modulus)
         assert height3.records[2].input == expected
 
@@ -102,6 +103,52 @@ class TestExtend:
         records[2], records[3] = records[3], records[2]
         with pytest.raises(tower.CorruptTower):
             tower.extend(dataclasses.replace(height8, records=tuple(records)))
+
+
+class TestPipeline:
+    """``grow`` squares each link while a worker proves the one before."""
+
+    def test_same_records_as_extend_and_serial_eval(self):
+        start = tower.init_tower(FOLD_SECURITY, b"owner-p", b"ep-p")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            grown = tower.grow(start, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        one_by_one = start
+        for _ in range(5):
+            one_by_one = tower.extend(one_by_one)
+        serial = serial_chain(FOLD_SECURITY, b"owner-p", b"ep-p", 6)
+        assert grown.height == one_by_one.height == serial.height == 6
+        for index, record in enumerate(grown.records):
+            assert record == one_by_one.records[index] == serial.records[index], index
+        assert grown == serial and tower.validate_chain(grown)
+
+    def test_each_link_handed_on_in_order(self):
+        empty = tower.Tower(security=SMALL_SECURITY, records=(),
+                            params=vdf.setup(SMALL_SECURITY, b"owner-q", b"ep-q"))
+        seen = []
+        grown = tower.grow(empty, 4, seen.append)
+        assert [twr.height for twr in seen] == [1, 2, 3, 4]
+        assert seen[-1] == grown and all(tower.validate_chain(twr) for twr in seen)
+        assert tower.grow(grown, 0, seen.append) is grown and len(seen) == 4
+
+    def test_proof_left_out_of_chain_digest(self):
+        twr = tower.grow(tower.init_tower(FOLD_SECURITY, b"owner-r", b"ep-r"), 2)
+        record = twr.records[1]
+        midpoints = (record.proof.checkpoints[0] * 2 % twr.params.modulus,
+                     *record.proof.checkpoints[1:])
+        bad = dataclasses.replace(record, proof=dataclasses.replace(
+            record.proof, checkpoints=midpoints))
+        tampered = dataclasses.replace(twr, records=(twr.records[0], bad, twr.records[2]))
+        assert tower.next_input(dataclasses.replace(tampered, records=tampered.records[:2])) \
+            == twr.records[2].input
+        assert tower.check_link(FOLD_SECURITY, twr.params.modulus, link_of(twr.records[0]),
+                                1, bad) == "transcript"
+        assert not tower.record_valid(tampered, 1)
+        assert tower.record_valid(tampered, 2)
+        assert not tower.validate_chain(tampered)
 
 
 @pytest.fixture
@@ -213,16 +260,15 @@ class TestPersistence:
         assert pinned_tower_sha256(tmp_path) == PINNED_TOWER_SHA256
 
     def test_format_1_file_refused(self, monkeypatch, tmp_path):
-        real_eval = vdf.eval
+        real_prove = vdf.prove
 
-        def format_1_eval(pp, x):
-            output, proof = real_eval(pp, x)
-            full, _ = full_fold(pp.modulus, x, pp.iterations, output)
-            return output, dataclasses.replace(proof, checkpoints=full)
+        def format_1_prove(pp, x, y, powers):
+            full, _ = full_fold(pp.modulus, x, pp.iterations, y)
+            return dataclasses.replace(real_prove(pp, x, y, powers), checkpoints=full)
 
         path = tmp_path / "t.bin"
         with monkeypatch.context() as patch:
-            patch.setattr(vdf, "eval", format_1_eval)
+            patch.setattr(vdf, "prove", format_1_prove)
             patch.setattr(vdf, "PROOF_FORMAT_VERSION", 1)
             tower.save_tower(pinned_tower(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == FORMAT_1_TOWER_SHA256
@@ -237,6 +283,16 @@ class TestPersistence:
         path.write_bytes(body + hashlib.sha256(body).digest())
         for validate in (True, False):
             with pytest.raises(tower.CorruptTower, match="tower file version 1"):
+                tower.load_tower(path, validate=validate)
+
+    def test_tower_file_version_2_refused(self, tmp_path, height3):
+        # Version 2 hashed each record's proof into the next input.
+        path = tmp_path / "t.bin"
+        tower.save_tower(height3, path)
+        body = b"\x02" + path.read_bytes()[1:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="unsupported tower file version 2"):
                 tower.load_tower(path, validate=validate)
 
     def test_modulus_size_read_from_modulus(self, tmp_path, height3):
