@@ -26,12 +26,9 @@ EXIT_USAGE = 2
 DEFAULT_ENDPOINT = "0.0.0.0:6180"
 
 
-def _load_key(path: str) -> bytes:
-    """Read the hex identity key, creating a fresh one when the file is absent.
-
-    A new key file is created atomically with mode 0600.
-    """
-    if os.path.exists(path):
+def _load_key(path: str, create: bool) -> bytes:
+    """Read the hex identity key; if ``create`` and there is none, write one with mode 0600."""
+    if not create or os.path.exists(path):
         with open(path, "r", encoding="ascii") as fh:
             return bytes.fromhex(fh.read().strip())
     key = secrets.token_bytes(32)
@@ -45,12 +42,19 @@ def cmd_mine(args) -> int:
         print("error: --proofs must be at least 0", file=sys.stderr)
         return EXIT_USAGE
     fresh = not os.path.exists(args.tower_file)
-    if fresh:  # refuse out-of-range parameters before any file is written
-        security = vdf.SecurityParams(modulus_bits=args.modulus_bits,
-                                      iterations=args.iterations)
-    verb = "read" if os.path.exists(args.key_file) else "write"
+    if fresh:  # refuse out-of-range parameters, or a tower that fails to load, before any write
+        security = vdf.SecurityParams(args.modulus_bits, args.iterations)
+    else:
+        started = time.perf_counter()
+        try:
+            twr = tower.load_tower(args.tower_file)
+        except OSError as exc:
+            print(f"error: cannot read tower file: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        elapsed = (time.perf_counter() - started) * 1000.0
+    verb = "write" if fresh and not os.path.exists(args.key_file) else "read"
     try:
-        key = _load_key(args.key_file)
+        key = _load_key(args.key_file, create=fresh)
     except (OSError, ValueError) as exc:
         print(f"error: cannot {verb} key file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -59,23 +63,15 @@ def cmd_mine(args) -> int:
         return EXIT_DOMAIN
 
     if fresh:
-        twr = tower.Tower(security=security, records=(),
-                          params=vdf.setup(security, key, args.endpoint.encode()))
+        twr = tower.Tower(params=vdf.setup(security, key, args.endpoint.encode()), records=())
         if twr.params.iterations != args.iterations:
             print(f"note: iterations rounded up to {twr.params.iterations}")
+    elif twr.params.public_key != key:
+        print("error: tower file belongs to a different key", file=sys.stderr)
+        return EXIT_DOMAIN
     else:
-        started = time.perf_counter()
-        try:
-            twr = tower.load_tower(args.tower_file)
-        except OSError as exc:
-            print(f"error: cannot read tower file: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        if twr.params.public_key != key:
-            print("error: tower file belongs to a different key", file=sys.stderr)
-            return EXIT_DOMAIN
-        elapsed = (time.perf_counter() - started) * 1000.0
         print(f"resuming tower at height {twr.height} "
-              f"(t={twr.params.iterations}, modulus {twr.security.modulus_bits} bits; "
+              f"(t={twr.params.iterations}, modulus {twr.params.modulus.bit_length()} bits; "
               f"validated in {elapsed:.1f} ms)")
 
     last_saved = time.perf_counter()
@@ -155,8 +151,9 @@ def cmd_bench(args) -> int:
             ("eval", lambda: vdf.eval(pp, x)),
             ("eval-squarings", lambda: vdf.squarings(pp, x)),
             ("eval-prove", lambda: vdf.prove(pp, x, output, powers)),
-            ("verify-valid", lambda: vdf.check_proof(security, pp.modulus, x, output, proof)),
-            ("verify-invalid", lambda: vdf.check_proof(security, pp.modulus, x, output, invalid)),
+            ("verify-valid", lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output, proof)),
+            ("verify-invalid", lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
+                                                       invalid)),
         )
         for label, fn in operations:
             samples = []

@@ -127,7 +127,7 @@ def registration_message(address: bytes, params: vdf.PublicParams,
         + encode_bigint(params.modulus)
         + encode_bytes(params.input_digest)
         + encode_uint(params.iterations, 8)
-        + encode_uint(params.prime_length_bits, 4)
+        + encode_uint(vdf.PRIME_LENGTH_BITS, 4)
         + tower.record_bytes(record)
     )
 
@@ -158,6 +158,7 @@ class LedgerState:
         self.scheme = scheme
         self.modulus = modulus if modulus is not None else vdf.generate_modulus(
             security.modulus_bits)
+        self._iterations = vdf.effective_iterations(security.iterations)  # what proofs square
         self.epoch: int = 0
         self.epoch_signatures = {}
         self.validator_set = ()
@@ -238,7 +239,7 @@ class LedgerState:
             raise InvalidProof(f"no public parameters for this address: {exc}") from exc
         if params != expected:  # the genesis profile, and record 0's input bound to this address
             raise InvalidProof("public parameters are not this address's on this network")
-        failed = tower.check_link(self.security, self.modulus, params.input_digest, 0,
+        failed = tower.check_link(self.modulus, self._iterations, params.input_digest, 0,
                                   first_proof)
         if failed is not None:
             raise InvalidProof(f"first proof fails the {failed} check")
@@ -275,7 +276,7 @@ class LedgerState:
             return False
         if not ms.height < claimed_height:
             return False
-        if tower.check_link(self.security, self.modulus, ms.hash, ms.height,
+        if tower.check_link(self.modulus, self._iterations, ms.hash, ms.height,
                             record) is not None:
             return False
         ms.height += 1
@@ -346,17 +347,17 @@ class LedgerState:
     @classmethod
     def import_snapshot(cls, text: str) -> "LedgerState":
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on
-        malformed JSON, a missing key, a wrong type, bad hex, a negative count, a
-        non-bool ``jailed``, a modulus that ``vdf.check_modulus`` refuses or whose
-        size is not ``security.modulus_bits``, an invalid config, another version,
-        a signer outside the miner pool or a signature count above
-        ``epoch_blocks_total``."""
+        malformed JSON, a missing key, a wrong type, hex or a decimal that export
+        would spell otherwise, a negative count, a non-bool ``jailed``, a modulus
+        that ``vdf.check_modulus`` refuses or whose size is not
+        ``security.modulus_bits``, an invalid config, another version, a signer
+        outside the miner pool or a signature count above ``epoch_blocks_total``."""
         try:
             doc = json.loads(text)
             if doc.get("version") != SNAPSHOT_VERSION:
                 raise ValueError(f"unsupported snapshot version {doc.get('version')}")
             security = vdf.SecurityParams.from_doc(doc["security"])
-            modulus = int(doc["modulus"], 10)  # a decimal string only
+            modulus = _as_written(doc["modulus"], int, str)
             vdf.check_modulus(modulus)
             if modulus.bit_length() != security.modulus_bits:
                 raise ValueError(f"modulus has {modulus.bit_length()} bits, "
@@ -367,22 +368,22 @@ class LedgerState:
             for addr_hex, fields in doc["miner_pool"].items():
                 if not isinstance(fields["jailed"], bool):
                     raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
-                address = bytes.fromhex(addr_hex)
+                address = _as_written(addr_hex)
                 state.miner_pool[address] = MinerState(
                     address=address,
                     height=_count(fields["height"]),
-                    hash=bytes.fromhex(fields["hash"]),
+                    hash=_as_written(fields["hash"]),
                     num=_count(fields["num"]),
                     jailed=fields["jailed"],
                     jail_sentence=_count(fields["jail_sentence"]),
                     compliant_epochs=_count(fields["compliant_epochs"]),
                 )
-            validators = [bytes.fromhex(a) for a in doc["validator_set"]]
+            validators = [_as_written(a) for a in doc["validator_set"]]
             if validators:
                 state.install_validators(validators)
             state.epoch_blocks_total = _count(doc["epoch_blocks_total"])
             state.epoch_signatures = {
-                bytes.fromhex(a): _count(n) for a, n in doc["epoch_signatures"].items()
+                _as_written(a): _count(n) for a, n in doc["epoch_signatures"].items()
             }
             for address, n in state.epoch_signatures.items():
                 if address not in state.miner_pool:
@@ -398,6 +399,13 @@ class LedgerState:
 def _nested_doc(doc: dict) -> str:
     """A small second-level object through ``json.dumps``, re-indented one level."""
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
+    """``parse(text)``, if ``write`` gives ``text`` back: the one spelling export writes."""
+    if write(value := parse(text)) != text:
+        raise ValueError(f"{text!r} is not spelled as export_snapshot writes it")
+    return value
 
 
 def _count(value) -> int:

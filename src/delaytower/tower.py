@@ -46,7 +46,8 @@ class ProofRecord:
 
 @dataclass(frozen=True)
 class Tower:
-    security: vdf.SecurityParams
+    """A miner's chain: the owner's ``params`` and the ``records``, nothing else."""
+
     params: vdf.PublicParams
     records: tuple[ProofRecord, ...]
     # Records known to chain and verify; not part of equality or the file.
@@ -93,8 +94,7 @@ def _previous_digest(tower: Tower, index: int) -> bytes:
 
 def init_tower(security: vdf.SecurityParams, public_key: bytes, endpoint: bytes) -> Tower:
     """Run setup and evaluate the first proof on the setup-derived input."""
-    params = vdf.setup(security, public_key, endpoint)
-    return extend(Tower(security=security, params=params, records=()))
+    return extend(Tower(params=vdf.setup(security, public_key, endpoint), records=()))
 
 
 def next_input(tower: Tower) -> int:
@@ -140,29 +140,29 @@ def extend(tower: Tower) -> Tower:
     return grow(tower, 1)
 
 
-def check_link(security: vdf.SecurityParams, modulus: int, previous_digest: bytes,
+def check_link(modulus: int, iterations: int, previous_digest: bytes,
                index: int, record: ProofRecord) -> str | None:
     """The chain rule for one link, shared by towers and the ledger.
 
-    ``record`` must sit at ``index`` and evaluate on the group element hashed
-    from ``previous_digest``: the owner's ``PublicParams.input_digest`` for
-    record 0, the previous record's ``link_digest`` after it. Returns None for a good
-    link, otherwise the first gate it fails: "index", "input", or
-    ``check_proof``'s "screen" or "transcript".
+    ``record`` must sit at ``index`` and prove ``iterations`` squarings mod
+    ``modulus`` of the element hashed from ``previous_digest``: the owner's
+    ``PublicParams.input_digest`` for record 0, the previous record's
+    ``link_digest`` after it. Returns None for a good link, otherwise the first
+    gate it fails: "index", "input", or ``check_proof``'s "screen" or "transcript".
     """
     if record.index != index:
         return "index"
     if record.input != vdf.hash_to_group(previous_digest, modulus):
         return "input"
-    return vdf.check_proof(security, modulus, record.input, record.output, record.proof)
+    return vdf.check_proof(modulus, iterations, record.input, record.output, record.proof)
 
 
 def record_valid(tower: Tower, index: int) -> bool:
     """True iff record ``index`` exists and passes ``check_link`` in its place."""
     if not 0 <= index < tower.height:
         return False
-    return check_link(tower.security, tower.params.modulus, _previous_digest(tower, index),
-                      index, tower.records[index]) is None
+    return check_link(tower.params.modulus, tower.params.iterations,
+                      _previous_digest(tower, index), index, tower.records[index]) is None
 
 
 def validate_chain(tower: Tower) -> bool:
@@ -173,8 +173,8 @@ def validate_chain(tower: Tower) -> bool:
 def _serialize(tower: Tower) -> bytes:
     body = bytearray()
     body += encode_uint(TOWER_FILE_VERSION, 1)
-    body += encode_uint(tower.security.prime_length_bits, 4)
-    body += encode_uint(tower.security.iterations, 8)
+    body += encode_uint(vdf.PRIME_LENGTH_BITS, 4)
+    body += encode_uint(tower.params.iterations, 8)
     body += encode_bytes(tower.params.public_key)
     body += encode_bytes(tower.params.endpoint)
     body += encode_bigint(tower.params.modulus)
@@ -199,26 +199,24 @@ def _deserialize(data: bytes) -> Tower:
         version = reader.uint(1)
         if version != TOWER_FILE_VERSION:
             raise CorruptTower(f"unsupported tower file version {version}")
-        prime_length_bits = reader.uint(4)
+        label = reader.uint(4)
+        if label != vdf.PRIME_LENGTH_BITS:
+            raise CorruptTower(f"unsupported prime-length label {label}")
         iterations = reader.uint(8)
         owner = reader.bytes_()
         endpoint = reader.bytes_()
         modulus = reader.bigint()
-        # The modulus states its own size: the file carries no separate claim of it.
-        security = vdf.SecurityParams(modulus_bits=modulus.bit_length(),
-                                      prime_length_bits=prime_length_bits,
-                                      iterations=iterations)
-        count = reader.uint(4)
-        records = []
-        for _ in range(count):
-            records.append(ProofRecord(index=reader.uint(8), input=reader.bigint(),
-                                       output=reader.bigint(),
-                                       proof=vdf.deserialize_proof(reader.bytes_())))
+        records = tuple(ProofRecord(index=reader.uint(8), input=reader.bigint(),
+                                    output=reader.bigint(),
+                                    proof=vdf.deserialize_proof(reader.bytes_()))
+                        for _ in range(reader.uint(4)))
         reader.expect_end()
-        params = vdf.setup(security, owner, endpoint, modulus=modulus)
+        # The modulus states its own size: the file carries no separate claim of it.
+        params = vdf.setup(vdf.SecurityParams(modulus.bit_length(), iterations), owner, endpoint,
+                           modulus=modulus)
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:
         raise CorruptTower(f"cannot parse tower file: {exc}") from exc
-    return Tower(security=security, params=params, records=tuple(records))
+    return Tower(params=params, records=records)
 
 
 def save_tower(tower: Tower, path: str | os.PathLike) -> None:

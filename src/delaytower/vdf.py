@@ -61,10 +61,11 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
-    fields_from_doc
+    fields_from_doc, json_int
 
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
-DEFAULT_PRIME_LENGTH_BITS = 512
+# The one prime-length label the formats carry; it computes nothing and goes at their next bump.
+PRIME_LENGTH_BITS = 512
 
 PROOF_FORMAT_VERSION = 3
 
@@ -88,7 +89,6 @@ _DOMAIN_WITNESS = b"delay-tower/witness/v1"
 _CHALLENGE_BYTES = 16
 
 _MIN_MODULUS_BITS = 64
-_MIN_PRIME_LENGTH_BITS = 16
 
 
 # The libcrypto bignum calls the group arithmetic makes: name -> (argtypes,
@@ -260,26 +260,27 @@ class SecurityParams:
 
     modulus_bits: int
     iterations: int
-    prime_length_bits: int = DEFAULT_PRIME_LENGTH_BITS
 
     def __post_init__(self):
         if self.modulus_bits < _MIN_MODULUS_BITS:
             raise InvalidSecurityParams(
                 f"modulus_bits must be >= {_MIN_MODULUS_BITS}, got {self.modulus_bits}")
-        if self.prime_length_bits < _MIN_PRIME_LENGTH_BITS:
-            raise InvalidSecurityParams(
-                f"prime_length_bits must be >= {_MIN_PRIME_LENGTH_BITS}, got {self.prime_length_bits}")
         if self.iterations < 1:
             raise InvalidSecurityParams(f"iterations must be >= 1, got {self.iterations}")
 
     def to_doc(self) -> dict:
-        """JSON object of every field; ``from_doc`` reads it back."""
-        return asdict(self)
+        """JSON object of every field and the label; ``from_doc`` reads it back."""
+        return {**asdict(self), "prime_length_bits": PRIME_LENGTH_BITS}
 
     @classmethod
     def from_doc(cls, doc) -> "SecurityParams":
-        """Parse ``to_doc``'s form; missing keys take the field defaults."""
-        return cls(**fields_from_doc(cls, doc))
+        """Parse ``to_doc``'s form; missing keys take the defaults, and no other label passes."""
+        values = fields_from_doc(cls, doc)
+        label = json_int("prime_length_bits", doc.get("prime_length_bits", PRIME_LENGTH_BITS))
+        if label != PRIME_LENGTH_BITS:
+            raise InvalidSecurityParams(
+                f"prime_length_bits must be {PRIME_LENGTH_BITS}, got {label}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,6 @@ class PublicParams:
     public_key: bytes
     endpoint: bytes
     iterations: int
-    prime_length_bits: int = DEFAULT_PRIME_LENGTH_BITS
 
     def __post_init__(self):
         check_modulus(self.modulus)
@@ -308,11 +308,11 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class VdfProof:
-    """Halving transcript: final output, per-level midpoints, declared prime length."""
+    """Halving transcript: final output, per-level midpoints, ``PRIME_LENGTH_BITS`` label."""
 
     output: int
     checkpoints: tuple[int, ...]
-    embedded_prime_length_bits: int = DEFAULT_PRIME_LENGTH_BITS
+    embedded_prime_length_bits: int = PRIME_LENGTH_BITS
 
 
 def effective_iterations(requested: int) -> int:
@@ -449,7 +449,6 @@ def setup(
         public_key=bytes(public_key),
         endpoint=bytes(endpoint),
         iterations=effective_iterations(security.iterations),
-        prime_length_bits=security.prime_length_bits,
     )
 
 
@@ -533,8 +532,7 @@ def prove(pp: PublicParams, x: int, y: int, powers: tuple[int, int, int]) -> Vdf
         r = transcript.challenge(checkpoints[-1])
         if level < levels:
             X = _powmod(X, r, modulus, mu)
-    return VdfProof(output=y, checkpoints=tuple(checkpoints),
-                    embedded_prime_length_bits=pp.prime_length_bits)
+    return VdfProof(output=y, checkpoints=tuple(checkpoints))
 
 
 def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
@@ -633,34 +631,33 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
     return _canonical(X, modulus) == _canonical(right(), modulus)
 
 
-def fast_reject(security: SecurityParams, proof: VdfProof) -> bool:
+def fast_reject(modulus: int, iterations: int, proof: VdfProof) -> bool:
     """Cheap structural screen run before full verification; True means reject.
 
-    Rejects any proof whose declared prime length differs from the network
-    profile, whose midpoint count does not match the effective step count, or
-    whose elements cannot possibly lie in the group. Costs a handful of integer
-    comparisons regardless of the step count.
+    Rejects any proof whose prime-length label is not ``PRIME_LENGTH_BITS``,
+    whose midpoint count does not match ``iterations``, or whose elements are
+    wider than the modulus. Costs a handful of integer comparisons regardless
+    of the step count.
     """
-    if proof.embedded_prime_length_bits != security.prime_length_bits:
+    if proof.embedded_prime_length_bits != PRIME_LENGTH_BITS:
         return True
-    expected = expected_checkpoint_count(effective_iterations(security.iterations))
-    if len(proof.checkpoints) != expected:
+    if len(proof.checkpoints) != expected_checkpoint_count(iterations):
         return True
-    bound = 1 << security.modulus_bits
+    bound = 1 << modulus.bit_length()
     return not all(isinstance(element, int) and 1 <= element < bound
                    for element in (proof.output, *proof.checkpoints))
 
 
-def check_proof(security: SecurityParams, modulus: int, x: int, y: int,
+def check_proof(modulus: int, iterations: int, x: int, y: int,
                 proof: VdfProof) -> Optional[str]:
-    """Screen with ``fast_reject``, then ``verify`` at the effective step count.
+    """Screen with ``fast_reject``, then ``verify``, both at ``iterations`` steps.
 
     Returns None for a good proof, otherwise the check that failed: "screen"
     or "transcript". A screened-out proof never reaches ``verify``.
     """
-    if fast_reject(security, proof):
+    if fast_reject(modulus, iterations, proof):
         return "screen"
-    if not verify(modulus, effective_iterations(security.iterations), x, y, proof):
+    if not verify(modulus, iterations, x, y, proof):
         return "transcript"
     return None
 

@@ -25,7 +25,7 @@ def link_of(record: tower.ProofRecord) -> bytes:
 def serial_chain(security: vdf.SecurityParams, key: bytes, endpoint: bytes,
                  height: int) -> tower.Tower:
     """The tower built one whole ``vdf.eval`` at a time, without ``tower.grow``."""
-    twr = tower.Tower(security=security, params=vdf.setup(security, key, endpoint), records=())
+    twr = tower.Tower(params=vdf.setup(security, key, endpoint), records=())
     for index in range(height):
         x = tower.next_input(twr)
         output, proof = vdf.eval(twr.params, x)

@@ -56,7 +56,7 @@ def acceptance_modulus() -> int:
 
 def params_at(modulus: int, iterations: int) -> vdf.PublicParams:
     return vdf.PublicParams(modulus=modulus, public_key=b"test-key", endpoint=b"",
-                            iterations=iterations, prime_length_bits=512)
+                            iterations=iterations)
 
 
 def test_criterion_01_vdf_correctness(acceptance_modulus):
@@ -165,14 +165,13 @@ def timings(acceptance_modulus):
                         vdf.verify(pp.modulus, pp.iterations, x, output, proof))
     data["verify10"], data["verify16"] = measure(*verifies)
 
-    security16 = vdf.SecurityParams(modulus_bits=512, iterations=1 << 16)
     pp16 = params_at(acceptance_modulus, 1 << 16)
     x16 = vdf.hash_to_group(b"timing16", pp16.modulus)
     output, proof = vdf.eval(pp16, x16)
     invalid = vdf.VdfProof(proof.output, proof.checkpoints, 511)
 
     def screened_submission():
-        if not vdf.fast_reject(security16, invalid):
+        if not vdf.fast_reject(pp16.modulus, pp16.iterations, invalid):
             vdf.verify(pp16.modulus, pp16.iterations, x16, output, invalid)
 
     data["fastreject16"], = measure(screened_submission, n=200)

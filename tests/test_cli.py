@@ -91,7 +91,7 @@ class TestMine:
         assert mine(tmp_path, "--proofs", "0") == 0
         assert mine(tmp_path, "--proofs", "1", "--modulus-bits", "32", "--iterations", "0") == 0
         twr = tower.load_tower(tmp_path / "t.bin")
-        assert (twr.height, twr.params.iterations, twr.security.modulus_bits) == (2, 64, 256)
+        assert (twr.height, twr.params.iterations, twr.params.modulus.bit_length()) == (2, 64, 256)
 
     @pytest.mark.parametrize("broken, message", [
         ("--tower-file", "error: cannot write tower file: "),
@@ -181,6 +181,20 @@ class TestMine:
         path.write_bytes(bytes(blob))
         assert mine(tmp_path, "--proofs", "1") == 1
         assert path.read_bytes() == bytes(blob)
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["valid-tower", "corrupt-tower"])
+    def test_refused_resume_writes_no_key(self, tmp_path, capsys, corrupt):
+        # A resume reads the key it was mined under; a missing one is not replaced.
+        assert mine(tmp_path, "--proofs", "1") == 0
+        (tmp_path / "k.hex").unlink()
+        if corrupt:
+            (tmp_path / "t.bin").write_bytes(b"\x03")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert mine(tmp_path, "--proofs", "1") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: truncated tower file" if corrupt else "error: cannot read key file: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_foreign_key_refused(self, tmp_path):
         assert mine(tmp_path, "--proofs", "1") == 0
@@ -421,6 +435,19 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.csv").exists()
+
+    def test_other_prime_length_usage_error(self, tmp_path, capsys):
+        doc = json.loads(resources.files("delaytower").joinpath(
+            "scenarios", "crash-minority.json").read_text())
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({**doc, "security": {**doc["security"],
+                                                            "prime_length_bits": 1024}}))
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "prime_length_bits must be 512" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_unknown_scenario_name(self, tmp_path, capsys):
         rc = main(["simulate", "--scenario", "no-such-thing",

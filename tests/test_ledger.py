@@ -360,7 +360,7 @@ class TestLinkGates:
 
     def check_last(self, twr: tower.Tower, record: tower.ProofRecord):
         previous = link_of(twr.records[1])
-        return tower.check_link(FOLD_SECURITY, twr.params.modulus, previous, 2, record)
+        return tower.check_link(twr.params.modulus, twr.params.iterations, previous, 2, record)
 
     @pytest.mark.parametrize("gate", list(LINK_FAULTS))
     def test_link_fails_the_same_gate_everywhere(self, fold_tower, gate):
@@ -606,8 +606,27 @@ BAD_SNAPSHOTS = {
     "config-float": edit("epoch_config", "growth_cap", 6.5),
     "security-out-of-range": edit("security", "iterations", 0),
     "security-missing-field": edit("security", "modulus_bits", DROP),
+    "security-prime-length": edit("security", "prime_length_bits", 1024),
     "unknown-scheme": edit("scheme", "rot13"),
     "too-few-validators": edit("validator_set", [ALICE]),
+    # Spellings that decode like what export writes, but that it never writes.
+    # The spaced key decodes to v-1's address, so it would silently drop a miner.
+    "colliding-miner-key": lambda doc: edit(
+        "miner_pool", "76 2d31", doc["miner_pool"][b"v-1".hex()])(doc),
+    "uppercase-miner-key": lambda doc: edit(
+        "miner_pool", ALICE.upper(), doc["miner_pool"].pop(ALICE))(doc),
+    "uppercase-hash": lambda doc: edit(
+        "miner_pool", ALICE, "hash", doc["miner_pool"][ALICE]["hash"].upper())(doc),
+    "uppercase-validator": lambda doc: edit("validator_set", 1, ALICE.upper())(doc),
+    "uppercase-signer": lambda doc: edit(
+        "epoch_signatures", ALICE.upper(), doc["epoch_signatures"].pop(ALICE))(doc),
+    "modulus-leading-zero": lambda doc: edit("modulus", "0" + doc["modulus"])(doc),
+    "modulus-plus": lambda doc: edit("modulus", "+" + doc["modulus"])(doc),
+    "modulus-spaces": lambda doc: edit("modulus", f" {doc['modulus']} ")(doc),
+    "modulus-underscore": lambda doc: edit(
+        "modulus", doc["modulus"][:3] + "_" + doc["modulus"][3:])(doc),
+    "modulus-unicode-digits": lambda doc: edit(
+        "modulus", "".join(chr(0x660 + int(d)) for d in doc["modulus"]))(doc),
 }
 
 

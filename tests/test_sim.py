@@ -386,6 +386,8 @@ MALFORMED_SCENARIOS = {
     # Renamed in the genesis list too, so only the empty address is wrong.
     "empty-address": lambda doc: {
         **_with_first(doc, address=""), "genesis_validators": [""] + doc["genesis_validators"][1:]},
+    "prime-length": lambda doc: {
+        **doc, "security": {**doc.get("security", {}), "prime_length_bits": 1024}},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
 }

@@ -126,8 +126,7 @@ class TestPipeline:
         assert grown == serial and tower.validate_chain(grown)
 
     def test_each_link_handed_on_in_order(self):
-        empty = tower.Tower(security=SMALL_SECURITY, records=(),
-                            params=vdf.setup(SMALL_SECURITY, b"owner-q", b"ep-q"))
+        empty = tower.Tower(params=vdf.setup(SMALL_SECURITY, b"owner-q", b"ep-q"), records=())
         seen = []
         grown = tower.grow(empty, 4, seen.append)
         assert [twr.height for twr in seen] == [1, 2, 3, 4]
@@ -144,8 +143,8 @@ class TestPipeline:
         tampered = dataclasses.replace(twr, records=(twr.records[0], bad, twr.records[2]))
         assert tower.next_input(dataclasses.replace(tampered, records=tampered.records[:2])) \
             == twr.records[2].input
-        assert tower.check_link(FOLD_SECURITY, twr.params.modulus, link_of(twr.records[0]),
-                                1, bad) == "transcript"
+        assert tower.check_link(twr.params.modulus, twr.params.iterations,
+                                link_of(twr.records[0]), 1, bad) == "transcript"
         assert not tower.record_valid(tampered, 1)
         assert tower.record_valid(tampered, 2)
         assert not tower.validate_chain(tampered)
@@ -295,13 +294,16 @@ class TestPersistence:
             with pytest.raises(tower.CorruptTower, match="unsupported tower file version 2"):
                 tower.load_tower(path, validate=validate)
 
-    def test_modulus_size_read_from_modulus(self, tmp_path, height3):
-        # The file states no modulus size of its own, so no claim can disagree.
-        claimed = dataclasses.replace(height3.security, modulus_bits=2048)
-        tower.save_tower(dataclasses.replace(height3, security=claimed), tmp_path / "t.bin")
-        loaded = tower.load_tower(tmp_path / "t.bin")
-        assert loaded.security.modulus_bits == 512
-        assert loaded == height3
+    def test_other_prime_length_label_refused(self, tmp_path, height3):
+        path = tmp_path / "t.bin"
+        tower.save_tower(height3, path)
+        data = path.read_bytes()
+        assert data[1:5] == vdf.PRIME_LENGTH_BITS.to_bytes(4, "big")
+        body = data[:1] + (511).to_bytes(4, "big") + data[5:-32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="prime-length label 511"):
+                tower.load_tower(path, validate=validate)
 
     def test_format_2_file_refused(self, monkeypatch, tmp_path):
         path = tmp_path / "t.bin"
@@ -317,8 +319,7 @@ class TestPersistence:
         params = dataclasses.replace(vdf.setup(SMALL_SECURITY, b"k", b"ep"), public_key=b"")
         x0 = vdf.hash_to_group(params.input_digest, params.modulus)
         output, proof = vdf.eval(params, x0)
-        twr = tower.Tower(security=SMALL_SECURITY, params=params,
-                          records=(tower.ProofRecord(0, x0, output, proof),))
+        twr = tower.Tower(params=params, records=(tower.ProofRecord(0, x0, output, proof),))
         assert tower.validate_chain(twr)
         tower.save_tower(twr, tmp_path / "t.bin")
         for validate in (True, False):

@@ -29,7 +29,7 @@ from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold
 
 def small_modulus_params(modulus: int, iterations: int) -> vdf.PublicParams:
     return vdf.PublicParams(modulus=modulus, public_key=b"test-key", endpoint=b"",
-                            iterations=iterations, prime_length_bits=512)
+                            iterations=iterations)
 
 
 def random_composite(rng: random.Random, upper: int = 1 << 16) -> int:
@@ -76,7 +76,8 @@ class TestSetup:
         with pytest.raises(vdf.InvalidSecurityParams):
             vdf.SecurityParams(modulus_bits=512, iterations=0)
         with pytest.raises(vdf.InvalidSecurityParams):
-            vdf.SecurityParams(modulus_bits=512, iterations=16, prime_length_bits=8)
+            vdf.SecurityParams.from_doc({"modulus_bits": 512, "iterations": 16,
+                                         "prime_length_bits": 8})
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
@@ -460,7 +461,7 @@ class TestVerify:
         for checkpoints in (proof.checkpoints[:-1], proof.checkpoints + (1,),
                             full[:count + 1], full):
             wrong = vdf.VdfProof(output, checkpoints, 512)
-            assert vdf.fast_reject(FOLD_SECURITY, wrong)
+            assert vdf.fast_reject(pp.modulus, pp.iterations, wrong)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, wrong)
 
     def test_work_bounded_whatever_the_midpoints(self, power_calls):
@@ -472,7 +473,7 @@ class TestVerify:
         power_calls.clear()
         for checkpoints in ((), proof.checkpoints[:1], proof.checkpoints[:-1]):
             short = vdf.VdfProof(output, checkpoints, 512)
-            assert vdf.fast_reject(security, short)
+            assert vdf.fast_reject(pp.modulus, pp.iterations, short)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
         assert power_calls and max(e for _, e in power_calls) <= 1 << 128
@@ -622,30 +623,35 @@ class TestVerify:
         assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
+def fold(transcript) -> tuple[int, int]:
+    """The (modulus, t) that ``transcript``'s proof is checked at."""
+    return transcript[0].modulus, transcript[0].iterations
+
+
 class TestFastReject:
     def test_accepts_valid(self, transcript):
-        assert not vdf.fast_reject(FOLD_SECURITY, transcript[3])
+        assert not vdf.fast_reject(*fold(transcript), transcript[3])
 
     def test_rejects_wrong_prime_length(self, transcript):
         proof = transcript[3]
         bad = vdf.VdfProof(proof.output, proof.checkpoints, 511)
-        assert vdf.fast_reject(FOLD_SECURITY, bad)
+        assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_rejects_zero_checkpoints(self, transcript):
         bad = vdf.VdfProof(transcript[3].output, (), 512)
-        assert vdf.fast_reject(FOLD_SECURITY, bad)
+        assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_rejects_oversized_elements(self, transcript):
         proof = transcript[3]
         bad = vdf.VdfProof(1 << 513, proof.checkpoints, 512)
-        assert vdf.fast_reject(FOLD_SECURITY, bad)
+        assert vdf.fast_reject(*fold(transcript), bad)
         bad = vdf.VdfProof(proof.output, (1 << 513,) + proof.checkpoints[1:], 512)
-        assert vdf.fast_reject(FOLD_SECURITY, bad)
+        assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_thread_safe(self, transcript):
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: vdf.fast_reject(FOLD_SECURITY, transcript[3]), range(64)))
+                lambda _: vdf.fast_reject(*fold(transcript), transcript[3]), range(64)))
         assert not any(results)
 
 
@@ -654,7 +660,7 @@ class TestCheckProof:
         pp, x, output, proof = transcript
 
         def check(candidate):
-            return vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, candidate)
+            return vdf.check_proof(pp.modulus, pp.iterations, x, output, candidate)
 
         assert check(proof) is None
         assert check(vdf.VdfProof(output, proof.checkpoints, 511)) == "screen"
@@ -669,9 +675,9 @@ class TestCheckProof:
         calls = []
         monkeypatch.setattr(vdf, "verify", lambda *args: calls.append(args) or True)
         screened = vdf.VdfProof(output, proof.checkpoints, 511)
-        assert vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, screened) == "screen"
+        assert vdf.check_proof(pp.modulus, pp.iterations, x, output, screened) == "screen"
         assert calls == []
-        assert vdf.check_proof(FOLD_SECURITY, pp.modulus, x, output, proof) is None
+        assert vdf.check_proof(pp.modulus, pp.iterations, x, output, proof) is None
         assert calls == [(pp.modulus, 1024, x, output, proof)]
 
 
