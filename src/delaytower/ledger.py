@@ -20,8 +20,8 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from . import tower, vdf
-from .serialization import (encode_bigint, encode_bytes, encode_uint, fields_from_doc,
-                            nested_block, parse_rational)
+from .serialization import (as_written, encode_bigint, encode_bytes, encode_uint,
+                            fields_from_doc, nested_block, parse_rational)
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -357,7 +357,7 @@ class LedgerState:
             if doc.get("version") != SNAPSHOT_VERSION:
                 raise ValueError(f"unsupported snapshot version {doc.get('version')}")
             security = vdf.SecurityParams.from_doc(doc["security"])
-            modulus = _as_written(doc["modulus"], int, str)
+            modulus = as_written(doc["modulus"], int, str)
             vdf.check_modulus(modulus)
             if modulus.bit_length() != security.modulus_bits:
                 raise ValueError(f"modulus has {modulus.bit_length()} bits, "
@@ -368,22 +368,22 @@ class LedgerState:
             for addr_hex, fields in doc["miner_pool"].items():
                 if not isinstance(fields["jailed"], bool):
                     raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
-                address = _as_written(addr_hex)
+                address = as_written(addr_hex)
                 state.miner_pool[address] = MinerState(
                     address=address,
                     height=_count(fields["height"]),
-                    hash=_as_written(fields["hash"]),
+                    hash=as_written(fields["hash"]),
                     num=_count(fields["num"]),
                     jailed=fields["jailed"],
                     jail_sentence=_count(fields["jail_sentence"]),
                     compliant_epochs=_count(fields["compliant_epochs"]),
                 )
-            validators = [_as_written(a) for a in doc["validator_set"]]
+            validators = [as_written(a) for a in doc["validator_set"]]
             if validators:
                 state.install_validators(validators)
             state.epoch_blocks_total = _count(doc["epoch_blocks_total"])
             state.epoch_signatures = {
-                _as_written(a): _count(n) for a, n in doc["epoch_signatures"].items()
+                as_written(a): _count(n) for a, n in doc["epoch_signatures"].items()
             }
             for address, n in state.epoch_signatures.items():
                 if address not in state.miner_pool:
@@ -399,13 +399,6 @@ class LedgerState:
 def _nested_doc(doc: dict) -> str:
     """A small second-level object through ``json.dumps``, re-indented one level."""
     return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-def _as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
-    """``parse(text)``, if ``write`` gives ``text`` back: the one spelling export writes."""
-    if write(value := parse(text)) != text:
-        raise ValueError(f"{text!r} is not spelled as export_snapshot writes it")
-    return value
 
 
 def _count(value) -> int:

@@ -4,7 +4,8 @@ Every multi-byte quantity is big-endian. Unbounded integers are written as a
 4-byte length followed by the minimal magnitude bytes, so identical values
 always produce identical bytes. ``write_atomic`` is the one way files of
 those bytes (tower files, key files) reach the disk. ``fields_from_doc`` is
-the one way a JSON object becomes the arguments of a config dataclass.
+the one way a JSON object becomes the arguments of a config dataclass, and
+``as_written`` reads a JSON string only in the one spelling its writer uses.
 """
 
 from __future__ import annotations
@@ -95,6 +96,13 @@ def json_int(name: str, value) -> int:
     """``value`` if it is a JSON integer; floats, strings and bools raise TypeError."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
+    """``parse(text)``, if ``write`` gives ``text`` back: the one spelling its writer uses."""
+    if write(value := parse(text)) != text:
+        raise ValueError(f"{text!r} is not spelled as it is written: {write(value)!r}")
     return value
 
 

@@ -24,7 +24,8 @@ from . import tower, vdf
 from .ledger import EpochConfig, LedgerState, registration_message, submission_message
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
-from .serialization import encode_bytes, encode_uint, json_int, nested_block, parse_rational
+from .serialization import (as_written, encode_bytes, encode_uint, json_int, nested_block,
+                            parse_rational)
 
 _DOMAIN_DRAW = b"delay-tower/sim-draw/v1"
 
@@ -391,14 +392,14 @@ def scenario_from_json(text: str) -> Scenario:
         security = vdf.SecurityParams.from_doc(
             {**Scenario.security.to_doc(), **doc.get("security", {})})
         population = tuple(
-            (bytes.fromhex(entry["address"]), _parse_behavior(entry))
+            (as_written(entry["address"]), _parse_behavior(entry))
             for entry in doc["population"]
         )
         scenario = Scenario(
             seed=json_int("seed", doc["seed"]),
             epochs=json_int("epochs", doc["epochs"]),
             population=population,
-            genesis_validators=tuple(bytes.fromhex(a) for a in doc["genesis_validators"]),
+            genesis_validators=tuple(as_written(a) for a in doc["genesis_validators"]),
             epoch_config=epoch_config,
             security=security,
         )

@@ -9,8 +9,10 @@ at each level, and the claim X^(2^t) = Y folds into
     (X^r * mu)^(2^(t/2)) = mu^r * Y
 
 with a challenge r. The fold stops once at most ``MAX_DIRECT_SQUARINGS``
-(2^7) squarings remain, and the verifier checks that last claim by squaring
-itself. A proof for t = 2^k therefore carries max(0, k - 7) midpoints.
+(2^7) squarings remain, so a proof for t = 2^k carries max(0, k - 7)
+midpoints. The verifier folds every level but the last, whose midpoint mu_k
+splits the claim X^(2^(2h)) = Y, h <= 2^7, into two it checks by squaring:
+X^(2^h) = mu_k and mu_k^(2^h) = Y. Both imply that level's fold for any r.
 
 Format 3 draws level j's 128-bit challenge from a running SHA-256 over what
 the proof publishes, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
@@ -18,20 +20,21 @@ X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
 folds only the left side, up to the last midpoint. For moduli of
-``_HAND_OFF_BITS`` and more, verify hands the right side to a worker thread and
-folds the left. Every input, output and midpoint is canonical, min(v, N - v),
-and verify compares the sides up to sign: -1 has order 2 mod N, so otherwise
-N - y would pass for y.
+``_HAND_OFF_BITS`` and more, verify hands the right side, two midpoints an
+exponentiation, to a worker thread and folds the left. Every input, output and
+midpoint is canonical, min(v, N - v), and verify compares up to sign: -1 has
+order 2 mod N, so otherwise N - y would pass for y.
 
-All group arithmetic is one function on ints, ``_powmod``: b^e * f mod N, for
-eval's t sequential squarings, the transcript's midpoints, each side of the
-fold, and Miller-Rabin during modulus derivation. Where libcrypto loads and N
-is odd, it is ``BN_mod_exp_mont`` on the modulus's ``_MontContext``, its
-``BIGNUM`` and Montgomery constants, then ``BN_mod_mul`` by f. That context
+All group arithmetic is one function on ints, ``_powmod``: b1^e1 * b2^e2 * f
+mod N, for eval's t sequential squarings, the transcript's midpoints, each
+side of verify, and Miller-Rabin during modulus derivation. Where libcrypto
+loads and N is odd, it is ``BN_mod_exp_mont``, or ``BN_mod_exp2_mont`` for two
+bases, on the modulus's ``_MontContext``, its ``BIGNUM`` and Montgomery
+constants, then ``BN_mod_mul`` by f. That context
 is built once per odd modulus, kept in a bounded cache and shared by every
 thread, which is safe because nothing writes it after construction; a prime
 candidate, used once, gets a transient context instead. The scratch space
-libcrypto does write, a ``BN_CTX`` and five ``BIGNUM``s, belongs to one thread
+libcrypto does write, a ``BN_CTX`` and seven ``BIGNUM``s, belongs to one thread
 (``_Scratch``). libcrypto drops the GIL inside each ctypes call, so the two
 sides of a verify run at once. Without libcrypto, or for an even modulus, the
 builtin ``pow`` gives the same results; ``powmod_engine`` names the engine in
@@ -70,11 +73,11 @@ PRIME_LENGTH_BITS = 512
 PROOF_FORMAT_VERSION = 3
 
 # Proof formats 2 and 3 stop the fold once at most this many squarings remain;
-# the verifier does them itself and never more. A level costs the verifier two
-# exponentiations by 128-bit challenges, about as much as 380 squarings at
-# 2048 bits, so the 7 levels dropped cost more than the squarings that
-# replace them. A later stop saves little more and makes verify grow faster
-# with t.
+# the verifier checks the last level as two claims of at most this many
+# squarings, one a side. A folded level costs the left side one exponentiation
+# by a 128-bit challenge, about 170 squarings at 2048 bits: more than the 64 a
+# side a later stop saves. An earlier stop would save about 40 squarings' worth
+# on the left, too little to change the proof format for.
 MAX_DIRECT_SQUARINGS = 1 << 7
 
 # Most squarings in one native call of eval's: bounds Ctrl-C's wait (54 ms at 2048 bits).
@@ -106,6 +109,7 @@ _BN_SIGNATURES = {
     "BN_MONT_CTX_set": ([_P] * 3, ctypes.c_int),
     "BN_MONT_CTX_free": ([_P], None),
     "BN_mod_exp_mont": ([_P] * 6, ctypes.c_int),
+    "BN_mod_exp2_mont": ([_P] * 8, ctypes.c_int),
 }
 
 
@@ -181,14 +185,14 @@ _MONT_LOCK = threading.Lock()
 
 
 class _Scratch:
-    """One thread's libcrypto scratch: a ``BN_CTX`` and five ``BIGNUM``s, for the
-    base, the exponent, the factor, an uncached modulus and the result. Keeping
-    it saves ``BN_mod_exp_mont`` allocating its temporaries again on every call."""
+    """One thread's libcrypto scratch: a ``BN_CTX`` and seven ``BIGNUM``s, for the
+    two bases and their exponents, the factor, an uncached modulus and the result.
+    Keeping it saves libcrypto allocating its temporaries again on every call."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
         self.ctx = lib.BN_CTX_new()
-        self.bignums = [lib.BN_new() for _ in range(5)]
+        self.bignums = [lib.BN_new() for _ in range(7)]
         if not (self.ctx and all(self.bignums)):
             raise MemoryError("BN_CTX_new or BN_new failed")
 
@@ -211,30 +215,38 @@ def _load(lib: ctypes.CDLL, bignum: int, value: int) -> None:
 
 
 def _powmod(base: int, exponent: int, modulus: int, factor: int = 1,
-            cached: bool = True) -> int:
-    """base^exponent * factor mod modulus, for base, exponent, factor >= 0 and modulus > 1.
+            base2: int = 1, exponent2: int = 0, cached: bool = True) -> int:
+    """base^exponent * base2^exponent2 * factor mod modulus, for arguments >= 0 and modulus > 1.
 
-    Runs on ``BN_mod_exp_mont`` and, unless factor is 1, ``BN_mod_mul``, with
-    the thread's ``_Scratch``, when libcrypto loaded and the modulus is odd;
-    else on the builtin. The modulus's ``_MontContext`` comes from the cache,
-    or, unless ``cached``, libcrypto builds a transient one for this call.
+    Runs on ``BN_mod_exp_mont``, or ``BN_mod_exp2_mont`` given two nonzero exponents, then,
+    unless factor is 1, ``BN_mod_mul``, with the thread's ``_Scratch``, when libcrypto loaded
+    and the modulus is odd; else on the builtin. The modulus's ``_MontContext`` comes from
+    the cache, or, unless ``cached``, libcrypto builds a transient one for this call.
     """
     lib = _LIBCRYPTO
     if lib is None or modulus % 2 == 0:
-        return pow(base, exponent, modulus) * factor % modulus
+        return pow(base, exponent, modulus) * pow(base2, exponent2, modulus) * factor % modulus
+    if exponent == 0:  # BN_mod_exp2_mont gives 0 for a first base of 0 even then; pow gives 1
+        base, exponent, base2, exponent2 = base2, exponent2, 1, 0
     scratch = getattr(_THREAD, "scratch", None)
     if scratch is None:
         scratch = _THREAD.scratch = _Scratch(lib)
-    ctx, (b, e, f, n, result), mont = scratch.ctx, scratch.bignums, None
+    ctx, (b, e, b2, e2, f, n, result), mont = scratch.ctx, scratch.bignums, None
     if cached:
         with _MONT_LOCK:
             context = _mont_context(lib, modulus)
         n, mont = context.modulus, context.mont
-    else:  # given no BN_MONT_CTX, BN_mod_exp_mont builds one for the call
+    else:  # given no BN_MONT_CTX, libcrypto builds one for the call
         _load(lib, n, modulus)
     _load(lib, b, base)
     _load(lib, e, exponent)
-    if not lib.BN_mod_exp_mont(result, b, e, n, ctx, mont):
+    if exponent2 == 0:
+        done = lib.BN_mod_exp_mont(result, b, e, n, ctx, mont)
+    else:
+        _load(lib, b2, base2)
+        _load(lib, e2, exponent2)
+        done = lib.BN_mod_exp2_mont(result, b, e, b2, e2, n, ctx, mont)
+    if not done:
         raise ValueError("BN_mod_exp_mont failed")
     if factor != 1:
         _load(lib, f, factor)
@@ -542,14 +554,18 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
 
 
 def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: list[int],
-                rival: Optional[Future] = None) -> Optional[int]:
-    """y * prod mu_j^{r_j}, the right side of a folded claim; None once
-    ``rival``, the worker computing the same, has finished."""
-    for midpoint, r in zip(midpoints, challenges):
+                steps: int, rival: Optional[Future] = None) -> Optional[bool]:
+    """Whether mu_k^(2^steps) = +-y * prod mu_j^{r_j} over j < k, two midpoints a call;
+    None once ``rival``, the worker checking the same, has finished."""
+    bases, exponents = (*midpoints[:-1], 1), (*challenges, 0)
+    for i in range(0, len(challenges), 2):
         if rival is not None and rival.done():
             return None
-        y = _powmod(midpoint, r, modulus, y)
-    return y
+        y = _powmod(bases[i], exponents[i], modulus, y, bases[i + 1], exponents[i + 1])
+    if rival is not None and rival.done():
+        return None
+    return _canonical(_powmod(midpoints[-1], 1 << steps, modulus), modulus) == \
+        _canonical(y, modulus)
 
 
 def _start_worker() -> None:
@@ -568,8 +584,8 @@ os.register_at_fork(after_in_child=_start_worker)
 # pays only while one 128-bit exponentiation outlasts a thread's wake-up, about
 # 50 us on a shared 2-vCPU VM. At 512 bits one took 28 us, and split verifies
 # were no faster in the median than one thread and several times slower in the
-# tail. At 2048 bits one took 150-265 us, and split verifies at t = 4096 took
-# 1.8 ms in the median against 2.5-2.9 ms on one thread.
+# tail. At 2048 bits one took 150-290 us, and split verifies at t = 4096 took
+# 1.3-1.6 ms in the median against 1.8-2.4 ms on one thread.
 _HAND_OFF_BITS = 2048
 
 
@@ -604,9 +620,9 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
 
     Malformed input yields False before any exponentiation: an x, y or
     midpoint that is not canonical, an x or y that is not a unit mod modulus,
-    or a midpoint count other than ``expected_checkpoint_count``. Otherwise
-    this thread folds the left side and does at most ``MAX_DIRECT_SQUARINGS``
-    squarings while, from ``_HAND_OFF_BITS`` on, the worker folds the right.
+    or a midpoint count other than ``expected_checkpoint_count``. Otherwise this
+    thread folds the left side and checks X^(2^h) = mu_k at the last level, while,
+    from ``_HAND_OFF_BITS`` on, the worker checks ``_right_side``.
     """
     if proof.output != y or iterations < 1:
         return False
@@ -618,17 +634,21 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
     if math.gcd(x * y, modulus) != 1:
         return False
 
+    midpoints = proof.checkpoints
     transcript = _Transcript(modulus, iterations, x, y)
-    challenges = [transcript.challenge(midpoint) for midpoint in proof.checkpoints]
-    right = _hand_off(modulus, y, proof.checkpoints, challenges)
+    challenges = [transcript.challenge(midpoint) for midpoint in midpoints[:-1]]
+    steps = iterations >> len(midpoints)
+    right = _hand_off(modulus, y, midpoints, challenges, steps) if midpoints else lambda: True
     X, remaining = x, iterations
-    for midpoint, r in zip(proof.checkpoints, challenges):
+    for level, midpoint in enumerate(midpoints):
         if remaining % 2 == 1:
             X = _powmod(X, 2, modulus)
         remaining //= 2
-        X = _powmod(X, r, modulus, midpoint)
-    X = _powmod(X, 1 << remaining, modulus)
-    return _canonical(X, modulus) == _canonical(right(), modulus)
+        if level < len(challenges):
+            X = _powmod(X, challenges[level], modulus, midpoint)
+    last = midpoints[-1] if midpoints else y
+    left = _canonical(_powmod(X, 1 << steps, modulus), modulus) == last
+    return right() and left
 
 
 def fast_reject(modulus: int, iterations: int, proof: VdfProof) -> bool:

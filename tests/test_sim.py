@@ -361,6 +361,18 @@ def _with_first(doc: dict, **fields) -> dict:
     return {**doc, "population": [first] + doc["population"][1:]}
 
 
+def _spaced(address: str) -> str:
+    return address[:2] + " " + address[2:]
+
+
+def _respelled_first(doc: dict, respell) -> dict:
+    return _with_first(doc, address=respell(doc["population"][0]["address"]))
+
+
+def _respelled_genesis(doc: dict, respell) -> dict:
+    return {**doc, "genesis_validators": [respell(a) for a in doc["genesis_validators"]]}
+
+
 MALFORMED_SCENARIOS = {
     "top-level-list": lambda doc: [doc],
     "epoch-config-list": lambda doc: {**doc, "epoch_config": [1]},
@@ -390,6 +402,11 @@ MALFORMED_SCENARIOS = {
         **doc, "security": {**doc.get("security", {}), "prime_length_bits": 1024}},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
+    # Spellings of an address that scenario_to_json never writes.
+    "address-uppercase": lambda doc: _respelled_first(doc, str.upper),
+    "genesis-validator-uppercase": lambda doc: _respelled_genesis(doc, str.upper),
+    "address-inner-space": lambda doc: _respelled_first(doc, _spaced),
+    "genesis-validator-inner-space": lambda doc: _respelled_genesis(doc, _spaced),
 }
 
 

@@ -193,13 +193,17 @@ class TestTranscriptPrefix:
 
 def spy_powmod(monkeypatch, record) -> None:
     """Call ``record(in_loop, exponent, value)`` after every ``_powmod``, on
-    either engine, where ``in_loop`` tells the calls of eval's squaring loop
-    from the rest: they are the calls eval makes before it opens its transcript."""
+    either engine, once for each exponent it is given, where ``in_loop`` tells
+    the calls of eval's squaring loop from the rest: they are the calls eval
+    makes before it opens its transcript."""
     in_loop = False
 
-    def powmod(base, exponent, modulus, factor=1, powmod=vdf._powmod):
-        value = powmod(base, exponent, modulus, factor)
+    def powmod(base, exponent, modulus, factor=1, base2=1, exponent2=0, *, powmod=vdf._powmod,
+               **options):
+        value = powmod(base, exponent, modulus, factor, base2, exponent2, **options)
         record(in_loop, exponent, value)
+        if exponent2:
+            record(in_loop, exponent2, value)
         return value
 
     def evaluate(pp, x, evaluate=vdf.eval):
@@ -226,6 +230,20 @@ def power_calls(monkeypatch) -> list[tuple[bool, int]]:
     group, on either engine, in order."""
     calls = []
     spy_powmod(monkeypatch, lambda in_loop, exponent, _: calls.append((in_loop, exponent)))
+    return calls
+
+
+@pytest.fixture
+def power_bases(monkeypatch) -> list[tuple[int, int, int]]:
+    """(base, exponent, second exponent) of every ``_powmod`` call, in order."""
+    calls = []
+
+    def powmod(base, exponent, modulus, factor=1, base2=1, exponent2=0, *, powmod=vdf._powmod,
+               **options):
+        calls.append((base, exponent, exponent2))
+        return powmod(base, exponent, modulus, factor, base2, exponent2, **options)
+
+    monkeypatch.setattr(vdf, "_powmod", powmod)
     return calls
 
 
@@ -408,6 +426,34 @@ def tampered_claims(pp, x, output, proof) -> list[tuple[int, int, vdf.VdfProof]]
     return claims
 
 
+def two_sided_fold(modulus: int, t: int, x: int, y: int, proof: vdf.VdfProof) -> bool:
+    """Reference verifier: the fold ``vdf.verify`` made before it checked the
+    last level unfolded. Every level folds both sides, X^r * mu and mu^r * Y,
+    and the last claim, at most 2^7 squarings, is squared out; builtin ``pow``."""
+    midpoints = proof.checkpoints
+    if proof.output != y or len(midpoints) != vdf.expected_checkpoint_count(t):
+        return False
+    if not all(1 <= element <= modulus // 2 for element in (x, y, *midpoints)):
+        return False
+    if math.gcd(x * y, modulus) != 1:
+        return False
+    transcript = vdf._Transcript(modulus, t, x, y)
+    X, Y, remaining = x, y, t
+    for midpoint in midpoints:
+        r = transcript.challenge(midpoint)
+        if remaining % 2 == 1:
+            X = X * X % modulus
+        remaining //= 2
+        X = pow(X, r, modulus) * midpoint % modulus
+        Y = pow(midpoint, r, modulus) * Y % modulus
+    return canonical(pow(X, 1 << remaining, modulus), modulus) == canonical(Y, modulus)
+
+
+# Step counts with no midpoint, one, two and more, and with odd remainders at
+# the levels verify folds and at the one it checks unfolded (129, 259, 1023).
+REFERENCE_STEPS = (1, 64, 128, 129, 200, 256, 259, 300, 1023, 4096)
+
+
 @pytest.fixture
 def hand_offs(monkeypatch) -> list[tuple]:
     """Arguments of every right side handed to verify's worker, at any modulus size."""
@@ -478,6 +524,50 @@ class TestVerify:
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
         assert power_calls and max(e for _, e in power_calls) <= 1 << 128
 
+    @pytest.mark.parametrize("engine", ("libcrypto", "builtin pow"))
+    def test_accepts_only_what_the_two_sided_fold_accepts(self, monkeypatch, small_params,
+                                                          engine):
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        elif vdf._LIBCRYPTO is None:
+            pytest.skip("libcrypto did not load")
+        modulus = small_params.modulus
+        rng = random.Random(2101)
+        for t in REFERENCE_STEPS:
+            x = vdf.hash_to_group(t.to_bytes(4, "big"), modulus)
+            y, proof = vdf.eval(small_modulus_params(modulus, t), x)
+            assert vdf.verify(modulus, t, x, y, proof) and two_sided_fold(modulus, t, x, y, proof)
+            # x, y and each midpoint, the last one too, moved to a neighbour
+            # or replaced by a random canonical element.
+            fields = [x, y, *proof.checkpoints]
+            for i, replacement in itertools.product(range(len(fields)), ("down", "up", "random")):
+                tampered = list(fields)
+                tampered[i] = {"down": fields[i] - 1, "up": fields[i] + 1,
+                               "random": canonical(rng.randrange(1, modulus), modulus)}[replacement]
+                if tampered[i] == fields[i]:
+                    continue
+                claim = (tampered[0], tampered[1], vdf.VdfProof(tampered[1], tuple(tampered[2:])))
+                verdict = vdf.verify(modulus, t, *claim)
+                assert verdict <= two_sided_fold(modulus, t, *claim), (t, i, replacement)
+                assert not verdict, (t, i, replacement)
+
+    def test_right_side_two_midpoints_a_call(self, power_bases):
+        # Five midpoints at t = 4096: the left folds four and squares 2^7
+        # times; the right takes the first four in two calls, then squares
+        # the last 2^7 times.
+        pp = small_modulus_params(vdf.generate_modulus(512), 4096)
+        x = vdf.hash_to_group(pp.input_digest, pp.modulus)
+        y, proof = vdf.eval(pp, x)
+        k = len(proof.checkpoints)
+        assert k == 5
+        power_bases.clear()
+        assert vdf.verify(pp.modulus, pp.iterations, x, y, proof)
+        right = [call for call in power_bases if call[0] in proof.checkpoints]
+        assert len(right) == math.ceil((k - 1) / 2) + 1 == 3
+        assert [exponent2 > 0 for _, _, exponent2 in right] == [True, True, False]
+        assert right[-1][:2] == (proof.checkpoints[-1], 1 << vdf.MAX_DIRECT_SQUARINGS)
+        assert len(power_bases) - len(right) == k
+
     def test_out_of_range_elements_rejected(self, transcript):
         pp, x, output, proof = transcript
         assert not vdf.verify(pp.modulus, pp.iterations, 0, output, proof)
@@ -540,8 +630,8 @@ class TestVerify:
             assert len(hand_offs) == expected, bits
 
     def test_right_side_from_whichever_finishes_first(self, monkeypatch, transcript):
-        # The worker's right side is a wrong 1 here, so a False verdict shows
-        # verify took the worker's value and True that it computed its own.
+        # The worker's right side fails here, so a False verdict shows verify
+        # took the worker's value and True that it computed its own.
         pp, x, output, proof = transcript
         monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
 
@@ -550,7 +640,7 @@ class TestVerify:
             if state != "not begun":
                 future.set_running_or_notify_cancel()
             if state == "finished":
-                future.set_result(1)
+                future.set_result(False)
             return future
 
         for state, verdict in (("not begun", True), ("never finishing", True), ("finished", False)):
@@ -778,6 +868,24 @@ class TestPowmod:
             for base, exponent, factor in cases:
                 assert vdf._powmod(base, exponent, modulus, factor) == \
                     pow(base, exponent, modulus) * factor % modulus, (modulus, base, exponent, factor)
+
+    @pytest.mark.parametrize("engine", ("libcrypto", "builtin pow"))
+    def test_two_bases(self, monkeypatch, engine):
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        elif vdf._LIBCRYPTO is None:
+            pytest.skip("libcrypto did not load")
+        rng = random.Random(82)
+        for modulus in (35, 36, vdf.generate_modulus(512), (1 << 512) - 2,
+                        rng.getrandbits(2048) | 1 | 1 << 2047):
+            element, other = rng.randrange(2, modulus), rng.randrange(2, modulus)
+            exponents = (0, 1, rng.getrandbits(128))
+            for base, exponent, base2, exponent2, factor in itertools.product(
+                    (0, element, modulus, 5 * modulus + 3), exponents,
+                    (1, other, 3 * modulus + 2), exponents, (1, 2, modulus - 1)):
+                assert vdf._powmod(base, exponent, modulus, factor, base2, exponent2) == \
+                    pow(base, exponent, modulus) * pow(base2, exponent2, modulus) * factor \
+                    % modulus, (modulus, base, exponent, base2, exponent2, factor)
 
     @requires_libcrypto
     def test_each_thread_frees_its_scratch(self, monkeypatch):
