@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from . import tower, vdf
 from .serialization import (as_written, encode_bigint, encode_bytes, encode_uint,
-                            fields_from_doc, nested_block, parse_rational)
+                            fields_from_doc, load_json, nested_block, parse_rational)
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -224,14 +224,17 @@ class LedgerState:
         self,
         address: bytes,
         params: vdf.PublicParams,
-        first_proof: tower.ProofRecord,
+        first_record: tower.ProofRecord,
         signature: bytes,
     ) -> MinerState:
         """Admit a full node on a valid first proof of a tower that ``address`` owns."""
         if address in self.miner_pool:
             raise AlreadyRegistered(f"{address.hex()} already registered")
-        if not self.scheme.verify(address, registration_message(address, params, first_proof),
-                                  signature):
+        try:
+            message = registration_message(address, params, first_record)
+        except (OverflowError, ValueError) as exc:  # no signature covers bytes never written
+            raise InvalidSignature(f"registration cannot be encoded: {exc}") from exc
+        if not self.scheme.verify(address, message, signature):
             raise InvalidSignature("registration signature does not verify")
         try:
             expected = vdf.setup(self.security, address, params.endpoint, modulus=self.modulus)
@@ -240,13 +243,13 @@ class LedgerState:
         if params != expected:  # the genesis profile, and record 0's input bound to this address
             raise InvalidProof("public parameters are not this address's on this network")
         failed = tower.check_link(self.modulus, self._iterations, params.input_digest, 0,
-                                  first_proof)
+                                  first_record)
         if failed is not None:
             raise InvalidProof(f"first proof fails the {failed} check")
         ms = MinerState(
             address=address,
             height=1,
-            hash=tower.link_digest(first_proof.index, first_proof.input, first_proof.output),
+            hash=tower.link_digest(first_record.index, first_record.input, first_record.output),
             num=1,
         )
         self.miner_pool[address] = ms
@@ -262,16 +265,20 @@ class LedgerState:
         """Validate one tower extension; True and a state update only when every
         gate passes, False and an untouched state otherwise.
 
-        Gates, in order: signature; the claimed height exceeds the stored
-        height; ``tower.check_link`` from the stored tip (the index is the next
-        one, the input is derived from the stored digest, then the structural
-        screen and the full transcript check). Runs in O(1) state reads plus
-        one transcript verification, independent of tower height.
+        Gates, in order: signature, which a field its message cannot encode
+        fails; the claimed height exceeds the stored height; ``tower.check_link``
+        from the stored tip (the index is the next one, the input is derived
+        from the stored digest, then the structural screen and the full
+        transcript check). Runs in O(1) state reads plus one transcript
+        verification, independent of tower height.
         """
         if address not in self.miner_pool:
             raise UnknownMiner(f"{address.hex()} has no miner state")
         ms = self.miner_pool[address]
-        message = submission_message(address, claimed_height, record)
+        try:
+            message = submission_message(address, claimed_height, record)
+        except (OverflowError, ValueError):  # a field the message cannot encode
+            return False
         if not self.scheme.verify(address, message, signature):
             return False
         if not ms.height < claimed_height:
@@ -353,7 +360,7 @@ class LedgerState:
         ``security.modulus_bits``, an invalid config, another version, a signer
         outside the miner pool or a signature count above ``epoch_blocks_total``."""
         try:
-            doc = json.loads(text)
+            doc = load_json(text)
             if doc.get("version") != SNAPSHOT_VERSION:
                 raise ValueError(f"unsupported snapshot version {doc.get('version')}")
             security = vdf.SecurityParams.from_doc(doc["security"])

@@ -4,13 +4,15 @@ Every multi-byte quantity is big-endian. Unbounded integers are written as a
 4-byte length followed by the minimal magnitude bytes, so identical values
 always produce identical bytes. ``write_atomic`` is the one way files of
 those bytes (tower files, key files) reach the disk. ``fields_from_doc`` is
-the one way a JSON object becomes the arguments of a config dataclass, and
-``as_written`` reads a JSON string only in the one spelling its writer uses.
+the one way a JSON object becomes the arguments of a config dataclass,
+``load_json`` the one way a document's text becomes JSON, and ``as_written``
+reads a JSON string only in the one spelling its writer uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import tempfile
@@ -92,6 +94,14 @@ class Reader:
             raise DecodeError("trailing bytes after end of structure")
 
 
+def load_json(text: str):
+    """``json.loads(text)``; text nested too deeply to parse raises ValueError, as bad JSON does."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply to parse") from exc
+
+
 def json_int(name: str, value) -> int:
     """``value`` if it is a JSON integer; floats, strings and bools raise TypeError."""
     if type(value) is not int:
@@ -109,10 +119,13 @@ def as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
 def parse_rational(value) -> Fraction:
     """A rational from a "p/q" string, an integer, or a finite float (to within 1e-9).
 
-    Booleans are refused, as ``json_int`` refuses them.
+    Booleans are refused, as ``json_int`` refuses them, and so is a zero denominator.
     """
     if isinstance(value, str) or type(value) is int:
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"cannot parse rational from {value!r}: zero denominator") from exc
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(value).limit_denominator(10**9)
     raise ValueError(f"cannot parse rational from {value!r}")

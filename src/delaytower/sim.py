@@ -24,8 +24,8 @@ from . import tower, vdf
 from .ledger import EpochConfig, LedgerState, registration_message, submission_message
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
-from .serialization import (as_written, encode_bytes, encode_uint, json_int, nested_block,
-                            parse_rational)
+from .serialization import (as_written, encode_bytes, encode_uint, json_int, load_json,
+                            nested_block, parse_rational)
 
 _DOMAIN_DRAW = b"delay-tower/sim-draw/v1"
 
@@ -377,13 +377,14 @@ def _parse_behavior(doc: dict) -> Behavior:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse the documented scenario schema; raises InvalidScenario on bad fields.
+    """Parse the documented scenario schema; raises InvalidScenario on bad fields or
+    malformed JSON, chained to the parser's error.
 
     A top-level ``rounds_per_epoch`` must equal the ``epoch_config`` value after
     defaults. Missing security keys take the values of ``Scenario.security``.
     """
-    doc = json.loads(text)
     try:
+        doc = load_json(text)
         epoch_config = EpochConfig.from_doc(doc.get("epoch_config", {}))
         rounds = epoch_config.rounds_per_epoch
         if doc.get("rounds_per_epoch", rounds) != rounds:

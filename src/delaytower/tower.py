@@ -24,7 +24,7 @@ from . import vdf
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
     write_atomic
 
-TOWER_FILE_VERSION = 3
+TOWER_FILE_VERSION = 4
 
 _DOMAIN_RECORD = b"delay-tower/record/v1"
 _DOMAIN_LINK = b"delay-tower/link/v1"
@@ -36,7 +36,7 @@ class CorruptTower(Exception):
 
 @dataclass(frozen=True)
 class ProofRecord:
-    """One verified link: position, group input, output, and its transcript."""
+    """One verified link: position, group input, output, and the proof of that output."""
 
     index: int
     input: int
@@ -64,15 +64,15 @@ def _validated(tower: Tower) -> Tower:
     return tower
 
 
+def _record_body(record: ProofRecord) -> bytes:
+    """A record as the tower file writes it: index, input, output, then its proof's bytes."""
+    return (encode_uint(record.index, 8) + encode_bigint(record.input)
+            + encode_bigint(record.output) + encode_bytes(vdf.serialize_proof(record.proof)))
+
+
 def record_bytes(record: ProofRecord) -> bytes:
     """Canonical bytes of a whole record, proof included; the ledger's messages sign them."""
-    return (
-        _DOMAIN_RECORD
-        + encode_uint(record.index, 8)
-        + encode_bigint(record.input)
-        + encode_bigint(record.output)
-        + encode_bytes(vdf.serialize_proof(record.proof))
-    )
+    return _DOMAIN_RECORD + _record_body(record)
 
 
 def link_digest(index: int, input: int, output: int) -> bytes:
@@ -171,21 +171,12 @@ def validate_chain(tower: Tower) -> bool:
 
 
 def _serialize(tower: Tower) -> bytes:
-    body = bytearray()
-    body += encode_uint(TOWER_FILE_VERSION, 1)
-    body += encode_uint(vdf.PRIME_LENGTH_BITS, 4)
-    body += encode_uint(tower.params.iterations, 8)
-    body += encode_bytes(tower.params.public_key)
-    body += encode_bytes(tower.params.endpoint)
-    body += encode_bigint(tower.params.modulus)
-    body += encode_uint(len(tower.records), 4)
-    for record in tower.records:
-        body += encode_uint(record.index, 8)
-        body += encode_bigint(record.input)
-        body += encode_bigint(record.output)
-        body += encode_bytes(vdf.serialize_proof(record.proof))
-    body += hashlib.sha256(bytes(body)).digest()
-    return bytes(body)
+    params = tower.params
+    body = b"".join([encode_uint(TOWER_FILE_VERSION, 1), encode_uint(params.iterations, 8),
+                     encode_bytes(params.public_key), encode_bytes(params.endpoint),
+                     encode_bigint(params.modulus), encode_uint(len(tower.records), 4),
+                     *map(_record_body, tower.records)])
+    return body + hashlib.sha256(body).digest()
 
 
 def _deserialize(data: bytes) -> Tower:
@@ -199,9 +190,6 @@ def _deserialize(data: bytes) -> Tower:
         version = reader.uint(1)
         if version != TOWER_FILE_VERSION:
             raise CorruptTower(f"unsupported tower file version {version}")
-        label = reader.uint(4)
-        if label != vdf.PRIME_LENGTH_BITS:
-            raise CorruptTower(f"unsupported prime-length label {label}")
         iterations = reader.uint(8)
         owner = reader.bytes_()
         endpoint = reader.bytes_()

@@ -14,8 +14,9 @@ midpoints. The verifier folds every level but the last, whose midpoint mu_k
 splits the claim X^(2^(2h)) = Y, h <= 2^7, into two it checks by squaring:
 X^(2^h) = mu_k and mu_k^(2^h) = Y. Both imply that level's fold for any r.
 
-Format 3 draws level j's 128-bit challenge from a running SHA-256 over what
-the proof publishes, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
+A proof is its midpoints; y is the claim they support, carried beside them.
+Formats 3 and 4 draw level j's 128-bit challenge from a running SHA-256 over
+the claim and the proof, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
 X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
@@ -67,12 +68,12 @@ from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, enc
     fields_from_doc, json_int
 
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
-# The one prime-length label the formats carry; it computes nothing and goes at their next bump.
+# The one prime-length label; only the registration message and ``security`` documents write it.
 PRIME_LENGTH_BITS = 512
 
-PROOF_FORMAT_VERSION = 3
+PROOF_FORMAT_VERSION = 4
 
-# Proof formats 2 and 3 stop the fold once at most this many squarings remain;
+# Proof formats 2 to 4 stop the fold once at most this many squarings remain;
 # the verifier checks the last level as two claims of at most this many
 # squarings, one a side. A folded level costs the left side one exponentiation
 # by a 128-bit challenge, about 170 squarings at 2048 bits: more than the 64 a
@@ -320,9 +321,9 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class VdfProof:
-    """Halving transcript: final output, per-level midpoints, ``PRIME_LENGTH_BITS`` label."""
+    """Halving transcript: the per-level midpoints that support a claim x^(2^t) = y.
+    The label is held in memory only; ``fast_reject`` refuses any other value."""
 
-    output: int
     checkpoints: tuple[int, ...]
     embedded_prime_length_bits: int = PRIME_LENGTH_BITS
 
@@ -544,7 +545,7 @@ def prove(pp: PublicParams, x: int, y: int, powers: tuple[int, int, int]) -> Vdf
         r = transcript.challenge(checkpoints[-1])
         if level < levels:
             X = _powmod(X, r, modulus, mu)
-    return VdfProof(output=y, checkpoints=tuple(checkpoints))
+    return VdfProof(tuple(checkpoints))
 
 
 def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
@@ -624,9 +625,7 @@ def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bo
     thread folds the left side and checks X^(2^h) = mu_k at the last level, while,
     from ``_HAND_OFF_BITS`` on, the worker checks ``_right_side``.
     """
-    if proof.output != y or iterations < 1:
-        return False
-    if len(proof.checkpoints) != expected_checkpoint_count(iterations):
+    if iterations < 1 or len(proof.checkpoints) != expected_checkpoint_count(iterations):
         return False
     for element in (x, y, *proof.checkpoints):
         if not isinstance(element, int) or not 1 <= element <= modulus // 2:
@@ -655,17 +654,14 @@ def fast_reject(modulus: int, iterations: int, proof: VdfProof) -> bool:
     """Cheap structural screen run before full verification; True means reject.
 
     Rejects any proof whose prime-length label is not ``PRIME_LENGTH_BITS``,
-    whose midpoint count does not match ``iterations``, or whose elements are
-    wider than the modulus. Costs a handful of integer comparisons regardless
-    of the step count.
+    whose midpoint count does not match ``iterations``, or whose midpoints are
+    zero or wider than the modulus. Costs a handful of integer comparisons
+    regardless of the step count.
     """
-    if proof.embedded_prime_length_bits != PRIME_LENGTH_BITS:
-        return True
-    if len(proof.checkpoints) != expected_checkpoint_count(iterations):
-        return True
     bound = 1 << modulus.bit_length()
-    return not all(isinstance(element, int) and 1 <= element < bound
-                   for element in (proof.output, *proof.checkpoints))
+    return (proof.embedded_prime_length_bits != PRIME_LENGTH_BITS
+            or len(proof.checkpoints) != expected_checkpoint_count(iterations)
+            or not all(isinstance(m, int) and 1 <= m < bound for m in proof.checkpoints))
 
 
 def check_proof(modulus: int, iterations: int, x: int, y: int,
@@ -683,15 +679,9 @@ def check_proof(modulus: int, iterations: int, x: int, y: int,
 
 
 def serialize_proof(proof: VdfProof) -> bytes:
-    """Canonical proof bytes: version byte, then length-prefixed integers."""
-    out = bytearray()
-    out += encode_uint(PROOF_FORMAT_VERSION, 1)
-    out += encode_uint(proof.embedded_prime_length_bits, 4)
-    out += encode_bigint(proof.output)
-    out += encode_uint(len(proof.checkpoints), 4)
-    for midpoint in proof.checkpoints:
-        out += encode_bigint(midpoint)
-    return bytes(out)
+    """Canonical proof bytes: version byte, midpoint count, then the length-prefixed midpoints."""
+    return (encode_uint(PROOF_FORMAT_VERSION, 1) + encode_uint(len(proof.checkpoints), 4)
+            + b"".join(map(encode_bigint, proof.checkpoints)))
 
 
 def deserialize_proof(data: bytes) -> VdfProof:
@@ -700,10 +690,6 @@ def deserialize_proof(data: bytes) -> VdfProof:
     version = reader.uint(1)
     if version != PROOF_FORMAT_VERSION:
         raise DecodeError(f"unsupported proof format version {version}")
-    prime_bits = reader.uint(4)
-    output = reader.bigint()
-    count = reader.uint(4)
-    checkpoints = tuple(reader.bigint() for _ in range(count))
+    checkpoints = tuple(reader.bigint() for _ in range(reader.uint(4)))
     reader.expect_end()
-    return VdfProof(output=output, checkpoints=checkpoints,
-                    embedded_prime_length_bits=prime_bits)
+    return VdfProof(checkpoints)

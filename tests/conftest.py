@@ -9,6 +9,7 @@ import pytest
 
 from delaytower import tower, vdf
 from delaytower.ledger import EpochConfig, LedgerState
+from delaytower.serialization import encode_bigint
 from delaytower.signing import KeyedHashScheme
 
 SMALL_SECURITY = vdf.SecurityParams(modulus_bits=512, iterations=16)
@@ -20,6 +21,14 @@ FOLD_SECURITY = vdf.SecurityParams(modulus_bits=512, iterations=1 << 10)
 def link_of(record: tower.ProofRecord) -> bytes:
     """The digest the record after ``record`` hashes its input from."""
     return tower.link_digest(record.index, record.input, record.output)
+
+
+def format_3_proof(output: int, proof: vdf.VdfProof) -> bytes:
+    """The proof's bytes as format 3 wrote them: version, prime-length label,
+    a copy of the output, midpoint count, midpoints."""
+    midpoints = proof.checkpoints
+    return (b"\x03" + vdf.PRIME_LENGTH_BITS.to_bytes(4, "big") + encode_bigint(output)
+            + len(midpoints).to_bytes(4, "big") + b"".join(map(encode_bigint, midpoints)))
 
 
 def serial_chain(security: vdf.SecurityParams, key: bytes, endpoint: bytes,

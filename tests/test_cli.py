@@ -270,6 +270,19 @@ class TestBench:
             valid = sum(by_op[("verify-valid", t)]) / 4
             assert invalid < valid
 
+    def test_invalid_proof_is_a_screen_reject(self, tmp_path, monkeypatch):
+        # t = 16 leaves no midpoint to drop; t = 256 leaves one.
+        outcomes = []
+
+        def check_proof(*args, check=vdf.check_proof):
+            outcomes.append(check(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(vdf, "check_proof", check_proof)
+        assert main(["bench", "--iterations-list", "16,256", "--samples", "1",
+                     "--out", str(tmp_path / "b.csv"), "--modulus-bits", "256"]) == 0
+        assert outcomes == [None, "screen"] * 2
+
     @pytest.mark.parametrize("samples", [1, 3])
     def test_summary_lines_pinned(self, tmp_path, capsys, samples):
         out_path = tmp_path / "b.csv"
@@ -346,7 +359,24 @@ class TestSimulate:
                    "--out-csv", str(tmp_path / "m.csv"),
                    "--out-summary", str(tmp_path / "m.json")])
         assert rc == 2
-        assert ":2:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {scenario}:2:13: Expecting value\n"
+        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("case", ["zero-denominator", "nested-too-deep"])
+    def test_unparsable_scenario_one_error_line_no_outputs(self, tmp_path, capsys, case):
+        from importlib import resources
+        doc = json.loads(resources.files("delaytower").joinpath(
+            "scenarios", "crash-minority.json").read_text())
+        doc["epoch_config"]["liveliness_threshold"] = "1/0"
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc) if case == "zero-denominator" else "[" * 100000)
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {scenario}: ") and err.count("\n") == 1, err
         assert not (tmp_path / "m.csv").exists()
         assert not (tmp_path / "m.json").exists()
 

@@ -33,9 +33,11 @@ from delaytower.ledger import (
     submission_message,
 )
 from delaytower.reconfig import advance_epoch
+from delaytower.serialization import encode_bytes
 from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, link_of, make_ledger
+from conftest import (FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, format_3_proof, link_of,
+                      make_ledger)
 
 SCHEME = KeyedHashScheme()
 
@@ -149,9 +151,7 @@ class TestRegistration:
         miner = Miner(state, b"alice")
         record = miner.tower.records[0]
         bad_output = record.output + 1 if record.output + 1 < state.modulus else 1
-        bad = dataclasses.replace(
-            record, output=bad_output,
-            proof=dataclasses.replace(record.proof, output=bad_output))
+        bad = dataclasses.replace(record, output=bad_output)
         message = registration_message(b"alice", miner.tower.params, bad)
         before = fingerprint(state)
         with pytest.raises(InvalidProof):
@@ -199,10 +199,44 @@ class TestRegistration:
                                  SCHEME.sign(b"alice", message))
 
 
+# Fields no message can encode: wider than a fixed-width field, or negative.
+UNENCODABLE = (1 << 64, -1)
+
+
+class TestUnencodableIntake:
+    """A value no signed message can encode is refused, and the state does not move."""
+
+    @pytest.mark.parametrize("value", UNENCODABLE)
+    def test_claimed_height_refused(self, state, miner, value):
+        record = miner.next_record()
+        before = fingerprint(state)
+        assert state.submit_proof(b"alice", value, record, b"sig") is False
+        assert fingerprint(state) == before
+
+    @pytest.mark.parametrize("field, value", [("index", 1 << 64), ("index", -1),
+                                              ("input", -5), ("output", -1),
+                                              ("proof", vdf.VdfProof((-1,)))])
+    def test_record_field_refused(self, state, miner, field, value):
+        record = dataclasses.replace(miner.next_record(), **{field: value})
+        before = fingerprint(state)
+        assert state.submit_proof(b"alice", 2, record, b"sig") is False
+        assert fingerprint(state) == before
+
+    @pytest.mark.parametrize("field, value", [("index", 1 << 64), ("input", -5),
+                                              ("proof", vdf.VdfProof((-1,)))])
+    def test_registration_refused_at_signature(self, state, field, value):
+        miner = Miner(state, b"alice")
+        record = dataclasses.replace(miner.tower.records[0], **{field: value})
+        before = fingerprint(state)
+        with pytest.raises(InvalidSignature):
+            state.register_miner(b"alice", miner.tower.params, record, b"sig")
+        assert fingerprint(state) == before
+
+
 class TestMessages:
     # SHA-256 of an honest miner's registration message followed by its
     # submission of link 1: what miners sign must not drift.
-    PINNED_SHA256 = "5937f974d6ca8ad83465dbba9459c4ed0db13a871e4f6664e3c7935e0ec01184"
+    PINNED_SHA256 = "a7f98b77bc15f606a2088cb7849c73fc48b1a7515ce58f63e7c7be266811459e"
 
     def test_bytes_pinned(self, state):
         miner = Miner(state, b"alice")
@@ -216,6 +250,27 @@ class TestMessages:
         """The same fields under version 1's tag, then its trailing 8-byte epoch label."""
         assert message.startswith(tag + b"/v2")
         return tag + b"/v1" + message[len(tag) + 3:] + bytes(8)
+
+    @staticmethod
+    def with_format_3_proof(message: bytes, record: tower.ProofRecord) -> bytes:
+        """The same message with the record's proof as format 3 wrote it."""
+        proof = encode_bytes(vdf.serialize_proof(record.proof))
+        assert message.endswith(proof)
+        return message[:-len(proof)] + encode_bytes(format_3_proof(record.output, record.proof))
+
+    def test_format_3_proof_signatures_refused(self, state):
+        miner = Miner(state, b"alice")
+        params, record = miner.tower.params, miner.tower.records[0]
+        old = self.with_format_3_proof(registration_message(b"alice", params, record), record)
+        with pytest.raises(InvalidSignature):
+            state.register_miner(b"alice", params, record, SCHEME.sign(b"alice", old))
+        miner.register()
+        record = miner.next_record()
+        old = self.with_format_3_proof(submission_message(b"alice", 2, record), record)
+        before = fingerprint(state)
+        assert not state.submit_proof(b"alice", 2, record, SCHEME.sign(b"alice", old))
+        assert fingerprint(state) == before
+        assert miner.submit(record)
 
     def test_version_1_signatures_refused(self, state):
         miner = Miner(state, b"alice")
@@ -277,9 +332,7 @@ class TestSubmission:
     def test_tampered_transcript_rejected(self, state, miner):
         record = miner.next_record()
         bad_output = record.output + 1 if record.output + 1 < state.modulus else 1
-        bad = dataclasses.replace(
-            record, output=bad_output,
-            proof=dataclasses.replace(record.proof, output=bad_output))
+        bad = dataclasses.replace(record, output=bad_output)
         before = fingerprint(state)
         assert not miner.submit(bad)
         assert fingerprint(state) == before
@@ -293,7 +346,7 @@ class TestSubmission:
 
     def test_unknown_miner_raises(self, state):
         record = tower.ProofRecord(index=0, input=2, output=4,
-                                   proof=vdf.VdfProof(4, (), 512))
+                                   proof=vdf.VdfProof(()))
         with pytest.raises(UnknownMiner):
             state.submit_proof(b"ghost", 1, record, b"sig")
 
@@ -570,6 +623,7 @@ def edit(*path_and_value):
 
 BAD_SNAPSHOTS = {
     "malformed-json": lambda doc: json.dumps(doc)[:-2],
+    "deeply-nested-json": lambda doc: "[" * 100000,
     "not-an-object": lambda doc: json.dumps([doc]),
     "missing-key": edit("epoch_signatures", DROP),
     "missing-miner-field": edit("miner_pool", ALICE, "num", DROP),
@@ -602,6 +656,7 @@ BAD_SNAPSHOTS = {
     # 1e400 overflows to inf; json.loads reads the text 1e400 as inf too.
     "config-infinite-threshold": edit("epoch_config", "liveliness_threshold", 1e400),
     "config-boolean-threshold": edit("epoch_config", "liveliness_threshold", True),
+    "config-zero-denominator-threshold": edit("epoch_config", "liveliness_threshold", "1/0"),
     "config-bad-ranking": edit("epoch_config", "ranking", "by-luck"),
     "config-float": edit("epoch_config", "growth_cap", 6.5),
     "security-out-of-range": edit("security", "iterations", 0),

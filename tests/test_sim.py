@@ -402,6 +402,10 @@ MALFORMED_SCENARIOS = {
         **doc, "security": {**doc.get("security", {}), "prime_length_bits": 1024}},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
+    "liveliness-threshold-zero-denominator": lambda doc: {
+        **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": "1/0"}},
+    "sign-probability-zero-denominator": lambda doc: _with_first(
+        doc, behavior={"kind": "silent", "sign_probability": "1/0"}),
     # Spellings of an address that scenario_to_json never writes.
     "address-uppercase": lambda doc: _respelled_first(doc, str.upper),
     "genesis-validator-uppercase": lambda doc: _respelled_genesis(doc, str.upper),
@@ -434,6 +438,13 @@ class TestScenarioJson:
     def test_bad_document_raises_invalid_scenario(self):
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json('{"seed": 1, "epochs": 2}')
+
+    @pytest.mark.parametrize("text", ["{", '{"seed": 1,}', "[" * 100000],
+                             ids=["unclosed", "trailing-comma", "nested-too-deep"])
+    def test_malformed_json_raises_invalid_scenario(self, text):
+        with pytest.raises(InvalidScenario) as caught:
+            sim.scenario_from_json(text)
+        assert isinstance(caught.value.__cause__, ValueError)  # json.JSONDecodeError is one
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
     def test_malformed_shapes_raise_invalid_scenario(self, case):

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from delaytower import tower, vdf
+from delaytower.serialization import encode_bigint, encode_bytes
 
-from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold, link_of, serial_chain
+from conftest import (FOLD_SECURITY, SMALL_SECURITY, format_3_proof, full_fold, link_of,
+                      serial_chain)
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +30,11 @@ def height8() -> tower.Tower:
     return twr
 
 
-# Digests of the tower below as saved in tower file version 3 with proof
-# format 3, and with proof format 1's layout (its transcripts folded down to a
+# Digests of the tower below as saved in tower file version 4 with proof
+# format 4, and with proof format 1's layout (its transcripts folded down to a
 # single squaring): the proof and file formats and the chain rule must not drift.
-PINNED_TOWER_SHA256 = "aec58862f5ea4b8be982445aab51bba5868caaeb10363777e81e5218a769ae5a"
-FORMAT_1_TOWER_SHA256 = "f3fd4ffbff318a4df08e96f9fd2f8784819a22ba2806ed293680f883d2f0cac4"
+PINNED_TOWER_SHA256 = "984b4336bb1e60f138ee4e5f6bbc31b62345f40e7082aa8f88496af011fa9ad3"
+FORMAT_1_TOWER_SHA256 = "d31e49790abf040b5582fadd4e30906cbfa8f76da9e90e93ab4c947fb7e04a03"
 
 
 def pinned_tower() -> tower.Tower:
@@ -294,16 +296,26 @@ class TestPersistence:
             with pytest.raises(tower.CorruptTower, match="unsupported tower file version 2"):
                 tower.load_tower(path, validate=validate)
 
-    def test_other_prime_length_label_refused(self, tmp_path, height3):
+    def test_tower_file_version_3_refused(self, tmp_path, height3):
+        # Version 3 wrote a prime-length label in its header, and format 3 proofs.
+        params = height3.params
+        body = (b"\x03" + vdf.PRIME_LENGTH_BITS.to_bytes(4, "big")
+                + params.iterations.to_bytes(8, "big") + encode_bytes(params.public_key)
+                + encode_bytes(params.endpoint) + encode_bigint(params.modulus)
+                + height3.height.to_bytes(4, "big") + b"".join(
+                    r.index.to_bytes(8, "big") + encode_bigint(r.input) + encode_bigint(r.output)
+                    + encode_bytes(format_3_proof(r.output, r.proof)) for r in height3.records))
+        path = tmp_path / "t.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match="unsupported tower file version 3"):
+                tower.load_tower(path, validate=validate)
+
+    def test_header_holds_no_label(self, tmp_path, height3):
         path = tmp_path / "t.bin"
         tower.save_tower(height3, path)
         data = path.read_bytes()
-        assert data[1:5] == vdf.PRIME_LENGTH_BITS.to_bytes(4, "big")
-        body = data[:1] + (511).to_bytes(4, "big") + data[5:-32]
-        path.write_bytes(body + hashlib.sha256(body).digest())
-        for validate in (True, False):
-            with pytest.raises(tower.CorruptTower, match="prime-length label 511"):
-                tower.load_tower(path, validate=validate)
+        assert data[:9] == b"\x04" + height3.params.iterations.to_bytes(8, "big")
 
     def test_format_2_file_refused(self, monkeypatch, tmp_path):
         path = tmp_path / "t.bin"

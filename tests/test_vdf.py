@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import math
@@ -22,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytower import vdf
-from delaytower.serialization import DecodeError
+from delaytower.serialization import DecodeError, encode_bigint
 
-from conftest import FOLD_SECURITY, SMALL_SECURITY, full_fold
+from conftest import FOLD_SECURITY, SMALL_SECURITY, format_3_proof, full_fold
 
 
 def small_modulus_params(modulus: int, iterations: int) -> vdf.PublicParams:
@@ -127,8 +128,8 @@ class TestEval:
         with pytest.raises(vdf.InputOutOfRange):
             vdf.eval(small_modulus_params(n, 4), 39)
         # 3^(2^1) = 9 is honest arithmetic, but neither 3 nor 9 is a unit.
-        assert not vdf.verify(n, 1, 3, 9, vdf.VdfProof(9, (), 512))
-        assert vdf.verify(n, 1, 2, 4, vdf.VdfProof(4, (), 512))
+        assert not vdf.verify(n, 1, 3, 9, vdf.VdfProof(()))
+        assert vdf.verify(n, 1, 2, 4, vdf.VdfProof(()))
 
     def test_checkpoint_count_for_power_of_two(self, transcript):
         _, _, _, proof = transcript
@@ -314,7 +315,7 @@ class TestChunkedLoop:
         modulus, x = loop_input
         pp = small_modulus_params(modulus, t)
         output, checkpoints = squaring_oracle(modulus, x, t)
-        expected = (output, vdf.VdfProof(output, checkpoints, 512))
+        expected = (output, vdf.VdfProof(checkpoints))
         monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
         assert vdf.eval(pp, x) == expected
         monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
@@ -407,7 +408,7 @@ def sign_flip_forgery(modulus: int, t: int, x: int) -> tuple[int, vdf.VdfProof]:
         r = transcript.challenge(midpoint)
         xi = pow(xi, r, modulus) * midpoint % modulus
         yi = pow(midpoint, r, modulus) * yi % modulus
-    return claim, vdf.VdfProof(claim, tuple(midpoints), 512)
+    return claim, vdf.VdfProof(tuple(midpoints))
 
 
 def tampered_claims(pp, x, output, proof) -> list[tuple[int, int, vdf.VdfProof]]:
@@ -418,11 +419,11 @@ def tampered_claims(pp, x, output, proof) -> list[tuple[int, int, vdf.VdfProof]]
         return value - 1 if value > 2 else value + 1
 
     claims = [(x, output, proof), (moved(x), output, proof),
-              (x, moved(output), vdf.VdfProof(moved(output), proof.checkpoints, 512))]
+              (x, moved(output), proof)]
     for i in range(len(proof.checkpoints)):
         midpoints = list(proof.checkpoints)
         midpoints[i] = moved(midpoints[i])
-        claims.append((x, output, vdf.VdfProof(output, tuple(midpoints), 512)))
+        claims.append((x, output, vdf.VdfProof(tuple(midpoints))))
     return claims
 
 
@@ -431,7 +432,7 @@ def two_sided_fold(modulus: int, t: int, x: int, y: int, proof: vdf.VdfProof) ->
     last level unfolded. Every level folds both sides, X^r * mu and mu^r * Y,
     and the last claim, at most 2^7 squarings, is squared out; builtin ``pow``."""
     midpoints = proof.checkpoints
-    if proof.output != y or len(midpoints) != vdf.expected_checkpoint_count(t):
+    if len(midpoints) != vdf.expected_checkpoint_count(t):
         return False
     if not all(1 <= element <= modulus // 2 for element in (x, y, *midpoints)):
         return False
@@ -484,8 +485,7 @@ class TestVerify:
     def test_output_tamper_rejected(self, transcript):
         pp, x, output, proof = transcript
         bad_output = output + 1 if output + 1 < pp.modulus else output - 1
-        bad = vdf.VdfProof(bad_output, proof.checkpoints, 512)
-        assert not vdf.verify(pp.modulus, pp.iterations, x, bad_output, bad)
+        assert not vdf.verify(pp.modulus, pp.iterations, x, bad_output, proof)
 
     def test_every_checkpoint_tamper_rejected(self, transcript):
         pp, x, output, proof = transcript
@@ -493,7 +493,7 @@ class TestVerify:
         for i in range(len(proof.checkpoints)):
             checkpoints = list(proof.checkpoints)
             checkpoints[i] = 1 if checkpoints[i] != 1 else 2
-            bad = vdf.VdfProof(output, tuple(checkpoints), 512)
+            bad = vdf.VdfProof(tuple(checkpoints))
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, bad), \
                 f"checkpoint {i} tamper accepted"
 
@@ -506,7 +506,7 @@ class TestVerify:
         assert full[:count] == proof.checkpoints
         for checkpoints in (proof.checkpoints[:-1], proof.checkpoints + (1,),
                             full[:count + 1], full):
-            wrong = vdf.VdfProof(output, checkpoints, 512)
+            wrong = vdf.VdfProof(checkpoints)
             assert vdf.fast_reject(pp.modulus, pp.iterations, wrong)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, wrong)
 
@@ -518,7 +518,7 @@ class TestVerify:
         assert len(proof.checkpoints) == 9
         power_calls.clear()
         for checkpoints in ((), proof.checkpoints[:1], proof.checkpoints[:-1]):
-            short = vdf.VdfProof(output, checkpoints, 512)
+            short = vdf.VdfProof(checkpoints)
             assert vdf.fast_reject(pp.modulus, pp.iterations, short)
             assert not vdf.verify(pp.modulus, pp.iterations, x, output, short)
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
@@ -546,7 +546,7 @@ class TestVerify:
                                "random": canonical(rng.randrange(1, modulus), modulus)}[replacement]
                 if tampered[i] == fields[i]:
                     continue
-                claim = (tampered[0], tampered[1], vdf.VdfProof(tampered[1], tuple(tampered[2:])))
+                claim = (tampered[0], tampered[1], vdf.VdfProof(tuple(tampered[2:])))
                 verdict = vdf.verify(modulus, t, *claim)
                 assert verdict <= two_sided_fold(modulus, t, *claim), (t, i, replacement)
                 assert not verdict, (t, i, replacement)
@@ -572,7 +572,7 @@ class TestVerify:
         pp, x, output, proof = transcript
         assert not vdf.verify(pp.modulus, pp.iterations, 0, output, proof)
         assert not vdf.verify(pp.modulus, pp.iterations, x, pp.modulus, proof)
-        bad = vdf.VdfProof(output, (pp.modulus,) + proof.checkpoints[1:], 512)
+        bad = vdf.VdfProof((pp.modulus,) + proof.checkpoints[1:])
         assert not vdf.verify(pp.modulus, pp.iterations, x, output, bad)
 
     def test_soundness_random_tampering(self, transcript):
@@ -586,14 +586,14 @@ class TestVerify:
                 bad_output = rng.randrange(1, pp.modulus)
                 if bad_output == output:
                     continue
-                candidate = (x, bad_output, vdf.VdfProof(bad_output, proof.checkpoints, 512))
+                candidate = (x, bad_output, proof)
             else:
                 checkpoints = list(proof.checkpoints)
                 replacement = rng.randrange(1, pp.modulus)
                 if replacement == checkpoints[field]:
                     continue
                 checkpoints[field] = replacement
-                candidate = (x, output, vdf.VdfProof(output, tuple(checkpoints), 512))
+                candidate = (x, output, vdf.VdfProof(tuple(checkpoints)))
             if vdf.verify(pp.modulus, pp.iterations, *candidate):
                 accepted += 1
         assert accepted == 0
@@ -612,10 +612,9 @@ class TestVerify:
     def test_malformed_rejected_before_handoff(self, hand_offs, power_calls, transcript):
         pp, x, output, proof = transcript
         n, midpoints = pp.modulus, proof.checkpoints
-        for claim in ((n - x, output, proof),
-                      (x, n - output, vdf.VdfProof(n - output, midpoints, 512)),
-                      (x, output, vdf.VdfProof(output, (n - midpoints[0],) + midpoints[1:], 512)),
-                      (x, output, vdf.VdfProof(output, midpoints[:-1], 512))):
+        for claim in ((n - x, output, proof), (x, n - output, proof),
+                      (x, output, vdf.VdfProof((n - midpoints[0],) + midpoints[1:])),
+                      (x, output, vdf.VdfProof(midpoints[:-1]))):
             assert not vdf.verify(n, pp.iterations, *claim)
         assert hand_offs == [] and power_calls == []
         assert vdf.verify(n, pp.iterations, x, output, proof)
@@ -724,18 +723,16 @@ class TestFastReject:
 
     def test_rejects_wrong_prime_length(self, transcript):
         proof = transcript[3]
-        bad = vdf.VdfProof(proof.output, proof.checkpoints, 511)
+        bad = vdf.VdfProof(proof.checkpoints, 511)
         assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_rejects_zero_checkpoints(self, transcript):
-        bad = vdf.VdfProof(transcript[3].output, (), 512)
+        bad = vdf.VdfProof(())
         assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_rejects_oversized_elements(self, transcript):
         proof = transcript[3]
-        bad = vdf.VdfProof(1 << 513, proof.checkpoints, 512)
-        assert vdf.fast_reject(*fold(transcript), bad)
-        bad = vdf.VdfProof(proof.output, (1 << 513,) + proof.checkpoints[1:], 512)
+        bad = vdf.VdfProof((1 << 513,) + proof.checkpoints[1:])
         assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_thread_safe(self, transcript):
@@ -753,18 +750,27 @@ class TestCheckProof:
             return vdf.check_proof(pp.modulus, pp.iterations, x, output, candidate)
 
         assert check(proof) is None
-        assert check(vdf.VdfProof(output, proof.checkpoints, 511)) == "screen"
+        assert check(vdf.VdfProof(proof.checkpoints, 511)) == "screen"
         assert len(proof.checkpoints) >= 2
         for i in range(len(proof.checkpoints)):
             tampered = list(proof.checkpoints)
             tampered[i] = 1 if tampered[i] != 1 else 2
-            assert check(vdf.VdfProof(output, tuple(tampered), 512)) == "transcript"
+            assert check(vdf.VdfProof(tuple(tampered))) == "transcript"
+
+    def test_output_out_of_range_fails_transcript_unexponentiated(self, hand_offs, power_calls,
+                                                                  transcript):
+        # The proof holds no output, so the screen passes it; verify refuses
+        # it before any exponentiation or hand-off.
+        pp, x, _, proof = transcript
+        for output in (0, pp.modulus // 2 + 1, pp.modulus, 1 << 513):
+            assert vdf.check_proof(pp.modulus, pp.iterations, x, output, proof) == "transcript"
+        assert hand_offs == [] and power_calls == []
 
     def test_screen_reject_skips_transcript(self, monkeypatch, transcript):
         pp, x, output, proof = transcript
         calls = []
         monkeypatch.setattr(vdf, "verify", lambda *args: calls.append(args) or True)
-        screened = vdf.VdfProof(output, proof.checkpoints, 511)
+        screened = vdf.VdfProof(proof.checkpoints, 511)
         assert vdf.check_proof(pp.modulus, pp.iterations, x, output, screened) == "screen"
         assert calls == []
         assert vdf.check_proof(pp.modulus, pp.iterations, x, output, proof) is None
@@ -789,10 +795,26 @@ class TestSerialization:
     def test_format_1_refused(self, transcript):
         pp, x, output, proof = transcript
         full, _ = full_fold(pp.modulus, x, pp.iterations, output)
-        blob = bytearray(vdf.serialize_proof(vdf.VdfProof(output, full, 512)))
+        blob = bytearray(vdf.serialize_proof(vdf.VdfProof(full)))
         blob[0] = 1
         with pytest.raises(DecodeError, match="version 1"):
             vdf.deserialize_proof(bytes(blob))
+
+    def test_bytes_are_version_count_midpoints(self, transcript):
+        midpoints = transcript[3].checkpoints
+        assert vdf.serialize_proof(transcript[3]) == (
+            b"\x04" + len(midpoints).to_bytes(4, "big") + b"".join(map(encode_bigint, midpoints)))
+
+    def test_label_never_written_nor_read(self, transcript):
+        proof = transcript[3]
+        lowered = dataclasses.replace(proof, embedded_prime_length_bits=511)
+        assert vdf.serialize_proof(lowered) == vdf.serialize_proof(proof)
+        assert vdf.deserialize_proof(vdf.serialize_proof(lowered)) == proof
+
+    def test_format_3_refused(self, transcript):
+        _, _, output, proof = transcript
+        with pytest.raises(DecodeError, match="version 3"):
+            vdf.deserialize_proof(format_3_proof(output, proof))
 
     def test_format_2_refused(self, transcript):
         blob = bytearray(vdf.serialize_proof(transcript[3]))
@@ -838,7 +860,7 @@ class TestPowmod:
 
     def test_builtin_fallback_gives_same_results(self, monkeypatch, transcript):
         pp, x, output, proof = transcript
-        tampered = vdf.VdfProof(output, (proof.checkpoints[0] ^ 1,) + proof.checkpoints[1:], 512)
+        tampered = vdf.VdfProof((proof.checkpoints[0] ^ 1,) + proof.checkpoints[1:])
 
         def run():
             return (vdf.eval(pp, x),
