@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 
@@ -24,16 +25,17 @@ class DecodeError(ValueError):
 
 
 def encode_uint(value: int, width: int) -> bytes:
-    """Fixed-width unsigned big-endian integer."""
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+    """Fixed-width unsigned big-endian integer; a bool, float or str raises ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected non-negative integer, got {value!r}")
     return value.to_bytes(width, "big")
 
 
 def encode_bigint(value: int) -> bytes:
-    """Length-prefixed big-endian integer (minimal magnitude, zero is empty)."""
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
+    """Length-prefixed big-endian integer (minimal magnitude, zero is empty); as
+    ``encode_uint``, only an int >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected non-negative integer, got {value!r}")
     magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")
     return len(magnitude).to_bytes(4, "big") + magnitude
 
@@ -94,10 +96,18 @@ class Reader:
             raise DecodeError("trailing bytes after end of structure")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key it repeats raises ValueError."""
+    if len(doc := dict(pairs)) != len(pairs):
+        raise ValueError(f"repeated key {Counter(k for k, _ in pairs).most_common(1)[0][0]!r}")
+    return doc
+
+
 def load_json(text: str):
-    """``json.loads(text)``; text nested too deeply to parse raises ValueError, as bad JSON does."""
+    """``json.loads(text)``, refusing a key repeated in one object; that and text nested
+    too deeply to parse raise ValueError, as bad JSON does."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ValueError("JSON nested too deeply to parse") from exc
 

@@ -9,13 +9,14 @@ A tower is validated once, at its boundary, not before every link: each
 ``Tower`` privately counts the records known to chain and verify. Only ``grow``
 and ``load_tower(validate=True)`` set that count. Any other tower, including one
 built by the constructor or by ``dataclasses.replace`` (a tampered, re-keyed or
-reordered copy), starts at 0 and is validated in full before it grows.
+reordered copy), starts at 0 and is checked in full while its first link squares.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -110,6 +111,13 @@ def _append(tower: Tower, x: int, y: int, powers: tuple[int, int, int],
     return tower
 
 
+def _checked(tower: Tower, stop: threading.Event | None = None) -> Tower:
+    """``tower`` marked valid if ``check_chain`` passes it; else CorruptTower naming where."""
+    if (failed := check_chain(tower, stop)) is not None:
+        raise CorruptTower(f"tower fails validation at record {failed[0]} ({failed[1]})")
+    return _validated(tower)
+
+
 def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _: None) -> Tower:
     """Append ``links`` chained records, from record 0 for an empty tower.
 
@@ -117,22 +125,25 @@ def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _
     tower ending in it to ``on_link`` (a miner saves it there). Link k-1 is
     joined before link k+1 starts: an exception from ``on_link`` stops growth
     within one link, and one raised here, such as Ctrl-C between two squaring
-    calls, waits for the link in flight. A tower not known to be valid (from
-    ``grow`` or a validating ``load_tower``) is validated in full first, once
-    per session, not once per link; one that fails cannot grow.
+    calls, waits for the link in flight and stops a check. A tower not known to
+    be valid (from ``grow`` or a validating ``load_tower``) is ``_checked`` on the
+    worker while its first link squares, and joined as a link in flight is.
     """
-    if tower._validated_height != tower.height and not validate_chain(tower):
-        raise CorruptTower("refusing to extend a tower that fails chain validation")
-    digest, in_flight = _previous_digest(tower, tower.height), None
+    digest, stop = _previous_digest(tower, tower.height), threading.Event()
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaytower-prove") as worker:
-        for index in range(tower.height, tower.height + links):
-            x = vdf.hash_to_group(digest, tower.params.modulus)
-            y, powers = vdf.squarings(tower.params, x)
-            if in_flight is not None:
-                tower = in_flight.result()
-            in_flight = worker.submit(_append, tower, x, y, powers, on_link)
-            digest = link_digest(index, x, y)
-        return tower if in_flight is None else in_flight.result()
+        in_flight = None if tower._validated_height == tower.height else \
+            worker.submit(_checked, tower, stop)
+        try:
+            for index in range(tower.height, tower.height + links):
+                x = vdf.hash_to_group(digest, tower.params.modulus)
+                y, powers = vdf.squarings(tower.params, x)
+                if in_flight is not None:
+                    tower = in_flight.result()
+                in_flight = worker.submit(_append, tower, x, y, powers, on_link)
+                digest = link_digest(index, x, y)
+            return tower if in_flight is None else in_flight.result()
+        finally:
+            stop.set()  # a check still running stops after the tasks it has begun
 
 
 def extend(tower: Tower) -> Tower:
@@ -150,11 +161,33 @@ def check_link(modulus: int, iterations: int, previous_digest: bytes,
     ``link_digest`` after it. Returns None for a good link, otherwise the first
     gate it fails: "index", "input", or ``check_proof``'s "screen" or "transcript".
     """
+    return _chain_gate(modulus, previous_digest, index, record) or \
+        vdf.check_proof(modulus, iterations, record.input, record.output, record.proof)
+
+
+def _chain_gate(modulus: int, previous_digest: bytes, index: int,
+                record: ProofRecord) -> str | None:
+    """The gates ``check_link`` runs before the proof's: "index", "input", or None."""
     if record.index != index:
         return "index"
     if record.input != vdf.hash_to_group(previous_digest, modulus):
         return "input"
-    return vdf.check_proof(modulus, iterations, record.input, record.output, record.proof)
+    return None
+
+
+def check_chain(tower: Tower, stop: threading.Event | None = None,
+                spent: list[float] | None = None) -> tuple[int, str] | None:
+    """``check_link`` on each record in turn: the first that fails and its gate, or None.
+    The index and input gates run first, then ``vdf.check_proofs(..., stop, spent)``
+    on the records before the first that fails them."""
+    modulus, claims, failed = tower.params.modulus, [], None
+    for index, record in enumerate(tower.records):
+        gate = _chain_gate(modulus, _previous_digest(tower, index), index, record)
+        if gate is not None:
+            failed = (index, gate)
+            break
+        claims.append((record.input, record.output, record.proof))
+    return vdf.check_proofs(modulus, tower.params.iterations, claims, stop, spent) or failed
 
 
 def record_valid(tower: Tower, index: int) -> bool:
@@ -166,8 +199,8 @@ def record_valid(tower: Tower, index: int) -> bool:
 
 
 def validate_chain(tower: Tower) -> bool:
-    """True iff every record chains correctly and verifies."""
-    return bool(tower.records) and all(record_valid(tower, i) for i in range(tower.height))
+    """True iff the tower has records and every one chains correctly and verifies."""
+    return bool(tower.records) and check_chain(tower) is None
 
 
 def _serialize(tower: Tower) -> bytes:
@@ -199,6 +232,8 @@ def _deserialize(data: bytes) -> Tower:
                                     proof=vdf.deserialize_proof(reader.bytes_()))
                         for _ in range(reader.uint(4)))
         reader.expect_end()
+        if not records:  # mine never saves one, and no record can be checked
+            raise CorruptTower("tower file holds no records")
         # The modulus states its own size: the file carries no separate claim of it.
         params = vdf.setup(vdf.SecurityParams(modulus.bit_length(), iterations), owner, endpoint,
                            modulus=modulus)
@@ -218,10 +253,5 @@ def load_tower(path: str | os.PathLike, *, validate: bool = True) -> Tower:
     A validated tower is marked as such, so ``extend`` does not check it again.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    tower = _deserialize(data)
-    if not validate:
-        return tower
-    if not validate_chain(tower):
-        raise CorruptTower("tower file parses but fails chain validation")
-    return _validated(tower)
+        tower = _deserialize(fh.read())
+    return _checked(tower) if validate else tower

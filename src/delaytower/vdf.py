@@ -22,7 +22,8 @@ Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
 folds only the left side, up to the last midpoint. For moduli of
 ``_HAND_OFF_BITS`` and more, verify hands the right side, two midpoints an
-exponentiation, to a worker thread and folds the left. Every input, output and
+exponentiation, to a worker thread and folds the left; ``check_proofs`` runs
+the sides of many claims as tasks on both threads. Every input, output and
 midpoint is canonical, min(v, N - v), and verify compares up to sign: -1 has
 order 2 mod N, so otherwise N - y would pass for y.
 
@@ -36,10 +37,10 @@ is built once per odd modulus, kept in a bounded cache and shared by every
 thread, which is safe because nothing writes it after construction; a prime
 candidate, used once, gets a transient context instead. The scratch space
 libcrypto does write, a ``BN_CTX`` and seven ``BIGNUM``s, belongs to one thread
-(``_Scratch``). libcrypto drops the GIL inside each ctypes call, so the two
-sides of a verify run at once. Without libcrypto, or for an even modulus, the
-builtin ``pow`` gives the same results; ``powmod_engine`` names the engine in
-use.
+(``_Scratch``). libcrypto drops the GIL inside each ctypes call, so two
+threads' sides, of one verify or of ``check_proofs``' tasks, run at once.
+Without libcrypto, or for an even modulus, the builtin ``pow`` gives the same
+results; ``powmod_engine`` names the engine in use.
 Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
 native call cannot be interrupted, so that bounds how long Ctrl-C waits.
 The delay runs on the fastest engine available because tower height is a fair
@@ -54,12 +55,15 @@ group, which is what makes a chain of these proofs non-transferable.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
+import itertools
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+import time
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -554,6 +558,36 @@ def eval(pp: PublicParams, x: int) -> tuple[int, VdfProof]:
     return y, prove(pp, x, y, powers)
 
 
+def _challenges(modulus: int, iterations: int, x: int, y: int,
+                proof: VdfProof) -> Optional[list[int]]:
+    """Every level's challenge but the last; None, before any exponentiation, if an x,
+    y or midpoint is not canonical, x or y is not a unit, or the midpoint count is wrong."""
+    if iterations < 1 or len(proof.checkpoints) != expected_checkpoint_count(iterations):
+        return None
+    for element in (x, y, *proof.checkpoints):
+        if not isinstance(element, int) or not 1 <= element <= modulus // 2:
+            return None
+    if math.gcd(x * y, modulus) != 1:
+        return None
+    transcript = _Transcript(modulus, iterations, x, y)
+    return [transcript.challenge(midpoint) for midpoint in proof.checkpoints[:-1]]
+
+
+def _left_side(modulus: int, iterations: int, x: int, y: int, midpoints: tuple[int, ...],
+               challenges: list[int]) -> bool:
+    """Whether x folds to X_k with X_k^(2^h) = mu_k, checked by squaring at the last
+    level, or x^(2^t) = y when there is no midpoint."""
+    X, remaining = x, iterations
+    for level, midpoint in enumerate(midpoints):
+        if remaining % 2 == 1:
+            X = _powmod(X, 2, modulus)
+        remaining //= 2
+        if level < len(challenges):
+            X = _powmod(X, challenges[level], modulus, midpoint)
+    last = midpoints[-1] if midpoints else y
+    return _canonical(_powmod(X, 1 << remaining, modulus), modulus) == last
+
+
 def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: list[int],
                 steps: int, rival: Optional[Future] = None) -> Optional[bool]:
     """Whether mu_k^(2^steps) = +-y * prod mu_j^{r_j} over j < k, two midpoints a call;
@@ -617,36 +651,16 @@ def _hand_off(modulus: int, *args) -> Callable[[], int]:
 
 
 def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
-    """Check that proof shows x^(2^iterations) = y mod modulus, up to sign.
-
-    Malformed input yields False before any exponentiation: an x, y or
-    midpoint that is not canonical, an x or y that is not a unit mod modulus,
-    or a midpoint count other than ``expected_checkpoint_count``. Otherwise this
-    thread folds the left side and checks X^(2^h) = mu_k at the last level, while,
-    from ``_HAND_OFF_BITS`` on, the worker checks ``_right_side``.
-    """
-    if iterations < 1 or len(proof.checkpoints) != expected_checkpoint_count(iterations):
+    """Check that proof shows x^(2^iterations) = y mod modulus, up to sign: False for
+    malformed input (``_challenges``), else ``_left_side`` on this thread and, from
+    ``_HAND_OFF_BITS`` on, ``_right_side`` on the worker."""
+    challenges = _challenges(modulus, iterations, x, y, proof)
+    if challenges is None:
         return False
-    for element in (x, y, *proof.checkpoints):
-        if not isinstance(element, int) or not 1 <= element <= modulus // 2:
-            return False
-    if math.gcd(x * y, modulus) != 1:
-        return False
-
     midpoints = proof.checkpoints
-    transcript = _Transcript(modulus, iterations, x, y)
-    challenges = [transcript.challenge(midpoint) for midpoint in midpoints[:-1]]
-    steps = iterations >> len(midpoints)
-    right = _hand_off(modulus, y, midpoints, challenges, steps) if midpoints else lambda: True
-    X, remaining = x, iterations
-    for level, midpoint in enumerate(midpoints):
-        if remaining % 2 == 1:
-            X = _powmod(X, 2, modulus)
-        remaining //= 2
-        if level < len(challenges):
-            X = _powmod(X, challenges[level], modulus, midpoint)
-    last = midpoints[-1] if midpoints else y
-    left = _canonical(_powmod(X, 1 << steps, modulus), modulus) == last
+    right = (_hand_off(modulus, y, midpoints, challenges, iterations >> len(midpoints))
+             if midpoints else lambda: True)
+    left = _left_side(modulus, iterations, x, y, midpoints, challenges)
     return right() and left
 
 
@@ -676,6 +690,57 @@ def check_proof(modulus: int, iterations: int, x: int, y: int,
     if not verify(modulus, iterations, x, y, proof):
         return "transcript"
     return None
+
+
+def check_proofs(modulus: int, iterations: int, claims, stop: Optional[threading.Event] = None,
+                 spent: Optional[list[float]] = None) -> Optional[tuple[int, str]]:
+    """``check_proof`` on each (x, y, proof) of ``claims``: lowest failing (index, gate) or None.
+
+    After the screens, both sides of each claim before the first screened out are
+    tasks, taken in index order by this thread and, from ``_HAND_OFF_BITS`` on, by
+    verify's worker, until one fails. An exception sets ``stop``; once it is set,
+    both threads stop after their task in hand, and this raises. ``spent[i]`` gains
+    the seconds claim i's tasks took."""
+    tasks, screened = [], None
+    for index, (x, y, proof) in enumerate(claims):
+        gate = "screen" if fast_reject(modulus, iterations, proof) else None
+        challenges = None if gate else _challenges(modulus, iterations, x, y, proof)
+        if challenges is None:
+            screened = (index, gate or "transcript")
+            break
+        midpoints, steps = proof.checkpoints, iterations >> len(proof.checkpoints)
+        tasks += [(index, partial(_left_side, modulus, iterations, x, y, midpoints, challenges)),
+                  (index, partial(_right_side, modulus, y, midpoints, challenges, steps)
+                   if midpoints else lambda: True)]
+    stop = threading.Event() if stop is None else stop
+    # next() on the shared count is one C call, atomic under the GIL; append is too.
+    cursor, failed, seconds = itertools.count(), [], [0.0] * len(tasks)
+
+    def run() -> None:
+        try:
+            for i in cursor:
+                if i >= len(tasks) or stop.is_set() or failed and tasks[i][0] >= min(failed):
+                    return
+                started = time.perf_counter()
+                if not tasks[i][1]():
+                    failed.append(tasks[i][0])
+                seconds[i] = time.perf_counter() - started
+        except BaseException:
+            stop.set()
+            raise
+
+    future = None
+    if modulus.bit_length() >= _HAND_OFF_BITS:
+        with contextlib.suppress(RuntimeError):  # the executor has shut down
+            future = _RIGHT_SIDES.submit(run)
+    run()
+    if future is not None and not future.cancel():  # cancelled if queued behind this thread,
+        future.result()  # else awaited: this raises what the worker raised
+    if stop.is_set():
+        raise CancelledError("proof check stopped")
+    for (index, _), taken in zip(tasks, seconds if spent is not None else ()):
+        spent[index] += taken
+    return (min(failed), "transcript") if failed else screened
 
 
 def serialize_proof(proof: VdfProof) -> bytes:

@@ -31,6 +31,33 @@ def format_3_proof(output: int, proof: vdf.VdfProof) -> bytes:
             + len(midpoints).to_bytes(4, "big") + b"".join(map(encode_bigint, midpoints)))
 
 
+def _replace_proof(record: tower.ProofRecord, **fields) -> tower.ProofRecord:
+    return dataclasses.replace(record, proof=dataclasses.replace(record.proof, **fields))
+
+
+# Gate -> a tampering of one of ``twr``'s records that check_link must reject at
+# that gate; None leaves the honest record, which every check accepts. The
+# input fault takes the input of the record before (of the last, for record 0).
+# The transcript fault needs a proof with midpoints; its doubled midpoint is
+# canonical, so the fold itself, not verify's prelude, must refuse it.
+LINK_FAULTS = {
+    None: lambda twr, record: record,
+    "index": lambda twr, record: dataclasses.replace(record, index=record.index + 1),
+    "input": lambda twr, record: dataclasses.replace(
+        record, input=twr.records[record.index - 1].input),
+    "screen": lambda twr, record: _replace_proof(
+        record, embedded_prime_length_bits=record.proof.embedded_prime_length_bits - 1),
+    "transcript": lambda twr, record: _replace_proof(
+        record, checkpoints=(_canonical_double(record.proof.checkpoints[0], twr.params.modulus),)
+        + record.proof.checkpoints[1:]),
+}
+
+
+def _canonical_double(value: int, modulus: int) -> int:
+    doubled = value * 2 % modulus
+    return min(doubled, modulus - doubled)
+
+
 def serial_chain(security: vdf.SecurityParams, key: bytes, endpoint: bytes,
                  height: int) -> tower.Tower:
     """The tower built one whole ``vdf.eval`` at a time, without ``tower.grow``."""

@@ -36,8 +36,8 @@ from delaytower.reconfig import advance_epoch
 from delaytower.serialization import encode_bytes
 from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import (FOLD_SECURITY, SMALL_SECURITY, TINY_SECURITY, format_3_proof, link_of,
-                      make_ledger)
+from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, TINY_SECURITY, format_3_proof,
+                      link_of, make_ledger)
 
 SCHEME = KeyedHashScheme()
 
@@ -201,6 +201,8 @@ class TestRegistration:
 
 # Fields no message can encode: wider than a fixed-width field, or negative.
 UNENCODABLE = (1 << 64, -1)
+# Values whose type is not exactly int: no signed message encodes them, a bool included.
+NOT_INT = (2.0, "2", None, True)
 
 
 class TestUnencodableIntake:
@@ -231,6 +233,43 @@ class TestUnencodableIntake:
         with pytest.raises(InvalidSignature):
             state.register_miner(b"alice", miner.tower.params, record, b"sig")
         assert fingerprint(state) == before
+
+    @pytest.mark.parametrize("value", NOT_INT)
+    def test_non_integer_claimed_height_refused(self, state, miner, value):
+        record = miner.next_record()
+        before = fingerprint(state)
+        assert state.submit_proof(b"alice", value, record, b"sig") is False
+        assert fingerprint(state) == before
+
+    @pytest.mark.parametrize("field, value", [("index", 1.0), ("index", "1"), ("input", "5"),
+                                              ("output", None)])
+    def test_non_integer_record_field_refused(self, state, miner, value, field):
+        record = dataclasses.replace(miner.next_record(), **{field: value})
+        before = fingerprint(state)
+        assert state.submit_proof(b"alice", 2, record, b"sig") is False
+        assert fingerprint(state) == before
+
+    def test_bool_index_refused_though_signed(self, state, miner):
+        # True == 1 and encodes as 1, so its signature is the honest record's.
+        honest = miner.next_record()
+        signature = SCHEME.sign(b"alice", submission_message(b"alice", 2, honest))
+        before = fingerprint(state)
+        assert state.submit_proof(b"alice", 2, dataclasses.replace(honest, index=True),
+                                  signature) is False
+        assert fingerprint(state) == before
+        assert miner.submit(honest)
+
+    def test_bool_index_registration_refused_though_signed(self, state):
+        miner = Miner(state, b"alice")
+        honest = miner.tower.records[0]
+        signature = SCHEME.sign(b"alice", registration_message(
+            b"alice", miner.tower.params, honest))
+        before = fingerprint(state)
+        with pytest.raises(InvalidSignature):
+            state.register_miner(b"alice", miner.tower.params,
+                                 dataclasses.replace(honest, index=False), signature)
+        assert fingerprint(state) == before
+        assert miner.register().height == 1
 
 
 class TestMessages:
@@ -369,24 +408,6 @@ class TestSubmission:
 def fold_tower() -> tower.Tower:
     """Height 3 at a profile whose proofs carry midpoints to tamper with."""
     return tower.extend(tower.extend(tower.init_tower(FOLD_SECURITY, b"carol", b"ep")))
-
-
-def _replace_proof(record: tower.ProofRecord, **fields) -> tower.ProofRecord:
-    return dataclasses.replace(record, proof=dataclasses.replace(record.proof, **fields))
-
-
-# Gate -> a tampering of record 2 that check_link must reject at that gate;
-# None leaves the honest record, which every check accepts.
-LINK_FAULTS = {
-    None: lambda twr, record: record,
-    "index": lambda twr, record: dataclasses.replace(record, index=record.index + 1),
-    "input": lambda twr, record: dataclasses.replace(record, input=twr.records[1].input),
-    "screen": lambda twr, record: _replace_proof(
-        record, embedded_prime_length_bits=record.proof.embedded_prime_length_bits - 1),
-    "transcript": lambda twr, record: _replace_proof(
-        record, checkpoints=(record.proof.checkpoints[0] * 2 % twr.params.modulus,)
-        + record.proof.checkpoints[1:]),
-}
 
 
 class TestLinkGates:
@@ -662,6 +683,10 @@ BAD_SNAPSHOTS = {
     "security-out-of-range": edit("security", "iterations", 0),
     "security-missing-field": edit("security", "modulus_bits", DROP),
     "security-prime-length": edit("security", "prime_length_bits", 1024),
+    # A repeated key: json.loads would keep the last one silently.
+    "duplicate-epoch": lambda doc: '{"epoch": 99, ' + json.dumps(doc)[1:],
+    "duplicate-miner-height": lambda doc: json.dumps(doc).replace(
+        '"height": ', '"height": 7, "height": ', 1),
     "unknown-scheme": edit("scheme", "rot13"),
     "too-few-validators": edit("validator_set", [ALICE]),
     # Spellings that decode like what export writes, but that it never writes.

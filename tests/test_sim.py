@@ -411,6 +411,10 @@ MALFORMED_SCENARIOS = {
     "genesis-validator-uppercase": lambda doc: _respelled_genesis(doc, str.upper),
     "address-inner-space": lambda doc: _respelled_first(doc, _spaced),
     "genesis-validator-inner-space": lambda doc: _respelled_genesis(doc, _spaced),
+    # A repeated key, given as text: json.loads would keep the last one silently.
+    "seed-twice": lambda doc: '{"seed": 1, ' + json.dumps(doc)[1:],
+    "mining-rate-twice": lambda doc: json.dumps(doc).replace(
+        '"mining_rate": ', '"mining_rate": 1, "mining_rate": ', 1),
 }
 
 
@@ -448,7 +452,8 @@ class TestScenarioJson:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
     def test_malformed_shapes_raise_invalid_scenario(self, case):
-        text = json.dumps(MALFORMED_SCENARIOS[case](scenario_doc()))
+        made = MALFORMED_SCENARIOS[case](scenario_doc())
+        text = made if isinstance(made, str) else json.dumps(made)
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json(text)
 

@@ -6,14 +6,17 @@ import dataclasses
 import hashlib
 import random
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from delaytower import tower, vdf
 from delaytower.serialization import encode_bigint, encode_bytes
 
-from conftest import (FOLD_SECURITY, SMALL_SECURITY, format_3_proof, full_fold, link_of,
-                      serial_chain)
+from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, format_3_proof, full_fold,
+                      link_of, serial_chain)
 
 
 @pytest.fixture(scope="module")
@@ -153,44 +156,45 @@ class TestPipeline:
 
 
 @pytest.fixture
-def verify_calls(monkeypatch) -> list:
-    """Count every vdf.verify call made through the tower module."""
+def full_checks(monkeypatch) -> list:
+    """Every proof checked in full, by ``vdf.verify`` or ``vdf.check_proofs``: each
+    folds the left side of one claim once, on whichever thread."""
     calls = []
-    original = vdf.verify
+    original = vdf._left_side
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(vdf, "verify", counting)
+    monkeypatch.setattr(vdf, "_left_side", counting)
     return calls
 
 
 class TestValidatedPrefix:
-    def test_extend_of_built_tower_verifies_nothing(self, verify_calls):
+    def test_extend_of_built_tower_verifies_nothing(self, full_checks):
         twr = tower.init_tower(SMALL_SECURITY, b"owner-c", b"ep-c")
         twr = tower.extend(twr)
         twr = tower.extend(twr)
         assert twr.height == 3
-        assert verify_calls == []
+        assert full_checks == []
 
     def test_extend_after_validating_load_verifies_nothing_more(
-            self, tmp_path, height3, verify_calls):
+            self, tmp_path, height3, full_checks):
         tower.save_tower(height3, tmp_path / "t.bin")
         loaded = tower.load_tower(tmp_path / "t.bin")
-        assert len(verify_calls) == height3.height
+        assert len(full_checks) == height3.height
         extended = tower.extend(loaded)
-        assert len(verify_calls) == height3.height
+        assert len(full_checks) == height3.height
         assert tower.validate_chain(extended)
 
-    def test_unmarked_towers_are_validated_in_full(self, tmp_path, height3, verify_calls):
+    def test_unmarked_towers_are_validated_in_full(self, tmp_path, height3, full_checks):
         tower.save_tower(height3, tmp_path / "t.bin")
         unvalidated = tower.load_tower(tmp_path / "t.bin", validate=False)
         copied = dataclasses.replace(height3)
         for twr in (unvalidated, copied):
-            verify_calls.clear()
+            full_checks.clear()
             assert tower.extend(twr).height == height3.height + 1
-            assert len(verify_calls) == height3.height
+            assert len(full_checks) == height3.height
 
 
 class TestValidateChain:
@@ -216,6 +220,166 @@ class TestValidateChain:
     def test_empty_tower_invalid(self, height3):
         empty = dataclasses.replace(height3, records=())
         assert not tower.validate_chain(empty)
+
+
+@pytest.fixture(scope="module")
+def height6() -> tower.Tower:
+    """Height 6 at a profile whose proofs carry 3 midpoints, so every record has two sides."""
+    return tower.grow(tower.init_tower(FOLD_SECURITY, b"owner-s", b"ep-s"), 5)
+
+
+def with_records(twr: tower.Tower, changes: dict) -> tower.Tower:
+    """``twr`` with the records at ``changes``' indices replaced by its faults' output."""
+    return dataclasses.replace(twr, records=tuple(
+        LINK_FAULTS[changes[i]](twr, record) if i in changes else record
+        for i, record in enumerate(twr.records)))
+
+
+def link_by_link(twr: tower.Tower):
+    """``check_link`` on each record in turn: the first that fails and its gate, or None."""
+    for index, record in enumerate(twr.records):
+        previous = twr.params.input_digest if index == 0 else link_of(twr.records[index - 1])
+        gate = tower.check_link(twr.params.modulus, twr.params.iterations, previous, index,
+                                record)
+        if gate is not None:
+            return index, gate
+    return None
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """The caller and verify's worker share the chain check's tasks, at any modulus size."""
+    monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+
+
+@pytest.mark.usefixtures("two_threads")
+class TestCheckChain:
+    """``check_chain`` checks the proofs on two threads, and answers as ``check_link`` does."""
+
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    @pytest.mark.parametrize("gate", list(LINK_FAULTS))
+    def test_same_answer_as_check_link_in_turn(self, height6, gate, position):
+        tampered = with_records(height6, {position: gate})
+        expected = None if gate is None else (position, gate)
+        assert link_by_link(tampered) == expected
+        assert tower.check_chain(tampered) == expected
+        assert tower.validate_chain(tampered) is (gate is None)
+        if gate is not None:  # grow checks it too, with no link to append
+            with pytest.raises(tower.CorruptTower,
+                               match=rf"^tower fails validation at record {position} \({gate}\)$"):
+                tower.grow(tampered, 0)
+
+    @pytest.mark.parametrize("faults", [{1: "transcript", 4: "screen"}, {1: "screen", 4: "index"},
+                                        {2: "transcript", 5: "transcript"},
+                                        {0: "transcript", 5: "input"}])
+    def test_lower_of_two_faults_reported(self, height6, faults):
+        tampered = with_records(height6, faults)
+        lowest = min(faults)
+        assert tower.check_chain(tampered) == link_by_link(tampered) == (lowest, faults[lowest])
+
+    def test_lowest_failure_though_a_later_one_fails_first(self, monkeypatch, height6):
+        # Record 1's left side fails slowly on one thread while the other thread
+        # runs on and fails record 2 first: record 1 is still the answer.
+        real, inputs = vdf._left_side, [record.input for record in height6.records]
+
+        def left_side(modulus, iterations, x, *rest):
+            if x == inputs[1]:
+                time.sleep(0.1)
+            return x not in inputs[1:3] and real(modulus, iterations, x, *rest)
+
+        monkeypatch.setattr(vdf, "_left_side", left_side)
+        assert tower.check_chain(height6) == (1, "transcript")
+
+    def test_many_callers_switching_often(self, height6):
+        # Eight callers on two cores share one worker, switching threads as often
+        # as the interpreter can: every answer holds, and every record checked has
+        # its own time.
+        cases = [(height6, None)] + [(with_records(height6, {i: "transcript"}), (i, "transcript"))
+                                     for i in range(height6.height)]
+
+        def check(case) -> bool:
+            twr, expected = case
+            spent = [0.0] * twr.height
+            checked = twr.height if expected is None else expected[0]
+            return tower.check_chain(twr, spent=spent) == expected and all(spent[:checked])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(check, cases * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * len(cases) * 3
+
+    def test_on_verify_worker_thread(self, height6):
+        tampered = with_records(height6, {4: "transcript"})
+        for twr, expected in ((height6, None), (tampered, (4, "transcript"))):
+            assert vdf._RIGHT_SIDES.submit(tower.check_chain, twr).result(timeout=60) == expected
+
+    def test_after_worker_shut_down(self, monkeypatch, height6):
+        stopped = ThreadPoolExecutor(max_workers=1)
+        stopped.shutdown()
+        monkeypatch.setattr(vdf, "_RIGHT_SIDES", stopped)
+        assert tower.check_chain(height6) is None
+        assert tower.check_chain(with_records(height6, {2: "transcript"})) == (2, "transcript")
+
+    def test_task_exception_raised_and_stops_both_threads(self, monkeypatch, height6):
+        # A task raises on one thread: the other starts at most one more task
+        # (it may be past its stop check already), and the check raises that error.
+        started, raised = [], threading.Event()
+
+        def counted(real):
+            def task(*args, **kwargs):
+                started.append(raised.is_set())
+                if len(started) == 3:
+                    raised.set()
+                    raise MemoryError("BN_CTX_new failed")
+                time.sleep(0.01)
+                return real(*args, **kwargs)
+            return task
+
+        for name in ("_left_side", "_right_side"):
+            monkeypatch.setattr(vdf, name, counted(getattr(vdf, name)))
+        with pytest.raises(MemoryError):
+            tower.check_chain(height6)
+        assert started.count(True) <= 1 and len(started) < 2 * height6.height, started
+        monkeypatch.undo()
+        assert tower.check_chain(height6) is None
+
+    def test_interrupt_during_first_squarings(self, monkeypatch, tmp_path, height6):
+        # Ctrl-C lands in the first link's squarings of a resumed tower while
+        # its check runs: each thread finishes at most the task it has begun or
+        # is about to begin, nothing is saved, and no task runs after grow returns.
+        started, after_interrupt, interrupted = [], [], threading.Event()
+
+        def counted(real):
+            def task(*args, **kwargs):
+                started.append(1)
+                if interrupted.is_set():
+                    after_interrupt.append(threading.current_thread().name)
+                time.sleep(0.02)
+                return real(*args, **kwargs)
+            return task
+
+        def squarings(pp, x):
+            deadline = time.monotonic() + 30
+            while len(started) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        for name in ("_left_side", "_right_side"):
+            monkeypatch.setattr(vdf, name, counted(getattr(vdf, name)))
+        monkeypatch.setattr(vdf, "squarings", squarings)
+        path = tmp_path / "t.bin"
+        with pytest.raises(KeyboardInterrupt):
+            tower.grow(dataclasses.replace(height6), 2, lambda twr: tower.save_tower(twr, path))
+        settled = len(started)
+        time.sleep(0.1)
+        assert len(started) == settled < 2 * height6.height
+        assert len(after_interrupt) == len(set(after_interrupt)) <= 2, after_interrupt
+        assert not path.exists()
 
 
 class TestPersistence:
