@@ -222,8 +222,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_overhead(args) -> int:
-    if args.verify_ms < 0 or args.proofs_per_epoch <= 0 or args.validators <= 0 \
-            or args.epoch_seconds <= 0:
+    if not 0 <= args.verify_ms < float("inf") or args.proofs_per_epoch <= 0 \
+            or args.validators <= 0 or args.epoch_seconds <= 0:
         print("error: verify-ms must be >= 0 and the remaining inputs positive",
               file=sys.stderr)
         return EXIT_USAGE

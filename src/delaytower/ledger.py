@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from . import tower, vdf
 from .serialization import (as_written, encode_bigint, encode_bytes, encode_uint,
-                            fields_from_doc, load_json, nested_block, parse_rational)
+                            fields_from_doc, known_keys, load_json, nested_block, parse_rational)
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -353,16 +353,18 @@ class LedgerState:
 
     @classmethod
     def import_snapshot(cls, text: str) -> "LedgerState":
-        """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on
-        malformed JSON, a missing key, a wrong type, hex or a decimal that export
-        would spell otherwise, a negative count, a non-bool ``jailed``, a modulus
-        that ``vdf.check_modulus`` refuses or whose size is not
-        ``security.modulus_bits``, an invalid config, another version, a signer
-        outside the miner pool or a signature count above ``epoch_blocks_total``."""
+        """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on malformed
+        JSON, a missing key or one export does not write, a wrong type, hex or a decimal
+        that export would spell otherwise, a negative count, a non-bool ``jailed``, a
+        modulus that ``vdf.check_modulus`` refuses or whose size is not
+        ``security.modulus_bits``, an invalid config, another version, a signer outside the
+        miner pool or a signature count above ``epoch_blocks_total``."""
         try:
             doc = load_json(text)
             if doc.get("version") != SNAPSHOT_VERSION:
                 raise ValueError(f"unsupported snapshot version {doc.get('version')}")
+            known_keys(doc, "epoch", "epoch_blocks_total", "epoch_config", "epoch_signatures",
+                       "miner_pool", "modulus", "scheme", "security", "validator_set", "version")
             security = vdf.SecurityParams.from_doc(doc["security"])
             modulus = as_written(doc["modulus"], int, str)
             vdf.check_modulus(modulus)
@@ -373,6 +375,8 @@ class LedgerState:
                         scheme_by_name(doc["scheme"]), modulus=modulus)
             state.epoch = _count(doc["epoch"])
             for addr_hex, fields in doc["miner_pool"].items():
+                known_keys(fields, "compliant_epochs", "hash", "height", "jail_sentence",
+                           "jailed", "num")
                 if not isinstance(fields["jailed"], bool):
                     raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
                 address = as_written(addr_hex)

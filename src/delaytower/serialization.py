@@ -141,16 +141,30 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"cannot parse rational from {value!r}")
 
 
-def fields_from_doc(cls, doc, **parsers) -> dict:
+# Keys with no field of their own, each checked by its reader: a scenario's top-level
+# copy of epoch_config's rounds_per_epoch, and the prime-length label in security.
+LEGACY_KEYS = {"scenario": ("rounds_per_epoch",), "security": ("prime_length_bits",)}
+
+
+def known_keys(doc, *known: str) -> dict:
+    """``doc``, if a JSON object with no key outside ``known``; else TypeError or ValueError."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {doc!r}")
+    if unknown := set(doc).difference(known):
+        raise ValueError(f"unknown key {min(unknown)!r}")
+    return doc
+
+
+def fields_from_doc(cls, doc, legacy=(), **parsers) -> dict:
     """Constructor arguments for the dataclass ``cls`` from the JSON object ``doc``.
 
     Fields named in ``parsers`` go through them; every other field must hold an
-    integer. Missing keys are left to the defaults, unknown keys are ignored.
+    integer. Missing keys are left to the defaults; a key that is neither a field
+    nor in ``legacy`` raises ValueError.
     """
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected a JSON object, got {doc!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
     values = {}
-    for name in (f.name for f in dataclasses.fields(cls) if f.name in doc):
+    for name in (name for name in names if name in known_keys(doc, *names, *legacy)):
         value = doc[name]
         values[name] = parsers[name](value) if name in parsers else json_int(name, value)
     return values

@@ -24,8 +24,8 @@ from . import tower, vdf
 from .ledger import EpochConfig, LedgerState, registration_message, submission_message
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
-from .serialization import (as_written, encode_bytes, encode_uint, json_int, load_json,
-                            nested_block, parse_rational)
+from .serialization import (LEGACY_KEYS, as_written, encode_bytes, encode_uint, json_int,
+                            known_keys, load_json, nested_block, parse_rational)
 
 _DOMAIN_DRAW = b"delay-tower/sim-draw/v1"
 
@@ -358,11 +358,12 @@ def run(
 
 
 def _parse_behavior(doc: dict) -> Behavior:
-    conduct = doc.get("behavior", {})
+    known_keys(doc, "address", "behavior", "mining_rate")
+    conduct = known_keys(doc.get("behavior", {}), "kind", "from_round", "sign_probability")
     kind = BehaviorKind(conduct.get("kind", "honest"))
     mining_doc = doc.get("mining_rate", 0)
     if isinstance(mining_doc, dict):
-        if not mining_doc.get("real_vdf"):
+        if not known_keys(mining_doc, "real_vdf", "proofs_per_epoch").get("real_vdf"):
             raise InvalidScenario(f"unrecognised mining rate {mining_doc!r}")
         mining: Union[int, RealVdf] = RealVdf(proofs_per_epoch=json_int(
             "proofs_per_epoch", mining_doc.get("proofs_per_epoch", 1)))
@@ -382,9 +383,9 @@ def scenario_from_json(text: str) -> Scenario:
 
     A top-level ``rounds_per_epoch`` must equal the ``epoch_config`` value after
     defaults. Missing security keys take the values of ``Scenario.security``.
-    """
+    A key the schema does not name is refused, in every object."""
     try:
-        doc = load_json(text)
+        doc = known_keys(load_json(text), *Scenario.__dataclass_fields__, *LEGACY_KEYS["scenario"])
         epoch_config = EpochConfig.from_doc(doc.get("epoch_config", {}))
         rounds = epoch_config.rounds_per_epoch
         if doc.get("rounds_per_epoch", rounds) != rounds:

@@ -47,10 +47,12 @@ The delay runs on the fastest engine available because tower height is a fair
 measure only if honest miners square about as fast as anyone can: a proof
 certifies the count of sequential squarings, not the engine that did them.
 
-The group modulus is a product of two primes derived deterministically from a
-genesis seed; every participant of one network shares it. Inputs are bound to
-a participant by hashing their public key and declared endpoint into the
-group, which is what makes a chain of these proofs non-transferable.
+The group modulus is a product of two primes derived from a genesis seed; every
+participant of one network shares it. Each prime is the first candidate of a
+hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; from
+``_HAND_OFF_BITS`` on, verify's worker searches q while the caller searches p.
+Inputs are bound to a participant by hashing their public key and declared
+endpoint into the group, which makes a chain of these proofs non-transferable.
 """
 
 from __future__ import annotations
@@ -63,13 +65,13 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
-    fields_from_doc, json_int
+    LEGACY_KEYS, fields_from_doc, json_int
 
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
 # The one prime-length label; only the registration message and ``security`` documents write it.
@@ -292,7 +294,7 @@ class SecurityParams:
     @classmethod
     def from_doc(cls, doc) -> "SecurityParams":
         """Parse ``to_doc``'s form; missing keys take the defaults, and no other label passes."""
-        values = fields_from_doc(cls, doc)
+        values = fields_from_doc(cls, doc, LEGACY_KEYS["security"])
         label = json_int("prime_length_bits", doc.get("prime_length_bits", PRIME_LENGTH_BITS))
         if label != PRIME_LENGTH_BITS:
             raise InvalidSecurityParams(
@@ -348,15 +350,20 @@ def expected_checkpoint_count(iterations: int) -> int:
     return (iterations // (MAX_DIRECT_SQUARINGS + 1)).bit_length()
 
 
+# The primes below 1024, and their product: one gcd with it refuses a candidate
+# with a small factor, which would otherwise cost a Miller-Rabin exponentiation.
+_SMALL_PRIMES = frozenset(n for n in range(2, 1024)
+                          if all(n % d for d in range(2, math.isqrt(n) + 1)))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin with witnesses derived from n itself, so results are stable."""
-    if n < 2:
+    """Miller-Rabin with witnesses derived from n itself, so results are stable, after
+    a sieve: n below 1024 is looked up, and a larger n with a factor below 1024 refused."""
+    if n < 1024:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
     d = (n - 1) >> r
     n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
@@ -388,35 +395,32 @@ def check_modulus(modulus: int) -> None:
         raise ValueError("modulus must be composite")
 
 
-def _derive_prime(bits: int, seed: bytes, tag: bytes) -> int:
-    """First probable prime in a counter-extended hash stream, top two bits set."""
-    nbytes = (bits + 7) // 8
-    counter = 0
-    while True:
+def _derive_prime(bits: int, seed: bytes, tag: bytes, stop: threading.Event) -> Optional[int]:
+    """First probable prime in a counter-extended hash stream, top two bits set;
+    None once ``stop`` is set, checked before each candidate."""
+    nbytes, counters = (bits + 7) // 8, itertools.count()
+    while not stop.is_set():
         stream = hashlib.shake_256(
-            _DOMAIN_PRIME + seed + tag + counter.to_bytes(4, "big")).digest(nbytes)
+            _DOMAIN_PRIME + seed + tag + next(counters).to_bytes(4, "big")).digest(nbytes)
         candidate = int.from_bytes(stream, "big") & ((1 << bits) - 1)
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate):
             return candidate
-        counter += 1
+    return None
 
 
 @lru_cache(maxsize=32)
 def _derive_modulus(modulus_bits: int, seed: bytes) -> int:
-    half = modulus_bits // 2
-    p = _derive_prime(half, seed, b"p")
-    q = _derive_prime(modulus_bits - half, seed, b"q")
+    """p * q, with p searched on this thread and q ``_beside`` it, on verify's worker."""
+    half, stop = modulus_bits // 2, threading.Event()
+    p, q = _beside(modulus_bits, stop, partial(_derive_prime, half, seed, b"p", stop),
+                   partial(_derive_prime, modulus_bits - half, seed, b"q", stop))
     return p * q
 
 
 def generate_modulus(modulus_bits: int, seed: bytes = DEFAULT_MODULUS_SEED) -> int:
-    """Deterministic two-prime modulus for the given bit length and seed.
-
-    Cached per (bits, seed): ``generate_modulus(bits)`` and
-    ``generate_modulus(bits, DEFAULT_MODULUS_SEED)`` share one entry, so the
-    primes are searched once per process, not once per calling convention.
-    """
+    """Deterministic two-prime modulus for the given bit length and seed, cached per
+    (bits, seed) whatever the calling convention: the primes are searched once a process."""
     return _derive_modulus(modulus_bits, seed)
 
 
@@ -624,30 +628,56 @@ os.register_at_fork(after_in_child=_start_worker)
 _HAND_OFF_BITS = 2048
 
 
-def _hand_off(modulus: int, *args) -> Callable[[], int]:
-    """Start ``_right_side(modulus, *args)`` on verify's worker, and return
-    what gets its value once the caller's left side is done.
+def _submit(bits: int, fn: Callable, *args) -> Optional[Future]:
+    """``fn(*args)`` queued on verify's worker from ``_HAND_OFF_BITS`` modulus bits on; else
+    None, as once interpreter shutdown has begun: executors then take no work."""
+    if bits >= _HAND_OFF_BITS:
+        with contextlib.suppress(RuntimeError):
+            return _RIGHT_SIDES.submit(fn, *args)
+    return None
 
-    If the worker has not begun by then, the caller computes the right side
-    itself; if it has, the caller races it level by level and takes whichever
-    finishes first. So a worker whose core is busy elsewhere costs verify about
-    the time of computing the right side itself, not the time it waits for
-    the core.
-    Below ``_HAND_OFF_BITS``, and once interpreter shutdown has begun (while it
-    waits for the threads still running, executors take no work), the caller
-    simply computes it.
-    """
-    if modulus.bit_length() >= _HAND_OFF_BITS:
+
+def _beside(bits: int, stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
+    """(ours(), theirs()): ours on this thread while theirs is ``_submit``-ted, and run
+    here after ours if the worker has not begun it. An exception in either sets ``stop``,
+    which each should heed, and propagates once the worker has finished its task in hand."""
+    def guarded():
         try:
-            future = _RIGHT_SIDES.submit(_right_side, modulus, *args)
-        except RuntimeError:
-            pass
-        else:
-            def value() -> int:
-                ours = _right_side(modulus, *args, rival=None if future.cancel() else future)
-                return future.result() if ours is None else ours
-            return value
-    return partial(_right_side, modulus, *args)
+            return theirs()
+        except BaseException:
+            stop.set()
+            raise
+
+    future = _submit(bits, guarded)
+    try:
+        mine = ours()
+        if future is None or future.cancel():  # cancelled if queued behind this thread
+            return mine, theirs()
+        return mine, future.result()  # this raises what the worker raised
+    except BaseException:
+        stop.set()
+        if future is not None and not future.cancel():
+            wait([future])
+        raise
+
+
+def _hand_off(modulus: int, *args) -> Callable[[], int]:
+    """Queue ``_right_side(modulus, *args)`` by ``_submit``, and return what gets its value
+    once the caller's left side is done.
+
+    If the worker has not begun by then, or nothing was queued, the caller computes the
+    right side itself; if it has, the caller races it level by level and takes whichever
+    finishes first. So a worker whose core is busy elsewhere costs verify about the time
+    of computing the right side itself, not the time it waits for the core.
+    """
+    future = _submit(modulus.bit_length(), _right_side, modulus, *args)
+    if future is None:
+        return partial(_right_side, modulus, *args)
+
+    def value() -> int:
+        ours = _right_side(modulus, *args, rival=None if future.cancel() else future)
+        return future.result() if ours is None else ours
+    return value
 
 
 def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
@@ -717,25 +747,16 @@ def check_proofs(modulus: int, iterations: int, claims, stop: Optional[threading
     cursor, failed, seconds = itertools.count(), [], [0.0] * len(tasks)
 
     def run() -> None:
-        try:
-            for i in cursor:
-                if i >= len(tasks) or stop.is_set() or failed and tasks[i][0] >= min(failed):
-                    return
-                started = time.perf_counter()
-                if not tasks[i][1]():
-                    failed.append(tasks[i][0])
-                seconds[i] = time.perf_counter() - started
-        except BaseException:
-            stop.set()
-            raise
+        for i in cursor:
+            if i >= len(tasks) or stop.is_set() or failed and tasks[i][0] >= min(failed):
+                return
+            started = time.perf_counter()
+            if not tasks[i][1]():
+                failed.append(tasks[i][0])
+            seconds[i] = time.perf_counter() - started
 
-    future = None
-    if modulus.bit_length() >= _HAND_OFF_BITS:
-        with contextlib.suppress(RuntimeError):  # the executor has shut down
-            future = _RIGHT_SIDES.submit(run)
-    run()
-    if future is not None and not future.cancel():  # cancelled if queued behind this thread,
-        future.result()  # else awaited: this raises what the worker raised
+    # A second run on this thread, if the worker never began its own, finds no task left.
+    _beside(modulus.bit_length(), stop, run, run)
     if stop.is_set():
         raise CancelledError("proof check stopped")
     for (index, _), taken in zip(tasks, seconds if spent is not None else ()):

@@ -532,6 +532,15 @@ class TestOverhead:
         out = capsys.readouterr().out
         assert "0.00 s per epoch" in out
 
+    @pytest.mark.parametrize("verify_ms", ("nan", "inf", "-inf"))
+    def test_non_finite_verify_ms_usage_error(self, capsys, verify_ms):
+        rc = main(["overhead", f"--verify-ms={verify_ms}", "--proofs-per-epoch", "48",
+                   "--validators", "100", "--epoch-seconds", "86400"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: verify-ms must be" in captured.err
+
     def test_nonpositive_inputs_usage_error(self):
         rc = main(["overhead", "--verify-ms", "10", "--proofs-per-epoch", "0",
                    "--validators", "100", "--epoch-seconds", "86400"])

@@ -698,6 +698,11 @@ BAD_SNAPSHOTS = {
     "uppercase-hash": lambda doc: edit(
         "miner_pool", ALICE, "hash", doc["miner_pool"][ALICE]["hash"].upper())(doc),
     "uppercase-validator": lambda doc: edit("validator_set", 1, ALICE.upper())(doc),
+    # Keys export never writes: a misspelled one would silently take its default.
+    "unknown-top-level-key": edit("note", "extra"),
+    "config-misspelled-key": edit("epoch_config", "growth_cpa", 6),
+    "security-unknown-key": edit("security", "modulus_bitz", 256),
+    "miner-misspelled-key": edit("miner_pool", ALICE, "heigth", 1),
     "uppercase-signer": lambda doc: edit(
         "epoch_signatures", ALICE.upper(), doc["epoch_signatures"].pop(ALICE))(doc),
     "modulus-leading-zero": lambda doc: edit("modulus", "0" + doc["modulus"])(doc),

@@ -415,6 +415,18 @@ MALFORMED_SCENARIOS = {
     "seed-twice": lambda doc: '{"seed": 1, ' + json.dumps(doc)[1:],
     "mining-rate-twice": lambda doc: json.dumps(doc).replace(
         '"mining_rate": ', '"mining_rate": 1, "mining_rate": ', 1),
+    # Keys no reader knows: a misspelled one would silently take its default.
+    "population-misspelled-key": lambda doc: _with_first(
+        doc, mining_rte=doc["population"][0].pop("mining_rate")),
+    "epoch-config-misspelled-key": lambda doc: {
+        **doc, "epoch_config": {**doc["epoch_config"], "max_validatorz": 10}},
+    "top-level-misspelled-key": lambda doc: {**doc, "sede": 1},
+    "security-unknown-key": lambda doc: {
+        **doc, "security": {**doc.get("security", {}), "modulus_bitz": 256}},
+    "behavior-unknown-key": lambda doc: _with_first(
+        doc, behavior={"kind": "crashed", "from_rund": 2}),
+    "mining-rate-unknown-key": lambda doc: _with_first(
+        doc, mining_rate={"real_vdf": True, "proofs_per_epoc": 2}),
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -1122,3 +1123,133 @@ class TestGroupMapping:
         assert vdf.generate_modulus(256, seed=vdf.DEFAULT_MODULUS_SEED) == n
         info = vdf.generate_modulus.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+# SHA-256 of str(generate_modulus(bits, seed)). A derivation must give these
+# numbers bit for bit, however its prime searches are ordered or screened.
+MODULUS_SHA256 = {
+    (256, vdf.DEFAULT_MODULUS_SEED):
+        "2c173704c3774434faee582ab4032f393f0e13cb3803a92b1dde30236f5d9fa5",
+    (512, vdf.DEFAULT_MODULUS_SEED):
+        "eae3e88348b66fb18444dafe9ff7f8047cbac848e8d182aa8e7e44504a0589cf",
+    (1024, vdf.DEFAULT_MODULUS_SEED):
+        "69d135de8c1965129e504fde68b572f9931a5238bc274e279e8d65aeee654b30",
+    (2048, vdf.DEFAULT_MODULUS_SEED):
+        "9bf2b0bfc30598418a07308be0f479494f5e81249c9257cfdfd28366bcc0c57b",
+    (1024, b"another-network"):
+        "6aa71859d392687d9259a9cbcc6fd14e83371ac4c8eee28eb145ef5e089a6a8b",
+}
+
+
+def modulus_digest(modulus: int) -> str:
+    return hashlib.sha256(str(modulus).encode()).hexdigest()
+
+
+def eratosthenes(limit: int) -> list[bool]:
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    return sieve
+
+
+class TestDerivation:
+    """The modulus's two prime searches, one on verify's worker, and the sieve
+    ahead of Miller-Rabin."""
+
+    @pytest.mark.parametrize("bits, seed", sorted(MODULUS_SHA256))
+    def test_modulus_pinned(self, bits, seed):
+        vdf.generate_modulus.cache_clear()
+        assert modulus_digest(vdf.generate_modulus(bits, seed)) == MODULUS_SHA256[bits, seed]
+
+    def test_agrees_with_sieve_below_2_16(self):
+        expected = eratosthenes(1 << 16)
+        assert [vdf.is_probable_prime(n, 8) for n in range(1 << 16)] == expected
+
+    # Carmichael numbers, strong pseudoprimes to the first few prime bases, and
+    # products of two primes just above the sieve's bound, so no trial division
+    # refuses them.
+    @pytest.mark.parametrize("n, prime", [
+        (561, False), (1105, False), (2047, False), (1_373_653, False), (25_326_001, False),
+        (3_215_031_751, False), (3_825_123_056_546_413_051, False), (1031 * 1033, False),
+        (1021 * 1031, False), (1031 * 1031, False), (1039 * 1049, False),
+        ((1 << 61) - 1, True), ((1 << 127) - 1, True), (1021, True), (1031, True),
+    ])
+    def test_known_values(self, n, prime):
+        assert vdf.is_probable_prime(n) is prime
+        assert vdf.is_probable_prime(n, 8) is prime
+
+    @pytest.mark.parametrize("hand_off_bits", (vdf._HAND_OFF_BITS, 0))
+    def test_builtin_engine_derives_the_same_modulus(self, monkeypatch, hand_off_bits):
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", hand_off_bits)
+        modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
+        assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
+
+    def test_derivation_on_the_worker_returns(self, monkeypatch):
+        # The q search it hands off queues behind itself, so it runs both.
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+        modulus = vdf._RIGHT_SIDES.submit(
+            vdf._derive_modulus.__wrapped__, 1024, b"another-network").result(timeout=60)
+        assert modulus_digest(modulus) == MODULUS_SHA256[1024, b"another-network"]
+
+    def test_concurrent_derivations(self, monkeypatch):
+        # Eight callers share one worker: most find their q search still queued
+        # behind another caller's, and run it themselves.
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+        seeds = [vdf.DEFAULT_MODULUS_SEED, b"another-network"] * 4
+        with switching_often(), ThreadPoolExecutor(max_workers=8) as pool:
+            moduli = list(pool.map(lambda seed: vdf._derive_modulus.__wrapped__(1024, seed),
+                                   seeds, timeout=120))
+        assert [modulus_digest(n) for n in moduli] == [MODULUS_SHA256[1024, s] for s in seeds]
+
+    def test_derivation_after_main_thread_returns(self):
+        # Executors take no work once interpreter shutdown has begun.
+        script = textwrap.dedent("""
+            import threading
+            from delaytower import vdf
+            vdf._HAND_OFF_BITS = 0
+
+            def late():
+                threading.main_thread().join()  # returns once shutdown has begun
+                print(vdf.generate_modulus(512).bit_length())
+
+            threading.Thread(target=late).start()
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "512\n", "")
+
+    @pytest.mark.parametrize("raiser", ("caller", "worker"))
+    def test_exception_stops_the_other_search(self, monkeypatch, raiser):
+        # Once one side has tested a candidate, the other raises on its next: the
+        # first side may finish the candidate in hand, and tests no other.
+        class Interrupt(BaseException):
+            pass
+
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+        caller, tested = threading.get_ident(), {"caller": 0, "worker": 0}
+        started, at_raise = threading.Event(), []
+
+        def spy(n, rounds=40, test=vdf.is_probable_prime):
+            side = "caller" if threading.get_ident() == caller else "worker"
+            if side == raiser:
+                assert started.wait(30), "the other side never tested a candidate"
+                at_raise.append(dict(tested))
+                raise Interrupt
+            tested[side] += 1
+            started.set()
+            return test(n, rounds)
+
+        bits, seed = 1024, b"another-network"
+        vdf.generate_modulus.cache_clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(vdf, "is_probable_prime", spy)
+            with pytest.raises(Interrupt):
+                vdf.generate_modulus(bits, seed)
+        other = "worker" if raiser == "caller" else "caller"
+        assert len(at_raise) == 1
+        assert tested[other] - at_raise[0][other] <= 1
+        assert vdf.generate_modulus.cache_info().currsize == 0
+        assert modulus_digest(vdf.generate_modulus(bits, seed)) == MODULUS_SHA256[bits, seed]
