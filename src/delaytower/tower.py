@@ -7,18 +7,19 @@ too. Checked under another key, a tower fails at record 0: it cannot be moved.
 
 A tower is validated once, at its boundary, not before every link: each
 ``Tower`` privately counts the records known to chain and verify. Only ``grow``
-and ``load_tower(validate=True)`` set that count. Any other tower, including one
-built by the constructor or by ``dataclasses.replace`` (a tampered, re-keyed or
-reordered copy), starts at 0 and is checked in full while its first link squares.
+and ``load_tower(validate=True)`` set that count. Any other tower, a tampered,
+re-keyed or reordered copy too, starts at 0: ``grow`` checks it in full on the
+calling thread and verify's worker, and squares and proves its first link inside
+the check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from . import vdf
@@ -104,16 +105,16 @@ def next_input(tower: Tower) -> int:
 
 
 def _append(tower: Tower, x: int, y: int, powers: tuple[int, int, int],
-            on_link: Callable[[Tower], object]) -> Tower:
-    record = ProofRecord(tower.height, x, y, vdf.prove(tower.params, x, y, powers))
+            proof: vdf.VdfProof | None, on_link: Callable[[Tower], object]) -> Tower:
+    record = ProofRecord(tower.height, x, y, proof or vdf.prove(tower.params, x, y, powers))
     tower = _validated(replace(tower, records=tower.records + (record,)))
     on_link(tower)
     return tower
 
 
-def _checked(tower: Tower, stop: threading.Event | None = None) -> Tower:
+def _checked(tower: Tower, work: Callable[[], object] = lambda: None) -> Tower:
     """``tower`` marked valid if ``check_chain`` passes it; else CorruptTower naming where."""
-    if (failed := check_chain(tower, stop)) is not None:
+    if (failed := check_chain(tower, work=work)) is not None:
         raise CorruptTower(f"tower fails validation at record {failed[0]} ({failed[1]})")
     return _validated(tower)
 
@@ -125,25 +126,33 @@ def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _
     tower ending in it to ``on_link`` (a miner saves it there). Link k-1 is
     joined before link k+1 starts: an exception from ``on_link`` stops growth
     within one link, and one raised here, such as Ctrl-C between two squaring
-    calls, waits for the link in flight and stops a check. A tower not known to
-    be valid (from ``grow`` or a validating ``load_tower``) is ``_checked`` on the
-    worker while its first link squares, and joined as a link in flight is.
+    calls, waits for the link in flight. A tower not known to be valid (from
+    ``grow`` or a validating ``load_tower``) is ``_checked`` by this thread and
+    verify's worker; its first new link is squared and proved here inside the check.
     """
-    digest, stop = _previous_digest(tower, tower.height), threading.Event()
+    digest, params = _previous_digest(tower, tower.height), tower.params
+    unchecked, link, in_flight = tower._validated_height != tower.height, [], None
+    if links <= 0:
+        return _checked(tower) if unchecked else tower
+
+    def square(x: int, prove: bool = False) -> None:
+        """Link ``x``'s squarings into ``link``, and its proof if ``prove``."""
+        y, powers = vdf.squarings(params, x)
+        link[:] = y, powers, vdf.prove(params, x, y, powers) if prove else None
+
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaytower-prove") as worker:
-        in_flight = None if tower._validated_height == tower.height else \
-            worker.submit(_checked, tower, stop)
-        try:
-            for index in range(tower.height, tower.height + links):
-                x = vdf.hash_to_group(digest, tower.params.modulus)
-                y, powers = vdf.squarings(tower.params, x)
-                if in_flight is not None:
-                    tower = in_flight.result()
-                in_flight = worker.submit(_append, tower, x, y, powers, on_link)
-                digest = link_digest(index, x, y)
-            return tower if in_flight is None else in_flight.result()
-        finally:
-            stop.set()  # a check still running stops after the tasks it has begun
+        for index in range(tower.height, tower.height + links):
+            x = vdf.hash_to_group(digest, params.modulus)
+            if unchecked:  # nothing is passed on before the check passes
+                _checked(tower, partial(square, x, True))
+                unchecked = False
+            else:
+                square(x)
+            if in_flight is not None:
+                tower = in_flight.result()
+            in_flight = worker.submit(_append, tower, x, *link, on_link)
+            digest = link_digest(index, x, link[0])
+        return in_flight.result()
 
 
 def extend(tower: Tower) -> Tower:
@@ -175,11 +184,11 @@ def _chain_gate(modulus: int, previous_digest: bytes, index: int,
     return None
 
 
-def check_chain(tower: Tower, stop: threading.Event | None = None,
-                spent: list[float] | None = None) -> tuple[int, str] | None:
+def check_chain(tower: Tower, spent: list[float] | None = None,
+                work: Callable[[], object] = lambda: None) -> tuple[int, str] | None:
     """``check_link`` on each record in turn: the first that fails and its gate, or None.
-    The index and input gates run first, then ``vdf.check_proofs(..., stop, spent)``
-    on the records before the first that fails them."""
+    The index and input gates run first, then ``vdf.check_proofs(..., spent, work)``
+    on the records before the first that fails them: the caller's ``work`` runs there."""
     modulus, claims, failed = tower.params.modulus, [], None
     for index, record in enumerate(tower.records):
         gate = _chain_gate(modulus, _previous_digest(tower, index), index, record)
@@ -187,7 +196,7 @@ def check_chain(tower: Tower, stop: threading.Event | None = None,
             failed = (index, gate)
             break
         claims.append((record.input, record.output, record.proof))
-    return vdf.check_proofs(modulus, tower.params.iterations, claims, stop, spent) or failed
+    return vdf.check_proofs(modulus, tower.params.iterations, claims, spent, work) or failed
 
 
 def record_valid(tower: Tower, index: int) -> bool:

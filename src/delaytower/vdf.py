@@ -20,12 +20,13 @@ the claim and the proof, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
 X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
-folds only the left side, up to the last midpoint. For moduli of
-``_HAND_OFF_BITS`` and more, verify hands the right side, two midpoints an
-exponentiation, to a worker thread and folds the left; ``check_proofs`` runs
-the sides of many claims as tasks on both threads. Every input, output and
-midpoint is canonical, min(v, N - v), and verify compares up to sign: -1 has
-order 2 mod N, so otherwise N - y would pass for y.
+folds only the left side, up to the last midpoint. On libcrypto, verify hands
+the right side, two midpoints an exponentiation, to a worker thread for moduli
+of ``_HAND_OFF_BITS`` and more, and folds the left; ``check_proofs`` runs the
+sides of many claims as tasks on both threads at any modulus size, the caller's
+after its own work.
+Every input, output and midpoint is canonical, min(v, N - v), and verify
+compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
 All group arithmetic is one function on ints, ``_powmod``: b1^e1 * b2^e2 * f
 mod N, for eval's t sequential squarings, the transcript's midpoints, each
@@ -40,7 +41,7 @@ libcrypto does write, a ``BN_CTX`` and seven ``BIGNUM``s, belongs to one thread
 (``_Scratch``). libcrypto drops the GIL inside each ctypes call, so two
 threads' sides, of one verify or of ``check_proofs``' tasks, run at once.
 Without libcrypto, or for an even modulus, the builtin ``pow`` gives the same
-results; ``powmod_engine`` names the engine in use.
+results on one thread: it holds the GIL. ``powmod_engine`` names the engine.
 Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
 native call cannot be interrupted, so that bounds how long Ctrl-C waits.
 The delay runs on the fastest engine available because tower height is a fair
@@ -49,8 +50,8 @@ certifies the count of sequential squarings, not the engine that did them.
 
 The group modulus is a product of two primes derived from a genesis seed; every
 participant of one network shares it. Each prime is the first candidate of a
-hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; from
-``_HAND_OFF_BITS`` on, verify's worker searches q while the caller searches p.
+hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; where
+verify hands off, verify's worker searches q while the caller searches p.
 Inputs are bound to a participant by hashing their public key and declared
 endpoint into the group, which makes a chain of these proofs non-transferable.
 """
@@ -65,7 +66,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -628,16 +629,17 @@ os.register_at_fork(after_in_child=_start_worker)
 _HAND_OFF_BITS = 2048
 
 
-def _submit(bits: int, fn: Callable, *args) -> Optional[Future]:
-    """``fn(*args)`` queued on verify's worker from ``_HAND_OFF_BITS`` modulus bits on; else
-    None, as once interpreter shutdown has begun: executors then take no work."""
-    if bits >= _HAND_OFF_BITS:
+def _submit(bits: Optional[int], fn: Callable, *args) -> Optional[Future]:
+    """``fn(*args)`` queued on verify's worker on libcrypto (builtin ``pow`` holds the GIL),
+    from ``_HAND_OFF_BITS`` modulus bits on or for ``bits`` None; else None, as once
+    shutdown stops executors."""
+    if (bits is None or bits >= _HAND_OFF_BITS) and _LIBCRYPTO is not None:
         with contextlib.suppress(RuntimeError):
             return _RIGHT_SIDES.submit(fn, *args)
     return None
 
 
-def _beside(bits: int, stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
+def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
     """(ours(), theirs()): ours on this thread while theirs is ``_submit``-ted, and run
     here after ours if the worker has not begun it. An exception in either sets ``stop``,
     which each should heed, and propagates once the worker has finished its task in hand."""
@@ -722,15 +724,15 @@ def check_proof(modulus: int, iterations: int, x: int, y: int,
     return None
 
 
-def check_proofs(modulus: int, iterations: int, claims, stop: Optional[threading.Event] = None,
-                 spent: Optional[list[float]] = None) -> Optional[tuple[int, str]]:
+def check_proofs(modulus: int, iterations: int, claims, spent: Optional[list[float]] = None,
+                 work: Callable[[], object] = lambda: None) -> Optional[tuple[int, str]]:
     """``check_proof`` on each (x, y, proof) of ``claims``: lowest failing (index, gate) or None.
 
     After the screens, both sides of each claim before the first screened out are
-    tasks, taken in index order by this thread and, from ``_HAND_OFF_BITS`` on, by
-    verify's worker, until one fails. An exception sets ``stop``; once it is set,
-    both threads stop after their task in hand, and this raises. ``spent[i]`` gains
-    the seconds claim i's tasks took."""
+    tasks, taken in index order by verify's worker on libcrypto, at any modulus size, and
+    by this thread once it has done ``work()``, until one fails. An exception, Ctrl-C in
+    ``work`` too, stops both threads after their task in hand, and propagates.
+    ``spent[i]`` gains the seconds claim i's tasks took."""
     tasks, screened = [], None
     for index, (x, y, proof) in enumerate(claims):
         gate = "screen" if fast_reject(modulus, iterations, proof) else None
@@ -742,13 +744,14 @@ def check_proofs(modulus: int, iterations: int, claims, stop: Optional[threading
         tasks += [(index, partial(_left_side, modulus, iterations, x, y, midpoints, challenges)),
                   (index, partial(_right_side, modulus, y, midpoints, challenges, steps)
                    if midpoints else lambda: True)]
-    stop = threading.Event() if stop is None else stop
-    # next() on the shared count is one C call, atomic under the GIL; append is too.
-    cursor, failed, seconds = itertools.count(), [], [0.0] * len(tasks)
+    # next() on the shared iterator is one C call, atomic under the GIL; append is too.
+    cursor, failed, seconds = iter(range(len(tasks))), [], [0.0] * len(tasks)
+    stop = threading.Event()
 
-    def run() -> None:
+    def run(first: Callable[[], object] = lambda: None) -> None:
+        first()
         for i in cursor:
-            if i >= len(tasks) or stop.is_set() or failed and tasks[i][0] >= min(failed):
+            if stop.is_set() or failed and tasks[i][0] >= min(failed):
                 return
             started = time.perf_counter()
             if not tasks[i][1]():
@@ -756,9 +759,8 @@ def check_proofs(modulus: int, iterations: int, claims, stop: Optional[threading
             seconds[i] = time.perf_counter() - started
 
     # A second run on this thread, if the worker never began its own, finds no task left.
-    _beside(modulus.bit_length(), stop, run, run)
-    if stop.is_set():
-        raise CancelledError("proof check stopped")
+    # The worker wakes once a check, not once an exponentiation as in verify: no size bound.
+    _beside(None, stop, partial(run, work), run)
     for (index, _), taken in zip(tasks, seconds if spent is not None else ()):
         spent[index] += taken
     return (min(failed), "transcript") if failed else screened

@@ -123,6 +123,17 @@ class TestMine:
         assert mine(resumed, *DEEP, "--proofs", "3") == 0
         assert (resumed / "t.bin").read_bytes() == expected
 
+    def test_resumes_on_two_threads_match_serial_chain(self, tmp_path):
+        # Each resume checks the file on this thread and verify's worker while its
+        # first link is squared and proved on this thread: the bytes do not move.
+        for proofs in ("1", "2", "2"):
+            assert mine(tmp_path, *DEEP, "--proofs", proofs) == 0
+        key = bytes.fromhex((tmp_path / "k.hex").read_text())
+        security = vdf.SecurityParams(modulus_bits=256, iterations=1024)
+        tower.save_tower(serial_chain(security, key, DEFAULT_ENDPOINT.encode(), 6),
+                         tmp_path / "serial.bin")
+        assert (tmp_path / "t.bin").read_bytes() == (tmp_path / "serial.bin").read_bytes()
+
     def test_interrupt_keeps_the_link_in_flight(self, tmp_path, monkeypatch, capsys):
         # Ctrl-C lands in the main thread's squarings of link k + 1; link k,
         # then in its proof or save on the worker, still reaches the file.

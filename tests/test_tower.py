@@ -246,13 +246,6 @@ def link_by_link(twr: tower.Tower):
     return None
 
 
-@pytest.fixture
-def two_threads(monkeypatch):
-    """The caller and verify's worker share the chain check's tasks, at any modulus size."""
-    monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
-
-
-@pytest.mark.usefixtures("two_threads")
 class TestCheckChain:
     """``check_chain`` checks the proofs on two threads, and answers as ``check_link`` does."""
 
@@ -362,9 +355,10 @@ class TestCheckChain:
                 return real(*args, **kwargs)
             return task
 
-        def squarings(pp, x):
+        def squarings(pp, x):  # on the builtin engine no task begins before this returns
             deadline = time.monotonic() + 30
-            while len(started) < 2 and time.monotonic() < deadline:
+            while (vdf._LIBCRYPTO is not None and len(started) < 2
+                   and time.monotonic() < deadline):
                 time.sleep(0.001)
             interrupted.set()
             raise KeyboardInterrupt
@@ -379,6 +373,101 @@ class TestCheckChain:
         time.sleep(0.1)
         assert len(started) == settled < 2 * height6.height
         assert len(after_interrupt) == len(set(after_interrupt)) <= 2, after_interrupt
+        assert not path.exists()
+
+
+VERIFY_WORKER = "delaytower-verify"
+
+
+class Tasks(list):
+    """Names of the threads that began the check's tasks, in order. On verify's
+    worker each task first waits until ``go`` is set, as it is to begin with."""
+
+    def __init__(self):
+        super().__init__()
+        self.go = threading.Event()
+        self.go.set()
+
+
+@pytest.fixture
+def tasks(monkeypatch) -> Tasks:
+    begun = Tasks()
+
+    def spied(real):
+        def task(*args, **kwargs):
+            name = threading.current_thread().name
+            begun.append(name)
+            if name.startswith(VERIFY_WORKER):
+                assert begun.go.wait(10), "verify's worker held for 10 s"
+            return real(*args, **kwargs)
+        return task
+
+    for name in ("_left_side", "_right_side"):
+        monkeypatch.setattr(vdf, name, spied(getattr(vdf, name)))
+    return begun
+
+
+def first_link_provers(monkeypatch, twr: tower.Tower, after=lambda: None) -> list[str]:
+    """Names of the threads that prove the first link grown on ``twr``; each then runs ``after``."""
+    x0, real, names = tower.next_input(twr), vdf.prove, []
+
+    def prove(pp, x, y, powers):
+        if x != x0:
+            return real(pp, x, y, powers)
+        names.append(threading.current_thread().name)
+        proof = real(pp, x, y, powers)
+        after()
+        return proof
+
+    monkeypatch.setattr(vdf, "prove", prove)
+    return names
+
+
+class TestFirstLinkInCheck:
+    """A resumed ``grow`` checks the tower on this thread and verify's worker, and
+    squares and proves link 0 on this thread inside that check."""
+
+    def test_check_runs_on_caller_and_verify_worker(self, tasks, height6):
+        grown = tower.grow(dataclasses.replace(height6), 2)
+        begun, caller = list(tasks), threading.current_thread().name
+        assert len(begun) == 2 * height6.height
+        assert all(name == caller or name.startswith(VERIFY_WORKER) for name in begun), begun
+        assert grown == tower.grow(height6, 2)
+
+    def test_caller_proves_link_0_inside_check(self, monkeypatch, tasks, height6):
+        # Verify's worker holds its first task until link 0 is proved, so the
+        # proof is made while the check runs.
+        expected = tower.grow(height6, 2)
+        tasks.go.clear()
+        provers = first_link_provers(monkeypatch, height6, tasks.go.set)
+        grown = tower.grow(dataclasses.replace(height6), 2)
+        assert provers == [threading.current_thread().name]
+        assert grown == expected
+
+    def test_interrupt_during_first_proof(self, monkeypatch, tmp_path, tasks, height6):
+        # Ctrl-C lands in link 0's proof on this thread while verify's worker holds
+        # its first task: the worker finishes at most the task it has begun and
+        # one it is about to begin, nothing is saved, and no task runs after grow returns.
+        provers, at_interrupt = [], []
+        tasks.go.clear()
+
+        def prove(pp, x, y, powers):
+            provers.append(threading.current_thread().name)
+            at_interrupt.append(len(tasks))
+            tasks.go.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(vdf, "prove", prove)
+        path = tmp_path / "t.bin"
+        with pytest.raises(KeyboardInterrupt):
+            tower.grow(dataclasses.replace(height6), 2, lambda twr: tower.save_tower(twr, path))
+        settled = len(tasks)
+        time.sleep(0.1)
+        assert len(tasks) == settled < 2 * height6.height
+        assert provers == [threading.current_thread().name]
+        after_interrupt = tasks[at_interrupt[0]:]
+        assert len(after_interrupt) <= 1, list(tasks)
+        assert all(name.startswith(VERIFY_WORKER) for name in after_interrupt), list(tasks)
         assert not path.exists()
 
 

@@ -456,6 +456,10 @@ def two_sided_fold(modulus: int, t: int, x: int, y: int, proof: vdf.VdfProof) ->
 REFERENCE_STEPS = (1, 64, 128, 129, 200, 256, 259, 300, 1023, 4096)
 
 
+# Only libcrypto work goes to verify's worker: the builtin pow holds the GIL.
+HANDS_OFF = vdf._LIBCRYPTO is not None
+
+
 @pytest.fixture
 def hand_offs(monkeypatch) -> list[tuple]:
     """Arguments of every right side handed to verify's worker, at any modulus size."""
@@ -619,19 +623,31 @@ class TestVerify:
             assert not vdf.verify(n, pp.iterations, *claim)
         assert hand_offs == [] and power_calls == []
         assert vdf.verify(n, pp.iterations, x, output, proof)
-        assert len(hand_offs) == 1
+        assert len(hand_offs) == HANDS_OFF
 
     def test_hands_off_from_hand_off_bits(self, monkeypatch, hand_offs, transcript):
         pp, x, output, proof = transcript
-        for bits, expected in ((pp.modulus.bit_length() + 1, 0), (pp.modulus.bit_length(), 1)):
+        for bits, expected in ((pp.modulus.bit_length() + 1, 0),
+                               (pp.modulus.bit_length(), int(HANDS_OFF))):
             hand_offs.clear()
             monkeypatch.setattr(vdf, "_HAND_OFF_BITS", bits)
             assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
             assert len(hand_offs) == expected, bits
 
+    def test_check_proofs_hands_off_at_any_size(self, monkeypatch, hand_offs, transcript):
+        # A check wakes the worker once for all its tasks, not once an
+        # exponentiation as verify does, so it hands off below _HAND_OFF_BITS too.
+        pp, x, output, proof = transcript
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", pp.modulus.bit_length() + 1)
+        assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)
+        assert hand_offs == []
+        assert vdf.check_proofs(pp.modulus, pp.iterations, [(x, output, proof)]) is None
+        assert len(hand_offs) == HANDS_OFF
+
     def test_right_side_from_whichever_finishes_first(self, monkeypatch, transcript):
         # The worker's right side fails here, so a False verdict shows verify
-        # took the worker's value and True that it computed its own.
+        # took the worker's value and True that it computed its own, as it
+        # always does on the builtin engine, which hands nothing off.
         pp, x, output, proof = transcript
         monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
 
@@ -643,7 +659,8 @@ class TestVerify:
                 future.set_result(False)
             return future
 
-        for state, verdict in (("not begun", True), ("never finishing", True), ("finished", False)):
+        for state, verdict in (("not begun", True), ("never finishing", True),
+                               ("finished", not HANDS_OFF)):
             monkeypatch.setattr(vdf._RIGHT_SIDES, "submit", lambda *args: submit(state))
             assert vdf.verify(pp.modulus, pp.iterations, x, output, proof) is verdict, state
 
@@ -669,7 +686,7 @@ class TestVerify:
     def test_verify_in_forked_child(self, hand_offs, transcript):
         pp, x, output, proof = transcript
         assert vdf.verify(pp.modulus, pp.iterations, x, output, proof)  # worker running
-        assert hand_offs
+        assert bool(hand_offs) is HANDS_OFF
         pid = os.fork()
         if pid == 0:  # the child leaves by os._exit, whatever happens
             code = 2
@@ -1086,8 +1103,8 @@ class TestMontContextCache:
 
     @requires_libcrypto
     def test_prime_search_keeps_the_network_context(self):
-        # Miller-Rabin exponentiates modulo each prime candidate once: caching
-        # those contexts would evict the ones verify and eval reuse.
+        # Each prime candidate is the modulus of one primality test and of nothing
+        # else: caching its context would evict the ones verify and eval reuse.
         modulus = vdf.generate_modulus(2048)
         vdf._powmod(3, 65537, modulus)
         context = vdf._mont_context(vdf._LIBCRYPTO, modulus)
@@ -1186,6 +1203,26 @@ class TestDerivation:
         modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
         assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
 
+    def test_builtin_engine_hands_nothing_off(self, monkeypatch, hand_offs, transcript):
+        # The builtin pow holds the GIL, so a second thread would only take turns
+        # with the caller: verify, check_proofs and derivation stay on the caller.
+        pp, claims = transcript[0], tampered_claims(*transcript)
+        expected = ([True] + [False] * (len(claims) - 1), None, (1, "transcript"))
+
+        def run() -> tuple:
+            return ([vdf.verify(pp.modulus, pp.iterations, *claim) for claim in claims],
+                    vdf.check_proofs(pp.modulus, pp.iterations, claims[:1]),
+                    vdf.check_proofs(pp.modulus, pp.iterations, claims))
+
+        assert run() == expected
+        assert bool(hand_offs) is HANDS_OFF
+        hand_offs.clear()
+        monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        assert run() == expected
+        modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
+        assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
+        assert hand_offs == []
+
     def test_derivation_on_the_worker_returns(self, monkeypatch):
         # The q search it hands off queues behind itself, so it runs both.
         monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
@@ -1228,6 +1265,8 @@ class TestDerivation:
         class Interrupt(BaseException):
             pass
 
+        if not HANDS_OFF:
+            pytest.skip("the builtin engine searches both primes on the caller")
         monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
         caller, tested = threading.get_ident(), {"caller": 0, "worker": 0}
         started, at_raise = threading.Event(), []
