@@ -202,7 +202,10 @@ def cmd_simulate(args) -> int:
         print(f"error: {args.scenario}{where}", file=sys.stderr)
         return EXIT_USAGE
 
+    started = time.perf_counter()
     metrics = sim.run(scenario)
+    seconds = time.perf_counter() - started
+    rounds = len(metrics.epochs) * scenario.epoch_config.rounds_per_epoch
 
     try:
         with open(args.out_csv, "w", encoding="ascii") as fh:
@@ -216,7 +219,8 @@ def cmd_simulate(args) -> int:
     recovery = sim.recovery_time(metrics)
     recovery_text = "never" if recovery is sim.NEVER_RECOVERED else str(recovery)
     print(f"{len(metrics.epochs)} epochs: {metrics.total_commits} commits, "
-          f"{metrics.total_timeouts} timeouts, recovery {recovery_text}")
+          f"{metrics.total_timeouts} timeouts, recovery {recovery_text} "
+          f"({seconds * 1000.0:.1f} ms, {rounds / seconds:.0f} rounds/s)")
     print(f"wrote {args.out_csv} and {args.out_summary}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import tower, vdf
@@ -173,7 +173,7 @@ class LedgerState:
 
     @validator_set.setter
     def validator_set(self, addresses: Iterable[bytes]) -> None:
-        # The frozenset serves membership tests. Misses settle before either changes.
+        # The frozenset serves membership tests. The tally settles before either changes.
         self._settle()
         self._validator_set = tuple(addresses)
         self._validator_members = frozenset(self._validator_set)
@@ -181,22 +181,28 @@ class LedgerState:
     @property
     def epoch_signatures(self) -> Counter[bytes]:
         """Blocks each validator signed this epoch; an assigned mapping is copied.
-        ``record_block`` counts each block's misses, and reading settles them."""
+        ``record_block`` keeps one count per distinct signer set until the counts
+        are read, and reading settles them."""
         self._settle()
         return self._epoch_signatures
 
     @epoch_signatures.setter
     def epoch_signatures(self, counts: dict[bytes, int]) -> None:
-        self._misses: list[frozenset[bytes]] = []  # one per committed block, until settled
+        self._tally: dict[frozenset[bytes], int] = {}  # committed blocks per signer set
         self._epoch_signatures = Counter(counts)
 
     def _settle(self) -> None:
-        """Credit the blocks recorded since the last settlement to their signers."""
-        if self._misses:
-            signed = Counter(dict.fromkeys(self._validator_set, len(self._misses)))
-            signed.subtract(chain.from_iterable(self._misses))
-            self._misses = []
-            self._epoch_signatures.update(+signed)  # no entry for a validator that signed none
+        """Credit the blocks recorded since the last settlement to their signers, once
+        per distinct signer set: every member signed them all but the sets it missed."""
+        if self._tally:
+            members = self._validator_members
+            signed = dict.fromkeys(self._validator_set, sum(self._tally.values()))
+            for signers, blocks in self._tally.items():
+                for address in members - signers:
+                    signed[address] -= blocks
+            self._tally = {}
+            # no entry for a validator that signed none
+            self._epoch_signatures.update({a: n for a, n in signed.items() if n})
 
     def bootstrap_miner(self, address: bytes, *, height: int = 1) -> MinerState:
         """Genesis-only shortcut that skips the proof-submission path."""
@@ -296,10 +302,17 @@ class LedgerState:
     def record_block(self, signers: Iterable[bytes]) -> bool:
         """Tally one proposed block; True iff the signer set reaches quorum.
 
-        A committed block records who missed it until ``epoch_signatures`` is
-        read. With no validator set seated nothing commits, not even an empty block.
+        Committed blocks are counted per distinct signer set until
+        ``epoch_signatures`` is read; a set already counted since then was checked
+        against the same members and commits again unchecked. With no validator
+        set seated nothing commits, not even an empty block.
         """
-        signers = signers if isinstance(signers, (set, frozenset)) else set(signers)
+        signers = signers if isinstance(signers, frozenset) else frozenset(signers)
+        tally = self._tally
+        if signers in tally:
+            tally[signers] += 1
+            self.epoch_blocks_total += 1
+            return True
         members = self._validator_members
         if not signers <= members:
             foreign = sorted(a.hex() for a in signers - members)
@@ -307,7 +320,7 @@ class LedgerState:
         if not members or len(signers) < quorum(len(members)):
             return False
         self.epoch_blocks_total += 1
-        self._misses.append(members - signers)
+        tally[signers] = 1
         return True
 
     # -- snapshots -------------------------------------------------------------
@@ -340,12 +353,12 @@ class LedgerState:
             "{\n"
             f'  "epoch": {self.epoch},\n'
             f'  "epoch_blocks_total": {self.epoch_blocks_total},\n'
-            f'  "epoch_config": {_nested_doc(self.epoch_config.to_doc())},\n'
+            f'  "epoch_config": {_config_doc(self.epoch_config, repr(self.epoch_config))},\n'
             f'  "epoch_signatures": {nested_block("{}", signatures)},\n'
             f'  "miner_pool": {nested_block("{}", miners)},\n'
             f'  "modulus": "{self.modulus}",\n'
             f'  "scheme": {json.dumps(self.scheme.name)},\n'
-            f'  "security": {_nested_doc(self.security.to_doc())},\n'
+            f'  "security": {_config_doc(self.security, repr(self.security))},\n'
             f'  "validator_set": {nested_block("[]", validators)},\n'
             f'  "version": {SNAPSHOT_VERSION}\n'
             "}\n"
@@ -407,9 +420,12 @@ class LedgerState:
         return state
 
 
-def _nested_doc(doc: dict) -> str:
-    """A small second-level object through ``json.dumps``, re-indented one level."""
-    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n  ")
+@lru_cache(maxsize=8)
+def _config_doc(config: EpochConfig | vdf.SecurityParams, spelling: str) -> str:
+    """A frozen config's ``to_doc`` as a second-level object through ``json.dumps``,
+    re-indented one level; rendered once per config. ``spelling``, its repr, keeps
+    apart configs that compare equal but write differently (thresholds 0.5 and 1/2)."""
+    return json.dumps(config.to_doc(), sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def _count(value) -> int:

@@ -45,10 +45,11 @@ def jail_failed_validators(state: LedgerState) -> list[bytes]:
         return []
     # Liveliness (signed / blocks) <= p / q, cross-multiplied so both sides are exact.
     p, q = state.epoch_config.liveliness_threshold.as_integer_ratio()
+    signed = state.epoch_signatures  # settled once, not once per validator
     newly_jailed = []
     for address in state.validator_set:
         ms = state.miner_pool[address]
-        if state.epoch_signatures[address] * q <= p * state.epoch_blocks_total:
+        if signed[address] * q <= p * state.epoch_blocks_total:
             if not ms.jailed:
                 newly_jailed.append(address)
             ms.jailed = True

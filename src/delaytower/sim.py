@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import tower, vdf
 from .ledger import EpochConfig, LedgerState, registration_message, submission_message
@@ -219,25 +219,52 @@ def _draw_prefix(seed: int, epoch: int) -> hashlib._Hash:
     return hashlib.sha256(_DOMAIN_DRAW + encode_uint(seed, 8) + encode_uint(epoch, 8))
 
 
-def _round_draws(prefix: hashlib._Hash, round_index: int,
-                 encoded_addresses: list[bytes]) -> list[float]:
-    """Uniform [0, 1) draws, one per ``encode_bytes(address)``, independent of
-    evaluation order: the first 8 bytes of SHA-256 over the domain, seed, epoch,
-    round and address, read as a fraction of 2^64."""
-    round_prefix = prefix.copy()
-    round_prefix.update(encode_uint(round_index, 8))
-    draws = []
-    for encoded in encoded_addresses:
-        digest = round_prefix.copy()
-        digest.update(encoded)
-        draws.append(int.from_bytes(digest.digest()[:8], "big") / _U64)
-    return draws
-
-
 def _sign_bound(probability: Fraction) -> float:
     """Smallest float not below ``probability``: a float is below both or neither."""
     bound = float(probability)
     return math.nextafter(bound, math.inf) if bound < probability else bound
+
+
+def _sign_cut(bound: float) -> bytes:
+    """8-byte threshold on a draw's digest prefix: ``digest[:8] < cut`` exactly when
+    ``int.from_bytes(digest[:8], "big") / 2**64 < bound``. The division rounds to the
+    nearest float, so the smallest such integer is found by bisection; 2^64 - 1 reads
+    as 1.0, below no bound."""
+    low, high = 0, _U64 - 1
+    while low < high:
+        mid = (low + high) // 2
+        if mid / _U64 < bound:
+            low = mid + 1
+        else:
+            high = mid
+    return low.to_bytes(8, "big")
+
+
+def _epoch_signers(seed: int, epoch: int, rounds: int, always: frozenset[bytes],
+                   until: list[tuple[bytes, int]],
+                   silent: list[tuple[bytes, bytes]]) -> Iterator[frozenset[bytes]]:
+    """Each round's signers, in round order: ``always``, each ``(address, stop)`` of
+    ``until`` before round ``stop``, and each ``(address, cut)`` of ``silent`` whose
+    draw falls below its ``_sign_cut``. A draw is the first 8 bytes of SHA-256 over the
+    domain, seed, epoch, round and ``encode_bytes(address)``, independent of evaluation
+    order. Equal sets within the epoch are one frozenset, so the ledger counts it once."""
+    prefix = _draw_prefix(seed, epoch)
+    silent = [(address, encode_bytes(address), cut) for address, cut in silent]
+    sets: dict[tuple[bytes, ...], frozenset[bytes]] = {}
+    for round_index in range(rounds):
+        round_prefix = prefix.copy()
+        round_prefix.update(encode_uint(round_index, 8))
+        drawn = [address for address, stop in until if round_index < stop]
+        for address, encoded, cut in silent:
+            digest = round_prefix.copy()
+            digest.update(encoded)
+            if digest.digest()[:8] < cut:
+                drawn.append(address)
+        key = tuple(drawn)
+        signers = sets.get(key)
+        if signers is None:
+            signers = sets[key] = always.union(drawn)
+        yield signers
 
 
 def _validate(scenario: Scenario) -> None:
@@ -263,7 +290,7 @@ def _validate(scenario: Scenario) -> None:
 class _Node:
     def __init__(self, behavior: Behavior):
         self.behavior = behavior
-        self.sign_bound = _sign_bound(behavior.sign_probability)
+        self.sign_cut = _sign_cut(_sign_bound(behavior.sign_probability))
         self.tower: Optional[tower.Tower] = None
 
 
@@ -310,29 +337,30 @@ def run(
         # The set is frozen for the epoch, so class its members once: they sign
         # every round, until their crash round, by draw, or (crashed) never.
         first = epoch_index * rounds
-        always, until, silent = set(), [], []
+        always, until, silent = [], [], []
         for address in validator_set:
             node = nodes[address]
             if node.behavior.kind is BehaviorKind.SILENT:
-                silent.append((address, node.sign_bound))
+                silent.append((address, node.sign_cut))
             elif (node.behavior.kind is BehaviorKind.HONEST
                   or node.behavior.from_round >= first + rounds):
-                always.add(address)
+                always.append(address)
             elif node.behavior.from_round > first:
                 until.append((address, node.behavior.from_round - first))
-        prefix = _draw_prefix(scenario.seed, epoch_index)
-        silent_encoded = [encode_bytes(a) for a, _ in silent]
-        for round_index in range(rounds):
-            draws = _round_draws(prefix, round_index, silent_encoded)
-            signers = always.union([a for a, stop in until if round_index < stop], [
-                a for (a, bound), draw in zip(silent, draws) if draw < bound])
+        signer_sets = _epoch_signers(scenario.seed, epoch_index, rounds, frozenset(always),
+                                     until, silent)
+        for round_index, signers in enumerate(signer_sets):
             leader = validator_set[round_index % len(validator_set)]
             if leader in signers and state.record_block(signers):
                 committed += 1
             else:
                 timeouts += 1
 
-        liveliness = {a: state.epoch_signatures[a] for a in validator_set} if committed else {}
+        if committed:
+            signed = state.epoch_signatures  # settled once per boundary
+            liveliness = {a: signed[a] for a in validator_set}
+        else:
+            liveliness = {}
         _apply_mining(state, nodes, scheme, epoch_index, rounds)
         if observer is not None:
             observer("pre-boundary", epoch_index, state)

@@ -381,6 +381,14 @@ class TestSimulate:
         summary = json.loads(out_summary.read_text())
         assert summary["total_timeouts"] == 0
 
+    def test_summary_line_reports_run_time(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "crash-minority",
+                     "--out-csv", str(tmp_path / "m.csv"),
+                     "--out-summary", str(tmp_path / "m.json")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"4 epochs: 74 commits, 6 timeouts, recovery 1 "
+                            r"\(\d+\.\d ms, \d+ rounds/s\)", line), line
+
     def test_bundled_crash_minority_recovers(self, tmp_path):
         out_summary = tmp_path / "m.json"
         rc = main(["simulate", "--scenario", "crash-minority",

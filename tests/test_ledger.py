@@ -789,6 +789,13 @@ class TestSnapshotWriter:
             expected = json.dumps(snapshot_doc(subject), sort_keys=True, indent=2) + "\n"
             assert subject.export_snapshot() == expected
 
+    def test_equal_configs_written_as_each_spells_itself(self, state):
+        # 1/2 == 0.5 and they hash alike, but to_doc writes "1/2" and "0.5".
+        for threshold in (Fraction(1, 2), 0.5, Fraction(1, 2)):
+            state.epoch_config = EpochConfig(liveliness_threshold=threshold)
+            expected = json.dumps(snapshot_doc(state), sort_keys=True, indent=2) + "\n"
+            assert state.export_snapshot() == expected
+
 
 class TestSnapshotImport:
     def test_bytes_pinned(self):
@@ -817,8 +824,8 @@ SEATS = st.lists(st.sampled_from(POOL), min_size=4, unique=True)
 
 
 class TestTallyOracle:
-    """``record_block`` counts each block's non-signers and settles them on read;
-    the result equals a plain count of who signed each committed block."""
+    """``record_block`` counts committed blocks per distinct signer set and settles
+    them on read; the result equals a plain count of who signed each committed block."""
 
     @staticmethod
     def block(data, state: LedgerState, expected: Counter) -> None:
@@ -843,6 +850,29 @@ class TestTallyOracle:
         else:
             assert not state.record_block(shaped)
         assert state.export_snapshot() == before  # no rejection changes state
+
+    def test_repeated_set_in_every_shape_across_a_set_change(self):
+        """A set counted once commits again unchecked only while the members stay."""
+        state = make_ledger(miners=len(POOL), validators=6)
+        expected = Counter()
+        signers = POOL[:5]
+        for shape in (list, set, frozenset, list, set, frozenset):
+            assert state.record_block(shape(signers))
+            expected.update(signers)
+            if shape is set:
+                assert dict(state.epoch_signatures) == dict(expected)  # settled mid-run
+        state.validator_set = POOL[2:8]  # mid-epoch: m-00 and m-01 leave
+        before = state.export_snapshot()
+        for shape in (list, set, frozenset):
+            with pytest.raises(ForeignSigner):
+                state.record_block(shape(signers))
+            assert not state.record_block(shape(POOL[2:5]))  # 3 of 6, below quorum 4
+            assert state.export_snapshot() == before  # no rejection changes state
+        for shape in (frozenset, list, set, frozenset):
+            assert state.record_block(shape(POOL[3:7]))
+            expected.update(POOL[3:7])
+        assert state.epoch_blocks_total == 10
+        assert dict(state.epoch_signatures) == dict(expected)
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())

@@ -238,9 +238,12 @@ class TestRealVdf:
         assert metrics.total_commits == 8
 
 
+PROBABILITIES = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
+                 Fraction(57, 100), Fraction(2, 3), Fraction(1)]
+
+
 class TestSignBound:
-    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
-                                   Fraction(57, 100), Fraction(2, 3), Fraction(1)])
+    @pytest.mark.parametrize("p", PROBABILITIES)
     def test_float_comparison_matches_fraction(self, p):
         bound = sim._sign_bound(p)
         nearest = float(p)
@@ -249,6 +252,22 @@ class TestSignBound:
         assert draws
         for v in draws:
             assert (v < bound) == (v < p), (p, v)
+
+    @pytest.mark.parametrize("p", PROBABILITIES + [Fraction(1, 2**70), 1 - Fraction(1, 2**53)])
+    def test_byte_cut_matches_float_comparison(self, p):
+        bound = sim._sign_bound(p)
+        cut = sim._sign_cut(bound)
+        n0 = int.from_bytes(cut, "big")
+        assert len(cut) == 8
+        for n in (0, n0 - 1, n0, n0 + 1, 2**64 - 1):  # the edge, and both ends of the range
+            if 0 <= n < 2**64:
+                assert (n.to_bytes(8, "big") < cut) == (n / 2**64 < bound), (p, n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(p=st.fractions(0, 1), n=st.integers(0, 2**64 - 1))
+    def test_byte_cut_matches_anywhere(self, p, n):
+        bound = sim._sign_bound(p)
+        assert (n.to_bytes(8, "big") < sim._sign_cut(bound)) == (n / 2**64 < bound)
 
 
 def reference_draw(seed: int, epoch: int, round_index: int, address: bytes) -> float:
@@ -259,18 +278,30 @@ def reference_draw(seed: int, epoch: int, round_index: int, address: bytes) -> f
 
 
 U64 = st.integers(0, 2**64 - 1)
+MEMBERS = st.lists(st.binary(max_size=40), max_size=9, unique=True)
 
 
 class TestDraws:
     @settings(deadline=None, max_examples=100)
-    @given(seed=U64, epoch=U64, rounds=st.lists(U64, min_size=1, max_size=4),
-           addresses=st.lists(st.binary(max_size=40), max_size=6))
-    def test_hoisted_prefix_matches_reference(self, seed, epoch, rounds, addresses):
-        prefix = sim._draw_prefix(seed, epoch)
-        encoded = [encode_bytes(a) for a in addresses]
-        for round_index in rounds:  # one prefix serves every round of its epoch
-            assert sim._round_draws(prefix, round_index, encoded) == [
-                reference_draw(seed, epoch, round_index, a) for a in addresses]
+    @given(seed=U64, epoch=U64, rounds=st.integers(1, 6), members=MEMBERS, data=st.data())
+    def test_hoisted_prefix_matches_reference(self, seed, epoch, rounds, members, data):
+        """Each round's set equals one built from draws hashed from scratch."""
+        always, until, silent = members[:3], members[3:5], members[5:]
+        stops = [data.draw(st.integers(0, rounds + 1)) for _ in until]
+        probabilities = [data.draw(st.sampled_from(PROBABILITIES) | st.fractions(0, 1))
+                         for _ in silent]
+        bounds = [sim._sign_bound(p) for p in probabilities]
+        produced = list(sim._epoch_signers(
+            seed, epoch, rounds, frozenset(always), list(zip(until, stops)),
+            [(a, sim._sign_cut(bound)) for a, bound in zip(silent, bounds)]))
+        assert produced == [
+            set(always) | {a for a, stop in zip(until, stops) if round_index < stop}
+            | {a for a, bound in zip(silent, bounds)
+               if reference_draw(seed, epoch, round_index, a) < bound}
+            for round_index in range(rounds)]
+        assert all(type(signers) is frozenset for signers in produced)
+        # Equal sets within an epoch are one object.
+        assert len({id(signers) for signers in produced}) == len(set(produced))
 
 
 ADDRESSES = st.lists(st.binary(min_size=1, max_size=4), max_size=5, unique=True).map(tuple)
@@ -529,8 +560,30 @@ def outputs_digest(scenarios) -> str:
     return digest.hexdigest()
 
 
+def no_repeat_scenario() -> Scenario:
+    """130 validators, 60 of them silent at 1/2, liveliness threshold 0: each round
+    draws one of 2^60 equally likely signer sets, so no two of its 2 000 rounds share
+    one and every committed block is a new entry in the ledger's tally."""
+    population = tuple(
+        (addr(f"n-{i:03d}"), Behavior.silent(Fraction(1, 2), mining=30) if i < 60
+         else Behavior.honest(mining=30))
+        for i in range(130))
+    return Scenario(seed=27, epochs=20, population=population,
+                    genesis_validators=tuple(a for a, _ in population),
+                    epoch_config=EpochConfig(rounds_per_epoch=100, max_validators=130,
+                                             liveliness_threshold=Fraction(0)))
+
+
 class TestOutputsPinned:
     """Who signs each round follows from the draws alone, so these bytes must not move."""
+
+    def test_no_repeat_scenario_pinned(self):
+        metrics = sim.run(no_repeat_scenario())
+        assert (metrics.total_commits, metrics.total_timeouts) == (1383, 617)
+        assert hashlib.sha256(metrics.to_summary_json().encode()).hexdigest() == \
+            "ca7aa5e079d20378537d918fa51fab51b7e5d4e6a4313a6b6074c2f9a2a43c63"
+        assert hashlib.sha256(metrics.to_csv().encode()).hexdigest() == \
+            "a56ac3724428b02573c587b6600c67ba6e550ed03ea46c335c0e762e5cca3517"
 
     def test_random_scenarios_pinned(self):
         assert outputs_digest(random_scenario(seed) for seed in range(100)) == \
