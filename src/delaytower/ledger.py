@@ -80,6 +80,8 @@ class EpochConfig:
             raise ValueError(f"max_validators must be >= {MIN_VALIDATORS}")
         if not 0 <= self.liveliness_threshold <= 1:
             raise ValueError("liveliness_threshold must lie in [0, 1]")
+        # Held exact, so a float threshold writes the one spelling that reads back to it.
+        object.__setattr__(self, "liveliness_threshold", Fraction(self.liveliness_threshold))
         if self.mining_threshold < 1:
             raise ValueError("mining_threshold must be positive")
         if self.jail_sentence_epochs < 1:
@@ -353,12 +355,12 @@ class LedgerState:
             "{\n"
             f'  "epoch": {self.epoch},\n'
             f'  "epoch_blocks_total": {self.epoch_blocks_total},\n'
-            f'  "epoch_config": {_config_doc(self.epoch_config, repr(self.epoch_config))},\n'
+            f'  "epoch_config": {_config_doc(self.epoch_config)},\n'
             f'  "epoch_signatures": {nested_block("{}", signatures)},\n'
             f'  "miner_pool": {nested_block("{}", miners)},\n'
             f'  "modulus": "{self.modulus}",\n'
             f'  "scheme": {json.dumps(self.scheme.name)},\n'
-            f'  "security": {_config_doc(self.security, repr(self.security))},\n'
+            f'  "security": {_config_doc(self.security)},\n'
             f'  "validator_set": {nested_block("[]", validators)},\n'
             f'  "version": {SNAPSHOT_VERSION}\n'
             "}\n"
@@ -421,10 +423,9 @@ class LedgerState:
 
 
 @lru_cache(maxsize=8)
-def _config_doc(config: EpochConfig | vdf.SecurityParams, spelling: str) -> str:
+def _config_doc(config: EpochConfig | vdf.SecurityParams) -> str:
     """A frozen config's ``to_doc`` as a second-level object through ``json.dumps``,
-    re-indented one level; rendered once per config. ``spelling``, its repr, keeps
-    apart configs that compare equal but write differently (thresholds 0.5 and 1/2)."""
+    re-indented one level; rendered once per config."""
     return json.dumps(config.to_doc(), sort_keys=True, indent=2).replace("\n", "\n  ")
 
 

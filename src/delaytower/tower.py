@@ -9,15 +9,15 @@ A tower is validated once, at its boundary, not before every link: each
 ``Tower`` privately counts the records known to chain and verify. Only ``grow``
 and ``load_tower(validate=True)`` set that count. Any other tower, a tampered,
 re-keyed or reordered copy too, starts at 0: ``grow`` checks it in full on the
-calling thread and verify's worker, and squares and proves its first link inside
-the check.
+calling thread and the package's one worker, squaring and proving its first link
+inside the check; later links square here while that worker proves the last.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -122,37 +122,33 @@ def _checked(tower: Tower, work: Callable[[], object] = lambda: None) -> Tower:
 def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _: None) -> Tower:
     """Append ``links`` chained records, from record 0 for an empty tower.
 
-    This thread squares link k while one worker proves link k-1 and passes the
-    tower ending in it to ``on_link`` (a miner saves it there). Link k-1 is
-    joined before link k+1 starts: an exception from ``on_link`` stops growth
-    within one link, and one raised here, such as Ctrl-C between two squaring
-    calls, waits for the link in flight. A tower not known to be valid (from
-    ``grow`` or a validating ``load_tower``) is ``_checked`` by this thread and
-    verify's worker; its first new link is squared and proved here inside the check.
+    This thread squares link k while, ``vdf._beside`` it, link k-1 is proved and passed
+    to ``on_link`` (a miner saves it there): on the package's worker, or here after the
+    squarings where nothing is handed off. Link k-1 is joined before link k+1 starts: an
+    exception from ``on_link`` stops growth within one link, and one raised here, such as
+    Ctrl-C between two squaring calls, waits for the link in flight. A tower not known to
+    be valid (from ``grow`` or a validating ``load_tower``) is ``_checked`` by this thread
+    and the worker; its first new link is squared and proved here inside the check.
     """
     digest, params = _previous_digest(tower, tower.height), tower.params
-    unchecked, link, in_flight = tower._validated_height != tower.height, [], None
+    unchecked, link, stop = tower._validated_height != tower.height, [], threading.Event()
     if links <= 0:
         return _checked(tower) if unchecked else tower
 
-    def square(x: int, prove: bool = False) -> None:
-        """Link ``x``'s squarings into ``link``, and its proof if ``prove``."""
+    def square(x: int, prove: bool) -> None:
+        """Link ``x``'s input, squarings and, if ``prove``, proof into ``link``."""
         y, powers = vdf.squarings(params, x)
-        link[:] = y, powers, vdf.prove(params, x, y, powers) if prove else None
+        link[:] = x, y, powers, vdf.prove(params, x, y, powers) if prove else None
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="delaytower-prove") as worker:
-        for index in range(tower.height, tower.height + links):
-            x = vdf.hash_to_group(digest, params.modulus)
-            if unchecked:  # nothing is passed on before the check passes
-                _checked(tower, partial(square, x, True))
-                unchecked = False
-            else:
-                square(x)
-            if in_flight is not None:
-                tower = in_flight.result()
-            in_flight = worker.submit(_append, tower, x, *link, on_link)
-            digest = link_digest(index, x, link[0])
-        return in_flight.result()
+    appended: Callable[[], Tower] = lambda: tower  # no link is in flight before the first
+    for index in range(tower.height, tower.height + links):
+        ours = partial(square, vdf.hash_to_group(digest, params.modulus), unchecked)
+        if unchecked:  # nothing is passed on before the check passes
+            ours = partial(_checked, tower, ours)
+        tower, unchecked = vdf._beside(None, stop, ours, appended)[1], False
+        appended = partial(_append, tower, *link, on_link)
+        digest = link_digest(index, *link[:2])
+    return vdf._beside(None, stop, lambda: None, appended)[1]  # Ctrl-C waits for it on the worker
 
 
 def extend(tower: Tower) -> Tower:
@@ -246,6 +242,8 @@ def _deserialize(data: bytes) -> Tower:
         # The modulus states its own size: the file carries no separate claim of it.
         params = vdf.setup(vdf.SecurityParams(modulus.bit_length(), iterations), owner, endpoint,
                            modulus=modulus)
+        if params.iterations != iterations:  # setup would round it up: another tower
+            raise CorruptTower(f"tower file iteration count {iterations} is not a power of two")
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:
         raise CorruptTower(f"cannot parse tower file: {exc}") from exc
     return Tower(params=params, records=records)

@@ -20,11 +20,11 @@ the claim and the proof, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
 X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
-folds only the left side, up to the last midpoint. On libcrypto, verify hands
-the right side, two midpoints an exponentiation, to a worker thread for moduli
-of ``_HAND_OFF_BITS`` and more, and folds the left; ``check_proofs`` runs the
-sides of many claims as tasks on both threads at any modulus size, the caller's
-after its own work.
+folds only the left side, up to the last midpoint. The package has one worker
+thread, given work by ``_submit`` on libcrypto only (``_beside``, ``_hand_off``): verify's
+right side, two midpoints an exponentiation, from ``_HAND_OFF_BITS`` modulus bits;
+``check_proofs``' tasks at any size, which the caller takes too after its own work;
+and ``tower.grow``'s proofs and saves, each link's while the next one squares.
 Every input, output and midpoint is canonical, min(v, N - v), and verify
 compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
@@ -51,7 +51,7 @@ certifies the count of sequential squarings, not the engine that did them.
 The group modulus is a product of two primes derived from a genesis seed; every
 participant of one network shares it. Each prime is the first candidate of a
 hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; where
-verify hands off, verify's worker searches q while the caller searches p.
+verify hands off, the worker searches q while the caller searches p.
 Inputs are bound to a participant by hashing their public key and declared
 endpoint into the group, which makes a chain of these proofs non-transferable.
 """
@@ -412,7 +412,7 @@ def _derive_prime(bits: int, seed: bytes, tag: bytes, stop: threading.Event) -> 
 
 @lru_cache(maxsize=32)
 def _derive_modulus(modulus_bits: int, seed: bytes) -> int:
-    """p * q, with p searched on this thread and q ``_beside`` it, on verify's worker."""
+    """p * q, with p searched on this thread and q ``_beside`` it, on the package's worker."""
     half, stop = modulus_bits // 2, threading.Event()
     p, q = _beside(modulus_bits, stop, partial(_derive_prime, half, seed, b"p", stop),
                    partial(_derive_prime, modulus_bits - half, seed, b"q", stop))
@@ -609,7 +609,7 @@ def _right_side(modulus: int, y: int, midpoints: tuple[int, ...], challenges: li
 
 
 def _start_worker() -> None:
-    """Create verify's worker; its thread starts on the first verify.
+    """Create the package's one worker; its thread starts on its first task.
 
     Also run in a forked child, which inherits the executor but not its thread.
     """
@@ -630,7 +630,7 @@ _HAND_OFF_BITS = 2048
 
 
 def _submit(bits: Optional[int], fn: Callable, *args) -> Optional[Future]:
-    """``fn(*args)`` queued on verify's worker on libcrypto (builtin ``pow`` holds the GIL),
+    """``fn(*args)`` queued on the package's worker on libcrypto (builtin ``pow`` holds the GIL),
     from ``_HAND_OFF_BITS`` modulus bits on or for ``bits`` None; else None, as once
     shutdown stops executors."""
     if (bits is None or bits >= _HAND_OFF_BITS) and _LIBCRYPTO is not None:
@@ -640,27 +640,33 @@ def _submit(bits: Optional[int], fn: Callable, *args) -> Optional[Future]:
 
 
 def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
-    """(ours(), theirs()): ours on this thread while theirs is ``_submit``-ted, and run
-    here after ours if the worker has not begun it. An exception in either sets ``stop``,
-    which each should heed, and propagates once the worker has finished its task in hand."""
-    def guarded():
+    """(ours(), theirs()): ours here while theirs is ``_submit``-ted. theirs runs exactly once:
+    on the worker if it has begun it, else here after ours, even if ours raised. An exception
+    in either sets ``stop``, which each should heed. ours' propagates once theirs has finished,
+    else theirs' does; Ctrl-C while this thread waits does once the worker's task is done."""
+    def guarded(fn: Callable):
         try:
-            return theirs()
+            return fn()
         except BaseException:
             stop.set()
             raise
 
-    future = _submit(bits, guarded)
-    try:
-        mine = ours()
+    def joined():
         if future is None or future.cancel():  # cancelled if queued behind this thread
-            return mine, theirs()
-        return mine, future.result()  # this raises what the worker raised
-    except BaseException:
-        stop.set()
-        if future is not None and not future.cancel():
+            return guarded(theirs)
+        try:
+            return guarded(future.result)  # this raises what the worker raised
+        finally:
             wait([future])
+
+    future = _submit(bits, guarded, theirs)
+    try:
+        mine = guarded(ours)
+    except BaseException:
+        with contextlib.suppress(BaseException):
+            joined()
         raise
+    return mine, joined()
 
 
 def _hand_off(modulus: int, *args) -> Callable[[], int]:
@@ -729,7 +735,7 @@ def check_proofs(modulus: int, iterations: int, claims, spent: Optional[list[flo
     """``check_proof`` on each (x, y, proof) of ``claims``: lowest failing (index, gate) or None.
 
     After the screens, both sides of each claim before the first screened out are
-    tasks, taken in index order by verify's worker on libcrypto, at any modulus size, and
+    tasks, taken in index order by the package's worker on libcrypto, at any modulus size, and
     by this thread once it has done ``work()``, until one fails. An exception, Ctrl-C in
     ``work`` too, stops both threads after their task in hand, and propagates.
     ``spent[i]`` gains the seconds claim i's tasks took."""

@@ -136,18 +136,28 @@ class TestMine:
 
     def test_interrupt_keeps_the_link_in_flight(self, tmp_path, monkeypatch, capsys):
         # Ctrl-C lands in the main thread's squarings of link k + 1; link k,
-        # then in its proof or save on the worker, still reaches the file.
-        k, real = 2, vdf._powmod
-        squaring_calls = 0
+        # then in its proof or save on the worker or queued for this thread,
+        # still reaches the file.
+        k, real, real_squarings = 2, vdf._powmod, vdf.squarings
+        squaring_calls, squaring = 0, False
 
-        def powmod(base, exponent, modulus, factor=1, cached=True):
+        def squarings(pp, x):
+            nonlocal squaring
+            squaring = True
+            try:
+                return real_squarings(pp, x)
+            finally:
+                squaring = False
+
+        def powmod(*args, **kwargs):  # counts only the calls squarings makes
             nonlocal squaring_calls
-            if cached and threading.current_thread() is threading.main_thread():
-                squaring_calls += 1  # Miller-Rabin's calls are the uncached ones
+            if squaring and threading.current_thread() is threading.main_thread():
+                squaring_calls += 1
                 if squaring_calls == LINK_CALLS * (k + 1) + 2:
                     raise KeyboardInterrupt
-            return real(base, exponent, modulus, factor, cached)
+            return real(*args, **kwargs)
 
+        monkeypatch.setattr(vdf, "squarings", squarings)
         monkeypatch.setattr(vdf, "_powmod", powmod)
         with pytest.raises(KeyboardInterrupt):
             mine(tmp_path, *DEEP, "--proofs", "5")
@@ -155,6 +165,48 @@ class TestMine:
         assert squaring_calls == LINK_CALLS * (k + 1) + 2
         assert capsys.readouterr().out.splitlines()[-1].startswith(f"height {k} -> {k + 1} (")
         assert tower.load_tower(tmp_path / "t.bin").height == k + 1
+
+    @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
+    def test_no_thread_but_verify_worker(self, tmp_path, monkeypatch, engine):
+        # A fresh mine and a resumed one start no thread but verify's worker, and
+        # prove and save on this thread or that worker; on the builtin engine,
+        # which hands nothing off, on this thread alone. Both write the bytes of
+        # a serial chain on libcrypto.
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        (tmp_path / "k.hex").write_text("ab" * 32 + "\n")
+        hands_off = vdf._LIBCRYPTO is not None
+        real_prove, real_save, real_start = vdf.prove, tower.save_tower, threading.Thread.start
+        caller, seen, started = threading.current_thread().name, set(), []
+
+        def prove(*args):
+            seen.add(threading.current_thread().name)
+            return real_prove(*args)
+
+        def save(*args):
+            seen.add(threading.current_thread().name)
+            real_save(*args)
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(vdf, "prove", prove)
+        monkeypatch.setattr(tower, "save_tower", save)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        for proofs in ("3", "2"):
+            assert mine(tmp_path, *DEEP, "--proofs", proofs) == 0
+        monkeypatch.undo()
+        if not hands_off:
+            assert (seen, started) == ({caller}, [])
+        else:
+            assert all(name.startswith("delaytower-verify") for name in started), started
+            assert all(name == caller or name.startswith("delaytower-verify")
+                       for name in seen), seen
+        security = vdf.SecurityParams(modulus_bits=256, iterations=1024)
+        tower.save_tower(serial_chain(security, b"\xab" * 32, DEFAULT_ENDPOINT.encode(), 6),
+                         tmp_path / "serial.bin")
+        assert (tmp_path / "t.bin").read_bytes() == (tmp_path / "serial.bin").read_bytes()
 
     def test_failed_save_stops_within_one_link(self, tmp_path, monkeypatch, capsys):
         # Saving link k fails on the worker while link k + 1 squares; link k + 2 never starts.

@@ -110,6 +110,15 @@ class TestEpochConfig:
         assert cfg.max_validators == 100
         assert cfg.growth_cap >= cfg.mining_threshold
 
+    def test_float_threshold_round_trips(self):
+        # A float threshold is held as its exact Fraction, so to_doc writes the
+        # one spelling that from_doc reads back to the same value.
+        config = EpochConfig(liveliness_threshold=0.9)
+        assert config.liveliness_threshold == Fraction(0.9)
+        doc = config.to_doc()
+        assert EpochConfig.from_doc(doc) == config
+        assert EpochConfig.from_doc(doc).to_doc() == doc
+
 
 class TestQuorum:
     def test_matches_rational_ceiling_oracle(self):
@@ -790,7 +799,7 @@ class TestSnapshotWriter:
             assert subject.export_snapshot() == expected
 
     def test_equal_configs_written_as_each_spells_itself(self, state):
-        # 1/2 == 0.5 and they hash alike, but to_doc writes "1/2" and "0.5".
+        # 0.5 is held as the Fraction 1/2, so all three write "1/2".
         for threshold in (Fraction(1, 2), 0.5, Fraction(1, 2)):
             state.epoch_config = EpochConfig(liveliness_threshold=threshold)
             expected = json.dumps(snapshot_doc(state), sort_keys=True, indent=2) + "\n"
@@ -802,6 +811,11 @@ class TestSnapshotImport:
         text = pinned_ledger().export_snapshot()
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "979691adb57e7cbdb5cbb45f063b343879e27019c0c7220f063a6f455b37ad3a"
+        assert LedgerState.import_snapshot(text).export_snapshot() == text
+
+    def test_float_threshold_round_trips(self, state):
+        state.epoch_config = EpochConfig(liveliness_threshold=0.9)
+        text = state.export_snapshot()
         assert LedgerState.import_snapshot(text).export_snapshot() == text
 
     @pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))

@@ -111,7 +111,7 @@ class TestExtend:
 
 
 class TestPipeline:
-    """``grow`` squares each link while a worker proves the one before."""
+    """``grow`` squares each link while the package's worker proves the one before."""
 
     def test_same_records_as_extend_and_serial_eval(self):
         start = tower.init_tower(FOLD_SECURITY, b"owner-p", b"ep-p")
@@ -137,6 +137,12 @@ class TestPipeline:
         assert [twr.height for twr in seen] == [1, 2, 3, 4]
         assert seen[-1] == grown and all(tower.validate_chain(twr) for twr in seen)
         assert tower.grow(grown, 0, seen.append) is grown and len(seen) == 4
+
+    def test_on_verify_worker_thread(self, height6):
+        # Each link it hands on queues behind itself, so the worker runs it too.
+        expected = tower.grow(height6, 3)
+        for twr in (height6, dataclasses.replace(height6)):
+            assert vdf._RIGHT_SIDES.submit(tower.grow, twr, 3).result(timeout=60) == expected
 
     def test_proof_left_out_of_chain_digest(self):
         twr = tower.grow(tower.init_tower(FOLD_SECURITY, b"owner-r", b"ep-r"), 2)
@@ -562,6 +568,21 @@ class TestPersistence:
         path.write_bytes(body + hashlib.sha256(body).digest())
         for validate in (True, False):
             with pytest.raises(tower.CorruptTower, match="unsupported tower file version 3"):
+                tower.load_tower(path, validate=validate)
+
+    @pytest.mark.parametrize("header", [33, 40, 63])
+    def test_iteration_count_not_a_power_of_two_refused(self, tmp_path, header):
+        # Setup would round the header's count up to the t = 64 the proofs hold,
+        # so such a file would load, and save back, as another tower.
+        twr = tower.grow(tower.init_tower(vdf.SecurityParams(256, 64), b"owner-h", b"ep-h"), 1)
+        path = tmp_path / "t.bin"
+        tower.save_tower(twr, path)
+        body = path.read_bytes()[:-32]
+        body = body[:1] + header.to_bytes(8, "big") + body[9:]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        for validate in (True, False):
+            with pytest.raises(tower.CorruptTower, match=f"^tower file iteration count "
+                               f"{header} is not a power of two$"):
                 tower.load_tower(path, validate=validate)
 
     def test_header_holds_no_label(self, tmp_path, height3):

@@ -1292,3 +1292,75 @@ class TestDerivation:
         assert tested[other] - at_raise[0][other] <= 1
         assert vdf.generate_modulus.cache_info().currsize == 0
         assert modulus_digest(vdf.generate_modulus(bits, seed)) == MODULUS_SHA256[bits, seed]
+
+
+@contextlib.contextmanager
+def held_worker():
+    """Verify's worker busy on a task of its own until the block ends."""
+    begun, release = threading.Event(), threading.Event()
+    task = vdf._RIGHT_SIDES.submit(lambda: begun.set() or release.wait(30))
+    assert begun.wait(30), "verify's worker never began"
+    try:
+        yield
+    finally:
+        release.set()
+        task.result(timeout=30)
+
+
+class TestBeside:
+    """``_beside`` runs ``theirs`` exactly once, on the worker if it has begun it,
+    else on the caller after ``ours``, whatever either raises."""
+
+    @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
+    @pytest.mark.parametrize("theirs_raises", [False, True])
+    def test_theirs_runs_on_caller_after_ours_raised(self, monkeypatch, engine, theirs_raises):
+        if engine == "builtin pow":  # nothing is handed off
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        ran, stop = [], threading.Event()
+
+        def ours():
+            raise KeyboardInterrupt
+
+        def theirs():
+            ran.append(threading.current_thread().name)
+            if theirs_raises:
+                raise OSError(28, "No space left on device")
+
+        with held_worker(), pytest.raises(KeyboardInterrupt):
+            vdf._beside(None, stop, ours, theirs)
+        vdf._RIGHT_SIDES.submit(int).result(timeout=30)  # nothing more queued runs it
+        assert ran == [threading.current_thread().name]
+        assert stop.is_set()
+
+    @pytest.mark.parametrize("ours_raises", [False, True])
+    def test_theirs_begun_on_worker_is_waited_for(self, ours_raises):
+        # theirs fails on the worker after ours has finished: ours' exception
+        # wins if it raised one, and theirs' propagates if it did not.
+        if not HANDS_OFF:
+            pytest.skip("the builtin engine runs theirs on the caller")
+        ran, begun, stop = [], threading.Event(), threading.Event()
+
+        def ours():
+            assert begun.wait(30), "verify's worker never began"
+            if ours_raises:
+                raise KeyboardInterrupt
+            return "ours"
+
+        def theirs():
+            begun.set()
+            time.sleep(0.05)
+            ran.append(threading.current_thread().name)
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(KeyboardInterrupt if ours_raises else OSError):
+            vdf._beside(None, stop, ours, theirs)
+        assert len(ran) == 1 and ran[0].startswith("delaytower-verify"), ran
+        assert stop.is_set()
+
+    @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
+    def test_both_values(self, monkeypatch, engine):
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        stop = threading.Event()
+        assert vdf._beside(None, stop, lambda: 1, lambda: 2) == (1, 2)
+        assert not stop.is_set()
