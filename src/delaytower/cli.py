@@ -73,7 +73,7 @@ def cmd_mine(args) -> int:
 
     last_saved = time.perf_counter()
 
-    def save(grown: tower.Tower) -> None:  # each link once proved, on vdf's worker or here
+    def save(grown: tower.Tower) -> None:  # each link once proved, on the package's worker
         nonlocal last_saved
         tower.save_tower(grown, args.tower_file)
         now = time.perf_counter()

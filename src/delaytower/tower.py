@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -122,33 +122,40 @@ def _checked(tower: Tower, work: Callable[[], object] = lambda: None) -> Tower:
 def grow(tower: Tower, links: int, on_link: Callable[[Tower], object] = lambda _: None) -> Tower:
     """Append ``links`` chained records, from record 0 for an empty tower.
 
-    This thread squares link k while, ``vdf._beside`` it, link k-1 is proved and passed
-    to ``on_link`` (a miner saves it there): on the package's worker, or here after the
-    squarings where nothing is handed off. Link k-1 is joined before link k+1 starts: an
-    exception from ``on_link`` stops growth within one link, and one raised here, such as
-    Ctrl-C between two squaring calls, waits for the link in flight. A tower not known to
-    be valid (from ``grow`` or a validating ``load_tower``) is ``_checked`` by this thread
+    This thread squares link k while the package's worker, on every engine, proves link
+    k-1 and passes the tower ending in it to ``on_link`` (a miner saves it there): Ctrl-C
+    lands here, never in them. Link k-1 is joined before link k+1 starts: an exception from
+    ``on_link`` stops growth within one link, and one raised here, such as Ctrl-C in the
+    squarings or while this thread waits, waits for the link in flight. A tower not known
+    to be valid (from ``grow`` or a validating ``load_tower``) is ``_checked`` by this thread
     and the worker; its first new link is squared and proved here inside the check.
     """
     digest, params = _previous_digest(tower, tower.height), tower.params
-    unchecked, link, stop = tower._validated_height != tower.height, [], threading.Event()
+    unchecked, link, in_flight = tower._validated_height != tower.height, [], None
     if links <= 0:
         return _checked(tower) if unchecked else tower
 
-    def square(x: int, prove: bool) -> None:
-        """Link ``x``'s input, squarings and, if ``prove``, proof into ``link``."""
+    def square(x: int, prove: bool = False) -> None:
+        """Link ``x``'s squarings into ``link``, and its proof if ``prove``."""
         y, powers = vdf.squarings(params, x)
-        link[:] = x, y, powers, vdf.prove(params, x, y, powers) if prove else None
+        link[:] = y, powers, vdf.prove(params, x, y, powers) if prove else None
 
-    appended: Callable[[], Tower] = lambda: tower  # no link is in flight before the first
-    for index in range(tower.height, tower.height + links):
-        ours = partial(square, vdf.hash_to_group(digest, params.modulus), unchecked)
-        if unchecked:  # nothing is passed on before the check passes
-            ours = partial(_checked, tower, ours)
-        tower, unchecked = vdf._beside(None, stop, ours, appended)[1], False
-        appended = partial(_append, tower, *link, on_link)
-        digest = link_digest(index, *link[:2])
-    return vdf._beside(None, stop, lambda: None, appended)[1]  # Ctrl-C waits for it on the worker
+    try:
+        for index in range(tower.height, tower.height + links):
+            x = vdf.hash_to_group(digest, params.modulus)
+            if unchecked:  # nothing is passed on before the check passes
+                _checked(tower, partial(square, x, True))
+                unchecked = False
+            else:
+                square(x)
+            if in_flight is not None:
+                tower = in_flight.result()
+            in_flight = vdf._queued(_append, tower, x, *link, on_link)
+            digest = link_digest(index, x, link[0])
+        return in_flight.result()
+    finally:
+        if in_flight is not None:
+            wait([in_flight])
 
 
 def extend(tower: Tower) -> Tower:

@@ -21,10 +21,10 @@ X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
 folds only the left side, up to the last midpoint. The package has one worker
-thread, given work by ``_submit`` on libcrypto only (``_beside``, ``_hand_off``): verify's
-right side, two midpoints an exponentiation, from ``_HAND_OFF_BITS`` modulus bits;
-``check_proofs``' tasks at any size, which the caller takes too after its own work;
-and ``tower.grow``'s proofs and saves, each link's while the next one squares.
+thread. On libcrypto, ``_submit`` gives it verify's right side, two midpoints an
+exponentiation, from ``_HAND_OFF_BITS`` modulus bits, and ``check_proofs``' tasks at
+any size, which the caller takes too after its own work; on every engine, ``_queued``
+gives it ``tower.grow``'s proofs and saves, off the thread Ctrl-C lands on.
 Every input, output and midpoint is canonical, min(v, N - v), and verify
 compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
@@ -639,34 +639,39 @@ def _submit(bits: Optional[int], fn: Callable, *args) -> Optional[Future]:
     return None
 
 
+def _queued(fn: Callable, *args) -> Future:
+    """``fn(*args)`` queued on the package's worker on every engine, off the thread Ctrl-C
+    lands on; run here, into a finished future, on the worker itself, which would never
+    reach it behind the task in hand."""
+    if not threading.current_thread().name.startswith("delaytower-verify"):
+        return _RIGHT_SIDES.submit(fn, *args)
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
-    """(ours(), theirs()): ours here while theirs is ``_submit``-ted. theirs runs exactly once:
-    on the worker if it has begun it, else here after ours, even if ours raised. An exception
-    in either sets ``stop``, which each should heed. ours' propagates once theirs has finished,
-    else theirs' does; Ctrl-C while this thread waits does once the worker's task is done."""
-    def guarded(fn: Callable):
+    """(ours(), theirs()): ours on this thread while theirs is ``_submit``-ted, and run
+    here after ours if the worker has not begun it. An exception in either sets ``stop``,
+    which each should heed, and propagates once the worker has finished its task in hand."""
+    def guarded():
         try:
-            return fn()
+            return theirs()
         except BaseException:
             stop.set()
             raise
 
-    def joined():
-        if future is None or future.cancel():  # cancelled if queued behind this thread
-            return guarded(theirs)
-        try:
-            return guarded(future.result)  # this raises what the worker raised
-        finally:
-            wait([future])
-
-    future = _submit(bits, guarded, theirs)
+    future = _submit(bits, guarded)
     try:
-        mine = guarded(ours)
+        mine = ours()
+        if future is None or future.cancel():  # cancelled if queued behind this thread
+            return mine, theirs()
+        return mine, future.result()  # this raises what the worker raised
     except BaseException:
-        with contextlib.suppress(BaseException):
-            joined()
+        stop.set()
+        if future is not None and not future.cancel():
+            wait([future])
         raise
-    return mine, joined()
 
 
 def _hand_off(modulus: int, *args) -> Callable[[], int]:

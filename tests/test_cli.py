@@ -8,9 +8,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from importlib import resources
 
 import pytest
@@ -167,24 +169,46 @@ class TestMine:
         assert tower.load_tower(tmp_path / "t.bin").height == k + 1
 
     @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
+    @pytest.mark.parametrize("k", [2, 5], ids=["middle link", "last link"])
+    def test_interrupt_while_a_link_proves(self, tmp_path, monkeypatch, capsys, engine, k):
+        # Ctrl-C reaches the main thread while link k proves, and a link's proof
+        # and save run on the worker on either engine: link k still reaches the
+        # file, whether the main thread is squaring link k + 1 or waiting.
+        if engine == "builtin pow":
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        real_prove, proofs = vdf.prove, []
+
+        def prove(*args):
+            proofs.append(threading.current_thread().name)
+            if len(proofs) == k + 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.2)  # the main thread takes the signal before this proof ends
+            return real_prove(*args)
+
+        monkeypatch.setattr(vdf, "prove", prove)
+        with pytest.raises(KeyboardInterrupt):
+            mine(tmp_path, *DEEP, "--proofs", "5")
+        assert len(proofs) == k + 1 and proofs[k].startswith("delaytower-verify"), proofs
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"height {k} -> {k + 1} (")
+        assert tower.load_tower(tmp_path / "t.bin").height == k + 1
+
+    @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
     def test_no_thread_but_verify_worker(self, tmp_path, monkeypatch, engine):
         # A fresh mine and a resumed one start no thread but verify's worker, and
-        # prove and save on this thread or that worker; on the builtin engine,
-        # which hands nothing off, on this thread alone. Both write the bytes of
-        # a serial chain on libcrypto.
+        # save only there, on either engine; a resumed tower's first link is
+        # proved on this thread inside its check. Both write a serial chain's bytes.
         if engine == "builtin pow":
             monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
         (tmp_path / "k.hex").write_text("ab" * 32 + "\n")
-        hands_off = vdf._LIBCRYPTO is not None
         real_prove, real_save, real_start = vdf.prove, tower.save_tower, threading.Thread.start
-        caller, seen, started = threading.current_thread().name, set(), []
+        caller, proved, saved, started = threading.current_thread().name, [], [], []
 
         def prove(*args):
-            seen.add(threading.current_thread().name)
+            proved.append(threading.current_thread().name)
             return real_prove(*args)
 
         def save(*args):
-            seen.add(threading.current_thread().name)
+            saved.append(threading.current_thread().name)
             real_save(*args)
 
         def start(thread):
@@ -197,12 +221,10 @@ class TestMine:
         for proofs in ("3", "2"):
             assert mine(tmp_path, *DEEP, "--proofs", proofs) == 0
         monkeypatch.undo()
-        if not hands_off:
-            assert (seen, started) == ({caller}, [])
-        else:
-            assert all(name.startswith("delaytower-verify") for name in started), started
-            assert all(name == caller or name.startswith("delaytower-verify")
-                       for name in seen), seen
+        assert all(name.startswith("delaytower-verify") for name in started + saved), \
+            (started, saved)
+        assert len(saved) == 6 and proved[4] == caller, proved
+        assert all(name.startswith("delaytower-verify") for name in proved[:4] + proved[5:])
         security = vdf.SecurityParams(modulus_bits=256, iterations=1024)
         tower.save_tower(serial_chain(security, b"\xab" * 32, DEFAULT_ENDPOINT.encode(), 6),
                          tmp_path / "serial.bin")

@@ -1294,43 +1294,8 @@ class TestDerivation:
         assert modulus_digest(vdf.generate_modulus(bits, seed)) == MODULUS_SHA256[bits, seed]
 
 
-@contextlib.contextmanager
-def held_worker():
-    """Verify's worker busy on a task of its own until the block ends."""
-    begun, release = threading.Event(), threading.Event()
-    task = vdf._RIGHT_SIDES.submit(lambda: begun.set() or release.wait(30))
-    assert begun.wait(30), "verify's worker never began"
-    try:
-        yield
-    finally:
-        release.set()
-        task.result(timeout=30)
-
-
 class TestBeside:
-    """``_beside`` runs ``theirs`` exactly once, on the worker if it has begun it,
-    else on the caller after ``ours``, whatever either raises."""
-
-    @pytest.mark.parametrize("engine", ["libcrypto", "builtin pow"])
-    @pytest.mark.parametrize("theirs_raises", [False, True])
-    def test_theirs_runs_on_caller_after_ours_raised(self, monkeypatch, engine, theirs_raises):
-        if engine == "builtin pow":  # nothing is handed off
-            monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
-        ran, stop = [], threading.Event()
-
-        def ours():
-            raise KeyboardInterrupt
-
-        def theirs():
-            ran.append(threading.current_thread().name)
-            if theirs_raises:
-                raise OSError(28, "No space left on device")
-
-        with held_worker(), pytest.raises(KeyboardInterrupt):
-            vdf._beside(None, stop, ours, theirs)
-        vdf._RIGHT_SIDES.submit(int).result(timeout=30)  # nothing more queued runs it
-        assert ran == [threading.current_thread().name]
-        assert stop.is_set()
+    """``_beside`` waits for a ``theirs`` the worker has begun, whatever either raises."""
 
     @pytest.mark.parametrize("ours_raises", [False, True])
     def test_theirs_begun_on_worker_is_waited_for(self, ours_raises):
