@@ -369,9 +369,9 @@ class LedgerState:
     @classmethod
     def import_snapshot(cls, text: str) -> "LedgerState":
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on malformed
-        JSON, a missing key or one export does not write, a wrong type, hex or a decimal
-        that export would spell otherwise, a negative count, a non-bool ``jailed``, a
-        modulus that ``vdf.check_modulus`` refuses or whose size is not
+        JSON, a missing key or one export does not write, a wrong type, hex, a decimal or
+        a config that export would spell otherwise, a negative count, a non-bool ``jailed``,
+        a modulus that ``vdf.check_modulus`` refuses or whose size is not
         ``security.modulus_bits``, an invalid config, another version, a signer outside the
         miner pool or a signature count above ``epoch_blocks_total``."""
         try:
@@ -381,13 +381,15 @@ class LedgerState:
             known_keys(doc, "epoch", "epoch_blocks_total", "epoch_config", "epoch_signatures",
                        "miner_pool", "modulus", "scheme", "security", "validator_set", "version")
             security = vdf.SecurityParams.from_doc(doc["security"])
+            config = EpochConfig.from_doc(doc["epoch_config"])
+            if (security.to_doc(), config.to_doc()) != (doc["security"], doc["epoch_config"]):
+                raise ValueError("a config is not written as export writes it")
             modulus = as_written(doc["modulus"], int, str)
             vdf.check_modulus(modulus)
             if modulus.bit_length() != security.modulus_bits:
                 raise ValueError(f"modulus has {modulus.bit_length()} bits, "
                                  f"not {security.modulus_bits}")
-            state = cls(security, EpochConfig.from_doc(doc["epoch_config"]),
-                        scheme_by_name(doc["scheme"]), modulus=modulus)
+            state = cls(security, config, scheme_by_name(doc["scheme"]), modulus=modulus)
             state.epoch = _count(doc["epoch"])
             for addr_hex, fields in doc["miner_pool"].items():
                 known_keys(fields, "compliant_epochs", "hash", "height", "jail_sentence",

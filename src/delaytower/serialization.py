@@ -127,13 +127,13 @@ def as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
 
 
 def parse_rational(value) -> Fraction:
-    """A rational from a "p/q" string, an integer, or a finite float (to within 1e-9).
+    """A rational from an integer, a finite float (to within 1e-9), or ``str(Fraction)``'s text.
 
     Booleans are refused, as ``json_int`` refuses them, and so is a zero denominator.
     """
     if isinstance(value, str) or type(value) is int:
         try:
-            return Fraction(value)
+            return as_written(value, Fraction, str) if isinstance(value, str) else Fraction(value)
         except ZeroDivisionError as exc:
             raise ValueError(f"cannot parse rational from {value!r}: zero denominator") from exc
     if isinstance(value, float) and math.isfinite(value):

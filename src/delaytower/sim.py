@@ -480,8 +480,8 @@ def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
 
     Simulated miners get their configured rate written straight into the miner
     state (height advances to match, as accepted submissions would). Real
-    miners extend their tower and push every proof through the genuine
-    submission path. Nodes crashed before the boundary mine nothing.
+    miners ``tower.grow`` the epoch's proofs in one call and push each through
+    the genuine submission path. Nodes crashed before the boundary mine nothing.
     """
     boundary_round = (epoch_index + 1) * rounds
     cap = state.epoch_config.growth_cap
@@ -491,15 +491,15 @@ def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
         if isinstance(node.behavior.mining, RealVdf):
             if crashed:
                 continue
-            for _ in range(node.behavior.mining.proofs_per_epoch):
-                node.tower = tower.extend(node.tower)
-                record = node.tower.records[-1]
-                claimed = len(node.tower.records)
+            grown = tower.grow(node.tower, node.behavior.mining.proofs_per_epoch)
+            for record in grown.records[node.tower.height:]:
+                claimed = record.index + 1
                 signature = scheme.sign(
                     address, submission_message(address, claimed, record))
                 accepted = state.submit_proof(address, claimed, record, signature)
                 if not accepted:
                     raise RuntimeError("simulated real miner produced a rejected proof")
+            node.tower = grown
         else:
             ms = state.miner_pool[address]
             accepted = 0 if crashed else min(node.behavior.mining, cap)

@@ -21,10 +21,11 @@ X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
 Eval is two halves: ``squarings``, which keeps three powers as it passes
 (``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
 folds only the left side, up to the last midpoint. The package has one worker
-thread. On libcrypto, ``_submit`` gives it verify's right side, two midpoints an
-exponentiation, from ``_HAND_OFF_BITS`` modulus bits, and ``check_proofs``' tasks at
-any size, which the caller takes too after its own work; on every engine, ``_queued``
-gives it ``tower.grow``'s proofs and saves, off the thread Ctrl-C lands on.
+thread, and ``_queued`` is the one way onto it. On every engine it takes ``tower.grow``'s
+proofs and saves, off the thread Ctrl-C lands on. On libcrypto, at any modulus size, it
+takes the half ``_beside`` hands it: ``check_proofs``' tasks, which the caller takes too
+after its own work, and derivation's q search. On libcrypto from ``_HAND_OFF_BITS``
+modulus bits, it takes verify's right side, two midpoints an exponentiation.
 Every input, output and midpoint is canonical, min(v, N - v), and verify
 compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
@@ -50,8 +51,8 @@ certifies the count of sequential squarings, not the engine that did them.
 
 The group modulus is a product of two primes derived from a genesis seed; every
 participant of one network shares it. Each prime is the first candidate of a
-hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; where
-verify hands off, the worker searches q while the caller searches p.
+hash stream to pass a gcd with the primes below 1024, then Miller-Rabin; on
+libcrypto, the worker searches q while the caller searches p.
 Inputs are bound to a participant by hashing their public key and declared
 endpoint into the group, which makes a chain of these proofs non-transferable.
 """
@@ -414,7 +415,7 @@ def _derive_prime(bits: int, seed: bytes, tag: bytes, stop: threading.Event) -> 
 def _derive_modulus(modulus_bits: int, seed: bytes) -> int:
     """p * q, with p searched on this thread and q ``_beside`` it, on the package's worker."""
     half, stop = modulus_bits // 2, threading.Event()
-    p, q = _beside(modulus_bits, stop, partial(_derive_prime, half, seed, b"p", stop),
+    p, q = _beside(stop, partial(_derive_prime, half, seed, b"p", stop),
                    partial(_derive_prime, modulus_bits - half, seed, b"q", stop))
     return p * q
 
@@ -629,31 +630,24 @@ os.register_at_fork(after_in_child=_start_worker)
 _HAND_OFF_BITS = 2048
 
 
-def _submit(bits: Optional[int], fn: Callable, *args) -> Optional[Future]:
-    """``fn(*args)`` queued on the package's worker on libcrypto (builtin ``pow`` holds the GIL),
-    from ``_HAND_OFF_BITS`` modulus bits on or for ``bits`` None; else None, as once
-    shutdown stops executors."""
-    if (bits is None or bits >= _HAND_OFF_BITS) and _LIBCRYPTO is not None:
+def _queued(fn: Callable, *args) -> Future:
+    """``fn(*args)`` queued on the package's worker, off the thread Ctrl-C lands on; run
+    here, into a finished future, on the worker itself, which would never reach it behind
+    the task in hand, and once shutdown stops executors."""
+    if not threading.current_thread().name.startswith("delaytower-verify"):
         with contextlib.suppress(RuntimeError):
             return _RIGHT_SIDES.submit(fn, *args)
-    return None
-
-
-def _queued(fn: Callable, *args) -> Future:
-    """``fn(*args)`` queued on the package's worker on every engine, off the thread Ctrl-C
-    lands on; run here, into a finished future, on the worker itself, which would never
-    reach it behind the task in hand."""
-    if not threading.current_thread().name.startswith("delaytower-verify"):
-        return _RIGHT_SIDES.submit(fn, *args)
     future = Future()
     future.set_result(fn(*args))
     return future
 
 
-def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
-    """(ours(), theirs()): ours on this thread while theirs is ``_submit``-ted, and run
-    here after ours if the worker has not begun it. An exception in either sets ``stop``,
-    which each should heed, and propagates once the worker has finished its task in hand."""
+def _beside(stop: threading.Event, ours: Callable, theirs: Callable) -> tuple:
+    """(ours(), theirs()): on libcrypto, ours on this thread while theirs is ``_queued``, and
+    run here after ours if the worker has not begun it; on builtin ``pow``, which holds the
+    GIL, both here. On the worker itself, or once shutdown stops executors, ``_queued`` runs
+    theirs first, at once. An exception in either sets ``stop``, which each should heed, and
+    propagates once the worker has finished its task in hand."""
     def guarded():
         try:
             return theirs()
@@ -661,7 +655,7 @@ def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: 
             stop.set()
             raise
 
-    future = _submit(bits, guarded)
+    future = _queued(guarded) if _LIBCRYPTO is not None else None
     try:
         mine = ours()
         if future is None or future.cancel():  # cancelled if queued behind this thread
@@ -674,37 +668,28 @@ def _beside(bits: Optional[int], stop: threading.Event, ours: Callable, theirs: 
         raise
 
 
-def _hand_off(modulus: int, *args) -> Callable[[], int]:
-    """Queue ``_right_side(modulus, *args)`` by ``_submit``, and return what gets its value
-    once the caller's left side is done.
-
-    If the worker has not begun by then, or nothing was queued, the caller computes the
-    right side itself; if it has, the caller races it level by level and takes whichever
-    finishes first. So a worker whose core is busy elsewhere costs verify about the time
-    of computing the right side itself, not the time it waits for the core.
-    """
-    future = _submit(modulus.bit_length(), _right_side, modulus, *args)
-    if future is None:
-        return partial(_right_side, modulus, *args)
-
-    def value() -> int:
-        ours = _right_side(modulus, *args, rival=None if future.cancel() else future)
-        return future.result() if ours is None else ours
-    return value
-
-
 def verify(modulus: int, iterations: int, x: int, y: int, proof: VdfProof) -> bool:
     """Check that proof shows x^(2^iterations) = y mod modulus, up to sign: False for
-    malformed input (``_challenges``), else ``_left_side`` on this thread and, from
-    ``_HAND_OFF_BITS`` on, ``_right_side`` on the worker."""
+    malformed input (``_challenges``), else ``_left_side`` on this thread and ``_right_side``.
+
+    On libcrypto, from ``_HAND_OFF_BITS`` on, the right side is ``_queued`` first. If the
+    worker has not begun it once the left side is done, this thread computes it; if it has,
+    this thread races it level by level and takes whichever finishes first. So a worker
+    whose core is busy elsewhere costs verify about the time of computing the right side
+    itself, not the time it waits for the core.
+    """
     challenges = _challenges(modulus, iterations, x, y, proof)
     if challenges is None:
         return False
     midpoints = proof.checkpoints
-    right = (_hand_off(modulus, y, midpoints, challenges, iterations >> len(midpoints))
-             if midpoints else lambda: True)
+    right = (modulus, y, midpoints, challenges, iterations >> len(midpoints))
+    future = (_queued(_right_side, *right) if midpoints and _LIBCRYPTO is not None
+              and modulus.bit_length() >= _HAND_OFF_BITS else None)
     left = _left_side(modulus, iterations, x, y, midpoints, challenges)
-    return right() and left
+    if not midpoints:
+        return left
+    ours = _right_side(*right, rival=None if future is None or future.cancel() else future)
+    return (future.result() if ours is None else ours) and left
 
 
 def fast_reject(modulus: int, iterations: int, proof: VdfProof) -> bool:
@@ -771,7 +756,7 @@ def check_proofs(modulus: int, iterations: int, claims, spent: Optional[list[flo
 
     # A second run on this thread, if the worker never began its own, finds no task left.
     # The worker wakes once a check, not once an exponentiation as in verify: no size bound.
-    _beside(None, stop, partial(run, work), run)
+    _beside(stop, partial(run, work), run)
     for (index, _), taken in zip(tasks, seconds if spent is not None else ()):
         spent[index] += taken
     return (min(failed), "transcript") if failed else screened

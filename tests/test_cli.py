@@ -267,9 +267,8 @@ class TestMine:
         assert path.read_bytes() == bytes(blob)
 
     @pytest.mark.parametrize("gate", ["index", "input", "screen", "transcript"])
-    def test_chain_fault_refused_and_file_left(self, tmp_path, monkeypatch, capsys, gate):
+    def test_chain_fault_refused_and_file_left(self, tmp_path, capsys, gate):
         # The file parses; grow checks it on two threads while the first link squares.
-        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
         assert mine(tmp_path, *DEEP, "--proofs", "3") == 0
         path = tmp_path / "t.bin"
         twr = tower.load_tower(path)

@@ -687,6 +687,13 @@ BAD_SNAPSHOTS = {
     "config-infinite-threshold": edit("epoch_config", "liveliness_threshold", 1e400),
     "config-boolean-threshold": edit("epoch_config", "liveliness_threshold", True),
     "config-zero-denominator-threshold": edit("epoch_config", "liveliness_threshold", "1/0"),
+    # Thresholds export never writes for the pinned 2/3, and configs it writes whole.
+    "config-unreduced-threshold": edit("epoch_config", "liveliness_threshold", "4/6"),
+    "config-padded-threshold": edit("epoch_config", "liveliness_threshold", " 2/3 "),
+    "config-decimal-threshold": edit("epoch_config", "liveliness_threshold", "0.5"),
+    "config-float-threshold": edit("epoch_config", "liveliness_threshold", 0.5),
+    "config-missing-field": edit("epoch_config", "growth_cap", DROP),
+    "security-missing-label": edit("security", "prime_length_bits", DROP),
     "config-bad-ranking": edit("epoch_config", "ranking", "by-luck"),
     "config-float": edit("epoch_config", "growth_cap", 6.5),
     "security-out-of-range": edit("security", "iterations", 0),

@@ -404,6 +404,9 @@ def _respelled_genesis(doc: dict, respell) -> dict:
     return {**doc, "genesis_validators": [respell(a) for a in doc["genesis_validators"]]}
 
 
+HALF_RESPELLED = {"unreduced": "2/4", "padded": " 1/2 ", "plus-sign": "+1/2",
+                  "underscore": "1_0/20", "arabic-indic-digit": "\u0661/2", "decimal": "0.5"}
+
 MALFORMED_SCENARIOS = {
     "top-level-list": lambda doc: [doc],
     "epoch-config-list": lambda doc: {**doc, "epoch_config": [1]},
@@ -458,6 +461,13 @@ MALFORMED_SCENARIOS = {
         doc, behavior={"kind": "crashed", "from_rund": 2}),
     "mining-rate-unknown-key": lambda doc: _with_first(
         doc, mining_rate={"real_vdf": True, "proofs_per_epoc": 2}),
+    # Spellings of 1/2 that scenario_to_json never writes, though Fraction reads each.
+    **{f"sign-probability-{name}": lambda doc, half=half: _with_first(
+        doc, behavior={"kind": "silent", "sign_probability": half})
+       for name, half in HALF_RESPELLED.items()},
+    **{f"liveliness-threshold-{name}": lambda doc, half=half: {
+        **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": half}}
+       for name, half in HALF_RESPELLED.items()},
 }
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -143,6 +146,26 @@ class TestPipeline:
         expected = tower.grow(height6, 3)
         for twr in (height6, dataclasses.replace(height6)):
             assert vdf._RIGHT_SIDES.submit(tower.grow, twr, 3).result(timeout=60) == expected
+
+    def test_grow_after_main_thread_returns(self):
+        # Python joins the threads still running only after it has shut down
+        # every executor, so grow proves and hands on its links on this thread.
+        script = textwrap.dedent("""
+            import threading
+            from delaytower import tower, vdf
+            security = vdf.SecurityParams(modulus_bits=512, iterations=1024)
+            twr = tower.init_tower(security, b"k", b"e")
+
+            def late():
+                threading.main_thread().join()  # returns once shutdown has begun
+                print(tower.grow(twr, 2).height)
+
+            threading.Thread(target=late).start()
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
 
     def test_proof_left_out_of_chain_digest(self):
         twr = tower.grow(tower.init_tower(FOLD_SECURITY, b"owner-r", b"ep-r"), 2)

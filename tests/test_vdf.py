@@ -461,9 +461,8 @@ HANDS_OFF = vdf._LIBCRYPTO is not None
 
 
 @pytest.fixture
-def hand_offs(monkeypatch) -> list[tuple]:
-    """Arguments of every right side handed to verify's worker, at any modulus size."""
-    monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+def submitted(monkeypatch) -> list[tuple]:
+    """Arguments of every task queued on the package's worker."""
     calls = []
 
     def submit(fn, *args, submit=vdf._RIGHT_SIDES.submit):
@@ -472,6 +471,13 @@ def hand_offs(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(vdf._RIGHT_SIDES, "submit", submit)
     return calls
+
+
+@pytest.fixture
+def hand_offs(monkeypatch, submitted) -> list[tuple]:
+    """Arguments of every right side handed to verify's worker, at any modulus size."""
+    monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+    return submitted
 
 
 @pytest.fixture(scope="module")
@@ -1196,10 +1202,8 @@ class TestDerivation:
         assert vdf.is_probable_prime(n) is prime
         assert vdf.is_probable_prime(n, 8) is prime
 
-    @pytest.mark.parametrize("hand_off_bits", (vdf._HAND_OFF_BITS, 0))
-    def test_builtin_engine_derives_the_same_modulus(self, monkeypatch, hand_off_bits):
+    def test_builtin_engine_derives_the_same_modulus(self, monkeypatch):
         monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
-        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", hand_off_bits)
         modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
         assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
 
@@ -1223,17 +1227,23 @@ class TestDerivation:
         assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
         assert hand_offs == []
 
-    def test_derivation_on_the_worker_returns(self, monkeypatch):
-        # The q search it hands off queues behind itself, so it runs both.
-        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
+    def test_hands_off_below_hand_off_bits(self, submitted):
+        # The worker wakes once for the whole q search, so derivation splits at
+        # any modulus size on libcrypto, as check_proofs does.
+        assert vdf._HAND_OFF_BITS > 1024
+        modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
+        assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
+        assert len(submitted) == HANDS_OFF
+
+    def test_derivation_on_the_worker_returns(self):
+        # On the worker, _queued runs the q search at once, then the p search.
         modulus = vdf._RIGHT_SIDES.submit(
             vdf._derive_modulus.__wrapped__, 1024, b"another-network").result(timeout=60)
         assert modulus_digest(modulus) == MODULUS_SHA256[1024, b"another-network"]
 
-    def test_concurrent_derivations(self, monkeypatch):
+    def test_concurrent_derivations(self):
         # Eight callers share one worker: most find their q search still queued
         # behind another caller's, and run it themselves.
-        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
         seeds = [vdf.DEFAULT_MODULUS_SEED, b"another-network"] * 4
         with switching_often(), ThreadPoolExecutor(max_workers=8) as pool:
             moduli = list(pool.map(lambda seed: vdf._derive_modulus.__wrapped__(1024, seed),
@@ -1245,7 +1255,6 @@ class TestDerivation:
         script = textwrap.dedent("""
             import threading
             from delaytower import vdf
-            vdf._HAND_OFF_BITS = 0
 
             def late():
                 threading.main_thread().join()  # returns once shutdown has begun
@@ -1267,7 +1276,6 @@ class TestDerivation:
 
         if not HANDS_OFF:
             pytest.skip("the builtin engine searches both primes on the caller")
-        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", 0)
         caller, tested = threading.get_ident(), {"caller": 0, "worker": 0}
         started, at_raise = threading.Event(), []
 
@@ -1318,7 +1326,7 @@ class TestBeside:
             raise OSError(28, "No space left on device")
 
         with pytest.raises(KeyboardInterrupt if ours_raises else OSError):
-            vdf._beside(None, stop, ours, theirs)
+            vdf._beside(stop, ours, theirs)
         assert len(ran) == 1 and ran[0].startswith("delaytower-verify"), ran
         assert stop.is_set()
 
@@ -1327,5 +1335,5 @@ class TestBeside:
         if engine == "builtin pow":
             monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
         stop = threading.Event()
-        assert vdf._beside(None, stop, lambda: 1, lambda: 2) == (1, 2)
+        assert vdf._beside(stop, lambda: 1, lambda: 2) == (1, 2)
         assert not stop.is_set()
