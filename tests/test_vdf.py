@@ -1202,8 +1202,12 @@ class TestDerivation:
         assert vdf.is_probable_prime(n) is prime
         assert vdf.is_probable_prime(n, 8) is prime
 
-    def test_builtin_engine_derives_the_same_modulus(self, monkeypatch):
+    # Derivation does not read _HAND_OFF_BITS: the modulus is the same below and
+    # from the size where verify hands off.
+    @pytest.mark.parametrize("hand_off_bits", (vdf._HAND_OFF_BITS, 0))
+    def test_builtin_engine_derives_the_same_modulus(self, monkeypatch, hand_off_bits):
         monkeypatch.setattr(vdf, "_LIBCRYPTO", None)
+        monkeypatch.setattr(vdf, "_HAND_OFF_BITS", hand_off_bits)
         modulus = vdf._derive_modulus.__wrapped__(1024, vdf.DEFAULT_MODULUS_SEED)
         assert modulus_digest(modulus) == MODULUS_SHA256[1024, vdf.DEFAULT_MODULUS_SEED]
 
