@@ -127,17 +127,17 @@ def as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
 
 
 def parse_rational(value) -> Fraction:
-    """A rational from an integer, a finite float (to within 1e-9), or ``str(Fraction)``'s text.
+    """A rational from an integer, the exact value of a finite float, or ``str(Fraction)``'s text.
 
     Booleans are refused, as ``json_int`` refuses them, and so is a zero denominator.
     """
-    if isinstance(value, str) or type(value) is int:
+    if type(value) is int or isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    if isinstance(value, str):
         try:
-            return as_written(value, Fraction, str) if isinstance(value, str) else Fraction(value)
+            return as_written(value, Fraction, str)
         except ZeroDivisionError as exc:
             raise ValueError(f"cannot parse rational from {value!r}: zero denominator") from exc
-    if isinstance(value, float) and math.isfinite(value):
-        return Fraction(value).limit_denominator(10**9)
     raise ValueError(f"cannot parse rational from {value!r}")
 
 

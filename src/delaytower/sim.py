@@ -73,6 +73,8 @@ class Behavior:
     def __post_init__(self):
         if not 0 <= self.sign_probability <= 1:
             raise ValueError("sign_probability must lie in [0, 1]")
+        # Held exact, as EpochConfig holds its threshold: a float's text reads back to it.
+        object.__setattr__(self, "sign_probability", Fraction(self.sign_probability))
         if self.from_round < 0:
             raise ValueError("from_round must be non-negative")
         if isinstance(self.mining, int) and self.mining < 0:
@@ -89,8 +91,7 @@ class Behavior:
     @classmethod
     def silent(cls, sign_probability: Fraction,
                mining: Union[int, RealVdf] = 0) -> "Behavior":
-        return cls(kind=BehaviorKind.SILENT, sign_probability=Fraction(sign_probability),
-                   mining=mining)
+        return cls(kind=BehaviorKind.SILENT, sign_probability=sign_probability, mining=mining)
 
 
 @dataclass(frozen=True)

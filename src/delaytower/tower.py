@@ -104,7 +104,7 @@ def next_input(tower: Tower) -> int:
     return vdf.hash_to_group(_previous_digest(tower, tower.height), tower.params.modulus)
 
 
-def _append(tower: Tower, x: int, y: int, powers: tuple[int, int, int],
+def _append(tower: Tower, x: int, y: int, powers: tuple[int, ...],
             proof: vdf.VdfProof | None, on_link: Callable[[Tower], object]) -> Tower:
     record = ProofRecord(tower.height, x, y, proof or vdf.prove(tower.params, x, y, powers))
     tower = _validated(replace(tower, records=tower.records + (record,)))

@@ -18,14 +18,15 @@ A proof is its midpoints; y is the claim they support, carried beside them.
 Formats 3 and 4 draw level j's 128-bit challenge from a running SHA-256 over
 the claim and the proof, (N, t, x, y, mu_1 .. mu_j) and j, so the left side
 X_j = X_{j-1}^{r_j} * mu_j and the right side y * prod mu_j^{r_j} fold apart.
-Eval is two halves: ``squarings``, which keeps three powers as it passes
-(``_loop_stops``), then ``prove``, which makes level 2's midpoint from them and
-folds only the left side, up to the last midpoint. The package has one worker
-thread, and ``_queued`` is the one way onto it. On every engine it takes ``tower.grow``'s
-proofs and saves, off the thread Ctrl-C lands on. On libcrypto, at any modulus size, it
-takes the half ``_beside`` hands it: ``check_proofs``' tasks, which the caller takes too
-after its own work, and derivation's q search. On libcrypto from ``_HAND_OFF_BITS``
-modulus bits, it takes verify's right side, two midpoints an exponentiation.
+Eval is two halves: ``squarings``, which keeps the powers of x that levels 1 to s fold, s
+about log2(sqrt(t) / 16), then ``prove``, which makes those levels' midpoints from them,
+squares for the rest, and folds only the left side, up to the last midpoint. The package
+has one worker thread, and ``_queued`` is the one way onto it. On every engine it takes
+``tower.grow``'s proofs and saves, off the thread Ctrl-C lands on. On libcrypto, at any
+modulus size, it takes the half ``_beside`` hands it: ``check_proofs``' tasks, which the
+caller takes too after its own work, and derivation's q search. On libcrypto from
+``_HAND_OFF_BITS`` modulus bits, it takes verify's right side, two midpoints an
+exponentiation.
 Every input, output and midpoint is canonical, min(v, N - v), and verify
 compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
@@ -501,60 +502,58 @@ def _square(value: int, steps: int, modulus: int) -> int:
     return value
 
 
-def _loop_stops(t: int) -> tuple[int, int, int]:
-    """Squarings a, half, b after which eval's loop keeps x^(2^a), x^(2^half), x^(2^b).
+def squarings(pp: PublicParams, x: int) -> tuple[int, tuple[int, ...]]:
+    """The sequential half of ``eval``: the canonical x^(2^t) mod N and, in level order,
+    the 2^s - 1 powers x^(2^p) of which ``prove`` makes the midpoints of levels 1 to s.
 
-    Level 1's midpoint is x^(2^half). Level 2 squares X_1 = x^(2^(t % 2) * r_1) *
-    x^(2^half) q = t//2 - t//4 times, so its midpoint is (x^(2^a))^{r_1} * x^(2^b).
-    """
-    half = t - t // 2
-    q = t // 2 - t // 4
-    return t % 2 + q, half, half + q
-
-
-def squarings(pp: PublicParams, x: int) -> tuple[int, tuple[int, int, int]]:
-    """The sequential half of ``eval``: the canonical x^(2^t) mod N, and the
-    three powers of x (``_loop_stops``) that ``prove`` reuses.
-
-    x must be a canonical unit mod N, as ``hash_to_group`` returns; any other
-    input raises InputOutOfRange, because no proof for it verifies. No call
+    s = min(levels, max(2, t.bit_length() // 2 - 4)), about log2(sqrt(t) / 16), where the
+    2^(s+1) exponentiations by a challenge that folding them costs match the t/2^s
+    squarings they save. x must be a canonical unit mod N, as ``hash_to_group`` returns;
+    any other input raises InputOutOfRange, because no proof for it verifies. No call
     squares more than ``_LOOP_CHUNK`` times, which bounds how long an interrupt waits.
     """
-    modulus = pp.modulus
+    modulus, t = pp.modulus, pp.iterations
     if (not isinstance(x, int) or not 1 <= x <= modulus // 2
             or math.gcd(x, modulus) != 1):
         raise InputOutOfRange(f"input must be a canonical unit in [1, modulus / 2], got {x}")
-    y, kept, done = x, [], 0
-    for stop in _loop_stops(pp.iterations):
-        y = _square(y, stop - done, modulus)
-        kept.append(y)
-        done = stop
-    return _canonical(_square(y, pp.iterations - done, modulus), modulus), tuple(kept)
+    # terms: each p such that X_j, folded through level j, has a factor of x^(2^p).
+    terms, positions, rest = [0], [], t
+    for _ in range(min(expected_checkpoint_count(t), max(2, t.bit_length() // 2 - 4))):
+        terms = [p + rest % 2 for p in terms]  # an odd level squares X first
+        rest //= 2
+        level = [p + rest for p in terms]
+        positions += level
+        terms += level
+    y, kept, done = x, {}, 0
+    for position in sorted(positions):
+        y = kept[position] = _square(y, position - done, modulus)
+        done = position
+    return (_canonical(_square(y, t - done, modulus), modulus),
+            tuple(kept[position] for position in positions))
 
 
-def prove(pp: PublicParams, x: int, y: int, powers: tuple[int, int, int]) -> VdfProof:
+def prove(pp: PublicParams, x: int, y: int, powers: tuple[int, ...]) -> VdfProof:
     """The other half of ``eval``: the transcript for ``squarings``' y and powers.
 
-    Levels 1 and 2 take the kept powers; the later ones about t/4 squarings, so
-    at t = 4096 a proof costs about half as much as the squarings. A miner
-    builds it on a second core while the next link squares."""
-    modulus, t, (q1, mu, q3) = pp.modulus, pp.iterations, powers
+    Level j <= s folds its 2^(j-1) powers in adjacent pairs, a^r * b, by r_1, then r_2, up
+    to r_(j-1); later levels square X. A miner proves while the next link squares."""
+    modulus, t = pp.modulus, pp.iterations
     levels = expected_checkpoint_count(t)
     transcript = _Transcript(modulus, t, x, y)
-    checkpoints = []
+    checkpoints, challenges = [], []
     X, remaining = x, t
     for level in range(1, levels + 1):
         if remaining % 2 == 1:
             X = _powmod(X, 2, modulus)
         remaining //= 2
-        if level == 2:
-            mu = _powmod(q1, r, modulus, q3)
-        elif level > 2:
-            mu = _square(X, remaining, modulus)
+        kept, powers = powers[:1 << (level - 1)], powers[1 << (level - 1):]
+        for r in challenges:  # a level past s keeps no power: nothing to fold
+            kept = [_powmod(a, r, modulus, b) for a, b in zip(kept[::2], kept[1::2])]
+        mu = kept[0] if kept else _square(X, remaining, modulus)
         checkpoints.append(_canonical(mu, modulus))
-        r = transcript.challenge(checkpoints[-1])
+        challenges.append(transcript.challenge(checkpoints[-1]))
         if level < levels:
-            X = _powmod(X, r, modulus, mu)
+            X = _powmod(X, challenges[-1], modulus, mu)
     return VdfProof(tuple(checkpoints))
 
 

@@ -115,6 +115,8 @@ class TestEpochConfig:
         # one spelling that from_doc reads back to the same value.
         config = EpochConfig(liveliness_threshold=0.9)
         assert config.liveliness_threshold == Fraction(0.9)
+        # A document's float means the same exact value.
+        assert EpochConfig.from_doc({"liveliness_threshold": 0.9}) == config
         doc = config.to_doc()
         assert EpochConfig.from_doc(doc) == config
         assert EpochConfig.from_doc(doc).to_doc() == doc

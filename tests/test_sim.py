@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from delaytower.serialization import encode_bytes, encode_uint
 from delaytower.sim import (
     NEVER_RECOVERED,
     Behavior,
+    BehaviorKind,
     InvalidScenario,
     RealVdf,
     Scenario,
@@ -477,6 +479,30 @@ class TestScenarioJson:
         text = sim.scenario_to_json(scenario)
         back = sim.scenario_from_json(text)
         assert sim.run(back).to_summary_json() == sim.run(scenario).to_summary_json()
+
+    def test_float_sign_probability_roundtrip(self):
+        # Behavior holds a float probability as its exact Fraction, as EpochConfig
+        # holds its threshold, so the scenario writes the one spelling that reads back.
+        scenario = build_scenario(silent=1)
+        silent = Behavior(kind=BehaviorKind.SILENT, sign_probability=0.9, mining=30)
+        scenario = dataclasses.replace(scenario, population=(
+            (scenario.population[0][0], silent),) + scenario.population[1:])
+        text = sim.scenario_to_json(scenario)
+        assert sim.scenario_from_json(text) == scenario
+        assert sim.scenario_to_json(sim.scenario_from_json(text)) == text
+
+    def test_float_is_its_exact_value_on_every_path(self):
+        # 0.9 given to a config or behavior, and 0.9 in a document, are both
+        # 8106479329266893/2^53, not 9/10.
+        doc = _with_first(scenario_doc(), behavior={"kind": "silent", "sign_probability": 0.9})
+        doc["epoch_config"]["liveliness_threshold"] = 0.9
+        parsed = sim.scenario_from_json(json.dumps(doc))
+        assert parsed.epoch_config.liveliness_threshold == Fraction(0.9) != Fraction(9, 10)
+        assert parsed.epoch_config == EpochConfig(rounds_per_epoch=12, max_validators=10,
+                                                  liveliness_threshold=0.9)
+        assert parsed.population[0][1].sign_probability == Fraction(0.9)
+        assert parsed.population[0][1] == Behavior.silent(0.9, mining=30) == Behavior(
+            kind=BehaviorKind.SILENT, sign_probability=0.9, mining=30)
 
     def test_real_vdf_roundtrip(self):
         population = tuple(

@@ -133,6 +133,18 @@ class TestPipeline:
             assert record == one_by_one.records[index] == serial.records[index], index
         assert grown == serial and tower.validate_chain(grown)
 
+    def test_kept_powers_across_a_resume(self, monkeypatch, tmp_path):
+        # At t = 2^14 each proof folds 7 kept powers (s = 3). The resumed tower's
+        # first link is proved on this thread inside its check, the next on the worker.
+        security = vdf.SecurityParams(modulus_bits=512, iterations=1 << 14)
+        empty = tower.Tower(params=vdf.setup(security, b"owner-s", b"ep-s"), records=())
+        resumed = dataclasses.replace(tower.grow(empty, 1))  # not known valid: checked
+        provers = first_link_provers(monkeypatch, resumed)
+        tower.save_tower(tower.grow(resumed, 2), tmp_path / "grown.bin")
+        assert provers == [threading.current_thread().name]
+        tower.save_tower(serial_chain(security, b"owner-s", b"ep-s", 3), tmp_path / "serial.bin")
+        assert (tmp_path / "grown.bin").read_bytes() == (tmp_path / "serial.bin").read_bytes()
+
     def test_each_link_handed_on_in_order(self):
         empty = tower.Tower(params=vdf.setup(SMALL_SECURITY, b"owner-q", b"ep-q"), records=())
         seen = []

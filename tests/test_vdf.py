@@ -251,7 +251,7 @@ def power_bases(monkeypatch) -> list[tuple[int, int, int]]:
 
 # Step counts on both sides of MAX_DIRECT_SQUARINGS, of the chunk lengths and
 # of powers of two; chunk lengths that do and do not divide them.
-LOOP_STEPS = (1, 2, 127, 128, 129, 255, 256, 257, 1000, 1024, 4096, 1 << 17)
+LOOP_STEPS = (1, 2, 127, 128, 129, 255, 256, 257, 1000, 1024, 4096, (1 << 14) + 1, 1 << 17)
 LOOP_CHUNKS = (1, 7, 256, vdf._LOOP_CHUNK)
 
 
@@ -272,14 +272,33 @@ def squaring_oracle(modulus: int, x: int, t: int) -> tuple[int, tuple[int, ...]]
     return y, full[:sum(1 for remaining in entered if remaining > vdf.MAX_DIRECT_SQUARINGS)]
 
 
+def kept_positions(t: int) -> list[int]:
+    """Squarings after which eval's loop keeps a power of x, in level order: those whose
+    powers make the midpoints of levels 1 to s = max(2, t.bit_length() // 2 - 4), or of
+    every level if fewer begin with more than 2^7 steps left.
+
+    Written from the fold, not from ``vdf``. Level j squares X once more if its steps are
+    odd, then halves them to h_j. So its midpoint X_(j-1)^(2^h_j) is the product, over
+    i < 2^(j-1), of x^(2^p_i) raised to the r_l whose bit l - 1 of i is clear, l < j:
+    p_i is h_j, plus the count of odd levels up to j, plus each h_l whose bit l - 1 of i
+    is set."""
+    positions, halves, odd, remaining = [], [], 0, t
+    while (remaining > vdf.MAX_DIRECT_SQUARINGS
+           and len(halves) < max(2, t.bit_length() // 2 - 4)):
+        odd += remaining % 2
+        remaining //= 2
+        positions += [odd + remaining + sum(h for l, h in enumerate(halves) if i >> l & 1)
+                      for i in range(1 << len(halves))]
+        halves.append(remaining)
+    return positions
+
+
 def polls(t: int, chunk: int) -> list[int]:
     """Squarings done as each loop call returns to Python, where a pending
-    interrupt is raised. The loop stops to keep level 1's midpoint, after
-    half = t - t//2 squarings, and the powers level 2's is made of, q = t//2 - t//4
-    squarings before and after it (t % 2 more before); each stretch between
-    stops is cut into ``chunk``s on its own."""
-    half, q = t - t // 2, t // 2 - t // 4
-    stops = (0, t % 2 + q, half, half + q, t)
+    interrupt is raised. The loop stops at each kept position
+    (``kept_positions``); each stretch between stops is cut into ``chunk``s on
+    its own."""
+    stops = [0, *sorted(kept_positions(t)), t]
     return [start + min(done + chunk, end - start)
             for start, end in zip(stops, stops[1:])
             for done in range(0, end - start, chunk)]
@@ -354,13 +373,18 @@ class TestChunkedLoop:
     def test_polls_pinned(self, monkeypatch, loop_input):
         modulus, x = loop_input
         spy = LoopSpy(monkeypatch)
-        for t, chunk, expected in ((20, 7, [5, 10, 15, 20]), (20, 1, list(range(1, 21))),
-                                   (20, 256, [5, 10, 15, 20]),
-                                   (20, 3, [3, 5, 8, 10, 13, 15, 18, 20]),
-                                   (21, 5, [5, 6, 11, 16, 21]), (1, 7, [1]),
+        # Up to 2^7 steps there is no level, so no stop; to 255, one level, one stop
+        # at the midpoint. An odd level moves every later stop by one squaring.
+        for t, chunk, expected in ((20, 7, [7, 14, 20]), (20, 1, list(range(1, 21))),
+                                   (20, 256, [20]), (20, 3, [3, 6, 9, 12, 15, 18, 20]),
+                                   (21, 5, [5, 10, 15, 20, 21]), (1, 7, [1]),
+                                   (200, 64, [64, 100, 164, 200]),
+                                   (259, 50, [50, 66, 116, 130, 180, 195, 245, 259]),
                                    (4096, vdf._LOOP_CHUNK, [1024, 2048, 3072, 4096]),
+                                   ((1 << 14) + 1, vdf._LOOP_CHUNK,
+                                    [1 + (k << 11) for k in range(1, 9)]),
                                    (1 << 17, vdf._LOOP_CHUNK,
-                                    [1 << 15, 1 << 16, 3 << 15, 1 << 17])):
+                                    list(range(1 << 12, (1 << 17) + 1, 1 << 12)))):
             monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
             spy.calls.clear()
             vdf.eval(small_modulus_params(modulus, t), x)
@@ -368,7 +392,8 @@ class TestChunkedLoop:
 
     def test_loop_does_exactly_t_squarings(self, monkeypatch, power_calls, loop_input):
         modulus, x = loop_input
-        for t, chunk in itertools.product((512, 1024, 4096), (256, 1000, vdf._LOOP_CHUNK)):
+        for t, chunk in itertools.product((512, 1024, 4096, 1 << 16),
+                                          (256, 1000, vdf._LOOP_CHUNK)):
             monkeypatch.setattr(vdf, "_LOOP_CHUNK", chunk)
             power_calls.clear()
             output, proof = vdf.eval(small_modulus_params(modulus, t), x)
@@ -378,12 +403,41 @@ class TestChunkedLoop:
             assert len(loop) == len(polls(t, chunk)), (t, chunk)
             assert all(e & (e - 1) == 0 for e in loop)
             assert sum(e.bit_length() - 1 for e in loop) == t
-            # Levels 1 and 2 come from the loop's powers, so the transcript
-            # squares only for levels 3 on (t/8 + ... + 128 steps), and never
+            # Levels 1 to s come from the loop's powers, so the transcript squares
+            # only for levels s + 1 on (t/2^(s+1) + ... + 128 steps), and never
             # again by the stretches the loop already squared.
-            assert not {1 << (t // 2), 1 << (t // 4)} & set(transcript), (t, chunk)
+            s = len(kept_positions(t)).bit_length()
             squarings = [e.bit_length() - 1 for e in transcript if e & (e - 1) == 0]
-            assert sum(squarings) == t // 4 - vdf.MAX_DIRECT_SQUARINGS, (t, chunk)
+            assert max(squarings, default=0) <= t >> (s + 1), (t, chunk)
+            assert sum(squarings) == (t >> s) - vdf.MAX_DIRECT_SQUARINGS, (t, chunk)
+
+
+class TestKeptPowers:
+    """``squarings`` keeps x^(2^p) at each position that levels 1 to s fold, and
+    ``prove`` makes those levels' midpoints from them, on both engines."""
+
+    @pytest.mark.parametrize("t, s", ((1 << 12, 2), (1 << 14, 3), (1 << 16, 4), (1 << 18, 5)))
+    def test_proofs_match_full_fold(self, monkeypatch, loop_input, t, s):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        for engine in (vdf._LIBCRYPTO, None):
+            monkeypatch.setattr(vdf, "_LIBCRYPTO", engine)
+            output, powers = vdf.squarings(pp, x)
+            assert len(powers) == (1 << s) - 1 == len(kept_positions(t))
+            proof = vdf.prove(pp, x, output, powers)
+            assert (output, proof.checkpoints) == squaring_oracle(modulus, x, t), engine
+
+    def test_each_kept_power_by_plain_squaring(self, monkeypatch, loop_input):
+        modulus, x = loop_input
+        for t in (*LOOP_STEPS, 300, (1 << 14) + 3, 1 << 16, (1 << 16) + 3):
+            positions, squared, y = kept_positions(t), {}, x
+            for p in range(1, max(positions, default=0) + 1):
+                y = y * y % modulus
+                squared[p] = y
+            expected = tuple(squared[p] for p in positions)
+            for engine in (vdf._LIBCRYPTO, None):
+                monkeypatch.setattr(vdf, "_LIBCRYPTO", engine)
+                assert vdf.squarings(small_modulus_params(modulus, t), x)[1] == expected, t
 
 
 def sign_flip_forgery(modulus: int, t: int, x: int) -> tuple[int, vdf.VdfProof]:
