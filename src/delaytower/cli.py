@@ -62,8 +62,6 @@ def cmd_mine(args) -> int:
 
     if fresh:
         twr = tower.Tower(params=vdf.setup(security, key, args.endpoint.encode()), records=())
-        if twr.params.iterations != args.iterations:
-            print(f"note: iterations rounded up to {twr.params.iterations}")
     elif twr.params.public_key != key:
         print("error: tower file belongs to a different key", file=sys.stderr)
         return EXIT_DOMAIN
@@ -112,25 +110,22 @@ def cmd_verify_tower(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        iteration_points = [int(v) for v in args.iterations_list.split(",") if v.strip()]
+        iteration_points = [int(v) for v in args.iterations_list.split(",")]
     except ValueError:
         print("error: --iterations-list must be comma-separated integers",
               file=sys.stderr)
         return EXIT_USAGE
-    if not iteration_points or any(t < 1 for t in iteration_points):
-        print("error: --iterations-list needs positive integers", file=sys.stderr)
-        return EXIT_USAGE
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    securities = [vdf.SecurityParams(args.modulus_bits, t) for t in iteration_points]
 
     # From 2048-bit moduli, verify runs one side of its fold on a second core,
     # so its times depend on how many CPUs the process may use.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"powmod: {vdf.powmod_engine()}; cpus: {cpus}")
     lines = ["operation,iterations,sample,elapsed_ms\n"]
-    for t in iteration_points:
-        security = vdf.SecurityParams(modulus_bits=args.modulus_bits, iterations=t)
+    for security in securities:
         pp = vdf.setup(security, b"bench", b"bench")
         x = vdf.hash_to_group(pp.input_digest, pp.modulus)
         output, powers = vdf.squarings(pp, x)
@@ -140,20 +135,22 @@ def cmd_bench(args) -> int:
         invalid = dataclasses.replace(
             proof, checkpoints=proof.checkpoints[:-1] if proof.checkpoints else (x,))
 
-        operations = (  # eval, then its two halves: mine runs them on two cores
-            ("eval", lambda: vdf.eval(pp, x)),
-            ("eval-squarings", lambda: vdf.squarings(pp, x)),
-            ("eval-prove", lambda: vdf.prove(pp, x, output, powers)),
-            ("verify-valid", lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output, proof)),
-            ("verify-invalid", lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
-                                                       invalid)),
-        )
-        for label, fn in operations:
-            samples = []
-            for _ in range(args.samples):
+        operations = {  # eval, then its two halves: mine runs them on two cores
+            "eval": lambda: vdf.eval(pp, x),
+            "eval-squarings": lambda: vdf.squarings(pp, x),
+            "eval-prove": lambda: vdf.prove(pp, x, output, powers),
+            "verify-valid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output, proof),
+            "verify-invalid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
+                                                      invalid),
+        }
+        # Sample i of all five runs before sample i + 1: a host slowdown skews them alike.
+        timings = {label: [] for label in operations}
+        for _ in range(args.samples):
+            for label, fn in operations.items():
                 started = time.perf_counter()
                 fn()
-                samples.append((time.perf_counter() - started) * 1000.0)
+                timings[label].append((time.perf_counter() - started) * 1000.0)
+        for label, samples in timings.items():
             lines += [f"{label},{pp.iterations},{index},{value:.6f}\n"
                       for index, value in enumerate(samples)]
             # A single sample is its own p25 and p75.
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--key-file", required=True)
     p_mine.add_argument("--proofs", type=int, default=1)
     p_mine.add_argument("--iterations", type=int, default=4096,
-                        help="sequential squarings per proof (fresh towers only)")
+                        help="sequential squarings per proof, a power of two (fresh towers only)")
     p_mine.add_argument("--modulus-bits", type=int, default=2048)
     p_mine.add_argument("--endpoint", default=DEFAULT_ENDPOINT)
     p_mine.set_defaults(fn=cmd_mine)

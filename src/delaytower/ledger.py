@@ -1,10 +1,10 @@
 """Validator-side chain state: miner records, proof acceptance, block tallies.
 
-Proof submissions go through a fixed gauntlet: signature, height progression,
-then the chain rule towers obey, ``tower.check_link`` (index, chained input,
-structural screen, transcript). A failed step leaves the state untouched.
-Block production is abstracted to signature events; a block commits when a
-two-thirds quorum of the current validator set endorses it. ``validator_set``
+Proof submissions go through a fixed gauntlet: signature, height progression, then
+the chain rule towers obey, ``tower.check_link`` (index, chained input, structural
+screen, transcript of ``security.iterations`` squarings). A failed step leaves the
+state untouched. Block production is abstracted to signature events; a block commits
+when a two-thirds quorum of the current validator set endorses it. ``validator_set``
 is a read-only tuple; a new set replaces it by assignment.
 """
 
@@ -158,9 +158,14 @@ class LedgerState:
         self.security = security
         self.epoch_config = epoch_config
         self.scheme = scheme
-        self.modulus = modulus if modulus is not None else vdf.generate_modulus(
-            security.modulus_bits)
-        self._iterations = vdf.effective_iterations(security.iterations)  # what proofs square
+        if modulus is None:
+            modulus = vdf.generate_modulus(security.modulus_bits)
+        else:  # a derived modulus is composite and of its stated size by construction
+            vdf.check_modulus(modulus)
+            if modulus.bit_length() != security.modulus_bits:
+                raise ValueError(f"modulus has {modulus.bit_length()} bits, "
+                                 f"not {security.modulus_bits}")
+        self.modulus = modulus
         self.epoch: int = 0
         self.epoch_signatures = {}
         self.validator_set = ()
@@ -206,12 +211,12 @@ class LedgerState:
             # no entry for a validator that signed none
             self._epoch_signatures.update({a: n for a, n in signed.items() if n})
 
-    def bootstrap_miner(self, address: bytes, *, height: int = 1) -> MinerState:
+    def bootstrap_miner(self, address: bytes) -> MinerState:
         """Genesis-only shortcut that skips the proof-submission path."""
         if address in self.miner_pool:
             raise AlreadyRegistered(f"{address.hex()} already in miner pool")
         placeholder = hashlib.sha256(b"genesis-tip" + address).digest()
-        ms = MinerState(address=address, height=height, hash=placeholder)
+        ms = MinerState(address=address, height=1, hash=placeholder)
         self.miner_pool[address] = ms
         return ms
 
@@ -250,7 +255,7 @@ class LedgerState:
             raise InvalidProof(f"no public parameters for this address: {exc}") from exc
         if params != expected:  # the genesis profile, and record 0's input bound to this address
             raise InvalidProof("public parameters are not this address's on this network")
-        failed = tower.check_link(self.modulus, self._iterations, params.input_digest, 0,
+        failed = tower.check_link(self.modulus, self.security.iterations, params.input_digest, 0,
                                   first_record)
         if failed is not None:
             raise InvalidProof(f"first proof fails the {failed} check")
@@ -291,7 +296,7 @@ class LedgerState:
             return False
         if not ms.height < claimed_height:
             return False
-        if tower.check_link(self.modulus, self._iterations, ms.hash, ms.height,
+        if tower.check_link(self.modulus, self.security.iterations, ms.hash, ms.height,
                             record) is not None:
             return False
         ms.height += 1
@@ -384,12 +389,8 @@ class LedgerState:
             config = EpochConfig.from_doc(doc["epoch_config"])
             if (security.to_doc(), config.to_doc()) != (doc["security"], doc["epoch_config"]):
                 raise ValueError("a config is not written as export writes it")
-            modulus = as_written(doc["modulus"], int, str)
-            vdf.check_modulus(modulus)
-            if modulus.bit_length() != security.modulus_bits:
-                raise ValueError(f"modulus has {modulus.bit_length()} bits, "
-                                 f"not {security.modulus_bits}")
-            state = cls(security, config, scheme_by_name(doc["scheme"]), modulus=modulus)
+            state = cls(security, config, scheme_by_name(doc["scheme"]),
+                        modulus=as_written(doc["modulus"], int, str))
             state.epoch = _count(doc["epoch"])
             for addr_hex, fields in doc["miner_pool"].items():
                 known_keys(fields, "compliant_epochs", "hash", "height", "jail_sentence",

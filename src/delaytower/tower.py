@@ -247,10 +247,9 @@ def _deserialize(data: bytes) -> Tower:
         if not records:  # mine never saves one, and no record can be checked
             raise CorruptTower("tower file holds no records")
         # The modulus states its own size: the file carries no separate claim of it.
+        # SecurityParams refuses a header t that is not a power of two.
         params = vdf.setup(vdf.SecurityParams(modulus.bit_length(), iterations), owner, endpoint,
                            modulus=modulus)
-        if params.iterations != iterations:  # setup would round it up: another tower
-            raise CorruptTower(f"tower file iteration count {iterations} is not a power of two")
     except (DecodeError, vdf.InvalidSecurityParams, ValueError) as exc:
         raise CorruptTower(f"cannot parse tower file: {exc}") from exc
     return Tower(params=params, records=records)

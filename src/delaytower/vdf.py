@@ -278,7 +278,8 @@ class InputOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class SecurityParams:
-    """Network-wide difficulty profile, fixed at genesis for every participant."""
+    """Network-wide difficulty profile, fixed at genesis for every participant.
+    ``iterations``, the t every proof squares, is a power of two: the halving is for 2^k."""
 
     modulus_bits: int
     iterations: int
@@ -287,8 +288,9 @@ class SecurityParams:
         if self.modulus_bits < _MIN_MODULUS_BITS:
             raise InvalidSecurityParams(
                 f"modulus_bits must be >= {_MIN_MODULUS_BITS}, got {self.modulus_bits}")
-        if self.iterations < 1:
-            raise InvalidSecurityParams(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations < 1 or self.iterations & (self.iterations - 1):
+            raise InvalidSecurityParams(
+                f"iterations must be a power of two, got {self.iterations}")
 
     def to_doc(self) -> dict:
         """JSON object of every field and the label; ``from_doc`` reads it back."""
@@ -308,7 +310,8 @@ class SecurityParams:
 @dataclass(frozen=True)
 class PublicParams:
     """Per-participant evaluation parameters over the shared group: the participant's
-    key and endpoint, and the effective (power-of-two) sequential step count.
+    key and endpoint, and the sequential step count, which ``setup`` copies from
+    ``SecurityParams``. The proof itself folds any t >= 1.
     """
 
     modulus: int
@@ -335,13 +338,6 @@ class VdfProof:
 
     checkpoints: tuple[int, ...]
     embedded_prime_length_bits: int = PRIME_LENGTH_BITS
-
-
-def effective_iterations(requested: int) -> int:
-    """Round a requested step count up to the next power of two."""
-    if requested < 1:
-        raise InvalidSecurityParams(f"iterations must be >= 1, got {requested}")
-    return 1 << (requested - 1).bit_length()
 
 
 def expected_checkpoint_count(iterations: int) -> int:
@@ -461,8 +457,7 @@ def setup(
     """Derive a participant's public parameters.
 
     The modulus comes from ``DEFAULT_MODULUS_SEED`` (or is passed in directly
-    when a network has already published one). The requested iteration count is
-    rounded up to the next power of two and recorded as the effective value.
+    when a network has already published one); t is ``security.iterations``.
     """
     if not public_key:
         raise ValueError("public_key must be non-empty")
@@ -472,7 +467,7 @@ def setup(
         modulus=modulus,
         public_key=bytes(public_key),
         endpoint=bytes(endpoint),
-        iterations=effective_iterations(security.iterations),
+        iterations=security.iterations,
     )
 
 

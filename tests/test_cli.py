@@ -80,7 +80,7 @@ class TestMine:
         assert tower.load_tower(tmp_path / "t.bin").params.modulus != public
 
     @pytest.mark.parametrize("option, value", [("--proofs", "-3"), ("--modulus-bits", "32"),
-                                               ("--iterations", "0")])
+                                               ("--iterations", "0"), ("--iterations", "1000")])
     def test_out_of_range_argument_is_usage_error(self, tmp_path, capsys, option, value):
         # Out-of-range security parameters are named by their field.
         name = {"--modulus-bits": "modulus_bits", "--iterations": "iterations"}.get(option, option)
@@ -424,6 +424,29 @@ class TestBench:
                 assert shown == pytest.approx(value, abs=0.0011)
             if samples == 1:
                 assert len(set(match.groups())) == 1  # every statistic is the one sample
+
+    def test_samples_taken_in_turn(self, tmp_path, monkeypatch):
+        # Sample i of all five operations runs before sample i + 1 of any.
+        calls = []
+        for name in ("eval", "squarings", "prove", "check_proof"):
+            def spy(*args, name=name, fn=getattr(vdf, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(vdf, name, spy)
+        assert main(["bench", "--iterations-list", "16", "--samples", "2",
+                     "--out", str(tmp_path / "b.csv"), "--modulus-bits", "256"]) == 0
+        # Set-up squares and proves once, and eval runs its two halves.
+        sample = ["eval", "squarings", "prove", "squarings", "prove", "check_proof", "check_proof"]
+        assert calls == ["squarings", "prove"] + sample * 2
+
+    def test_point_not_a_power_of_two_times_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vdf, "setup", lambda *args, **kwargs: calls.append(args))
+        out_path = tmp_path / "b.csv"
+        assert main(["bench", "--iterations-list", "64,100", "--samples", "2",
+                     "--out", str(out_path), "--modulus-bits", "256"]) == 2
+        assert capsys.readouterr() == ("", "error: iterations must be a power of two, got 100\n")
+        assert calls == [] and not out_path.exists()
 
     def test_bad_iteration_list_usage_error(self, tmp_path):
         rc = main(["bench", "--iterations-list", "ten", "--samples", "2",

@@ -624,7 +624,7 @@ def pinned_ledger() -> LedgerState:
     miner.register()
     assert miner.submit(miner.next_record())
     for name in (b"v-1", b"v-2", b"v-3", b"v-4"):
-        state.bootstrap_miner(name, height=3)
+        state.bootstrap_miner(name).height = 3
     state.install_validators([b"v-1", b"alice", b"v-2", b"v-3", b"v-4"])
     state.record_block([b"alice", b"v-1", b"v-2", b"v-3"])
     state.record_block([b"alice", b"v-1", b"v-2", b"v-4"])
@@ -699,6 +699,7 @@ BAD_SNAPSHOTS = {
     "config-bad-ranking": edit("epoch_config", "ranking", "by-luck"),
     "config-float": edit("epoch_config", "growth_cap", 6.5),
     "security-out-of-range": edit("security", "iterations", 0),
+    "security-iterations-not-power-of-two": edit("security", "iterations", 1000),
     "security-missing-field": edit("security", "modulus_bits", DROP),
     "security-prime-length": edit("security", "prime_length_bits", 1024),
     # A repeated key: json.loads would keep the last one silently.
@@ -778,8 +779,10 @@ def ledger_states(draw) -> LedgerState:
         ranking=draw(st.sampled_from(Ranking)),
     )
     state = LedgerState(draw(st.sampled_from([TINY_SECURITY, SMALL_SECURITY])), config,
-                        SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))],
-                        modulus=draw(st.integers(2, 2**300)) * 2 + 1)
+                        SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))])
+    # Set after construction, which refuses a prime or wrongly sized modulus: any
+    # odd number tests how the writer spells it.
+    state.modulus = draw(st.integers(2, 2**300)) * 2 + 1
     state.epoch = draw(COUNTS)
     state.epoch_blocks_total = draw(COUNTS)
     pool = draw(st.lists(st.binary(min_size=1, max_size=6), unique=True, max_size=8))
@@ -832,6 +835,15 @@ class TestSnapshotImport:
         text = BAD_SNAPSHOTS[case](json.loads(pinned_ledger().export_snapshot()))
         with pytest.raises(ledger.InvalidSnapshot):
             LedgerState.import_snapshot(text)
+
+    @pytest.mark.parametrize("modulus, message", [
+        (vdf.generate_modulus(256), "^modulus has 256 bits, not 512$"),
+        (2**127 - 1, "^modulus must be composite$"),
+    ], ids=["size", "prime"])
+    def test_passed_modulus_checked_as_import_checks_it(self, modulus, message):
+        # A ledger is never built on a modulus its own snapshot would not import.
+        with pytest.raises(ValueError, match=message):
+            LedgerState(SMALL_SECURITY, EpochConfig(), SCHEME, modulus=modulus)
 
 
 POOL = [f"m-{i:02d}".encode() for i in range(9)]

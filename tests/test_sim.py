@@ -436,6 +436,8 @@ MALFORMED_SCENARIOS = {
         **_with_first(doc, address=""), "genesis_validators": [""] + doc["genesis_validators"][1:]},
     "prime-length": lambda doc: {
         **doc, "security": {**doc.get("security", {}), "prime_length_bits": 1024}},
+    "iterations-not-power-of-two": lambda doc: {
+        **doc, "security": {**doc.get("security", {}), "iterations": 1000}},
     "liveliness-threshold-boolean": lambda doc: {
         **doc, "epoch_config": {**doc["epoch_config"], "liveliness_threshold": False}},
     "liveliness-threshold-zero-denominator": lambda doc: {

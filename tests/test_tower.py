@@ -6,12 +6,14 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -607,8 +609,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("header", [33, 40, 63])
     def test_iteration_count_not_a_power_of_two_refused(self, tmp_path, header):
-        # Setup would round the header's count up to the t = 64 the proofs hold,
-        # so such a file would load, and save back, as another tower.
+        # SecurityParams refuses the header's t, as it refuses any t not a power of two.
         twr = tower.grow(tower.init_tower(vdf.SecurityParams(256, 64), b"owner-h", b"ep-h"), 1)
         path = tmp_path / "t.bin"
         tower.save_tower(twr, path)
@@ -616,8 +617,8 @@ class TestPersistence:
         body = body[:1] + header.to_bytes(8, "big") + body[9:]
         path.write_bytes(body + hashlib.sha256(body).digest())
         for validate in (True, False):
-            with pytest.raises(tower.CorruptTower, match=f"^tower file iteration count "
-                               f"{header} is not a power of two$"):
+            with pytest.raises(tower.CorruptTower, match=f"^cannot parse tower file: iterations "
+                               f"must be a power of two, got {header}$"):
                 tower.load_tower(path, validate=validate)
 
     def test_header_holds_no_label(self, tmp_path, height3):
@@ -652,3 +653,13 @@ class TestPersistence:
         tower.save_tower(height3, path)
         loaded = tower.load_tower(path, validate=False)
         assert loaded == height3
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # The README's documented API runs as written, so it cannot drift from the code.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no Library example block"
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert tower.load_tower(tmp_path / "tower.bin").height == 2

@@ -85,13 +85,14 @@ class TestSetup:
         with pytest.raises(ValueError):
             vdf.setup(SMALL_SECURITY, b"", b"E1")
 
-    def test_iterations_round_to_power_of_two(self):
-        pp = vdf.setup(vdf.SecurityParams(modulus_bits=512, iterations=1000),
-                       b"K1", b"E1")
-        assert pp.iterations == 1024
-        assert vdf.effective_iterations(1) == 1
-        assert vdf.effective_iterations(4) == 4
-        assert vdf.effective_iterations(5) == 8
+    def test_iterations_must_be_a_power_of_two(self):
+        for iterations in (3, 5, 1000, 0):
+            with pytest.raises(vdf.InvalidSecurityParams,
+                               match=f"^iterations must be a power of two, got {iterations}$"):
+                vdf.SecurityParams(modulus_bits=512, iterations=iterations)
+        for iterations in (1, 4, 1 << 20):
+            security = vdf.SecurityParams(modulus_bits=512, iterations=iterations)
+            assert vdf.setup(security, b"K1", b"E1").iterations == security.iterations
 
 
 class TestEval:
