@@ -376,9 +376,9 @@ class LedgerState:
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on malformed
         JSON, a missing key or one export does not write, a wrong type, hex, a decimal or
         a config that export would spell otherwise, a negative count, a non-bool ``jailed``,
-        a modulus that ``vdf.check_modulus`` refuses or whose size is not
-        ``security.modulus_bits``, an invalid config, another version, a signer outside the
-        miner pool or a signature count above ``epoch_blocks_total``."""
+        a miner hash not 32 bytes long, a modulus that ``vdf.check_modulus`` refuses or whose
+        size is not ``security.modulus_bits``, an invalid config, another version, a signer
+        outside the miner pool or a signature count above ``epoch_blocks_total``."""
         try:
             doc = load_json(text)
             if doc.get("version") != SNAPSHOT_VERSION:
@@ -397,11 +397,13 @@ class LedgerState:
                            "jailed", "num")
                 if not isinstance(fields["jailed"], bool):
                     raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
+                if len(digest := as_written(fields["hash"])) != 32:
+                    raise ValueError(f"miner hash has {len(digest)} bytes, not 32")
                 address = as_written(addr_hex)
                 state.miner_pool[address] = MinerState(
                     address=address,
                     height=_count(fields["height"]),
-                    hash=as_written(fields["hash"]),
+                    hash=digest,
                     num=_count(fields["num"]),
                     jailed=fields["jailed"],
                     jail_sentence=_count(fields["jail_sentence"]),

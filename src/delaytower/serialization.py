@@ -31,13 +31,16 @@ def encode_uint(value: int, width: int) -> bytes:
     return value.to_bytes(width, "big")
 
 
+def magnitude(value: int) -> bytes:
+    """Minimal big-endian bytes of an int ``value`` >= 0; zero is empty."""
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
 def encode_bigint(value: int) -> bytes:
-    """Length-prefixed big-endian integer (minimal magnitude, zero is empty); as
-    ``encode_uint``, only an int >= 0."""
+    """Length-prefixed ``magnitude``; as ``encode_uint``, only an int >= 0."""
     if type(value) is not int or value < 0:
         raise ValueError(f"expected non-negative integer, got {value!r}")
-    magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    return len(magnitude).to_bytes(4, "big") + magnitude
+    return encode_bytes(magnitude(value))
 
 
 def encode_bytes(data: bytes) -> bytes:
@@ -82,11 +85,10 @@ class Reader:
         return int.from_bytes(self.take(width), "big")
 
     def bigint(self) -> int:
-        length = self.uint(4)
-        magnitude = self.take(length)
-        if length > 0 and magnitude[0] == 0:
+        data = self.bytes_()
+        if data.startswith(b"\x00"):
             raise DecodeError("non-minimal integer encoding")
-        return int.from_bytes(magnitude, "big")
+        return int.from_bytes(data, "big")
 
     def bytes_(self) -> bytes:
         return self.take(self.uint(4))

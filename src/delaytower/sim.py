@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from . import tower, vdf
-from .ledger import EpochConfig, LedgerState, registration_message, submission_message
+from .ledger import (MIN_VALIDATORS, EpochConfig, LedgerState, registration_message,
+                     submission_message)
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
 from .serialization import (LEGACY_KEYS, as_written, encode_bytes, encode_uint, json_int,
@@ -196,8 +197,8 @@ def _liveliness_object(counts: dict[bytes, int], blocks: int) -> str:
 
 def nakamoto_liveness(n: int) -> int:
     """Validators that must fail before liveness is at risk: floor((n-1)/3)."""
-    if n < 4:
-        raise ValueError(f"validator sets smaller than 4 are unsupported, got {n}")
+    if n < MIN_VALIDATORS:
+        raise ValueError(f"validator sets smaller than {MIN_VALIDATORS} are unsupported, got {n}")
     return (n - 1) // 3
 
 
@@ -278,8 +279,8 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidScenario("population contains an empty address")
     if len(set(addresses)) != len(addresses):
         raise InvalidScenario("population contains duplicate addresses")
-    if len(scenario.genesis_validators) < 4:
-        raise InvalidScenario("at least 4 genesis validators are required")
+    if len(scenario.genesis_validators) < MIN_VALIDATORS:
+        raise InvalidScenario(f"at least {MIN_VALIDATORS} genesis validators are required")
     if len(set(scenario.genesis_validators)) != len(scenario.genesis_validators):
         raise InvalidScenario("genesis_validators contains duplicate addresses")
     missing = set(scenario.genesis_validators) - set(addresses)

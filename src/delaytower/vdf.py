@@ -71,10 +71,10 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
-    LEGACY_KEYS, fields_from_doc, json_int
+    LEGACY_KEYS, fields_from_doc, json_int, magnitude
 
 DEFAULT_MODULUS_SEED = b"delay-tower/genesis/v1"
 # The one prime-length label; only the registration message and ``security`` documents write it.
@@ -151,11 +151,6 @@ def powmod_engine() -> str:
     return _LIBCRYPTO._name if _LIBCRYPTO is not None else "builtin pow"
 
 
-def _magnitude(value: int) -> bytes:
-    """Minimal big-endian bytes of ``value`` >= 0, the magnitude ``encode_bigint`` writes."""
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
-
-
 class _MontContext:
     """An odd modulus on libcrypto: its ``BIGNUM`` and its ``BN_MONT_CTX``.
 
@@ -168,7 +163,7 @@ class _MontContext:
 
     def __init__(self, lib: ctypes.CDLL, modulus: int):
         self.lib = lib
-        data = _magnitude(modulus)
+        data = magnitude(modulus)
         self.modulus = lib.BN_bin2bn(data, len(data), None)
         self.mont = lib.BN_MONT_CTX_new()
         ctx = lib.BN_CTX_new()
@@ -219,7 +214,7 @@ _THREAD = threading.local()
 
 
 def _load(lib: ctypes.CDLL, bignum: int, value: int) -> None:
-    data = _magnitude(value)
+    data = magnitude(value)
     if not lib.BN_bin2bn(data, len(data), bignum):
         raise MemoryError("BN_bin2bn failed")
 
@@ -365,7 +360,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         return False
     r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
     d = (n - 1) >> r
-    n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    n_bytes = magnitude(n)
     for j in range(rounds):
         seed = hashlib.sha256(_DOMAIN_WITNESS + n_bytes + j.to_bytes(4, "big")).digest()
         a = 2 + int.from_bytes(seed, "big") % (n - 3)
@@ -394,18 +389,23 @@ def check_modulus(modulus: int) -> None:
         raise ValueError("modulus must be composite")
 
 
+def _hashed(prefix: bytes, bits: int) -> Iterator[int]:
+    """SHAKE-256 of ``prefix`` and a 4-byte big-endian counter 0, 1, 2, ..., each
+    output read as an int and cut to its low ``bits`` bits."""
+    for counter in itertools.count():
+        stream = hashlib.shake_256(prefix + counter.to_bytes(4, "big")).digest((bits + 7) // 8)
+        yield int.from_bytes(stream, "big") & ((1 << bits) - 1)
+
+
 def _derive_prime(bits: int, seed: bytes, tag: bytes, stop: threading.Event) -> Optional[int]:
     """First probable prime in a counter-extended hash stream, top two bits set;
     None once ``stop`` is set, checked before each candidate."""
-    nbytes, counters = (bits + 7) // 8, itertools.count()
-    while not stop.is_set():
-        stream = hashlib.shake_256(
-            _DOMAIN_PRIME + seed + tag + next(counters).to_bytes(4, "big")).digest(nbytes)
-        candidate = int.from_bytes(stream, "big") & ((1 << bits) - 1)
-        candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-        if is_probable_prime(candidate):
-            return candidate
-    return None
+    top = (1 << (bits - 1)) | (1 << (bits - 2)) | 1
+    for candidate in _hashed(_DOMAIN_PRIME + seed + tag, bits):
+        if stop.is_set():
+            return None
+        if is_probable_prime(candidate | top):
+            return candidate | top
 
 
 @lru_cache(maxsize=32)
@@ -435,16 +435,9 @@ def _canonical(value: int, modulus: int) -> int:
 
 def hash_to_group(digest: bytes, modulus: int) -> int:
     """Map a digest to a canonical element of [2, modulus - 1) by rejection sampling."""
-    bits = modulus.bit_length()
-    nbytes = (bits + 7) // 8
-    counter = 0
-    while True:
-        stream = hashlib.shake_256(
-            _DOMAIN_GROUP + digest + counter.to_bytes(4, "big")).digest(nbytes)
-        candidate = int.from_bytes(stream, "big") & ((1 << bits) - 1)
+    for candidate in _hashed(_DOMAIN_GROUP + digest, modulus.bit_length()):
         if 2 <= candidate < modulus - 1:
             return _canonical(candidate, modulus)
-        counter += 1
 
 
 def setup(

@@ -359,8 +359,21 @@ class TestVerifyTower:
         assert main(["verify-tower", "--tower-file", str(tmp_path / "nope.bin")]) == 1
         assert "no such tower file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mine", "verify-tower"])
+    def test_unreadable_tower_file_is_domain_error(self, tmp_path, capsys, command):
+        # A directory exists, so both commands try to read it as a tower file.
+        extra = ["--key-file", str(tmp_path / "k.hex")] if command == "mine" else []
+        assert main([command, "--tower-file", str(tmp_path), *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read tower file: ")
+        assert os.listdir(tmp_path) == []
+
 
 class TestBench:
+    def test_unwritable_report_is_domain_error(self, tmp_path, capsys):
+        assert main(["bench", "--iterations-list", "64", "--samples", "1", "--modulus-bits",
+                     "256", "--out", str(tmp_path / "missing" / "bench.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write report: ")
+
     def test_report_structure_and_direction(self, tmp_path, capsys):
         out_path = tmp_path / "bench.csv"
         rc = main(["bench", "--iterations-list", "64,128", "--samples", "4",
@@ -464,6 +477,12 @@ class TestBench:
 
 
 class TestSimulate:
+    def test_unwritable_output_is_domain_error(self, tmp_path, capsys):
+        assert main(["simulate", "--scenario", "healthy-100",
+                     "--out-csv", str(tmp_path / "missing" / "m.csv"),
+                     "--out-summary", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
     def test_bundled_healthy_scenario(self, tmp_path, capsys):
         out_csv = tmp_path / "m.csv"
         out_summary = tmp_path / "m.json"

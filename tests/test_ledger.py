@@ -104,6 +104,9 @@ class TestEpochConfig:
             EpochConfig(mining_threshold=50, growth_cap=48)
         with pytest.raises(ValueError):
             EpochConfig(rounds_per_epoch=0)
+        for field in ("mining_threshold", "jail_sentence_epochs"):
+            with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+                EpochConfig(**{field: 0})
 
     def test_defaults_consistent(self):
         cfg = EpochConfig()
@@ -148,6 +151,13 @@ class TestRegistration:
         before = fingerprint(state)
         with pytest.raises(AlreadyRegistered):
             miner.register()
+        assert fingerprint(state) == before
+
+    def test_second_bootstrap_rejected(self, state):
+        state.bootstrap_miner(b"alice")
+        before = fingerprint(state)
+        with pytest.raises(AlreadyRegistered):
+            state.bootstrap_miner(b"alice")
         assert fingerprint(state) == before
 
     def test_bad_signature_rejected(self, state):
@@ -573,6 +583,17 @@ class TestValidatorSet:
         with pytest.raises(ForeignSigner):
             state.record_block([b"m-00", b"m-01", b"m-04"])
 
+    @pytest.mark.parametrize("members, message", [
+        ([b"m-00", b"m-01", b"m-02", b"m-00"], "^validator set contains duplicates$"),
+        ([b"m-00", b"m-01", b"m-02", b"ghost"], "^validators not in miner pool: "),
+    ], ids=["duplicate", "outside-pool"])
+    def test_bad_set_refused(self, members, message):
+        state = make_ledger(miners=5, validators=4)
+        before = fingerprint(state)
+        with pytest.raises(ValueError, match=message):
+            state.install_validators(members)
+        assert fingerprint(state) == before
+
 
 class TestLiveliness:
     def test_fraction_of_signed_blocks(self):
@@ -670,6 +691,10 @@ BAD_SNAPSHOTS = {
     "modulus-prime": edit("modulus", str(2**256 - 189)),  # every registration would fail
     "modulus-size": edit("modulus", str(vdf.generate_modulus(512))),
     "bad-hash-hex": edit("miner_pool", ALICE, "hash", "zz"),
+    # Every miner hash is a SHA-256 digest: link_digest or the genesis placeholder.
+    "hash-empty": edit("miner_pool", ALICE, "hash", ""),
+    "hash-31-bytes": edit("miner_pool", ALICE, "hash", "00" * 31),
+    "hash-33-bytes": edit("miner_pool", ALICE, "hash", "00" * 33),
     "bad-validator-hex": edit("validator_set", 0, "zz"),
     "bad-signer-hex": edit("epoch_signatures", {"zz": 1}),
     "negative-epoch": edit("epoch", -1),

@@ -101,6 +101,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Behavior.silent(Fraction(3, 2))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RealVdf(0), "proofs_per_epoch must be positive"),
+        (lambda: Behavior(from_round=-1), "from_round must be non-negative"),
+        (lambda: Behavior(mining=-1), "mining rate must be non-negative"),
+    ], ids=["real-vdf-no-proofs", "negative-from-round", "negative-mining"])
+    def test_bad_behavior_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_seed_out_of_range(self):
         scenario = build_scenario()
         bad = Scenario(
@@ -238,6 +247,28 @@ class TestRealVdf:
         metrics = sim.run(scenario, observer=observe)
         assert heights == [3, 5]  # registration proof plus two per epoch
         assert metrics.total_commits == 8
+
+    def test_crashed_real_miner_mines_nothing(self):
+        # Crashed from round 4: it still mines at the first boundary, round 4, not after.
+        population = tuple(
+            [(addr(f"val-{i}"), Behavior.honest(mining=30)) for i in range(4)]
+            + [(addr("real"), Behavior.crashed(4, mining=RealVdf(proofs_per_epoch=2)))]
+        )
+        scenario = Scenario(
+            seed=3, epochs=3,
+            population=population,
+            genesis_validators=tuple(addr(f"val-{i}") for i in range(4)),
+            epoch_config=EpochConfig(rounds_per_epoch=4, max_validators=6),
+            security=vdf.SecurityParams(modulus_bits=256, iterations=16),
+        )
+
+        heights = []
+        def observe(phase, epoch, state):
+            if phase == "pre-boundary":
+                heights.append(state.miner_pool[addr("real")].height)
+
+        sim.run(scenario, observer=observe)
+        assert heights == [3, 3, 3]
 
 
 PROBABILITIES = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
@@ -418,10 +449,12 @@ MALFORMED_SCENARIOS = {
     "config-float": lambda doc: {**doc, "epoch_config": {"max_validators": 10.5}},
     "seed-float": lambda doc: {**doc, "seed": 1.5},
     "epochs-float": lambda doc: {**doc, "epochs": 2.5},
+    "epochs-zero": lambda doc: {**doc, "epochs": 0},
     "from-round-float": lambda doc: _with_first(
         doc, behavior={"kind": "crashed", "from_round": 2.5}),
     "mining-rate-string": lambda doc: _with_first(doc, mining_rate="48"),
     "mining-rate-float": lambda doc: _with_first(doc, mining_rate=48.9),
+    "mining-rate-not-real-vdf": lambda doc: _with_first(doc, mining_rate={"real_vdf": False}),
     "proofs-per-epoch-float": lambda doc: _with_first(
         doc, mining_rate={"real_vdf": True, "proofs_per_epoch": 1.5}),
     # 1e400 overflows to inf; json.loads reads the text 1e400 as inf too.

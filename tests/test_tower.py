@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from delaytower import tower, vdf
-from delaytower.serialization import encode_bigint, encode_bytes
+from delaytower.serialization import encode_bigint, encode_bytes, magnitude
 
 from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, format_3_proof, full_fold,
                       link_of, serial_chain)
@@ -263,6 +263,10 @@ class TestValidateChain:
     def test_empty_tower_invalid(self, height3):
         empty = dataclasses.replace(height3, records=())
         assert not tower.validate_chain(empty)
+
+    def test_record_outside_tower_invalid(self, height3):
+        for index in (-1, height3.height, height3.height + 1):
+            assert not tower.record_valid(height3, index)
 
 
 @pytest.fixture(scope="module")
@@ -653,6 +657,49 @@ class TestPersistence:
         tower.save_tower(height3, path)
         loaded = tower.load_tower(path, validate=False)
         assert loaded == height3
+
+    def test_zero_padded_input_refused(self, tmp_path, height3):
+        # Record 0's input, one byte longer for a leading zero, under a valid checksum.
+        path = tmp_path / "t.bin"
+        tower.save_tower(height3, path)
+        body = path.read_bytes()[:-32]
+        params, first = height3.params, height3.records[0]
+        header = (1 + 8 + len(encode_bytes(params.public_key)) + len(encode_bytes(params.endpoint))
+                  + len(encode_bigint(params.modulus)) + 4)
+        start = header + 8  # past record 0's index
+        assert body[start:].startswith(encode_bigint(first.input))
+        padded = encode_bytes(b"\x00" + magnitude(first.input))
+        body = body[:start] + padded + body[start + len(encode_bigint(first.input)):]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(tower.CorruptTower,
+                           match="^cannot parse tower file: non-minimal integer encoding$"):
+            tower.load_tower(path, validate=False)
+
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch, height3, height8):
+        path = tmp_path / "t.bin"
+        tower.save_tower(height3, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError, match="rename refused"):
+            tower.save_tower(height8, path)
+        assert os.listdir(tmp_path) == ["t.bin"]  # the temp file is gone
+        assert path.read_bytes() == before
+
+    def test_import_loads_only_the_chain_modules(self):
+        # The package's __init__ imports nothing, so the tower module needs no ledger,
+        # simulator or signature library.
+        script = ("import sys, delaytower.tower; print(sorted(m for m in sys.modules"
+                  " if m.split('.')[0] in ('delaytower', 'cryptography')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == str(["delaytower", "delaytower.serialization", "delaytower.tower",
+                                   "delaytower.vdf"]) + "\n"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytower import vdf
-from delaytower.serialization import DecodeError, encode_bigint
+from delaytower.serialization import DecodeError, encode_bigint, encode_bytes, magnitude
 
 from conftest import FOLD_SECURITY, SMALL_SECURITY, format_3_proof, full_fold
 
@@ -84,6 +84,10 @@ class TestSetup:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             vdf.setup(SMALL_SECURITY, b"", b"E1")
+
+    def test_zero_iterations_rejected(self, small_params):
+        with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+            dataclasses.replace(small_params, iterations=0)
 
     def test_iterations_must_be_a_power_of_two(self):
         for iterations in (3, 5, 1000, 0):
@@ -900,6 +904,13 @@ class TestSerialization:
         blob[0] = 2
         with pytest.raises(DecodeError, match="version 2"):
             vdf.deserialize_proof(bytes(blob))
+
+    def test_zero_padded_midpoint_refused(self, transcript):
+        first, *rest = transcript[3].checkpoints
+        blob = (b"\x04" + (1 + len(rest)).to_bytes(4, "big")
+                + encode_bytes(b"\x00" + magnitude(first)) + b"".join(map(encode_bigint, rest)))
+        with pytest.raises(DecodeError, match="^non-minimal integer encoding$"):
+            vdf.deserialize_proof(blob)
 
     def test_bad_version_rejected(self, small_params):
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
