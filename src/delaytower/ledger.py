@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from . import tower, vdf
 from .serialization import (as_written, encode_bigint, encode_bytes, encode_uint,
@@ -121,6 +121,19 @@ def quorum(n: int) -> int:
     return (2 * n + 2) // 3
 
 
+def check_validator_set(addresses: Iterable[bytes], miners: Container[bytes]) -> list[bytes]:
+    """``addresses`` as a list if they can be a validator set over ``miners``: at least
+    ``MIN_VALIDATORS`` members, none repeated, each one of ``miners``; else ValueError."""
+    addresses = list(addresses)
+    if len(addresses) < MIN_VALIDATORS:
+        raise ValueError(f"validator set needs >= {MIN_VALIDATORS} members")
+    if len(set(addresses)) != len(addresses):
+        raise ValueError("validator set contains duplicates")
+    if missing := [a for a in addresses if a not in miners]:
+        raise ValueError(f"validators not in miner pool: {[m.hex() for m in missing]}")
+    return addresses
+
+
 def registration_message(address: bytes, params: vdf.PublicParams,
                          record: tower.ProofRecord) -> bytes:
     return (
@@ -221,17 +234,18 @@ class LedgerState:
         return ms
 
     def install_validators(self, addresses: Iterable[bytes]) -> None:
-        addresses = list(addresses)
-        if len(addresses) < MIN_VALIDATORS:
-            raise ValueError(f"validator set needs >= {MIN_VALIDATORS} members")
-        if len(set(addresses)) != len(addresses):
-            raise ValueError("validator set contains duplicates")
-        missing = [a for a in addresses if a not in self.miner_pool]
-        if missing:
-            raise ValueError(f"validators not in miner pool: {[m.hex() for m in missing]}")
-        self.validator_set = addresses
+        self.validator_set = check_validator_set(addresses, self.miner_pool)
 
     # -- proof intake ------------------------------------------------------
+
+    def credit(self, ms: MinerState, links: int,
+               record: Optional[tower.ProofRecord] = None) -> None:
+        """Credit ``links`` accepted links to ``ms``: ``height`` counts each, ``num`` stops
+        at ``growth_cap``, and a real ``record`` becomes the tip the next link chains from."""
+        ms.height += links
+        ms.num = min(ms.num + links, self.epoch_config.growth_cap)
+        if record is not None:
+            ms.hash = tower.link_digest(record.index, record.input, record.output)
 
     def register_miner(
         self,
@@ -255,16 +269,12 @@ class LedgerState:
             raise InvalidProof(f"no public parameters for this address: {exc}") from exc
         if params != expected:  # the genesis profile, and record 0's input bound to this address
             raise InvalidProof("public parameters are not this address's on this network")
-        failed = tower.check_link(self.modulus, self.security.iterations, params.input_digest, 0,
+        ms = MinerState(address=address, height=0, hash=params.input_digest)  # before record 0
+        failed = tower.check_link(self.modulus, self.security.iterations, ms.hash, ms.height,
                                   first_record)
         if failed is not None:
             raise InvalidProof(f"first proof fails the {failed} check")
-        ms = MinerState(
-            address=address,
-            height=1,
-            hash=tower.link_digest(first_record.index, first_record.input, first_record.output),
-            num=1,
-        )
+        self.credit(ms, 1, first_record)
         self.miner_pool[address] = ms
         return ms
 
@@ -299,9 +309,7 @@ class LedgerState:
         if tower.check_link(self.modulus, self.security.iterations, ms.hash, ms.height,
                             record) is not None:
             return False
-        ms.height += 1
-        ms.num = min(ms.num + 1, self.epoch_config.growth_cap)
-        ms.hash = tower.link_digest(record.index, record.input, record.output)
+        self.credit(ms, 1, record)
         return True
 
     # -- block accounting ----------------------------------------------------

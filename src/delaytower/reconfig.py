@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 
-from .ledger import MIN_VALIDATORS, LedgerState, Ranking
+from .ledger import MIN_VALIDATORS, LedgerState, MinerState, Ranking
 
 
 class LifecycleState(Enum):
@@ -33,6 +33,11 @@ class EpochSummary:
     released: tuple[bytes, ...]
     proposed: tuple[bytes, ...]
     reconfiguration_skipped: bool
+
+
+def qualifies(state: LedgerState, ms: MinerState) -> bool:
+    """Whether ``ms`` was credited more links this epoch than the mining threshold."""
+    return ms.num > state.epoch_config.mining_threshold
 
 
 def jail_failed_validators(state: LedgerState) -> list[bytes]:
@@ -64,10 +69,9 @@ def get_validator_universe(state: LedgerState) -> list[bytes]:
     not; qualifiers also earn one compliant-epoch credit for the alternative
     ranking.
     """
-    threshold = state.epoch_config.mining_threshold
     universe = []
     for address, ms in state.miner_pool.items():
-        if ms.num > threshold:
+        if qualifies(state, ms):
             ms.compliant_epochs += 1
             if not ms.jailed:
                 universe.append(address)
@@ -93,18 +97,13 @@ def advance_epoch(state: LedgerState) -> EpochSummary:
     than the BFT minimum is discarded: the previous validator set stays and
     the summary carries the skip flag.
     """
-    threshold = state.epoch_config.mining_threshold
-    progressed = [
-        address for address, ms in state.miner_pool.items()
-        if ms.jailed and ms.num > threshold
-    ]
+    progressed = [ms for ms in state.miner_pool.values() if ms.jailed and qualifies(state, ms)]
 
     newly_jailed = jail_failed_validators(state)
     universe = get_validator_universe(state)
     proposed = propose_validator_set(state, universe)
 
-    for address in progressed:
-        ms = state.miner_pool[address]
+    for ms in progressed:
         ms.jail_sentence = max(0, ms.jail_sentence - 1)
 
     skipped = len(proposed) < MIN_VALIDATORS
@@ -146,6 +145,6 @@ def lifecycle_of(state: LedgerState, address: bytes) -> LifecycleState:
         return LifecycleState.JAILED
     if address in state.validator_set:
         return LifecycleState.VALIDATOR
-    if ms.num > state.epoch_config.mining_threshold:
+    if qualifies(state, ms):
         return LifecycleState.VALIDATOR_CANDIDATE
     return LifecycleState.MINER

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from . import tower, vdf
-from .ledger import (MIN_VALIDATORS, EpochConfig, LedgerState, registration_message,
-                     submission_message)
+from .ledger import (MIN_VALIDATORS, EpochConfig, LedgerState, check_validator_set,
+                     registration_message, submission_message)
 from .reconfig import advance_epoch
 from .signing import KeyedHashScheme
 from .serialization import (LEGACY_KEYS, as_written, encode_bytes, encode_uint, json_int,
@@ -49,6 +49,12 @@ class BehaviorKind(Enum):
     HONEST = "honest"
     CRASHED = "crashed"
     SILENT = "silent"
+
+
+# The conduct keys besides "kind" that each kind reads: scenario_to_json writes
+# them, and _parse_behavior refuses any other.
+CONDUCT_KEYS = {BehaviorKind.HONEST: (), BehaviorKind.CRASHED: ("from_round",),
+                BehaviorKind.SILENT: ("sign_probability",)}
 
 
 @dataclass(frozen=True)
@@ -279,14 +285,10 @@ def _validate(scenario: Scenario) -> None:
         raise InvalidScenario("population contains an empty address")
     if len(set(addresses)) != len(addresses):
         raise InvalidScenario("population contains duplicate addresses")
-    if len(scenario.genesis_validators) < MIN_VALIDATORS:
-        raise InvalidScenario(f"at least {MIN_VALIDATORS} genesis validators are required")
-    if len(set(scenario.genesis_validators)) != len(scenario.genesis_validators):
-        raise InvalidScenario("genesis_validators contains duplicate addresses")
-    missing = set(scenario.genesis_validators) - set(addresses)
-    if missing:
-        raise InvalidScenario(
-            f"genesis validators missing from population: {[m.hex() for m in missing]}")
+    try:
+        check_validator_set(scenario.genesis_validators, set(addresses))
+    except ValueError as exc:
+        raise InvalidScenario(f"genesis {exc}") from exc
 
 
 class _Node:
@@ -389,11 +391,12 @@ def run(
 
 def _parse_behavior(doc: dict) -> Behavior:
     known_keys(doc, "address", "behavior", "mining_rate")
-    conduct = known_keys(doc.get("behavior", {}), "kind", "from_round", "sign_probability")
+    conduct = known_keys(doc.get("behavior", {}), "kind", *sum(CONDUCT_KEYS.values(), ()))
     kind = BehaviorKind(conduct.get("kind", "honest"))
+    known_keys(conduct, "kind", *CONDUCT_KEYS[kind])  # a key this kind ignores is refused
     mining_doc = doc.get("mining_rate", 0)
     if isinstance(mining_doc, dict):
-        if not known_keys(mining_doc, "real_vdf", "proofs_per_epoch").get("real_vdf"):
+        if known_keys(mining_doc, "real_vdf", "proofs_per_epoch").get("real_vdf") is not True:
             raise InvalidScenario(f"unrecognised mining rate {mining_doc!r}")
         mining: Union[int, RealVdf] = RealVdf(proofs_per_epoch=json_int(
             "proofs_per_epoch", mining_doc.get("proofs_per_epoch", 1)))
@@ -418,7 +421,7 @@ def scenario_from_json(text: str) -> Scenario:
         doc = known_keys(load_json(text), *Scenario.__dataclass_fields__, *LEGACY_KEYS["scenario"])
         epoch_config = EpochConfig.from_doc(doc.get("epoch_config", {}))
         rounds = epoch_config.rounds_per_epoch
-        if doc.get("rounds_per_epoch", rounds) != rounds:
+        if json_int("rounds_per_epoch", doc.get("rounds_per_epoch", rounds)) != rounds:
             raise InvalidScenario(f"rounds_per_epoch {doc['rounds_per_epoch']!r} disagrees "
                                   f"with epoch_config.rounds_per_epoch {rounds}")
         security = vdf.SecurityParams.from_doc(
@@ -445,32 +448,23 @@ def scenario_from_json(text: str) -> Scenario:
 
 def scenario_to_json(scenario: Scenario) -> str:
     """Serialize a scenario into the documented schema."""
-    def mining_doc(mining):
+    def entry_doc(address: bytes, behavior: Behavior) -> dict:
+        conduct = {"from_round": behavior.from_round,
+                   "sign_probability": str(behavior.sign_probability)}
+        mining = behavior.mining
         if isinstance(mining, RealVdf):
-            return {"real_vdf": True, "proofs_per_epoch": mining.proofs_per_epoch}
-        return mining
-
-    def behavior_doc(behavior: Behavior):
-        conduct = {"kind": behavior.kind.value}
-        if behavior.kind is BehaviorKind.CRASHED:
-            conduct["from_round"] = behavior.from_round
-        if behavior.kind is BehaviorKind.SILENT:
-            conduct["sign_probability"] = str(behavior.sign_probability)
-        return conduct
+            mining = {"real_vdf": True, "proofs_per_epoch": mining.proofs_per_epoch}
+        return {"address": address.hex(),
+                "behavior": {"kind": behavior.kind.value,
+                             **{k: conduct[k] for k in CONDUCT_KEYS[behavior.kind]}},
+                "mining_rate": mining}
 
     doc = {
         "seed": scenario.seed,
         "epochs": scenario.epochs,
         "epoch_config": scenario.epoch_config.to_doc(),
         "security": scenario.security.to_doc(),
-        "population": [
-            {
-                "address": address.hex(),
-                "behavior": behavior_doc(behavior),
-                "mining_rate": mining_doc(behavior.mining),
-            }
-            for address, behavior in scenario.population
-        ],
+        "population": [entry_doc(address, behavior) for address, behavior in scenario.population],
         "genesis_validators": [a.hex() for a in scenario.genesis_validators],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -478,12 +472,13 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
                   scheme: KeyedHashScheme, epoch_index: int, rounds: int) -> None:
-    """Set per-epoch proof counts at the boundary.
+    """Credit each miner's links for the epoch at the boundary.
 
-    Simulated miners get their configured rate written straight into the miner
-    state (height advances to match, as accepted submissions would). Real
-    miners ``tower.grow`` the epoch's proofs in one call and push each through
-    the genuine submission path. Nodes crashed before the boundary mine nothing.
+    A simulated miner is credited its rate capped at ``growth_cap``, so its height
+    stops at the cap too, where the ledger raises height by every accepted link
+    (ROADMAP item 2). Real miners ``tower.grow`` the epoch's proofs in one call and
+    push each through the genuine submission path. Nodes crashed before the
+    boundary mine nothing.
     """
     boundary_round = (epoch_index + 1) * rounds
     cap = state.epoch_config.growth_cap
@@ -496,14 +491,9 @@ def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
             grown = tower.grow(node.tower, node.behavior.mining.proofs_per_epoch)
             for record in grown.records[node.tower.height:]:
                 claimed = record.index + 1
-                signature = scheme.sign(
-                    address, submission_message(address, claimed, record))
-                accepted = state.submit_proof(address, claimed, record, signature)
-                if not accepted:
+                signature = scheme.sign(address, submission_message(address, claimed, record))
+                if not state.submit_proof(address, claimed, record, signature):
                     raise RuntimeError("simulated real miner produced a rejected proof")
             node.tower = grown
-        else:
-            ms = state.miner_pool[address]
-            accepted = 0 if crashed else min(node.behavior.mining, cap)
-            ms.num = accepted
-            ms.height += accepted
+        elif not crashed:
+            state.credit(state.miner_pool[address], min(node.behavior.mining, cap))

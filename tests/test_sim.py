@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytower import sim, vdf
-from delaytower.ledger import EpochConfig
+from delaytower.ledger import EpochConfig, LedgerState
 from delaytower.serialization import encode_bytes, encode_uint
+from delaytower.signing import KeyedHashScheme
 from delaytower.sim import (
     NEVER_RECOVERED,
     Behavior,
@@ -450,11 +451,20 @@ MALFORMED_SCENARIOS = {
     "seed-float": lambda doc: {**doc, "seed": 1.5},
     "epochs-float": lambda doc: {**doc, "epochs": 2.5},
     "epochs-zero": lambda doc: {**doc, "epochs": 0},
+    # A top-level rounds_per_epoch equal to epoch_config's in value, but no JSON integer.
+    "rounds-per-epoch-float": lambda doc: {
+        **doc, "rounds_per_epoch": float(doc["epoch_config"]["rounds_per_epoch"])},
+    "rounds-per-epoch-boolean": lambda doc: {
+        **doc, "epoch_config": {**doc["epoch_config"], "rounds_per_epoch": 1},
+        "rounds_per_epoch": True},
     "from-round-float": lambda doc: _with_first(
         doc, behavior={"kind": "crashed", "from_round": 2.5}),
     "mining-rate-string": lambda doc: _with_first(doc, mining_rate="48"),
     "mining-rate-float": lambda doc: _with_first(doc, mining_rate=48.9),
     "mining-rate-not-real-vdf": lambda doc: _with_first(doc, mining_rate={"real_vdf": False}),
+    # real_vdf is JSON true: another truthy value is no spelling the writer uses.
+    "real-vdf-one": lambda doc: _with_first(doc, mining_rate={"real_vdf": 1}),
+    "real-vdf-string": lambda doc: _with_first(doc, mining_rate={"real_vdf": "yes"}),
     "proofs-per-epoch-float": lambda doc: _with_first(
         doc, mining_rate={"real_vdf": True, "proofs_per_epoch": 1.5}),
     # 1e400 overflows to inf; json.loads reads the text 1e400 as inf too.
@@ -496,6 +506,15 @@ MALFORMED_SCENARIOS = {
         **doc, "security": {**doc.get("security", {}), "modulus_bitz": 256}},
     "behavior-unknown-key": lambda doc: _with_first(
         doc, behavior={"kind": "crashed", "from_rund": 2}),
+    # A conduct key the kind ignores would be read and then silently dropped.
+    "honest-from-round": lambda doc: _with_first(
+        doc, behavior={"kind": "honest", "from_round": 7}),
+    "honest-sign-probability": lambda doc: _with_first(
+        doc, behavior={"kind": "honest", "sign_probability": "1/3"}),
+    "crashed-sign-probability": lambda doc: _with_first(
+        doc, behavior={"kind": "crashed", "from_round": 7, "sign_probability": "1/3"}),
+    "silent-from-round": lambda doc: _with_first(
+        doc, behavior={"kind": "silent", "sign_probability": "1/3", "from_round": 7}),
     "mining-rate-unknown-key": lambda doc: _with_first(
         doc, mining_rate={"real_vdf": True, "proofs_per_epoc": 2}),
     # Spellings of 1/2 that scenario_to_json never writes, though Fraction reads each.
@@ -570,6 +589,23 @@ class TestScenarioJson:
         text = made if isinstance(made, str) else json.dumps(made)
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json(text)
+
+    @pytest.mark.parametrize("members", [
+        [b"val-00", b"val-01", b"val-02"],
+        [b"val-00", b"val-01", b"val-02", b"val-00"],
+        [b"val-00", b"val-01", b"val-02", b"ghost"],
+    ], ids=["three-members", "repeated-member", "unknown-member"])
+    def test_ledger_and_scenario_refuse_the_same_validator_sets(self, members):
+        scenario = build_scenario()
+        state = LedgerState(scenario.security, scenario.epoch_config, KeyedHashScheme())
+        for address, _ in scenario.population:
+            state.bootstrap_miner(address)
+        with pytest.raises(ValueError) as installed:
+            state.install_validators(members)
+        doc = {**scenario_doc(), "genesis_validators": [a.hex() for a in members]}
+        with pytest.raises(InvalidScenario) as parsed:
+            sim.scenario_from_json(json.dumps(doc))
+        assert str(installed.value) in str(parsed.value)
 
     def test_top_level_rounds_must_match_epoch_config(self):
         doc = scenario_doc()
