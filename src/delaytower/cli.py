@@ -1,7 +1,9 @@
 """Operator command line: mine, verify-tower, bench, simulate, overhead.
 
 Exit codes: 0 success, 1 domain failure (invalid proof, corrupt tower,
-degenerate input), 2 usage or configuration error.
+degenerate input), 2 usage or configuration error. A command fails by raising
+``CommandFailed`` (or ``vdf.InvalidSecurityParams``, ``tower.CorruptTower``);
+``main`` alone prints its one ``error: ...`` line on stderr and picks the code.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ EXIT_USAGE = 2
 DEFAULT_ENDPOINT = "0.0.0.0:6180"
 
 
+class CommandFailed(Exception):
+    """A command's failure: ``main`` prints ``error: <message>`` and exits ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_DOMAIN):
+        super().__init__(message)
+        self.code = code
+
+
 def _load_key(path: str, create: bool) -> bytes:
     """Read the hex identity key; if ``create`` and there is none, write one with mode 0600."""
     if not create or os.path.exists(path):
@@ -37,10 +47,9 @@ def _load_key(path: str, create: bool) -> bytes:
     return key
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> None:
     if args.proofs < 0:
-        print("error: --proofs must be at least 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandFailed("--proofs must be at least 0", EXIT_USAGE)
     fresh = not os.path.exists(args.tower_file)
     if fresh:  # refuse out-of-range parameters, or a tower that fails to load, before any write
         security = vdf.SecurityParams(args.modulus_bits, args.iterations)
@@ -48,23 +57,19 @@ def cmd_mine(args) -> int:
         try:
             twr = tower.load_tower(args.tower_file, validate=False)
         except OSError as exc:
-            print(f"error: cannot read tower file: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
+            raise CommandFailed(f"cannot read tower file: {exc}") from exc
     verb = "write" if fresh and not os.path.exists(args.key_file) else "read"
     try:
         key = _load_key(args.key_file, create=fresh)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot {verb} key file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"cannot {verb} key file: {exc}") from exc
     if not key:
-        print("error: key file holds no key", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed("key file holds no key")
 
     if fresh:
         twr = tower.Tower(params=vdf.setup(security, key, args.endpoint.encode()), records=())
     elif twr.params.public_key != key:
-        print("error: tower file belongs to a different key", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed("tower file belongs to a different key")
     else:
         print(f"resuming tower at height {twr.height} "
               f"(t={twr.params.iterations}, modulus {twr.params.modulus.bit_length()} bits)")
@@ -82,42 +87,35 @@ def cmd_mine(args) -> int:
     try:
         twr = tower.grow(twr, args.proofs + fresh, save)  # and record 0 of a fresh tower
     except OSError as exc:
-        print(f"error: cannot write tower file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"cannot write tower file: {exc}") from exc
     print(f"tower height {twr.height}")
-    return EXIT_OK
 
 
-def cmd_verify_tower(args) -> int:
+def cmd_verify_tower(args) -> None:
     if not os.path.exists(args.tower_file):
-        print(f"error: no such tower file: {args.tower_file}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"no such tower file: {args.tower_file}")
     try:
         twr = tower.load_tower(args.tower_file, validate=False)
     except OSError as exc:
-        print(f"error: cannot read tower file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"cannot read tower file: {exc}") from exc
     spent = [0.0] * twr.height
     failed = tower.check_chain(twr, spent=spent)
     for index in range(twr.height if failed is None else failed[0]):
         print(f"record {index}: ok ({spent[index] * 1000.0:.2f} ms)")
-    if failed is not None:  # main prints the error and exits EXIT_DOMAIN
+    if failed is not None:
         print(f"record {failed[0]}: INVALID")
-        raise tower.CorruptTower(f"tower fails validation at record {failed[0]} ({failed[1]})")
+        raise CommandFailed(f"tower fails validation at record {failed[0]} ({failed[1]})")
     print(f"tower valid, height {twr.height}")
-    return EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     try:
         iteration_points = [int(v) for v in args.iterations_list.split(",")]
-    except ValueError:
-        print("error: --iterations-list must be comma-separated integers",
-              file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise CommandFailed("--iterations-list must be comma-separated integers",
+                            EXIT_USAGE) from exc
     if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandFailed("--samples must be at least 1", EXIT_USAGE)
     securities = [vdf.SecurityParams(args.modulus_bits, t) for t in iteration_points]
 
     # From 2048-bit moduli, verify runs one side of its fold on a second core,
@@ -166,10 +164,8 @@ def cmd_bench(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write("".join(lines))
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"cannot write report: {exc}") from exc
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 def _resolve_scenario(spec: str) -> str:
@@ -184,20 +180,16 @@ def _resolve_scenario(spec: str) -> str:
     raise FileNotFoundError(f"no scenario file or bundled scenario named {spec!r}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     try:
-        text = _resolve_scenario(args.scenario)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        scenario = sim.scenario_from_json(text)
-    except sim.InvalidScenario as exc:
+        scenario = sim.scenario_from_json(_resolve_scenario(args.scenario))
+    except OSError as exc:
+        raise CommandFailed(str(exc), EXIT_USAGE) from exc
+    except (UnicodeDecodeError, sim.InvalidScenario) as exc:  # the line names the scenario
         cause = exc.__cause__
         where = (f":{cause.lineno}:{cause.colno}: {cause.msg}"
                  if isinstance(cause, json.JSONDecodeError) else f": {exc}")
-        print(f"error: {args.scenario}{where}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandFailed(f"{args.scenario}{where}", EXIT_USAGE) from exc
 
     started = time.perf_counter()
     metrics = sim.run(scenario)
@@ -210,8 +202,7 @@ def cmd_simulate(args) -> int:
         with open(args.out_summary, "w", encoding="ascii") as fh:
             fh.write(metrics.to_summary_json())
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise CommandFailed(f"cannot write output: {exc}") from exc
 
     recovery = sim.recovery_time(metrics)
     recovery_text = "never" if recovery is sim.NEVER_RECOVERED else str(recovery)
@@ -219,22 +210,19 @@ def cmd_simulate(args) -> int:
           f"{metrics.total_timeouts} timeouts, recovery {recovery_text} "
           f"({seconds * 1000.0:.1f} ms, {rounds / seconds:.0f} rounds/s)")
     print(f"wrote {args.out_csv} and {args.out_summary}")
-    return EXIT_OK
 
 
-def cmd_overhead(args) -> int:
+def cmd_overhead(args) -> None:
     if not 0 <= args.verify_ms < float("inf") or args.proofs_per_epoch <= 0 \
             or args.validators <= 0 or args.epoch_seconds <= 0:
-        print("error: verify-ms must be >= 0 and the remaining inputs positive",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise CommandFailed("verify-ms must be >= 0 and the remaining inputs positive",
+                            EXIT_USAGE)
     per_validator = args.verify_ms * args.proofs_per_epoch / 1000.0
     network_total = per_validator * args.validators
     fraction = network_total / (args.epoch_seconds * args.validators)
     print(f"per-validator verification: {per_validator:.2f} s per epoch")
     print(f"network total: {network_total:.2f} s per epoch")
     print(f"fraction of validator time: {fraction * 100:.4g}%")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,16 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except vdf.InvalidSecurityParams as exc:
+        args.fn(args)
+    except (CommandFailed, vdf.InvalidSecurityParams, tower.CorruptTower) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except tower.CorruptTower as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return exc.code if isinstance(exc, CommandFailed) else \
+            EXIT_USAGE if isinstance(exc, vdf.InvalidSecurityParams) else EXIT_DOMAIN
+    return EXIT_OK
 
 
 def entrypoint() -> None:

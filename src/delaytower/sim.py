@@ -86,6 +86,10 @@ class Behavior:
             raise ValueError("from_round must be non-negative")
         if isinstance(self.mining, int) and self.mining < 0:
             raise ValueError("mining rate must be non-negative")
+        for name in ("from_round", "sign_probability"):  # scenario_to_json drops the rest
+            if getattr(self, name) != getattr(Behavior, name) and \
+                    name not in CONDUCT_KEYS[self.kind]:
+                raise ValueError(f"{self.kind.value} behavior ignores {name}")
 
     @classmethod
     def honest(cls, mining: Union[int, RealVdf] = 0) -> "Behavior":

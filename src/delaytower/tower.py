@@ -263,7 +263,7 @@ def save_tower(tower: Tower, path: str | os.PathLike) -> None:
 def load_tower(path: str | os.PathLike, *, validate: bool = True) -> Tower:
     """Read a tower file; with validate (the default) refuse corrupt chains.
 
-    A validated tower is marked as such, so ``extend`` does not check it again.
+    A validated tower is marked as such, so ``grow`` does not check it again.
     """
     with open(path, "rb") as fh:
         tower = _deserialize(fh.read())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -307,6 +308,15 @@ class TestMine:
         (tmp_path / "k.hex").write_text("ab" * 32 + "\n")
         assert mine(tmp_path, "--proofs", "1") == 1
 
+    def test_foreign_key_one_error_line(self, tmp_path, capsys):
+        assert mine(tmp_path, "--proofs", "1") == 0
+        (tmp_path / "k.hex").write_text("ab" * 32 + "\n")
+        before = (tmp_path / "t.bin").read_bytes()
+        capsys.readouterr()
+        assert mine(tmp_path, "--proofs", "1") == 1
+        assert capsys.readouterr() == ("", "error: tower file belongs to a different key\n")
+        assert (tmp_path / "t.bin").read_bytes() == before
+
     @pytest.mark.parametrize("content", ["", "\n"])
     def test_empty_key_file_domain_error(self, tmp_path, capsys, content):
         (tmp_path / "k.hex").write_text(content)
@@ -366,6 +376,13 @@ class TestVerifyTower:
         assert main([command, "--tower-file", str(tmp_path), *extra]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read tower file: ")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["mine", "verify-tower"])
+    def test_directory_as_tower_file_one_error_line(self, tmp_path, capsys, command):
+        extra = ["--key-file", str(tmp_path / "k.hex")] if command == "mine" else []
+        assert main([command, "--tower-file", str(tmp_path), *extra]) == 1
+        reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+        assert capsys.readouterr() == ("", f"error: cannot read tower file: {reason}\n")
 
 
 class TestBench:
@@ -465,6 +482,15 @@ class TestBench:
         rc = main(["bench", "--iterations-list", "ten", "--samples", "2",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("points", ["ten", "64,,128"])
+    def test_bad_iteration_list_one_error_line(self, tmp_path, capsys, points):
+        out_path = tmp_path / "x.csv"
+        assert main(["bench", "--iterations-list", points, "--samples", "2",
+                     "--out", str(out_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --iterations-list must be comma-separated integers\n")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_nonpositive_samples_usage_error(self, tmp_path, capsys, samples):
@@ -629,6 +655,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "m.csv").exists()
 
+    def test_non_utf8_scenario_named_in_error(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_bytes(b"\xff\xfe{}")
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {scenario}: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 0: invalid start byte\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_other_prime_length_usage_error(self, tmp_path, capsys):
         doc = json.loads(resources.files("delaytower").joinpath(
             "scenarios", "crash-minority.json").read_text())
@@ -647,6 +684,26 @@ class TestSimulate:
                    "--out-csv", str(tmp_path / "m.csv"),
                    "--out-summary", str(tmp_path / "m.json")])
         assert rc == 2
+
+    def test_unknown_scenario_name_one_error_line(self, tmp_path, capsys):
+        rc = main(["simulate", "--scenario", "no-such-name",
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: no scenario file or bundled scenario named 'no-such-name'\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_as_scenario_one_error_line(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario"
+        scenario.mkdir()
+        rc = main(["simulate", "--scenario", str(scenario),
+                   "--out-csv", str(tmp_path / "m.csv"),
+                   "--out-summary", str(tmp_path / "m.json")])
+        assert rc == 2
+        reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(scenario))
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+        assert os.listdir(tmp_path) == ["scenario"]
 
 
 class TestOverhead:

@@ -111,6 +111,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("kind, name, value", [
+        (BehaviorKind.HONEST, "from_round", 5),
+        (BehaviorKind.CRASHED, "sign_probability", Fraction(1, 2)),
+        (BehaviorKind.SILENT, "from_round", 4),
+    ], ids=["honest-from-round", "crashed-sign-probability", "silent-from-round"])
+    def test_field_the_kind_ignores_rejected(self, kind, name, value):
+        # scenario_to_json writes only the kind's CONDUCT_KEYS, so such a field
+        # would not read back.
+        with pytest.raises(ValueError, match=f"^{kind.value} behavior ignores {name}$"):
+            Behavior(kind=kind, **{name: value})
+
     def test_seed_out_of_range(self):
         scenario = build_scenario()
         bad = Scenario(
