@@ -9,6 +9,7 @@ degenerate input), 2 usage or configuration error. A command fails by raising
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -36,6 +37,31 @@ class CommandFailed(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _outputs(what: str, *paths: str):
+    """Yield a list of text parts per path, joined and written to it once the work returns.
+    Each path is opened to append first, so a bad one fails before the work; any failure
+    removes only paths that did not exist, and an OSError on one is ``cannot write <what>``."""
+    def write(mode: str, texts) -> None:
+        try:
+            for path, text in zip(paths, texts):
+                with open(path, mode, encoding="ascii") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            raise CommandFailed(f"cannot write {what}: {exc}") from exc
+    created = [path for path in paths if not os.path.lexists(path)]
+    parts = [[] for _ in paths]
+    try:
+        write("a", [""] * len(paths))  # creates a missing path, leaves an existing one whole
+        yield parts
+        write("w", ["".join(texts) for texts in parts])
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):  # a path named twice is removed once
+                os.remove(path)
+        raise
+
+
 def _load_key(path: str, create: bool) -> bytes:
     """Read the hex identity key; if ``create`` and there is none, write one with mode 0600."""
     if not create or os.path.exists(path):
@@ -53,6 +79,10 @@ def cmd_mine(args) -> None:
     fresh = not os.path.exists(args.tower_file)
     if fresh:  # refuse out-of-range parameters, or a tower that fails to load, before any write
         security = vdf.SecurityParams(args.modulus_bits, args.iterations)
+        try:
+            endpoint = args.endpoint.encode()
+        except UnicodeEncodeError as exc:
+            raise CommandFailed(f"--endpoint is not UTF-8: {args.endpoint!r}", EXIT_USAGE) from exc
     else:  # grow checks every record while it squares the first link
         try:
             twr = tower.load_tower(args.tower_file, validate=False)
@@ -67,7 +97,7 @@ def cmd_mine(args) -> None:
         raise CommandFailed("key file holds no key")
 
     if fresh:
-        twr = tower.Tower(params=vdf.setup(security, key, args.endpoint.encode()), records=())
+        twr = tower.Tower(params=vdf.setup(security, key, endpoint), records=())
     elif twr.params.public_key != key:
         raise CommandFailed("tower file belongs to a different key")
     else:
@@ -118,53 +148,50 @@ def cmd_bench(args) -> None:
         raise CommandFailed("--samples must be at least 1", EXIT_USAGE)
     securities = [vdf.SecurityParams(args.modulus_bits, t) for t in iteration_points]
 
-    # From 2048-bit moduli, verify runs one side of its fold on a second core,
-    # so its times depend on how many CPUs the process may use.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    print(f"powmod: {vdf.powmod_engine()}; cpus: {cpus}")
-    lines = ["operation,iterations,sample,elapsed_ms\n"]
-    for security in securities:
-        pp = vdf.setup(security, b"bench", b"bench")
-        x = vdf.hash_to_group(pp.input_digest, pp.modulus)
-        output, powers = vdf.squarings(pp, x)
-        proof = vdf.prove(pp, x, output, powers)
-        # A midpoint count one off, which the screen refuses: the last midpoint
-        # dropped, or one added where t <= 128 leaves none to drop.
-        invalid = dataclasses.replace(
-            proof, checkpoints=proof.checkpoints[:-1] if proof.checkpoints else (x,))
+    with _outputs("report", args.out) as (lines,):
+        # From 2048-bit moduli, verify runs one side of its fold on a second core,
+        # so its times depend on how many CPUs the process may use.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        print(f"powmod: {vdf.powmod_engine()}; cpus: {cpus}")
+        lines.append("operation,iterations,sample,elapsed_ms\n")
+        for security in securities:
+            pp = vdf.setup(security, b"bench", b"bench")
+            x = vdf.hash_to_group(pp.input_digest, pp.modulus)
+            output, powers = vdf.squarings(pp, x)
+            proof = vdf.prove(pp, x, output, powers)
+            # A midpoint count one off, which the screen refuses: the last midpoint
+            # dropped, or one added where t <= 128 leaves none to drop.
+            invalid = dataclasses.replace(
+                proof, checkpoints=proof.checkpoints[:-1] if proof.checkpoints else (x,))
 
-        operations = {  # eval, then its two halves: mine runs them on two cores
-            "eval": lambda: vdf.eval(pp, x),
-            "eval-squarings": lambda: vdf.squarings(pp, x),
-            "eval-prove": lambda: vdf.prove(pp, x, output, powers),
-            "verify-valid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output, proof),
-            "verify-invalid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
-                                                      invalid),
-        }
-        # Sample i of all five runs before sample i + 1: a host slowdown skews them alike.
-        timings = {label: [] for label in operations}
-        for _ in range(args.samples):
-            for label, fn in operations.items():
-                started = time.perf_counter()
-                fn()
-                timings[label].append((time.perf_counter() - started) * 1000.0)
-        for label, samples in timings.items():
-            lines += [f"{label},{pp.iterations},{index},{value:.6f}\n"
-                      for index, value in enumerate(samples)]
-            # A single sample is its own p25 and p75.
-            quartiles = (statistics.quantiles(samples, n=4, method="inclusive")
-                         if len(samples) > 1 else samples * 3)
-            stats = (statistics.fmean(samples), statistics.median(samples), quartiles[0],
-                     quartiles[2], min(samples), max(samples))
-            print(f"{label} t={pp.iterations} n={len(samples)}: " + ", ".join(
-                f"{name} {value:.3f} ms" for name, value in
-                zip(("mean", "median", "p25", "p75", "min", "max"), stats)))
-
-    try:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("".join(lines))
-    except OSError as exc:
-        raise CommandFailed(f"cannot write report: {exc}") from exc
+            operations = {  # eval, then its two halves: mine runs them on two cores
+                "eval": lambda: vdf.eval(pp, x),
+                "eval-squarings": lambda: vdf.squarings(pp, x),
+                "eval-prove": lambda: vdf.prove(pp, x, output, powers),
+                "verify-valid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
+                                                        proof),
+                "verify-invalid": lambda: vdf.check_proof(pp.modulus, pp.iterations, x, output,
+                                                          invalid),
+            }
+            # Sample i of all five runs before sample i + 1: a host slowdown skews them alike.
+            timings = {label: [] for label in operations}
+            for _ in range(args.samples):
+                for label, fn in operations.items():
+                    started = time.perf_counter()
+                    fn()
+                    timings[label].append((time.perf_counter() - started) * 1000.0)
+            for label, samples in timings.items():
+                lines += [f"{label},{pp.iterations},{index},{value:.6f}\n"
+                          for index, value in enumerate(samples)]
+                # A single sample is its own p25 and p75.
+                quartiles = (statistics.quantiles(samples, n=4, method="inclusive")
+                             if len(samples) > 1 else samples * 3)
+                stats = (statistics.fmean(samples), statistics.median(samples), quartiles[0],
+                         quartiles[2], min(samples), max(samples))
+                print(f"{label} t={pp.iterations} n={len(samples)}: " + ", ".join(
+                    f"{name} {value:.3f} ms" for name, value in
+                    zip(("mean", "median", "p25", "p75", "min", "max"), stats)))
     print(f"wrote {args.out}")
 
 
@@ -191,19 +218,14 @@ def cmd_simulate(args) -> None:
                  if isinstance(cause, json.JSONDecodeError) else f": {exc}")
         raise CommandFailed(f"{args.scenario}{where}", EXIT_USAGE) from exc
 
-    started = time.perf_counter()
-    metrics = sim.run(scenario)
-    seconds = time.perf_counter() - started
+    with _outputs("output", args.out_csv, args.out_summary) as (csv_out, summary_out):
+        started = time.perf_counter()
+        metrics = sim.run(scenario)
+        seconds = time.perf_counter() - started
+        csv_out.append(metrics.to_csv())
+        summary_out.append(metrics.to_summary_json())
+
     rounds = len(metrics.epochs) * scenario.epoch_config.rounds_per_epoch
-
-    try:
-        with open(args.out_csv, "w", encoding="ascii") as fh:
-            fh.write(metrics.to_csv())
-        with open(args.out_summary, "w", encoding="ascii") as fh:
-            fh.write(metrics.to_summary_json())
-    except OSError as exc:
-        raise CommandFailed(f"cannot write output: {exc}") from exc
-
     recovery = sim.recovery_time(metrics)
     recovery_text = "never" if recovery is sim.NEVER_RECOVERED else str(recovery)
     print(f"{len(metrics.epochs)} epochs: {metrics.total_commits} commits, "

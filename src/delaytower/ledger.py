@@ -173,11 +173,11 @@ class LedgerState:
         self.scheme = scheme
         if modulus is None:
             modulus = vdf.generate_modulus(security.modulus_bits)
-        else:  # a derived modulus is composite and of its stated size by construction
-            vdf.check_modulus(modulus)
-            if modulus.bit_length() != security.modulus_bits:
+        else:  # a derived modulus is of its stated size and composite by construction
+            if modulus.bit_length() != security.modulus_bits:  # before the primality test
                 raise ValueError(f"modulus has {modulus.bit_length()} bits, "
                                  f"not {security.modulus_bits}")
+            vdf.check_modulus(modulus)
         self.modulus = modulus
         self.epoch: int = 0
         self.epoch_signatures = {}

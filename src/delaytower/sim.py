@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -231,35 +230,22 @@ def _draw_prefix(seed: int, epoch: int) -> hashlib._Hash:
     return hashlib.sha256(_DOMAIN_DRAW + encode_uint(seed, 8) + encode_uint(epoch, 8))
 
 
-def _sign_bound(probability: Fraction) -> float:
-    """Smallest float not below ``probability``: a float is below both or neither."""
-    bound = float(probability)
-    return math.nextafter(bound, math.inf) if bound < probability else bound
-
-
-def _sign_cut(bound: float) -> bytes:
-    """8-byte threshold on a draw's digest prefix: ``digest[:8] < cut`` exactly when
-    ``int.from_bytes(digest[:8], "big") / 2**64 < bound``. The division rounds to the
-    nearest float, so the smallest such integer is found by bisection; 2^64 - 1 reads
-    as 1.0, below no bound."""
-    low, high = 0, _U64 - 1
-    while low < high:
-        mid = (low + high) // 2
-        if mid / _U64 < bound:
-            low = mid + 1
-        else:
-            high = mid
-    return low.to_bytes(8, "big")
+def _sign_cut(probability: Fraction) -> bytes:
+    """Threshold on a draw's 8-byte digest prefix n: ``digest[:8] < cut`` exactly when
+    n < ceil(p * 2^64), that is n / 2^64 < p. The last signing draw is the cut's first
+    8 bytes, below the cut by its ninth, so p = 1 signs at every draw and p = 0 at none."""
+    count = -(-probability.numerator * _U64 // probability.denominator)  # ceil(p * 2^64)
+    return (count - 1).to_bytes(8, "big") + b"\0" if count else b""
 
 
 def _epoch_signers(seed: int, epoch: int, rounds: int, always: frozenset[bytes],
                    until: list[tuple[bytes, int]],
                    silent: list[tuple[bytes, bytes]]) -> Iterator[frozenset[bytes]]:
     """Each round's signers, in round order: ``always``, each ``(address, stop)`` of
-    ``until`` before round ``stop``, and each ``(address, cut)`` of ``silent`` whose
-    draw falls below its ``_sign_cut``. A draw is the first 8 bytes of SHA-256 over the
-    domain, seed, epoch, round and ``encode_bytes(address)``, independent of evaluation
-    order. Equal sets within the epoch are one frozenset, so the ledger counts it once."""
+    ``until`` before round ``stop``, and each ``(address, cut)`` of ``silent`` whose draw
+    n, the first 8 bytes of SHA-256 over the domain, seed, epoch, round and
+    ``encode_bytes(address)`` read big-endian, has n / 2^64 < p exactly (``_sign_cut``).
+    Equal sets within the epoch are one frozenset, so the ledger counts it once."""
     prefix = _draw_prefix(seed, epoch)
     silent = [(address, encode_bytes(address), cut) for address, cut in silent]
     sets: dict[tuple[bytes, ...], frozenset[bytes]] = {}
@@ -298,7 +284,7 @@ def _validate(scenario: Scenario) -> None:
 class _Node:
     def __init__(self, behavior: Behavior):
         self.behavior = behavior
-        self.sign_cut = _sign_cut(_sign_bound(behavior.sign_probability))
+        self.sign_cut = _sign_cut(behavior.sign_probability)
         self.tower: Optional[tower.Tower] = None
 
 

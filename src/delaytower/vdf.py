@@ -101,7 +101,8 @@ _DOMAIN_WITNESS = b"delay-tower/witness/v1"
 
 _CHALLENGE_BYTES = 16
 
-_MIN_MODULUS_BITS = 64
+# The cap bounds a parsed modulus's primality test, whose cost grows as the size cubed.
+_MIN_MODULUS_BITS, _MAX_MODULUS_BITS = 64, 8192
 
 
 # The libcrypto bignum calls the group arithmetic makes: name -> (argtypes,
@@ -280,9 +281,9 @@ class SecurityParams:
     iterations: int
 
     def __post_init__(self):
-        if self.modulus_bits < _MIN_MODULUS_BITS:
-            raise InvalidSecurityParams(
-                f"modulus_bits must be >= {_MIN_MODULUS_BITS}, got {self.modulus_bits}")
+        if not _MIN_MODULUS_BITS <= self.modulus_bits <= _MAX_MODULUS_BITS:
+            raise InvalidSecurityParams(f"modulus_bits must be in [{_MIN_MODULUS_BITS}, "
+                                        f"{_MAX_MODULUS_BITS}], got {self.modulus_bits}")
         if self.iterations < 1 or self.iterations & (self.iterations - 1):
             raise InvalidSecurityParams(
                 f"iterations must be a power of two, got {self.iterations}")

@@ -18,7 +18,7 @@ from importlib import resources
 
 import pytest
 
-from delaytower import tower, vdf
+from delaytower import sim, tower, vdf
 from delaytower.cli import DEFAULT_ENDPOINT, main
 from delaytower.ledger import EpochConfig, LedgerState
 from delaytower.signing import KeyedHashScheme
@@ -317,6 +317,12 @@ class TestMine:
         assert capsys.readouterr() == ("", "error: tower file belongs to a different key\n")
         assert (tmp_path / "t.bin").read_bytes() == before
 
+    def test_endpoint_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # The shell's $'\xff' reaches argv as a lone surrogate, which UTF-8 cannot encode.
+        assert mine(tmp_path, "--endpoint", "\udcff") == 2
+        assert capsys.readouterr() == ("", "error: --endpoint is not UTF-8: '\\udcff'\n")
+        assert list(tmp_path.iterdir()) == []  # refused before any key or tower is written
+
     @pytest.mark.parametrize("content", ["", "\n"])
     def test_empty_key_file_domain_error(self, tmp_path, capsys, content):
         (tmp_path / "k.hex").write_text(content)
@@ -386,10 +392,24 @@ class TestVerifyTower:
 
 
 class TestBench:
-    def test_unwritable_report_is_domain_error(self, tmp_path, capsys):
+    def test_unwritable_report_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(vdf, "setup", lambda *args: pytest.fail("bench set up a sample"))
         assert main(["bench", "--iterations-list", "64", "--samples", "1", "--modulus-bits",
                      "256", "--out", str(tmp_path / "missing" / "bench.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: cannot write report: ")
+        captured = capsys.readouterr()  # refused before the first sample line
+        assert captured.out == "" and captured.err.startswith("error: cannot write report: ")
+
+    def test_interrupted_run_keeps_earlier_report(self, tmp_path, monkeypatch):
+        out_path = tmp_path / "bench.csv"
+        out_path.write_text("earlier report\n")
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(vdf, "setup", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--iterations-list", "64", "--samples", "1", "--modulus-bits",
+                  "256", "--out", str(out_path)])
+        assert out_path.read_text() == "earlier report\n"
 
     def test_report_structure_and_direction(self, tmp_path, capsys):
         out_path = tmp_path / "bench.csv"
@@ -508,6 +528,38 @@ class TestSimulate:
                      "--out-csv", str(tmp_path / "missing" / "m.csv"),
                      "--out-summary", str(tmp_path / "m.json")]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    def test_unwritable_summary_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "run", lambda scenario: pytest.fail("simulate ran the scenario"))
+        assert main(["simulate", "--scenario", "healthy-100",
+                     "--out-csv", str(tmp_path / "m.csv"),
+                     "--out-summary", str(tmp_path / "missing" / "m.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot write output: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_output_survives_failure_of_the_other(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text("earlier csv\n")
+        assert main(["simulate", "--scenario", "healthy-100",
+                     "--out-csv", str(tmp_path / "m.csv"),
+                     "--out-summary", str(tmp_path / "missing" / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert (tmp_path / "m.csv").read_text() == "earlier csv\n"
+
+    @pytest.mark.parametrize("summary", ["m.json", "m.csv"])
+    def test_interrupted_run_removes_only_new_outputs(self, tmp_path, monkeypatch, summary):
+        # A path named twice is removed once; an earlier file is left as it was.
+        (tmp_path / "old.csv").write_text("earlier csv\n")
+
+        def interrupt(scenario):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(sim, "run", interrupt)
+        for csv_name in ("old.csv", "m.csv"):
+            with pytest.raises(KeyboardInterrupt):
+                main(["simulate", "--scenario", "healthy-100", "--out-csv",
+                      str(tmp_path / csv_name), "--out-summary", str(tmp_path / summary)])
+            assert sorted(os.listdir(tmp_path)) == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "earlier csv\n"
 
     def test_bundled_healthy_scenario(self, tmp_path, capsys):
         out_csv = tmp_path / "m.csv"

@@ -689,6 +689,7 @@ BAD_SNAPSHOTS = {
     "modulus-not-decimal": edit("modulus", "0x1f"),
     "modulus-degenerate": edit("modulus", "3"),  # hash_to_group would never return
     "modulus-prime": edit("modulus", str(2**256 - 189)),  # every registration would fail
+    "modulus-even": edit("modulus", str(2**256 - 190)),
     "modulus-size": edit("modulus", str(vdf.generate_modulus(512))),
     "bad-hash-hex": edit("miner_pool", ALICE, "hash", "zz"),
     # Every miner hash is a SHA-256 digest: link_digest or the genesis placeholder.
@@ -863,8 +864,9 @@ class TestSnapshotImport:
 
     @pytest.mark.parametrize("modulus, message", [
         (vdf.generate_modulus(256), "^modulus has 256 bits, not 512$"),
-        (2**127 - 1, "^modulus must be composite$"),
-    ], ids=["size", "prime"])
+        (2**512 - 569, "^modulus must be composite$"),
+        (2**512 - 570, "^modulus must be an odd integer greater than 3$"),
+    ], ids=["size", "prime", "even"])
     def test_passed_modulus_checked_as_import_checks_it(self, modulus, message):
         # A ledger is never built on a modulus its own snapshot would not import.
         with pytest.raises(ValueError, match=message):

@@ -287,39 +287,52 @@ PROBABILITIES = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2),
                  Fraction(57, 100), Fraction(2, 3), Fraction(1)]
 
 
+def signs(p: Fraction, n: int) -> bool:
+    """The draw rule in integers: draw n of 2^64 signs when n / 2^64 < p."""
+    return n * p.denominator < p.numerator * 2**64
+
+
 class TestSignBound:
+    """``_sign_cut`` against ``signs``: the cut is exact, so no rounding of p moves a draw."""
+
+    def test_probability_one_signs_at_last_draw(self):
+        cut = sim._Node(Behavior.silent(Fraction(1))).sign_cut
+        assert (2**64 - 1).to_bytes(8, "big") < cut
+
     @pytest.mark.parametrize("p", PROBABILITIES)
     def test_float_comparison_matches_fraction(self, p):
-        bound = sim._sign_bound(p)
+        # The draws at p's nearest float and the floats beside it, where a float bound
+        # on p would decide.
+        cut = sim._sign_cut(p)
         nearest = float(p)
         draws = [v for v in (math.nextafter(nearest, -math.inf), nearest,
                              math.nextafter(nearest, math.inf)) if 0 <= v < 1]
         assert draws
         for v in draws:
-            assert (v < bound) == (v < p), (p, v)
+            n = int(v * 2**64)
+            assert (n.to_bytes(8, "big") < cut) == signs(p, n), (p, v)
 
     @pytest.mark.parametrize("p", PROBABILITIES + [Fraction(1, 2**70), 1 - Fraction(1, 2**53)])
     def test_byte_cut_matches_float_comparison(self, p):
-        bound = sim._sign_bound(p)
-        cut = sim._sign_cut(bound)
-        n0 = int.from_bytes(cut, "big")
-        assert len(cut) == 8
-        for n in (0, n0 - 1, n0, n0 + 1, 2**64 - 1):  # the edge, and both ends of the range
+        # The edge at c = ceil(p * 2^64), signing draws c - 1 and not c, and both ends.
+        cut = sim._sign_cut(p)
+        count = math.ceil(p * 2**64)
+        assert [signs(p, n) for n in (count - 1, count)] == [True, False]
+        for n in (0, count - 1, count, count + 1, 2**64 - 1):
             if 0 <= n < 2**64:
-                assert (n.to_bytes(8, "big") < cut) == (n / 2**64 < bound), (p, n)
+                assert (n.to_bytes(8, "big") < cut) == signs(p, n), (p, n)
 
     @settings(deadline=None, max_examples=200)
     @given(p=st.fractions(0, 1), n=st.integers(0, 2**64 - 1))
     def test_byte_cut_matches_anywhere(self, p, n):
-        bound = sim._sign_bound(p)
-        assert (n.to_bytes(8, "big") < sim._sign_cut(bound)) == (n / 2**64 < bound)
+        assert (n.to_bytes(8, "big") < sim._sign_cut(p)) == signs(p, n)
 
 
-def reference_draw(seed: int, epoch: int, round_index: int, address: bytes) -> float:
+def reference_draw(seed: int, epoch: int, round_index: int, address: bytes) -> int:
     """One silent-signer draw, hashed from scratch."""
     material = (b"delay-tower/sim-draw/v1" + encode_uint(seed, 8) + encode_uint(epoch, 8)
                 + encode_uint(round_index, 8) + encode_bytes(address))
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big") / 2**64
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
 U64 = st.integers(0, 2**64 - 1)
@@ -335,14 +348,13 @@ class TestDraws:
         stops = [data.draw(st.integers(0, rounds + 1)) for _ in until]
         probabilities = [data.draw(st.sampled_from(PROBABILITIES) | st.fractions(0, 1))
                          for _ in silent]
-        bounds = [sim._sign_bound(p) for p in probabilities]
         produced = list(sim._epoch_signers(
             seed, epoch, rounds, frozenset(always), list(zip(until, stops)),
-            [(a, sim._sign_cut(bound)) for a, bound in zip(silent, bounds)]))
+            [(a, sim._sign_cut(p)) for a, p in zip(silent, probabilities)]))
         assert produced == [
             set(always) | {a for a, stop in zip(until, stops) if round_index < stop}
-            | {a for a, bound in zip(silent, bounds)
-               if reference_draw(seed, epoch, round_index, a) < bound}
+            | {a for a, p in zip(silent, probabilities)
+               if signs(p, reference_draw(seed, epoch, round_index, a))}
             for round_index in range(rounds)]
         assert all(type(signers) is frozenset for signers in produced)
         # Equal sets within an epoch are one object.

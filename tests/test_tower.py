@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import math
 import os
 import random
 import re
@@ -17,11 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from delaytower import tower, vdf
-from delaytower.serialization import encode_bigint, encode_bytes, magnitude
+from delaytower import sim, tower, vdf
+from delaytower.ledger import EpochConfig, InvalidSnapshot, LedgerState
+from delaytower.serialization import DecodeError, encode_bigint, encode_bytes, magnitude
+from delaytower.signing import KeyedHashScheme
 
-from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, format_3_proof, full_fold,
-                      link_of, serial_chain)
+from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, TINY_SECURITY, format_3_proof,
+                      full_fold, link_of, serial_chain)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,28 @@ def rekeyed(twr: tower.Tower, public_key: bytes) -> tower.Tower:
     """The same records claimed by another key."""
     return dataclasses.replace(twr, params=dataclasses.replace(twr.params,
                                                                public_key=public_key))
+
+
+def spliced_tower(tmp_path, *, modulus=None, count=None) -> Path:
+    """A saved one-record tower file whose header modulus or record count is replaced,
+    under a valid checksum."""
+    twr = tower.init_tower(vdf.SecurityParams(256, 64), b"owner-s", b"ep-s")
+    path = tmp_path / "t.bin"
+    tower.save_tower(twr, path)
+    params, body = twr.params, path.read_bytes()[:-32]
+    start = 1 + 8 + len(encode_bytes(params.public_key)) + len(encode_bytes(params.endpoint))
+    end = start + len(encode_bigint(params.modulus)) + 4  # past the modulus and the count
+    body = (body[:start] + encode_bigint(params.modulus if modulus is None else modulus)
+            + (twr.height if count is None else count).to_bytes(4, "big") + body[end:])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
+
+
+def sieve_survivor(bits: int) -> int:
+    """The least odd number of ``bits`` bits with no prime factor below 1024: the
+    primality test's sieve lets it through to Miller-Rabin."""
+    return next(n for n in range((1 << bits - 1) + 1, 1 << bits, 2)
+                if math.gcd(n, vdf._SMALL_PRODUCT) == 1)
 
 
 class TestInit:
@@ -652,6 +678,21 @@ class TestPersistence:
             with pytest.raises(tower.CorruptTower):
                 tower.load_tower(tmp_path / "t.bin", validate=validate)
 
+    def test_empty_endpoint_round_trips(self, tmp_path):
+        # setup allows an empty endpoint, so the file holds an empty length-prefixed field.
+        twr = tower.init_tower(SMALL_SECURITY, b"owner-e", b"")
+        tower.save_tower(twr, tmp_path / "t.bin")
+        loaded = tower.load_tower(tmp_path / "t.bin")
+        assert loaded == twr and tower.validate_chain(loaded)
+
+    def test_oversized_header_modulus_refused_quickly(self, tmp_path):
+        # SecurityParams caps the size before PublicParams tests the modulus for primality.
+        path = spliced_tower(tmp_path, modulus=sieve_survivor(32768))
+        started = time.perf_counter()
+        with pytest.raises(tower.CorruptTower):
+            tower.load_tower(path, validate=False)
+        assert time.perf_counter() - started < 1.0
+
     def test_load_without_validation_still_checks_format(self, tmp_path, height3):
         path = tmp_path / "t.bin"
         tower.save_tower(height3, path)
@@ -700,6 +741,60 @@ class TestPersistence:
         assert done.returncode == 0, done.stderr
         assert done.stdout == str(["delaytower", "delaytower.serialization", "delaytower.tower",
                                    "delaytower.vdf"]) + "\n"
+
+
+def snapshot_with_modulus(text: str) -> str:
+    state = LedgerState(TINY_SECURITY, EpochConfig(), KeyedHashScheme())
+    doc = json.loads(state.export_snapshot())
+    return json.dumps({**doc, "modulus": text})
+
+
+def scenario_with_modulus_bits(bits: int) -> str:
+    doc = json.loads(sim.scenario_to_json(sim.Scenario(
+        seed=1, epochs=1, population=tuple((bytes([i + 1]), sim.Behavior.honest())
+                                           for i in range(4)),
+        genesis_validators=tuple(bytes([i + 1]) for i in range(4)))))
+    return json.dumps({**doc, "security": {**doc["security"], "modulus_bits": bits}})
+
+
+# Inputs crafted to cost a parser more work than their length warrants (ROADMAP
+# item 22): name -> (the parser, its domain error, a maker of the input).
+CRAFTED_INPUTS = {
+    "tower-modulus-above-cap": (
+        lambda path: tower.load_tower(path, validate=False), tower.CorruptTower,
+        lambda tmp_path: spliced_tower(tmp_path, modulus=sieve_survivor(8193))),
+    "tower-record-count-max": (
+        lambda path: tower.load_tower(path, validate=False), tower.CorruptTower,
+        lambda tmp_path: spliced_tower(tmp_path, count=2**32 - 1)),
+    "proof-midpoint-count-max": (
+        vdf.deserialize_proof, DecodeError,
+        lambda tmp_path: bytes([vdf.PROOF_FORMAT_VERSION]) + (2**32 - 1).to_bytes(4, "big")),
+    "snapshot-nested-json": (
+        LedgerState.import_snapshot, InvalidSnapshot, lambda tmp_path: "[" * 100000),
+    # One digit past Python's limit on integer-string conversion.
+    "snapshot-4301-digit-modulus": (
+        LedgerState.import_snapshot, InvalidSnapshot,
+        lambda tmp_path: snapshot_with_modulus("1" + "0" * 4300)),
+    # 4 300 digits, at that limit: refused by its size before any primality test.
+    "snapshot-4300-digit-modulus": (
+        LedgerState.import_snapshot, InvalidSnapshot,
+        lambda tmp_path: snapshot_with_modulus(str(sieve_survivor(14284)))),
+    "scenario-nested-json": (
+        sim.scenario_from_json, sim.InvalidScenario, lambda tmp_path: "[" * 100000),
+    "scenario-modulus-above-cap": (
+        sim.scenario_from_json, sim.InvalidScenario,
+        lambda tmp_path: scenario_with_modulus_bits(8193)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED_INPUTS))
+def test_crafted_input_refused_within_bound(tmp_path, case):
+    parse, error, make = CRAFTED_INPUTS[case]
+    crafted = make(tmp_path)
+    started = time.perf_counter()
+    with pytest.raises(error):
+        parse(crafted)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -81,6 +81,15 @@ class TestSetup:
             vdf.SecurityParams.from_doc({"modulus_bits": 512, "iterations": 16,
                                          "prime_length_bits": 8})
 
+    @pytest.mark.parametrize("bits, accepted", [(63, False), (64, True), (8192, True),
+                                                (8193, False)])
+    def test_modulus_size_bounds(self, bits, accepted):
+        if accepted:
+            assert vdf.SecurityParams(bits, 1).modulus_bits == bits
+        else:
+            with pytest.raises(vdf.InvalidSecurityParams, match="^modulus_bits must "):
+                vdf.SecurityParams(bits, 1)
+
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             vdf.setup(SMALL_SECURITY, b"", b"E1")
@@ -1347,14 +1356,18 @@ class TestDerivation:
         if not HANDS_OFF:
             pytest.skip("the builtin engine searches both primes on the caller")
         caller, tested = threading.get_ident(), {"caller": 0, "worker": 0}
-        started, at_raise = threading.Event(), []
+        begun, started, at_raise = threading.Event(), threading.Event(), []
 
         def spy(n, rounds=40, test=vdf.is_probable_prime):
             side = "caller" if threading.get_ident() == caller else "worker"
             if side == raiser:
+                begun.set()
                 assert started.wait(30), "the other side never tested a candidate"
                 at_raise.append(dict(tested))
                 raise Interrupt
+            # A caller whose search ends before the worker begins takes q back and
+            # searches it itself, so the raiser's side would never search.
+            assert begun.wait(30), "the raiser never began its search"
             tested[side] += 1
             started.set()
             return test(n, rounds)
