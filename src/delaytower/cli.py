@@ -1,9 +1,9 @@
 """Operator command line: mine, verify-tower, bench, simulate, overhead.
 
-Exit codes: 0 success, 1 domain failure (invalid proof, corrupt tower,
-degenerate input), 2 usage or configuration error. A command fails by raising
-``CommandFailed`` (or ``vdf.InvalidSecurityParams``, ``tower.CorruptTower``);
-``main`` alone prints its one ``error: ...`` line on stderr and picks the code.
+Exit codes: 0 success, 1 domain failure (invalid proof, corrupt tower, degenerate input)
+or a stdout closed early, 2 usage or configuration error. A command fails by raising
+``CommandFailed`` (or ``vdf.InvalidSecurityParams``, ``tower.CorruptTower``); ``main``
+alone prints its one ``error: ...`` line on stderr and picks the code.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def _load_key(path: str, create: bool) -> bytes:
             return bytes.fromhex(fh.read().strip())
     key = secrets.token_bytes(32)
     write_atomic(path, (key.hex() + "\n").encode("ascii"))
-    print(f"generated new identity key at {path}")
     return key
 
 
@@ -93,6 +92,8 @@ def cmd_mine(args) -> None:
         key = _load_key(args.key_file, create=fresh)
     except (OSError, ValueError) as exc:
         raise CommandFailed(f"cannot {verb} key file: {exc}") from exc
+    if verb == "write":
+        print(f"generated new identity key at {args.key_file}")
     if not key:
         raise CommandFailed("key file holds no key")
 
@@ -116,6 +117,8 @@ def cmd_mine(args) -> None:
 
     try:
         twr = tower.grow(twr, args.proofs + fresh, save)  # and record 0 of a fresh tower
+    except BrokenPipeError:  # from save's print: ``main`` ends quietly
+        raise
     except OSError as exc:
         raise CommandFailed(f"cannot write tower file: {exc}") from exc
     print(f"tower height {twr.height}")
@@ -298,6 +301,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:  # stdout closed early, as by `| head`: the end of output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return EXIT_DOMAIN
     except (CommandFailed, vdf.InvalidSecurityParams, tower.CorruptTower) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CommandFailed) else \

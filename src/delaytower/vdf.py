@@ -30,25 +30,21 @@ exponentiation.
 Every input, output and midpoint is canonical, min(v, N - v), and verify
 compares up to sign: -1 has order 2 mod N, so N - y would pass for y otherwise.
 
-All group arithmetic is one function on ints, ``_powmod``: b1^e1 * b2^e2 * f
-mod N, for eval's t sequential squarings, the transcript's midpoints, each
-side of verify, and Miller-Rabin during modulus derivation. Where libcrypto
-loads and N is odd, it is ``BN_mod_exp_mont``, or ``BN_mod_exp2_mont`` for two
-bases, on the modulus's ``_MontContext``, its ``BIGNUM`` and Montgomery
-constants, then ``BN_mod_mul`` by f. That context
-is built once per odd modulus, kept in a bounded cache and shared by every
-thread, which is safe because nothing writes it after construction; a prime
-candidate, used once, gets a transient context instead. The scratch space
-libcrypto does write, a ``BN_CTX`` and seven ``BIGNUM``s, belongs to one thread
-(``_Scratch``). libcrypto drops the GIL inside each ctypes call, so two
-threads' sides, of one verify or of ``check_proofs``' tasks, run at once.
-Without libcrypto, or for an even modulus, the builtin ``pow`` gives the same
-results on one thread: it holds the GIL. ``powmod_engine`` names the engine.
-Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a call: a
-native call cannot be interrupted, so that bounds how long Ctrl-C waits.
-The delay runs on the fastest engine available because tower height is a fair
-measure only if honest miners square about as fast as anyone can: a proof
-certifies the count of sequential squarings, not the engine that did them.
+All group arithmetic is two functions on ints. ``_powmod``, b1^e1 * b2^e2 * f mod N,
+serves eval's t sequential squarings, the transcript's midpoints, each side of verify and
+Miller-Rabin; on libcrypto it keeps each odd modulus's Montgomery constants
+(``_MontContext``) in a bounded cache that every thread shares, since nothing writes them
+once built. ``_powmod_pair``, two exponentiations modulo two prime candidates, runs
+Miller-Rabin two rounds a call. A candidate, used once, gets a transient context. The
+scratch space libcrypto does write belongs to one thread (``_Scratch``). libcrypto drops
+the GIL inside each ctypes call, so two threads' sides, of one verify or of
+``check_proofs``' tasks, run at once. Without libcrypto, or for an even modulus, the
+builtin ``pow`` gives the same results on one thread: it holds the GIL. ``powmod_engine``
+names the engine. Eval squares by raising to 2^k, at most ``_LOOP_CHUNK`` squarings a
+call: a native call cannot be interrupted, so that bounds how long Ctrl-C waits. The delay
+runs on the fastest engine available because tower height is a fair measure only if honest
+miners square about as fast as anyone can: a proof certifies the count of sequential
+squarings, not the engine that did them.
 
 The group modulus is a product of two primes derived from a genesis seed; every
 participant of one network shares it. Each prime is the first candidate of a
@@ -71,7 +67,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .serialization import DecodeError, Reader, encode_bigint, encode_bytes, encode_uint, \
     LEGACY_KEYS, fields_from_doc, json_int, magnitude
@@ -143,8 +139,12 @@ def _load_libcrypto() -> Optional[ctypes.CDLL]:
     return None
 
 
-# Read-only after import; tests set it to None to force the builtin fallback.
+# Read-only after import; tests set _LIBCRYPTO to None to force the builtin fallback, and
+# _EXP_X2, which libcrypto 1.1.1 lacks, to None to hide it.
 _LIBCRYPTO = _load_libcrypto()
+_EXP_X2 = getattr(_LIBCRYPTO, "BN_mod_exp_mont_consttime_x2", None)
+if _EXP_X2 is not None:
+    _EXP_X2.argtypes, _EXP_X2.restype = [_P] * 11, ctypes.c_int
 
 
 def powmod_engine() -> str:
@@ -191,14 +191,14 @@ _MONT_LOCK = threading.Lock()
 
 
 class _Scratch:
-    """One thread's libcrypto scratch: a ``BN_CTX`` and seven ``BIGNUM``s, for the
-    two bases and their exponents, the factor, an uncached modulus and the result.
+    """One thread's libcrypto scratch: a ``BN_CTX`` and eight ``BIGNUM``s, for two bases and
+    their exponents, the factor or a second modulus, an uncached modulus and two results.
     Keeping it saves libcrypto allocating its temporaries again on every call."""
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
         self.ctx = lib.BN_CTX_new()
-        self.bignums = [lib.BN_new() for _ in range(7)]
+        self.bignums = [lib.BN_new() for _ in range(8)]
         if not (self.ctx and all(self.bignums)):
             raise MemoryError("BN_CTX_new or BN_new failed")
 
@@ -220,6 +220,19 @@ def _load(lib: ctypes.CDLL, bignum: int, value: int) -> None:
         raise MemoryError("BN_bin2bn failed")
 
 
+def _read(lib: ctypes.CDLL, bignum: int, modulus: int) -> int:
+    out = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)
+    if lib.BN_bn2binpad(bignum, out, len(out)) < 0:
+        raise ValueError("result is wider than the modulus")
+    return int.from_bytes(out.raw, "big")
+
+
+def _scratch(lib: ctypes.CDLL) -> _Scratch:
+    if getattr(_THREAD, "scratch", None) is None:
+        _THREAD.scratch = _Scratch(lib)
+    return _THREAD.scratch
+
+
 def _powmod(base: int, exponent: int, modulus: int, factor: int = 1,
             base2: int = 1, exponent2: int = 0, cached: bool = True) -> int:
     """base^exponent * base2^exponent2 * factor mod modulus, for arguments >= 0 and modulus > 1.
@@ -234,10 +247,8 @@ def _powmod(base: int, exponent: int, modulus: int, factor: int = 1,
         return pow(base, exponent, modulus) * pow(base2, exponent2, modulus) * factor % modulus
     if exponent == 0:  # BN_mod_exp2_mont gives 0 for a first base of 0 even then; pow gives 1
         base, exponent, base2, exponent2 = base2, exponent2, 1, 0
-    scratch = getattr(_THREAD, "scratch", None)
-    if scratch is None:
-        scratch = _THREAD.scratch = _Scratch(lib)
-    ctx, (b, e, b2, e2, f, n, result), mont = scratch.ctx, scratch.bignums, None
+    scratch = _scratch(lib)
+    ctx, (b, e, b2, e2, f, n, result, _), mont = scratch.ctx, scratch.bignums, None
     if cached:
         with _MONT_LOCK:
             context = _mont_context(lib, modulus)
@@ -258,10 +269,33 @@ def _powmod(base: int, exponent: int, modulus: int, factor: int = 1,
         _load(lib, f, factor)
         if not lib.BN_mod_mul(result, result, f, n, ctx):
             raise ValueError("BN_mod_mul failed")
-    out = ctypes.create_string_buffer((modulus.bit_length() + 7) // 8)
-    if lib.BN_bn2binpad(result, out, len(out)) < 0:
-        raise ValueError("result is wider than the modulus")
-    return int.from_bytes(out.raw, "big")
+    return _read(lib, result, modulus)
+
+
+# The one modulus width at which ``BN_mod_exp_mont_consttime_x2`` runs both exponentiations in
+# one kernel (AVX-512 IFMA); at others it makes two constant-time ones. Against two ``_powmod``
+# calls a pair took x1.07, 0.82, 1.12, 0.48, 1.05, 1.04 at 256, 512, 768, 1024, 1536, 2048 bits
+# (2-vCPU VM with IFMA); the gain at 512 bits, the same with IFMA masked, is not the kernel's.
+_PAIR_BITS = 1024
+
+
+def _powmod_pair(base: int, exponent: int, modulus: int, base2: int, exponent2: int,
+                 modulus2: int) -> tuple[int, int]:
+    """(base^exponent mod modulus, base2^exponent2 mod modulus2), bases below their odd moduli,
+    each used once: one ``BN_mod_exp_mont_consttime_x2`` if both moduli are ``_PAIR_BITS`` wide,
+    else two ``_powmod(..., cached=False)``. Its kernel takes operands only that wide."""
+    lib, kernel = _LIBCRYPTO, _EXP_X2
+    if (lib is None or kernel is None or not modulus & modulus2 & 1
+            or not modulus.bit_length() == modulus2.bit_length() == _PAIR_BITS):
+        return (_powmod(base, exponent, modulus, cached=False),
+                _powmod(base2, exponent2, modulus2, cached=False))
+    scratch = _scratch(lib)
+    *operands, result, result2 = scratch.bignums
+    for bignum, value in zip(operands, (base, exponent, modulus, base2, exponent2, modulus2)):
+        _load(lib, bignum, value)
+    if not kernel(result, *operands[:3], None, result2, *operands[3:], None, scratch.ctx):
+        raise ValueError("BN_mod_exp_mont_consttime_x2 failed")
+    return _read(lib, result, modulus), _read(lib, result2, modulus2)
 
 
 class InvalidSecurityParams(ValueError):
@@ -352,29 +386,45 @@ _SMALL_PRIMES = frozenset(n for n in range(2, 1024)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
+def _first_prime(candidates: Iterable[int], rounds: int, stop: threading.Event) -> Optional[int]:
+    """The first of ``candidates``, each above 1024, with no factor below 1024 that passes
+    ``rounds`` >= 1 Miller-Rabin rounds, two a call; None if none does, or once ``stop`` is
+    set, checked before each pair. The first rounds of two candidates run together, then each
+    one's later rounds in turn, up to one it fails: verdicts and cost are those of one round at
+    a time, but for the partner of the prime found. Round j's witness a = 2 + (SHA-256 of n and
+    j) mod (n - 3) has 256 bits or fewer, so it raises n - a, which the kernel takes: with
+    n - 1 = d * 2^r, d odd, (n - a)^d = -(a^d), and a round, which asks whether x is 1 or one
+    of x, x^2, ..., x^(2^(r - 1)) is -1, judges -x as it judges x."""
+    def passes(tests: list[tuple[int, int]]) -> list[bool]:  # for each (n, j), one or two
+        calls, verdicts = [], []
+        for n, j in tests:
+            seed = hashlib.sha256(_DOMAIN_WITNESS + magnitude(n) + j.to_bytes(4, "big")).digest()
+            calls.append((n - 2 - int.from_bytes(seed, "big") % (n - 3),
+                          (n - 1) // ((n - 1) & (1 - n)), n))
+        powers = (_powmod_pair(*calls[0], *calls[1]) if len(calls) == 2
+                  else [_powmod(*calls[0], cached=False)])
+        for x, (_, d, n) in zip(powers, calls):
+            passed = x == 1
+            while not passed and d < n - 1:  # x = (n - a)^d, then its squares, to the (n - 1) / 2
+                passed, x, d = x == n - 1, x * x % n, 2 * d
+            verdicts.append(passed)
+        return verdicts
+
+    survivors = (n for n in candidates if math.gcd(n, _SMALL_PRODUCT) == 1)
+    while not stop.is_set() and (pair := list(itertools.islice(survivors, 2))):
+        for n, passed in zip(pair, passes([(n, 0) for n in pair])):
+            if passed and all(all(passes([(n, j) for j in range(k, min(k + 2, rounds))]))
+                              for k in range(1, rounds, 2)):
+                return n
+    return None
+
+
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
     """Miller-Rabin with witnesses derived from n itself, so results are stable, after
     a sieve: n below 1024 is looked up, and a larger n with a factor below 1024 refused."""
     if n < 1024:
         return n in _SMALL_PRIMES
-    if math.gcd(n, _SMALL_PRODUCT) != 1:
-        return False
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
-    d = (n - 1) >> r
-    n_bytes = magnitude(n)
-    for j in range(rounds):
-        seed = hashlib.sha256(_DOMAIN_WITNESS + n_bytes + j.to_bytes(4, "big")).digest()
-        a = 2 + int.from_bytes(seed, "big") % (n - 3)
-        x = _powmod(a, d, n, cached=False)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _first_prime((n,), rounds, threading.Event()) == n
 
 
 @lru_cache(maxsize=64)
@@ -400,13 +450,9 @@ def _hashed(prefix: bytes, bits: int) -> Iterator[int]:
 
 def _derive_prime(bits: int, seed: bytes, tag: bytes, stop: threading.Event) -> Optional[int]:
     """First probable prime in a counter-extended hash stream, top two bits set;
-    None once ``stop`` is set, checked before each candidate."""
+    None once ``stop`` is set, checked before each pair of candidates."""
     top = (1 << (bits - 1)) | (1 << (bits - 2)) | 1
-    for candidate in _hashed(_DOMAIN_PRIME + seed + tag, bits):
-        if stop.is_set():
-            return None
-        if is_probable_prime(candidate | top):
-            return candidate | top
+    return _first_prime((c | top for c in _hashed(_DOMAIN_PRIME + seed + tag, bits)), 40, stop)
 
 
 @lru_cache(maxsize=32)

@@ -758,6 +758,49 @@ class TestSimulate:
         assert os.listdir(tmp_path) == ["scenario"]
 
 
+class TestClosedStdout:
+    """A stdout closed early, as by ``| head``, ends the command: exit 1, no message."""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("command", ["mine", "bench", "simulate"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, command, buffered):
+        argv = {"mine": ["mine", "--tower-file", str(tmp_path / "t.bin"),
+                         "--key-file", str(tmp_path / "k.hex"), "--proofs", "2", *FAST],
+                "bench": ["bench", "--iterations-list", "64", "--samples", "2",
+                          "--modulus-bits", "256", "--out", str(tmp_path / "b.csv")],
+                "simulate": ["simulate", "--scenario", "healthy-100",
+                             "--out-csv", str(tmp_path / "m.csv"),
+                             "--out-summary", str(tmp_path / "m.json")]}[command]
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout fails with EPIPE
+        try:
+            run = subprocess.run([sys.executable, *([] if buffered else ["-u"]),
+                                  "-m", "delaytower.cli", *argv], stdout=write_end,
+                                 stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (1, "")
+        # Unbuffered, the first line fails before the work: mine has written its key, and
+        # bench's new CSV is removed. Buffered, stdout fails only once the command is done,
+        # its files written whole.
+        if command == "mine":
+            assert len(bytes.fromhex((tmp_path / "k.hex").read_text())) == 32
+            assert (tmp_path / "t.bin").exists() is buffered
+            if buffered:
+                assert tower.load_tower(tmp_path / "t.bin").height == 3
+        elif command == "bench":
+            assert (tmp_path / "b.csv").exists() is buffered
+            if buffered:
+                rows = (tmp_path / "b.csv").read_text().splitlines()
+                assert rows[0] == "operation,iterations,sample,elapsed_ms" and len(rows) == 11
+        else:
+            digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                            for name in ("m.csv", "m.json"))
+            assert digests == SIMULATE_SHA256["healthy-100"]
+
+
 class TestOverhead:
     def test_published_figures(self, capsys):
         rc = main(["overhead", "--verify-ms", "115", "--proofs-per-epoch", "48",

@@ -441,6 +441,22 @@ class TestKeptPowers:
             proof = vdf.prove(pp, x, output, powers)
             assert (output, proof.checkpoints) == squaring_oracle(modulus, x, t), engine
 
+    # Level j <= s folds its 2^(j-1) kept powers in 2^(j-1) - 1 calls; each later level
+    # squares X in one; every level but the last folds X, so no call follows the last
+    # midpoint. t = 2^12: s = 2, 5 levels, 1 + 3 + 4 calls; t = 2^16: s = 4, 9 levels,
+    # 11 + 5 + 8 calls.
+    @pytest.mark.parametrize("t, calls", ((1 << 12, 8), (1 << 16, 24)))
+    def test_prove_calls_pinned(self, monkeypatch, loop_input, t, calls):
+        modulus, x = loop_input
+        pp = small_modulus_params(modulus, t)
+        output, powers = vdf.squarings(pp, x)
+        made = []
+        monkeypatch.setattr(vdf, "_powmod", lambda *args, powmod=vdf._powmod, **options:
+                            made.append(args) or powmod(*args, **options))
+        proof = vdf.prove(pp, x, output, powers)
+        assert len(made) == calls
+        assert (output, proof.checkpoints) == squaring_oracle(modulus, x, t)
+
     def test_each_kept_power_by_plain_squaring(self, monkeypatch, loop_input):
         modulus, x = loop_input
         for t in (*LOOP_STEPS, 300, (1 << 14) + 3, 1 << 16, (1 << 16) + 3):
@@ -1008,6 +1024,21 @@ class TestPowmod:
                     pow(base, exponent, modulus) * pow(base2, exponent2, modulus) * factor \
                     % modulus, (modulus, base, exponent, base2, exponent2, factor)
 
+    @pytest.mark.parametrize("engine", ("libcrypto", "x2 hidden", "builtin pow"))
+    def test_pair_matches_builtin_pow(self, monkeypatch, engine):
+        # Full-width and narrow operands, at the kernel's width and beside it.
+        if engine != "libcrypto":
+            monkeypatch.setattr(vdf, "_EXP_X2" if engine == "x2 hidden" else "_LIBCRYPTO", None)
+        rng = random.Random(83)
+        for bits, bits2 in ((1024, 1024), (1024, 1023), (512, 1024), (2048, 2048), (256, 768)):
+            moduli = (rng.getrandbits(bits) | 1 | 1 << (bits - 1),
+                      rng.getrandbits(bits2) | 1 | 1 << (bits2 - 1))
+            for width in (256, 1024):
+                operands = [(rng.randrange(1, n) if width >= bits else n - rng.getrandbits(width),
+                             rng.getrandbits(min(width, bits)) | 1, n) for n in moduli]
+                assert vdf._powmod_pair(*operands[0], *operands[1]) == \
+                    tuple(pow(*operand) for operand in operands), (bits, bits2, width)
+
     @requires_libcrypto
     def test_each_thread_frees_its_scratch(self, monkeypatch):
         freed = []
@@ -1251,6 +1282,64 @@ def eratosthenes(limit: int) -> list[bool]:
     return sieve
 
 
+# Carmichael numbers, strong pseudoprimes to the first few prime bases, and
+# products of two primes just above the sieve's bound, so no trial division
+# refuses them.
+KNOWN_VALUES = [
+    (561, False), (1105, False), (2047, False), (1_373_653, False), (25_326_001, False),
+    (3_215_031_751, False), (3_825_123_056_546_413_051, False), (1031 * 1033, False),
+    (1021 * 1031, False), (1031 * 1031, False), (1039 * 1049, False),
+    ((1 << 61) - 1, True), ((1 << 127) - 1, True), (1021, True), (1031, True),
+]
+
+SIEVE = eratosthenes(1024)
+
+
+def plain_miller_rabin(n: int, rounds: int) -> bool:
+    """Reference primality test: the sieve, then one round at a time on builtin ``pow``,
+    raising each witness a = 2 + (SHA-256 of n and j) mod (n - 3) itself, not n - a."""
+    if n < 1024:
+        return SIEVE[n]
+    if any(n % p == 0 for p in range(2, 1024) if SIEVE[p]):
+        return False
+    r = 0
+    while (n - 1) >> r & 1 == 0:
+        r += 1
+    d = (n - 1) >> r
+    for j in range(rounds):
+        seed = hashlib.sha256(vdf._DOMAIN_WITNESS + magnitude(n) + j.to_bytes(4, "big")).digest()
+        x = pow(2 + int.from_bytes(seed, "big") % (n - 3), d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def plain_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        n = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        if plain_miller_rabin(n, 40):
+            return n
+
+
+@pytest.fixture(scope="module")
+def differential_cases() -> dict[int, dict[int, bool]]:
+    """``plain_miller_rabin``'s verdict at 8 and 40 rounds on random 1024-bit odd numbers, two
+    1024-bit primes, products of two 512-bit primes, those primes and ``KNOWN_VALUES``."""
+    rng = random.Random(38)
+    halves = [plain_prime(rng, 512) for _ in range(4)]
+    cases = ([rng.getrandbits(1024) | 1 | 1 << 1023 for _ in range(24)]
+             + [plain_prime(rng, 1024) for _ in range(2)]
+             + [a * b for a, b in itertools.combinations(halves, 2)] + halves
+             + [n for n, _ in KNOWN_VALUES])
+    return {rounds: {n: plain_miller_rabin(n, rounds) for n in cases} for rounds in (8, 40)}
+
+
 class TestDerivation:
     """The modulus's two prime searches, one on verify's worker, and the sieve
     ahead of Miller-Rabin."""
@@ -1264,18 +1353,63 @@ class TestDerivation:
         expected = eratosthenes(1 << 16)
         assert [vdf.is_probable_prime(n, 8) for n in range(1 << 16)] == expected
 
-    # Carmichael numbers, strong pseudoprimes to the first few prime bases, and
-    # products of two primes just above the sieve's bound, so no trial division
-    # refuses them.
-    @pytest.mark.parametrize("n, prime", [
-        (561, False), (1105, False), (2047, False), (1_373_653, False), (25_326_001, False),
-        (3_215_031_751, False), (3_825_123_056_546_413_051, False), (1031 * 1033, False),
-        (1021 * 1031, False), (1031 * 1031, False), (1039 * 1049, False),
-        ((1 << 61) - 1, True), ((1 << 127) - 1, True), (1021, True), (1031, True),
-    ])
+    @pytest.mark.parametrize("n, prime", KNOWN_VALUES)
     def test_known_values(self, n, prime):
         assert vdf.is_probable_prime(n) is prime
         assert vdf.is_probable_prime(n, 8) is prime
+
+    @pytest.mark.parametrize("engine", ("libcrypto", "x2 hidden", "builtin pow"))
+    def test_first_prime_matches_plain_miller_rabin(self, monkeypatch, differential_cases, engine):
+        # Each verdict, and the first prime of sequences where it is the first or the second
+        # of a pair, and where a prime or a composite is its partner.
+        if engine != "libcrypto":
+            monkeypatch.setattr(vdf, "_EXP_X2" if engine == "x2 hidden" else "_LIBCRYPTO", None)
+        for rounds, expected in differential_cases.items():
+            assert {n: vdf.is_probable_prime(n, rounds) for n in expected} == expected
+            primes = [n for n in expected if n > 1024 and expected[n]]
+            composites = [n for n in expected if n > 1024 and not expected[n]]
+            sieved = [n for n in composites if all(n % p for p in range(2, 1024) if SIEVE[p])]
+            assert len(primes) > 2 and len(sieved) > 3
+            for offset in range(4):
+                tested = sieved[:offset] + primes + composites
+                assert vdf._first_prime(tested, rounds, threading.Event()) == primes[0]
+            assert vdf._first_prime(composites, rounds, threading.Event()) is None
+
+    @pytest.mark.skipif(vdf._EXP_X2 is None, reason="libcrypto lacks the pair kernel")
+    def test_libcrypto_calls_pinned(self, monkeypatch):
+        # The default seed's 2048-bit search takes 41 exponentiations for p and 69 for q: a
+        # prime's 40 rounds, and one first round per composite the sieve leaves. Two a call,
+        # that is 20 pairs and one single call for p, 34 and one for q.
+        calls = {}
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(vdf, "_EXP_X2", counted("pair", vdf._EXP_X2))
+        monkeypatch.setattr(vdf._LIBCRYPTO, "BN_mod_exp_mont",
+                            counted("single", vdf._LIBCRYPTO.BN_mod_exp_mont))
+        primes, counts = [], []
+        for tag in (b"p", b"q"):
+            calls.clear()
+            primes.append(vdf._derive_prime(1024, vdf.DEFAULT_MODULUS_SEED, tag,
+                                            threading.Event()))
+            counts.append(dict(calls))
+        assert counts == [{"pair": 20, "single": 1}, {"pair": 34, "single": 1}]
+        assert modulus_digest(primes[0] * primes[1]) == \
+            MODULUS_SHA256[2048, vdf.DEFAULT_MODULUS_SEED]
+
+    def test_composite_modulus_check_costs_one_exponentiation(self, monkeypatch):
+        modulus = vdf.generate_modulus(2048)
+        vdf._is_prime_modulus.cache_clear()
+        made = []
+        for name in ("_powmod", "_powmod_pair"):
+            monkeypatch.setattr(vdf, name, lambda *args, name=name, fn=getattr(vdf, name),
+                                **options: made.append(name) or fn(*args, **options))
+        vdf.check_modulus(modulus)
+        assert made == ["_powmod"]
 
     # Derivation does not read _HAND_OFF_BITS: the modulus is the same below and
     # from the size where verify hands off.
@@ -1349,7 +1483,7 @@ class TestDerivation:
     @pytest.mark.parametrize("raiser", ("caller", "worker"))
     def test_exception_stops_the_other_search(self, monkeypatch, raiser):
         # Once one side has tested a candidate, the other raises on its next: the
-        # first side may finish the candidate in hand, and tests no other.
+        # first side may finish the pair in hand, and tests no other.
         class Interrupt(BaseException):
             pass
 
@@ -1358,29 +1492,33 @@ class TestDerivation:
         caller, tested = threading.get_ident(), {"caller": 0, "worker": 0}
         begun, started, at_raise = threading.Event(), threading.Event(), []
 
-        def spy(n, rounds=40, test=vdf.is_probable_prime):
+        def spy(candidates, rounds, stop, first_prime=vdf._first_prime):
             side = "caller" if threading.get_ident() == caller else "worker"
-            if side == raiser:
-                begun.set()
-                assert started.wait(30), "the other side never tested a candidate"
-                at_raise.append(dict(tested))
-                raise Interrupt
-            # A caller whose search ends before the worker begins takes q back and
-            # searches it itself, so the raiser's side would never search.
-            assert begun.wait(30), "the raiser never began its search"
-            tested[side] += 1
-            started.set()
-            return test(n, rounds)
+
+            def drawn():  # counts each candidate the sieve leaves to Miller-Rabin
+                for n in candidates:
+                    if side == raiser:
+                        begun.set()
+                        assert started.wait(30), "the other side never tested a candidate"
+                        at_raise.append(dict(tested))
+                        raise Interrupt
+                    # A caller whose search ends before the worker begins takes q back and
+                    # searches it itself, so the raiser's side would never search.
+                    assert begun.wait(30), "the raiser never began its search"
+                    tested[side] += math.gcd(n, vdf._SMALL_PRODUCT) == 1
+                    started.set()
+                    yield n
+            return first_prime(drawn(), rounds, stop)
 
         bits, seed = 1024, b"another-network"
         vdf.generate_modulus.cache_clear()
         with monkeypatch.context() as patched:
-            patched.setattr(vdf, "is_probable_prime", spy)
+            patched.setattr(vdf, "_first_prime", spy)
             with pytest.raises(Interrupt):
                 vdf.generate_modulus(bits, seed)
         other = "worker" if raiser == "caller" else "caller"
         assert len(at_raise) == 1
-        assert tested[other] - at_raise[0][other] <= 1
+        assert tested[other] - at_raise[0][other] <= 2
         assert vdf.generate_modulus.cache_info().currsize == 0
         assert modulus_digest(vdf.generate_modulus(bits, seed)) == MODULUS_SHA256[bits, seed]
 
