@@ -21,7 +21,8 @@ from typing import Container, Iterable, Optional
 
 from . import tower, vdf
 from .serialization import (as_written, encode_bigint, encode_bytes, encode_uint,
-                            fields_from_doc, known_keys, load_json, nested_block, parse_rational)
+                            fields_from_doc, json_int, known_keys, load_json, natural,
+                            nested_block, parse_rational)
 from .signing import SignatureScheme, scheme_by_name
 
 SNAPSHOT_VERSION = 1
@@ -74,20 +75,21 @@ class EpochConfig:
     ranking: Ranking = Ranking.BY_TOWER_HEIGHT
 
     def __post_init__(self):
-        if self.rounds_per_epoch < 1:
+        if json_int("rounds_per_epoch", self.rounds_per_epoch) < 1:
             raise ValueError("rounds_per_epoch must be positive")
-        if self.max_validators < MIN_VALIDATORS:
+        if json_int("max_validators", self.max_validators) < MIN_VALIDATORS:
             raise ValueError(f"max_validators must be >= {MIN_VALIDATORS}")
+        # Held exact, so a float threshold writes the one spelling that reads back to it.
+        object.__setattr__(self, "liveliness_threshold", parse_rational(self.liveliness_threshold))
         if not 0 <= self.liveliness_threshold <= 1:
             raise ValueError("liveliness_threshold must lie in [0, 1]")
-        # Held exact, so a float threshold writes the one spelling that reads back to it.
-        object.__setattr__(self, "liveliness_threshold", Fraction(self.liveliness_threshold))
-        if self.mining_threshold < 1:
+        if json_int("mining_threshold", self.mining_threshold) < 1:
             raise ValueError("mining_threshold must be positive")
-        if self.jail_sentence_epochs < 1:
+        if json_int("jail_sentence_epochs", self.jail_sentence_epochs) < 1:
             raise ValueError("jail_sentence_epochs must be positive")
-        if self.growth_cap < self.mining_threshold:
+        if json_int("growth_cap", self.growth_cap) < self.mining_threshold:
             raise ValueError("growth_cap must be >= mining_threshold")
+        object.__setattr__(self, "ranking", Ranking(self.ranking))  # a member or its value
 
     def to_doc(self) -> dict:
         """JSON object of every field; ``from_doc`` reads it back."""
@@ -99,8 +101,7 @@ class EpochConfig:
     @classmethod
     def from_doc(cls, doc) -> "EpochConfig":
         """Parse ``to_doc``'s form; missing keys take the field defaults."""
-        return cls(**fields_from_doc(cls, doc, liveliness_threshold=parse_rational,
-                                     ranking=Ranking))
+        return cls(**fields_from_doc(cls, doc))
 
 
 @dataclass
@@ -389,8 +390,8 @@ class LedgerState:
         outside the miner pool or a signature count above ``epoch_blocks_total``."""
         try:
             doc = load_json(text)
-            if doc.get("version") != SNAPSHOT_VERSION:
-                raise ValueError(f"unsupported snapshot version {doc.get('version')}")
+            if json_int("version", doc.get("version")) != SNAPSHOT_VERSION:
+                raise ValueError(f"unsupported snapshot version {doc['version']}")
             known_keys(doc, "epoch", "epoch_blocks_total", "epoch_config", "epoch_signatures",
                        "miner_pool", "modulus", "scheme", "security", "validator_set", "version")
             security = vdf.SecurityParams.from_doc(doc["security"])
@@ -399,7 +400,7 @@ class LedgerState:
                 raise ValueError("a config is not written as export writes it")
             state = cls(security, config, scheme_by_name(doc["scheme"]),
                         modulus=as_written(doc["modulus"], int, str))
-            state.epoch = _count(doc["epoch"])
+            state.epoch = natural(doc["epoch"])
             for addr_hex, fields in doc["miner_pool"].items():
                 known_keys(fields, "compliant_epochs", "hash", "height", "jail_sentence",
                            "jailed", "num")
@@ -410,19 +411,19 @@ class LedgerState:
                 address = as_written(addr_hex)
                 state.miner_pool[address] = MinerState(
                     address=address,
-                    height=_count(fields["height"]),
+                    height=natural(fields["height"]),
                     hash=digest,
-                    num=_count(fields["num"]),
+                    num=natural(fields["num"]),
                     jailed=fields["jailed"],
-                    jail_sentence=_count(fields["jail_sentence"]),
-                    compliant_epochs=_count(fields["compliant_epochs"]),
+                    jail_sentence=natural(fields["jail_sentence"]),
+                    compliant_epochs=natural(fields["compliant_epochs"]),
                 )
             validators = [as_written(a) for a in doc["validator_set"]]
             if validators:
                 state.install_validators(validators)
-            state.epoch_blocks_total = _count(doc["epoch_blocks_total"])
+            state.epoch_blocks_total = natural(doc["epoch_blocks_total"])
             state.epoch_signatures = {
-                as_written(a): _count(n) for a, n in doc["epoch_signatures"].items()
+                as_written(a): natural(n) for a, n in doc["epoch_signatures"].items()
             }
             for address, n in state.epoch_signatures.items():
                 if address not in state.miner_pool:
@@ -440,10 +441,3 @@ def _config_doc(config: EpochConfig | vdf.SecurityParams) -> str:
     """A frozen config's ``to_doc`` as a second-level object through ``json.dumps``,
     re-indented one level; rendered once per config."""
     return json.dumps(config.to_doc(), sort_keys=True, indent=2).replace("\n", "\n  ")
-
-
-def _count(value) -> int:
-    """A snapshot counter: a non-negative JSON integer."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return value

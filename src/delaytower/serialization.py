@@ -24,11 +24,16 @@ class DecodeError(ValueError):
     """Raised when a byte stream cannot be decoded canonically."""
 
 
-def encode_uint(value: int, width: int) -> bytes:
-    """Fixed-width unsigned big-endian integer; a bool, float or str raises ValueError."""
+def natural(value) -> int:
+    """``value`` if it is an int of 0 or more; a negative, bool, float or str raises ValueError."""
     if type(value) is not int or value < 0:
-        raise ValueError(f"expected non-negative integer, got {value!r}")
-    return value.to_bytes(width, "big")
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def encode_uint(value: int, width: int) -> bytes:
+    """Fixed-width unsigned big-endian integer of a ``natural`` ``value``."""
+    return natural(value).to_bytes(width, "big")
 
 
 def magnitude(value: int) -> bytes:
@@ -37,10 +42,8 @@ def magnitude(value: int) -> bytes:
 
 
 def encode_bigint(value: int) -> bytes:
-    """Length-prefixed ``magnitude``; as ``encode_uint``, only an int >= 0."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"expected non-negative integer, got {value!r}")
-    return encode_bytes(magnitude(value))
+    """Length-prefixed ``magnitude`` of a ``natural`` ``value``."""
+    return encode_bytes(magnitude(natural(value)))
 
 
 def encode_bytes(data: bytes) -> bytes:
@@ -129,11 +132,12 @@ def as_written(text: str, parse=bytes.fromhex, write=bytes.hex):
 
 
 def parse_rational(value) -> Fraction:
-    """A rational from an integer, the exact value of a finite float, or ``str(Fraction)``'s text.
-
-    Booleans are refused, as ``json_int`` refuses them, and so is a zero denominator.
+    """A rational from a Fraction, an integer, the exact value of a finite float, or
+    ``str(Fraction)``'s text. Booleans are refused, as ``json_int`` refuses them, and so
+    is a zero denominator.
     """
-    if type(value) is int or isinstance(value, float) and math.isfinite(value):
+    if isinstance(value, Fraction) or type(value) is int or \
+            isinstance(value, float) and math.isfinite(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -157,19 +161,16 @@ def known_keys(doc, *known: str) -> dict:
     return doc
 
 
-def fields_from_doc(cls, doc, legacy=(), **parsers) -> dict:
+def fields_from_doc(cls, doc, legacy=()) -> dict:
     """Constructor arguments for the dataclass ``cls`` from the JSON object ``doc``.
 
-    Fields named in ``parsers`` go through them; every other field must hold an
-    integer. Missing keys are left to the defaults; a key that is neither a field
-    nor in ``legacy`` raises ValueError.
+    Every value goes to the constructor unchanged, which checks it as it checks any
+    caller's. Missing keys are left to the defaults; a key that is neither a field nor
+    in ``legacy`` raises ValueError.
     """
     names = [f.name for f in dataclasses.fields(cls)]
-    values = {}
-    for name in (name for name in names if name in known_keys(doc, *names, *legacy)):
-        value = doc[name]
-        values[name] = parsers[name](value) if name in parsers else json_int(name, value)
-    return values
+    return {name: value for name, value in known_keys(doc, *names, *legacy).items()
+            if name in names}
 
 
 def nested_block(brackets: str, entries: list[str], indent: int = 2) -> str:

@@ -6,6 +6,10 @@ validator set reach quorum. Epoch boundaries apply mining results and run the
 reconfiguration pipeline. All randomness comes from a counter-style generator
 keyed by (seed, epoch, round, address), so two runs of one scenario produce
 byte-identical metrics regardless of scheduling.
+
+``Scenario``, ``Behavior`` and ``RealVdf`` refuse and normalise their fields where
+they are built, as ``EpochConfig`` and ``vdf.SecurityParams`` do, so ``run`` takes any
+scenario that builds and ``scenario_from_json`` keeps only the document's spelling rules.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class RealVdf:
     proofs_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.proofs_per_epoch < 1:
+        if json_int("proofs_per_epoch", self.proofs_per_epoch) < 1:
             raise ValueError("proofs_per_epoch must be positive")
 
 
@@ -77,13 +81,14 @@ class Behavior:
     mining: Union[int, RealVdf] = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", BehaviorKind(self.kind))  # a member or its value
+        # Held exact, as EpochConfig holds its threshold: a float's text reads back to it.
+        object.__setattr__(self, "sign_probability", parse_rational(self.sign_probability))
         if not 0 <= self.sign_probability <= 1:
             raise ValueError("sign_probability must lie in [0, 1]")
-        # Held exact, as EpochConfig holds its threshold: a float's text reads back to it.
-        object.__setattr__(self, "sign_probability", Fraction(self.sign_probability))
-        if self.from_round < 0:
+        if json_int("from_round", self.from_round) < 0:
             raise ValueError("from_round must be non-negative")
-        if isinstance(self.mining, int) and self.mining < 0:
+        if not isinstance(self.mining, RealVdf) and json_int("mining", self.mining) < 0:
             raise ValueError("mining rate must be non-negative")
         for name in ("from_round", "sign_probability"):  # scenario_to_json drops the rest
             if getattr(self, name) != getattr(Behavior, name) and \
@@ -112,6 +117,21 @@ class Scenario:
     genesis_validators: tuple[bytes, ...]
     epoch_config: EpochConfig = EpochConfig()
     security: vdf.SecurityParams = vdf.SecurityParams(modulus_bits=512, iterations=16)
+
+    def __post_init__(self):
+        if not 0 <= json_int("seed", self.seed) < _U64:
+            raise InvalidScenario("seed must fit in 64 bits")
+        if json_int("epochs", self.epochs) < 1:
+            raise InvalidScenario("epochs must be positive")
+        addresses = [address for address, _ in self.population]
+        if b"" in addresses:
+            raise InvalidScenario("population contains an empty address")
+        if len(set(addresses)) != len(addresses):
+            raise InvalidScenario("population contains duplicate addresses")
+        try:
+            check_validator_set(self.genesis_validators, set(addresses))
+        except ValueError as exc:
+            raise InvalidScenario(f"genesis {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -265,22 +285,6 @@ def _epoch_signers(seed: int, epoch: int, rounds: int, always: frozenset[bytes],
         yield signers
 
 
-def _validate(scenario: Scenario) -> None:
-    if not 0 <= scenario.seed < _U64:
-        raise InvalidScenario("seed must fit in 64 bits")
-    if scenario.epochs < 1:
-        raise InvalidScenario("epochs must be positive")
-    addresses = [address for address, _ in scenario.population]
-    if b"" in addresses:
-        raise InvalidScenario("population contains an empty address")
-    if len(set(addresses)) != len(addresses):
-        raise InvalidScenario("population contains duplicate addresses")
-    try:
-        check_validator_set(scenario.genesis_validators, set(addresses))
-    except ValueError as exc:
-        raise InvalidScenario(f"genesis {exc}") from exc
-
-
 class _Node:
     def __init__(self, behavior: Behavior):
         self.behavior = behavior
@@ -300,7 +304,6 @@ def run(
     ("post-boundary", epoch, state) after reconfiguration, for test
     instrumentation. Observers must not mutate the state.
     """
-    _validate(scenario)
     scheme = KeyedHashScheme()
     nodes = {address: _Node(behavior) for address, behavior in scenario.population}
 
@@ -388,14 +391,13 @@ def _parse_behavior(doc: dict) -> Behavior:
     if isinstance(mining_doc, dict):
         if known_keys(mining_doc, "real_vdf", "proofs_per_epoch").get("real_vdf") is not True:
             raise InvalidScenario(f"unrecognised mining rate {mining_doc!r}")
-        mining: Union[int, RealVdf] = RealVdf(proofs_per_epoch=json_int(
-            "proofs_per_epoch", mining_doc.get("proofs_per_epoch", 1)))
+        mining: Union[int, RealVdf] = RealVdf(mining_doc.get("proofs_per_epoch", 1))
     else:
         mining = json_int("mining_rate", mining_doc)
     return Behavior(
         kind=kind,
-        from_round=json_int("from_round", conduct.get("from_round", 0)),
-        sign_probability=parse_rational(conduct.get("sign_probability", 1)),
+        from_round=conduct.get("from_round", 0),
+        sign_probability=conduct.get("sign_probability", 1),
         mining=mining,
     )
 
@@ -420,20 +422,18 @@ def scenario_from_json(text: str) -> Scenario:
             (as_written(entry["address"]), _parse_behavior(entry))
             for entry in doc["population"]
         )
-        scenario = Scenario(
-            seed=json_int("seed", doc["seed"]),
-            epochs=json_int("epochs", doc["epochs"]),
+        return Scenario(
+            seed=doc["seed"],
+            epochs=doc["epochs"],
             population=population,
             genesis_validators=tuple(as_written(a) for a in doc["genesis_validators"]),
             epoch_config=epoch_config,
             security=security,
         )
-        _validate(scenario)
     except InvalidScenario:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"bad scenario document: {exc}") from exc
-    return scenario
 
 
 def scenario_to_json(scenario: Scenario) -> str:

@@ -315,10 +315,11 @@ class SecurityParams:
     iterations: int
 
     def __post_init__(self):
-        if not _MIN_MODULUS_BITS <= self.modulus_bits <= _MAX_MODULUS_BITS:
+        bits = json_int("modulus_bits", self.modulus_bits)
+        if not _MIN_MODULUS_BITS <= bits <= _MAX_MODULUS_BITS:
             raise InvalidSecurityParams(f"modulus_bits must be in [{_MIN_MODULUS_BITS}, "
-                                        f"{_MAX_MODULUS_BITS}], got {self.modulus_bits}")
-        if self.iterations < 1 or self.iterations & (self.iterations - 1):
+                                        f"{_MAX_MODULUS_BITS}], got {bits}")
+        if json_int("iterations", self.iterations) < 1 or self.iterations & (self.iterations - 1):
             raise InvalidSecurityParams(
                 f"iterations must be a power of two, got {self.iterations}")
 

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import random
+import string
 
 import pytest
+from hypothesis import strategies as st
 
 from delaytower import tower, vdf
-from delaytower.ledger import EpochConfig, LedgerState
+from delaytower.ledger import EpochConfig, LedgerState, Ranking
 from delaytower.serialization import encode_bigint
 from delaytower.signing import KeyedHashScheme
+from delaytower.sim import BehaviorKind
 
 SMALL_SECURITY = vdf.SecurityParams(modulus_bits=512, iterations=16)
 TINY_SECURITY = vdf.SecurityParams(modulus_bits=256, iterations=16)
@@ -131,3 +136,78 @@ def make_ledger(
     if validators:
         state.install_validators(addresses[:validators])
     return state
+
+
+ENUM_MEMBERS = [*Ranking, *BehaviorKind]
+
+
+def field_values(ints=st.integers()) -> st.SearchStrategy:
+    """Any value a caller may hand a config field: an int from ``ints``, a bool, a
+    float, a fraction, a string, or an enum member or its value."""
+    return st.one_of(ints, st.booleans(), st.floats(), st.fractions(), st.text(max_size=3),
+                     st.sampled_from(ENUM_MEMBERS),
+                     st.sampled_from([member.value for member in ENUM_MEMBERS]))
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, path + (key,))
+
+
+def _dumps(node, twice=None) -> str:
+    """JSON text of ``node``, writing the key ``twice`` = (object, key) a second time."""
+    if isinstance(node, dict):
+        items = [f"{json.dumps(k)}: {_dumps(v, twice)}" for k, v in node.items()]
+        if twice is not None and twice[0] is node:
+            items.append(f"{json.dumps(twice[1])}: {_dumps(node[twice[1]], twice)}")
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(v, twice) for v in node) + "]"
+    return json.dumps(node)
+
+
+def _respelled(value, rng: random.Random):
+    """``value`` in a spelling no writer uses: a string padded or upper-cased, an
+    integer as a float, a bool or a string, a bool as an integer."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return rng.choice([float(value), bool(value), str(value)])
+    if value.upper() != value and rng.random() < 0.5:
+        return value.upper()
+    return rng.choice([" " + value, value + " "])
+
+
+def mutated_document(text: str, seed: int) -> tuple[str, str]:
+    """One seeded mutation of the written JSON document ``text``, and its name: a leaf
+    re-spelled, a key written twice, an unknown key, or a key misspelled by a character
+    dropped, doubled or replaced with "_" or "-", none of which leaves a hex address."""
+    rng = random.Random(seed)
+    doc = json.loads(text)
+    nodes = list(_nodes(doc))
+    objects = [node for _, node in nodes if isinstance(node, dict) and node]
+    kind = rng.choice(["respelled", "twice", "unknown", "misspelled"])
+    if kind == "respelled":
+        path, value = rng.choice([(p, v) for p, v in nodes
+                                  if p and not isinstance(v, (dict, list))])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _respelled(value, rng)
+        return json.dumps(doc), f"{kind} {'/'.join(map(str, path))}: {parent[path[-1]]!r}"
+    target = rng.choice(objects)
+    key = rng.choice(sorted(target))
+    if kind == "twice":
+        return _dumps(doc, (target, key)), f"{kind} {key}"
+    if kind == "unknown":
+        target["".join(rng.choices(string.ascii_lowercase, k=6)) + "_"] = target[key]
+        return json.dumps(doc), kind
+    i = rng.randrange(len(key))
+    other = "-" if key[i] == "_" else "_"
+    wrong = rng.choice([key[:i] + key[i + 1:], key[:i] + key[i] + key[i:],
+                        key[:i] + other + key[i + 1:]])
+    target[wrong] = target.pop(key)
+    return json.dumps(doc), f"{kind} {key} as {wrong}"

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytower import ledger, tower, vdf
@@ -36,8 +36,8 @@ from delaytower.reconfig import advance_epoch
 from delaytower.serialization import encode_bytes
 from delaytower.signing import SCHEMES, KeyedHashScheme
 
-from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, TINY_SECURITY, format_3_proof,
-                      link_of, make_ledger)
+from conftest import (FOLD_SECURITY, LINK_FAULTS, SMALL_SECURITY, TINY_SECURITY, field_values,
+                      format_3_proof, link_of, make_ledger, mutated_document)
 
 SCHEME = KeyedHashScheme()
 
@@ -123,6 +123,32 @@ class TestEpochConfig:
         doc = config.to_doc()
         assert EpochConfig.from_doc(doc) == config
         assert EpochConfig.from_doc(doc).to_doc() == doc
+
+    def test_threshold_takes_the_readers_rationals(self):
+        # The constructor parses the threshold as a document's reader does: a bool is
+        # refused, and a string is taken only in the spelling to_doc writes.
+        assert EpochConfig(liveliness_threshold="2/3") == EpochConfig(
+            liveliness_threshold=Fraction(2, 3))
+        for value in (True, False, math.inf):
+            with pytest.raises(ValueError, match=f"^cannot parse rational from {value!r}$"):
+                EpochConfig(liveliness_threshold=value)
+        for value in ("4/6", " 2/3"):
+            with pytest.raises(ValueError, match=f"^{value!r} is not spelled as it is written"):
+                EpochConfig(liveliness_threshold=value)
+
+    def test_ranking_value_builds_the_member_config(self):
+        config = EpochConfig(ranking="by-compliant-epochs")
+        assert config == EpochConfig(ranking=Ranking.BY_COMPLIANT_EPOCHS)
+        assert config.ranking is Ranking.BY_COMPLIANT_EPOCHS
+        assert_snapshot_round_trips(TINY_SECURITY, config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rounds_per_epoch", True), ("max_validators", 10.0), ("mining_threshold", "24"),
+        ("jail_sentence_epochs", False), ("growth_cap", 48.0)])
+    def test_non_integer_field_rejected_at_construction(self, field, value):
+        # The message from_doc gives for the same value in a document.
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            EpochConfig(**{field: value})
 
 
 class TestQuorum:
@@ -613,6 +639,47 @@ class TestLiveliness:
         assert state.epoch_signatures[b"m-04"] == 0
 
 
+def assert_snapshot_round_trips(security: vdf.SecurityParams, config: EpochConfig) -> None:
+    """A ledger built with the configs re-exports its imported snapshot byte for byte."""
+    text = LedgerState(security, config, SCHEME).export_snapshot()
+    assert LedgerState.import_snapshot(text).export_snapshot() == text
+
+
+CONFIG_FIELDS = [field.name for field in dataclasses.fields(EpochConfig)]
+
+
+class TestConfigsBuildWhatReadsBack:
+    """A config refuses a value at construction, or writes a document that reads back
+    to it: the readers refuse nothing that a constructor accepts."""
+
+    @settings(deadline=None)
+    @given(changes=st.fixed_dictionaries({}, optional={
+        "modulus_bits": field_values(st.integers(56, 80)),
+        "iterations": field_values(st.sampled_from([0, 1, 3, 16, 2**20]))}))
+    @example(changes={"modulus_bits": 1024.0})
+    @example(changes={"iterations": True})
+    def test_security_params(self, changes):
+        try:
+            security = vdf.SecurityParams(**{"modulus_bits": 64, "iterations": 16, **changes})
+        except (TypeError, ValueError):
+            return
+        assert vdf.SecurityParams.from_doc(security.to_doc()) == security
+        assert_snapshot_round_trips(security, EpochConfig())
+
+    @settings(deadline=None)
+    @given(changes=st.dictionaries(st.sampled_from(CONFIG_FIELDS),
+                                   field_values(st.integers(-1, 120)), max_size=3))
+    @example(changes={"ranking": "by-compliant-epochs"})
+    @example(changes={"rounds_per_epoch": True})
+    def test_epoch_config(self, changes):
+        try:
+            config = EpochConfig(**changes)
+        except (TypeError, ValueError):
+            return
+        assert EpochConfig.from_doc(config.to_doc()) == config
+        assert_snapshot_round_trips(TINY_SECURITY, config)
+
+
 class TestSnapshot:
     def test_roundtrip_stable(self, state, miner):
         miner.submit(miner.next_record())
@@ -728,6 +795,9 @@ BAD_SNAPSHOTS = {
     "security-iterations-not-power-of-two": edit("security", "iterations", 1000),
     "security-missing-field": edit("security", "modulus_bits", DROP),
     "security-prime-length": edit("security", "prime_length_bits", 1024),
+    # Equal to version 1 under ==, but not a JSON integer.
+    "version-float": edit("version", 1.0),
+    "version-boolean": edit("version", True),
     # A repeated key: json.loads would keep the last one silently.
     "duplicate-epoch": lambda doc: '{"epoch": 99, ' + json.dumps(doc)[1:],
     "duplicate-miner-height": lambda doc: json.dumps(doc).replace(
@@ -861,6 +931,16 @@ class TestSnapshotImport:
         text = BAD_SNAPSHOTS[case](json.loads(pinned_ledger().export_snapshot()))
         with pytest.raises(ledger.InvalidSnapshot):
             LedgerState.import_snapshot(text)
+
+    def test_seeded_mutations_raise_invalid_snapshot(self):
+        text = pinned_ledger().export_snapshot()
+        for seed in range(300):
+            mutated, what = mutated_document(text, seed)
+            try:
+                LedgerState.import_snapshot(mutated)
+            except ledger.InvalidSnapshot:
+                continue
+            pytest.fail(f"seed {seed}: {what} imported")
 
     @pytest.mark.parametrize("modulus, message", [
         (vdf.generate_modulus(256), "^modulus has 256 bits, not 512$"),

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytower import sim, vdf
@@ -28,6 +28,7 @@ from delaytower.sim import (
     recovery_time,
 )
 
+from conftest import field_values, mutated_document
 from test_acceptance import random_scenario
 
 
@@ -69,34 +70,42 @@ def build_scenario(
     )
 
 
+GENESIS = tuple(addr(f"g-{i}") for i in range(4))
+
+
+def scenario_of(behavior: Behavior = Behavior(), **fields) -> Scenario:
+    """One epoch of 100 rounds: four honest genesis validators, and a fifth node of
+    ``behavior``; ``fields`` replace the seed or epochs."""
+    population = ((addr("subject"), behavior),) + tuple((a, Behavior.honest()) for a in GENESIS)
+    return Scenario(**{"seed": 1, "epochs": 1, **fields}, population=population,
+                    genesis_validators=GENESIS)
+
+
 class TestValidation:
     def test_too_few_genesis_validators(self):
         scenario = build_scenario(validators=6)
-        bad = Scenario(
-            seed=1, epochs=1, population=scenario.population,
-            genesis_validators=scenario.genesis_validators[:3],
-            epoch_config=scenario.epoch_config)
         with pytest.raises(InvalidScenario):
-            sim.run(bad)
+            Scenario(
+                seed=1, epochs=1, population=scenario.population,
+                genesis_validators=scenario.genesis_validators[:3],
+                epoch_config=scenario.epoch_config)
 
     def test_unknown_genesis_validator(self):
         scenario = build_scenario()
-        bad = Scenario(
-            seed=1, epochs=1, population=scenario.population,
-            genesis_validators=scenario.genesis_validators[:3] + (addr("ghost"),),
-            epoch_config=scenario.epoch_config)
         with pytest.raises(InvalidScenario):
-            sim.run(bad)
+            Scenario(
+                seed=1, epochs=1, population=scenario.population,
+                genesis_validators=scenario.genesis_validators[:3] + (addr("ghost"),),
+                epoch_config=scenario.epoch_config)
 
     def test_duplicate_addresses(self):
         scenario = build_scenario()
-        bad = Scenario(
-            seed=1, epochs=1,
-            population=scenario.population + (scenario.population[0],),
-            genesis_validators=scenario.genesis_validators,
-            epoch_config=scenario.epoch_config)
         with pytest.raises(InvalidScenario):
-            sim.run(bad)
+            Scenario(
+                seed=1, epochs=1,
+                population=scenario.population + (scenario.population[0],),
+                genesis_validators=scenario.genesis_validators,
+                epoch_config=scenario.epoch_config)
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
@@ -122,14 +131,40 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{kind.value} behavior ignores {name}$"):
             Behavior(kind=kind, **{name: value})
 
+    def test_kind_value_builds_the_member_behavior(self):
+        assert Behavior(kind="honest") == Behavior.honest()
+        population = tuple((a, Behavior(kind="honest")) for a in GENESIS)
+        metrics = sim.run(Scenario(seed=1, epochs=1, population=population,
+                                   genesis_validators=GENESIS))
+        assert (metrics.total_commits, metrics.total_timeouts) == (100, 0)
+
+    @pytest.mark.parametrize("value", [True, False, math.nan])
+    def test_non_rational_probability_rejected_at_construction(self, value):
+        # The message scenario_from_json gives for the same value in a document.
+        with pytest.raises(ValueError, match=f"^cannot parse rational from {value!r}$"):
+            Behavior.silent(value)
+        assert Behavior.silent("1/2") == Behavior.silent(Fraction(1, 2))
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: Behavior.honest(2.5), "mining", 2.5),
+        (lambda: Behavior.crashed(True), "from_round", True),
+        (lambda: RealVdf(2.0), "proofs_per_epoch", 2.0),
+        (lambda: scenario_of(seed=True), "seed", True),
+        (lambda: scenario_of(epochs=2.0), "epochs", 2.0),
+    ], ids=["honest-float-mining", "crashed-boolean-round", "real-vdf-float", "seed-boolean",
+            "epochs-float"])
+    def test_non_integer_field_rejected_at_construction(self, make, field, value):
+        # The message scenario_from_json gives for the same value in a document.
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            make()
+
     def test_seed_out_of_range(self):
         scenario = build_scenario()
-        bad = Scenario(
-            seed=1 << 64, epochs=1, population=scenario.population,
-            genesis_validators=scenario.genesis_validators,
-            epoch_config=scenario.epoch_config)
         with pytest.raises(InvalidScenario):
-            sim.run(bad)
+            Scenario(
+                seed=1 << 64, epochs=1, population=scenario.population,
+                genesis_validators=scenario.genesis_validators,
+                epoch_config=scenario.epoch_config)
 
 
 class TestHealthyRuns:
@@ -595,6 +630,19 @@ class TestScenarioJson:
         back = sim.scenario_from_json(sim.scenario_to_json(scenario))
         assert back == scenario
 
+    def test_seeded_mutations_raise_invalid_scenario(self):
+        real = (addr("real"), Behavior(mining=RealVdf(proofs_per_epoch=2)))
+        scenario = build_scenario(crashed=1, silent=1, spares=2)
+        text = sim.scenario_to_json(dataclasses.replace(
+            scenario, population=scenario.population + (real,)))
+        for seed in range(300):
+            mutated, what = mutated_document(text, seed)
+            try:
+                sim.scenario_from_json(mutated)
+            except InvalidScenario:
+                continue
+            pytest.fail(f"seed {seed}: {what} parsed")
+
     def test_bad_document_raises_invalid_scenario(self):
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json('{"seed": 1, "epochs": 2}')
@@ -612,6 +660,13 @@ class TestScenarioJson:
         text = made if isinstance(made, str) else json.dumps(made)
         with pytest.raises(InvalidScenario):
             sim.scenario_from_json(text)
+
+    def test_mining_rate_named_by_its_document_key(self):
+        # Behavior names the field "mining"; the reader names the document's key.
+        doc = MALFORMED_SCENARIOS["mining-rate-float"](scenario_doc())
+        with pytest.raises(InvalidScenario, match="^bad scenario document: mining_rate "
+                                                  "must be an integer, got 48.9$"):
+            sim.scenario_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("members", [
         [b"val-00", b"val-01", b"val-02"],
@@ -650,6 +705,42 @@ class TestScenarioJson:
             scenario = sim.scenario_from_json(text)
             metrics = sim.run(scenario)
             assert len(metrics.epochs) == scenario.epochs
+
+
+class TestConfigsBuildWhatReadsBack:
+    """A config refuses a value at construction, or writes a scenario that reads back
+    to it: the reader refuses nothing that a constructor accepts."""
+
+    @staticmethod
+    def assert_round_trips(make) -> None:
+        try:
+            scenario = make()
+        except (TypeError, ValueError):
+            return
+        assert sim.scenario_from_json(sim.scenario_to_json(scenario)) == scenario
+
+    @settings(deadline=None)
+    @given(changes=st.dictionaries(
+        st.sampled_from(["kind", "from_round", "sign_probability", "mining"]),
+        field_values(st.integers(-1, 300)), max_size=3))
+    @example(changes={"kind": "honest"})
+    @example(changes={"mining": 2.5})
+    def test_behavior(self, changes):
+        self.assert_round_trips(lambda: scenario_of(Behavior(**changes)))
+
+    @settings(deadline=None)
+    @given(proofs=field_values(st.integers(-1, 4)))
+    @example(proofs=2.0)
+    def test_real_vdf(self, proofs):
+        self.assert_round_trips(lambda: scenario_of(Behavior(mining=RealVdf(proofs))))
+
+    @settings(deadline=None)
+    @given(changes=st.dictionaries(st.sampled_from(["seed", "epochs"]),
+                                   field_values(st.integers(-1, 2**65)), max_size=2))
+    @example(changes={"seed": True})
+    @example(changes={"epochs": 2.0})
+    def test_scenario(self, changes):
+        self.assert_round_trips(lambda: scenario_of(**changes))
 
 
 def _edge_scenarios() -> list[Scenario]:

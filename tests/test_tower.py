@@ -269,6 +269,7 @@ class TestValidatedPrefix:
 class TestValidateChain:
     def test_fresh_tower_valid(self, height8):
         assert tower.validate_chain(height8)
+        assert all(tower.record_valid(height8, index) for index in range(height8.height))
 
     def test_swapped_records_invalid(self, height8):
         records = list(height8.records)

@@ -81,6 +81,14 @@ class TestSetup:
             vdf.SecurityParams.from_doc({"modulus_bits": 512, "iterations": 16,
                                          "prime_length_bits": 8})
 
+    @pytest.mark.parametrize("bits, iterations, field, value", [
+        (1024.0, 16, "modulus_bits", 1024.0), (512, True, "iterations", True),
+        ("512", 16, "modulus_bits", "512"), (512, 16.0, "iterations", 16.0)])
+    def test_non_integer_field_rejected_at_construction(self, bits, iterations, field, value):
+        # The message from_doc gives for the same value in a document.
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            vdf.SecurityParams(bits, iterations)
+
     @pytest.mark.parametrize("bits, accepted", [(63, False), (64, True), (8192, True),
                                                 (8193, False)])
     def test_modulus_size_bounds(self, bits, accepted):
@@ -89,6 +97,12 @@ class TestSetup:
         else:
             with pytest.raises(vdf.InvalidSecurityParams, match="^modulus_bits must "):
                 vdf.SecurityParams(bits, 1)
+
+    @pytest.mark.parametrize("modulus", [1, 2, 3, 4, 2**64])
+    def test_degenerate_modulus_named(self, modulus):
+        # 3 is prime too, but the named rule refuses it first.
+        with pytest.raises(ValueError, match="^modulus must be an odd integer greater than 3$"):
+            vdf.check_modulus(modulus)
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
@@ -840,8 +854,9 @@ class TestFastReject:
 
     def test_rejects_oversized_elements(self, transcript):
         proof = transcript[3]
-        bad = vdf.VdfProof((1 << 513,) + proof.checkpoints[1:])
-        assert vdf.fast_reject(*fold(transcript), bad)
+        for oversized in (1 << 513, 1 << transcript[0].modulus.bit_length()):
+            bad = vdf.VdfProof((oversized,) + proof.checkpoints[1:])
+            assert vdf.fast_reject(*fold(transcript), bad)
 
     def test_thread_safe(self, transcript):
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -864,6 +879,11 @@ class TestCheckProof:
             tampered = list(proof.checkpoints)
             tampered[i] = 1 if tampered[i] != 1 else 2
             assert check(vdf.VdfProof(tuple(tampered))) == "transcript"
+
+    def test_input_at_half_the_modulus_verifies(self, small_params):
+        x = small_params.modulus // 2  # the largest canonical element, and a unit
+        y, proof = vdf.eval(small_params, x)
+        assert vdf.verify(small_params.modulus, small_params.iterations, x, y, proof)
 
     def test_output_out_of_range_fails_transcript_unexponentiated(self, hand_offs, power_calls,
                                                                   transcript):
@@ -895,9 +915,9 @@ class TestSerialization:
         x = vdf.hash_to_group(small_params.input_digest, small_params.modulus)
         _, proof = vdf.eval(small_params, x)
         blob = vdf.serialize_proof(proof)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError, match="^truncated input$"):
             vdf.deserialize_proof(blob[:-3])
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError, match="^trailing bytes after end of structure$"):
             vdf.deserialize_proof(blob + b"\x00")
 
     def test_format_1_refused(self, transcript):
