@@ -106,15 +106,24 @@ class EpochConfig:
 
 @dataclass
 class MinerState:
-    """On-chain record for one miner address."""
+    """On-chain record of one miner, keyed by its address in ``LedgerState.miner_pool``."""
 
-    address: bytes
     height: int
     hash: bytes
     num: int = 0
     jailed: bool = False
     jail_sentence: int = 0
     compliant_epochs: int = 0
+
+    def __post_init__(self):
+        for count in (self.height, self.num, self.jail_sentence, self.compliant_epochs):
+            natural(count)
+        if not isinstance(self.jailed, bool):
+            raise TypeError(f"jailed must be a bool, got {self.jailed!r}")
+        if type(self.hash) is not bytes:
+            raise TypeError(f"miner hash must be bytes, got {self.hash!r}")
+        if len(self.hash) != 32:  # link_digest and the genesis placeholder are SHA-256
+            raise ValueError(f"miner hash has {len(self.hash)} bytes, not 32")
 
 
 def quorum(n: int) -> int:
@@ -230,7 +239,7 @@ class LedgerState:
         if address in self.miner_pool:
             raise AlreadyRegistered(f"{address.hex()} already in miner pool")
         placeholder = hashlib.sha256(b"genesis-tip" + address).digest()
-        ms = MinerState(address=address, height=1, hash=placeholder)
+        ms = MinerState(height=1, hash=placeholder)
         self.miner_pool[address] = ms
         return ms
 
@@ -270,7 +279,7 @@ class LedgerState:
             raise InvalidProof(f"no public parameters for this address: {exc}") from exc
         if params != expected:  # the genesis profile, and record 0's input bound to this address
             raise InvalidProof("public parameters are not this address's on this network")
-        ms = MinerState(address=address, height=0, hash=params.input_digest)  # before record 0
+        ms = MinerState(height=0, hash=params.input_digest)  # before record 0
         failed = tower.check_link(self.modulus, self.security.iterations, ms.hash, ms.height,
                                   first_record)
         if failed is not None:
@@ -384,8 +393,8 @@ class LedgerState:
     def import_snapshot(cls, text: str) -> "LedgerState":
         """Rebuild the state ``export_snapshot`` wrote; raises InvalidSnapshot on malformed
         JSON, a missing key or one export does not write, a wrong type, hex, a decimal or
-        a config that export would spell otherwise, a negative count, a non-bool ``jailed``,
-        a miner hash not 32 bytes long, a modulus that ``vdf.check_modulus`` refuses or whose
+        a config that export would spell otherwise, a negative count, a miner record that
+        ``MinerState`` refuses, a modulus that ``vdf.check_modulus`` refuses or whose
         size is not ``security.modulus_bits``, an invalid config, another version, a signer
         outside the miner pool or a signature count above ``epoch_blocks_total``."""
         try:
@@ -401,23 +410,11 @@ class LedgerState:
             state = cls(security, config, scheme_by_name(doc["scheme"]),
                         modulus=as_written(doc["modulus"], int, str))
             state.epoch = natural(doc["epoch"])
-            for addr_hex, fields in doc["miner_pool"].items():
-                known_keys(fields, "compliant_epochs", "hash", "height", "jail_sentence",
-                           "jailed", "num")
-                if not isinstance(fields["jailed"], bool):
-                    raise TypeError(f"jailed must be a bool, got {fields['jailed']!r}")
-                if len(digest := as_written(fields["hash"])) != 32:
-                    raise ValueError(f"miner hash has {len(digest)} bytes, not 32")
-                address = as_written(addr_hex)
-                state.miner_pool[address] = MinerState(
-                    address=address,
-                    height=natural(fields["height"]),
-                    hash=digest,
-                    num=natural(fields["num"]),
-                    jailed=fields["jailed"],
-                    jail_sentence=natural(fields["jail_sentence"]),
-                    compliant_epochs=natural(fields["compliant_epochs"]),
-                )
+            for addr_hex, entry in doc["miner_pool"].items():
+                if entry.keys() != MinerState.__dataclass_fields__.keys():  # none defaulted
+                    raise ValueError(f"miner keys {sorted(entry)} are not the record's fields")
+                state.miner_pool[as_written(addr_hex)] = MinerState(
+                    **{**entry, "hash": as_written(entry["hash"])})
             validators = [as_written(a) for a in doc["validator_set"]]
             if validators:
                 state.install_validators(validators)

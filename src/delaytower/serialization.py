@@ -55,19 +55,27 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Write ``data`` to ``path`` through a mode-0600 temp file plus rename.
 
     Readers see the old file or the whole new one, never a partial write, and
-    nobody but the owner can read it.
+    nobody but the owner can read it. The temp file is synced before the rename and
+    its directory after it, so a power loss once this returns keeps the new file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".delaytower-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o600)
+            os.fchmod(fd, 0o600)
             fh.write(data)
+            fh.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class Reader:

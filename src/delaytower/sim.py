@@ -7,9 +7,9 @@ reconfiguration pipeline. All randomness comes from a counter-style generator
 keyed by (seed, epoch, round, address), so two runs of one scenario produce
 byte-identical metrics regardless of scheduling.
 
-``Scenario``, ``Behavior`` and ``RealVdf`` refuse and normalise their fields where
-they are built, as ``EpochConfig`` and ``vdf.SecurityParams`` do, so ``run`` takes any
-scenario that builds and ``scenario_from_json`` keeps only the document's spelling rules.
+``Scenario``, its population's (bytes, ``Behavior``) pairs included, ``Behavior`` and
+``RealVdf`` refuse and normalise their fields where they are built, as ``EpochConfig``
+does, so ``run`` takes any scenario that builds and ``scenario_from_json`` only parses.
 """
 
 from __future__ import annotations
@@ -123,11 +123,14 @@ class Scenario:
             raise InvalidScenario("seed must fit in 64 bits")
         if json_int("epochs", self.epochs) < 1:
             raise InvalidScenario("epochs must be positive")
+        if not all(type(entry) is tuple and len(entry) == 2 and type(entry[0]) is bytes
+                   and entry[0] and isinstance(entry[1], Behavior) for entry in self.population):
+            raise InvalidScenario("population needs (bytes, Behavior) pairs and no empty address")
         addresses = [address for address, _ in self.population]
-        if b"" in addresses:
-            raise InvalidScenario("population contains an empty address")
         if len(set(addresses)) != len(addresses):
             raise InvalidScenario("population contains duplicate addresses")
+        if not all(type(address) is bytes for address in self.genesis_validators):
+            raise InvalidScenario("genesis validators must be bytes")
         try:
             check_validator_set(self.genesis_validators, set(addresses))
         except ValueError as exc:
@@ -285,13 +288,6 @@ def _epoch_signers(seed: int, epoch: int, rounds: int, always: frozenset[bytes],
         yield signers
 
 
-class _Node:
-    def __init__(self, behavior: Behavior):
-        self.behavior = behavior
-        self.sign_cut = _sign_cut(behavior.sign_probability)
-        self.tower: Optional[tower.Tower] = None
-
-
 def run(
     scenario: Scenario,
     *,
@@ -305,60 +301,56 @@ def run(
     instrumentation. Observers must not mutate the state.
     """
     scheme = KeyedHashScheme()
-    nodes = {address: _Node(behavior) for address, behavior in scenario.population}
+    behaviors = dict(scenario.population)
+    cuts = {address: _sign_cut(behavior.sign_probability)
+            for address, behavior in behaviors.items() if behavior.kind is BehaviorKind.SILENT}
+    towers: dict[bytes, tower.Tower] = {}  # real-VDF miners' towers, grown at each boundary
 
     state = LedgerState(scenario.security, scenario.epoch_config, scheme)
-    for address, node in nodes.items():
-        if isinstance(node.behavior.mining, RealVdf):
-            node.tower = tower.init_tower(scenario.security, address, b"sim")
-            record = node.tower.records[0]
+    for address, behavior in behaviors.items():
+        if isinstance(behavior.mining, RealVdf):
+            chain = towers[address] = tower.init_tower(scenario.security, address, b"sim")
             signature = scheme.sign(
-                address, registration_message(address, node.tower.params, record))
-            state.register_miner(address, node.tower.params, record, signature)
+                address, registration_message(address, chain.params, chain.records[0]))
+            state.register_miner(address, chain.params, chain.records[0], signature)
         else:
             state.bootstrap_miner(address)
     state.install_validators(scenario.genesis_validators)
 
     rounds = scenario.epoch_config.rounds_per_epoch
     records: list[EpochRecord] = []
-    total_commits = 0
-    total_timeouts = 0
 
     if observer is not None:
         observer("genesis", -1, state)
 
     for epoch_index in range(scenario.epochs):
-        committed = 0
-        timeouts = 0
+        committed = 0  # every other round timed out
         validator_set = state.validator_set
         # The set is frozen for the epoch, so class its members once: they sign
         # every round, until their crash round, by draw, or (crashed) never.
         first = epoch_index * rounds
         always, until, silent = [], [], []
         for address in validator_set:
-            node = nodes[address]
-            if node.behavior.kind is BehaviorKind.SILENT:
-                silent.append((address, node.sign_cut))
-            elif (node.behavior.kind is BehaviorKind.HONEST
-                  or node.behavior.from_round >= first + rounds):
+            behavior = behaviors[address]
+            if behavior.kind is BehaviorKind.SILENT:
+                silent.append((address, cuts[address]))
+            elif behavior.kind is BehaviorKind.HONEST or behavior.from_round >= first + rounds:
                 always.append(address)
-            elif node.behavior.from_round > first:
-                until.append((address, node.behavior.from_round - first))
+            elif behavior.from_round > first:
+                until.append((address, behavior.from_round - first))
         signer_sets = _epoch_signers(scenario.seed, epoch_index, rounds, frozenset(always),
                                      until, silent)
         for round_index, signers in enumerate(signer_sets):
             leader = validator_set[round_index % len(validator_set)]
             if leader in signers and state.record_block(signers):
                 committed += 1
-            else:
-                timeouts += 1
 
         if committed:
             signed = state.epoch_signatures  # settled once per boundary
             liveliness = {a: signed[a] for a in validator_set}
         else:
             liveliness = {}
-        _apply_mining(state, nodes, scheme, epoch_index, rounds)
+        _apply_mining(state, behaviors, towers, scheme, first + rounds)
         if observer is not None:
             observer("pre-boundary", epoch_index, state)
         summary = advance_epoch(state)
@@ -367,7 +359,7 @@ def run(
         records.append(EpochRecord(
             epoch=epoch_index,
             committed_blocks=committed,
-            timeouts=timeouts,
+            timeouts=rounds - committed,
             validator_set=validator_set,
             jailed=summary.jailed,
             released=summary.released,
@@ -375,11 +367,9 @@ def run(
             nakamoto_liveness=nakamoto_liveness(len(validator_set)),
             reconfiguration_skipped=summary.reconfiguration_skipped,
         ))
-        total_commits += committed
-        total_timeouts += timeouts
 
-    return SimMetrics(epochs=tuple(records), total_commits=total_commits,
-                      total_timeouts=total_timeouts)
+    return SimMetrics(tuple(records), total_commits=sum(r.committed_blocks for r in records),
+                      total_timeouts=sum(r.timeouts for r in records))
 
 
 def _parse_behavior(doc: dict) -> Behavior:
@@ -460,30 +450,29 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _apply_mining(state: LedgerState, nodes: dict[bytes, _Node],
-                  scheme: KeyedHashScheme, epoch_index: int, rounds: int) -> None:
-    """Credit each miner's links for the epoch at the boundary.
+def _apply_mining(state: LedgerState, behaviors: dict[bytes, Behavior],
+                  towers: dict[bytes, tower.Tower], scheme: KeyedHashScheme,
+                  boundary_round: int) -> None:
+    """Credit each miner's links for the epoch that ends before ``boundary_round``.
 
     A simulated miner is credited its rate capped at ``growth_cap``, so its height
     stops at the cap too, where the ledger raises height by every accepted link
-    (ROADMAP item 2). Real miners ``tower.grow`` the epoch's proofs in one call and
-    push each through the genuine submission path. Nodes crashed before the
-    boundary mine nothing.
+    (ROADMAP item 2). Real miners ``tower.grow`` their ``towers`` entry by the epoch's
+    proofs in one call and push each through the genuine submission path. Nodes
+    crashed before the boundary mine nothing.
     """
-    boundary_round = (epoch_index + 1) * rounds
     cap = state.epoch_config.growth_cap
-    for address, node in nodes.items():
-        crashed = (node.behavior.kind is BehaviorKind.CRASHED
-                   and node.behavior.from_round < boundary_round)
-        if isinstance(node.behavior.mining, RealVdf):
+    for address, behavior in behaviors.items():
+        crashed = behavior.kind is BehaviorKind.CRASHED and behavior.from_round < boundary_round
+        if isinstance(behavior.mining, RealVdf):
             if crashed:
                 continue
-            grown = tower.grow(node.tower, node.behavior.mining.proofs_per_epoch)
-            for record in grown.records[node.tower.height:]:
+            grown = tower.grow(towers[address], behavior.mining.proofs_per_epoch)
+            for record in grown.records[towers[address].height:]:
                 claimed = record.index + 1
                 signature = scheme.sign(address, submission_message(address, claimed, record))
                 if not state.submit_proof(address, claimed, record, signature):
                     raise RuntimeError("simulated real miner produced a rejected proof")
-            node.tower = grown
+            towers[address] = grown
         elif not crashed:
-            state.credit(state.miner_pool[address], min(node.behavior.mining, cap))
+            state.credit(state.miner_pool[address], min(behavior.mining, cap))

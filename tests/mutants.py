@@ -3,8 +3,10 @@
     python tests/mutants.py tower ledger serialization
 
 A mutant changes one place in a module of ``src/delaytower``: a guard whose body
-raises or returns never fires (``if cond:`` becomes ``if False:``), or one
-comparison flips (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``). Each is
+raises or returns never fires (``if cond:`` becomes ``if False:``), one comparison
+flips (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), a gate name that a
+``return`` gives becomes its partner's (``"index"`` and ``"input"``, ``"screen"`` and
+``"transcript"``), or two adjacent ``if ...: return`` gates trade places. Each is
 written into a temporary copy of ``src``, ``tests``, ``pyproject.toml`` and
 ``README.md``, never into the tree, and tier-1 runs there with ``-x``, the mutated
 module's own test file first, under a timeout of five times the unmutated run and
@@ -39,6 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
          ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
+# Each gate name's partner: the other of the chain's gates, or of the proof's.
+GATE_PARTNERS = {"index": "input", "input": "index", "screen": "transcript",
+                 "transcript": "screen"}
 
 # Survivors that no test should kill, keyed "<file>: <line> -> <mutated line>", each
 # with the reason. A survivor missing here fails the run; a key that no longer
@@ -51,11 +56,10 @@ ACCEPTED = {
         "the onset epoch has timeouts, so it is never the clean epoch",
     "sim.py: if digest.digest()[:8] < cut: -> if digest.digest()[:8] <= cut:":
         "an 8-byte prefix never equals the 9-byte cut",
-    "sim.py: or node.behavior.from_round >= first + rounds): -> "
-    "or node.behavior.from_round > first + rounds):":
+    "sim.py: elif behavior.kind is BehaviorKind.HONEST or behavior.from_round >= first + rounds: "
+    "-> elif behavior.kind is BehaviorKind.HONEST or behavior.from_round > first + rounds:":
         "a crash at the next epoch's first round signs every round either way",
-    "sim.py: elif node.behavior.from_round > first: -> "
-    "elif node.behavior.from_round >= first:":
+    "sim.py: elif behavior.from_round > first: -> elif behavior.from_round >= first:":
         "a crash at the epoch's first round signs no round either way",
     "vdf.py: if not (self.ctx and all(self.bignums)): -> if False:":
         "libcrypto allocation failure: no test can cause it without fault injection",
@@ -84,8 +88,13 @@ ACCEPTED = {
 }
 
 
+def returning_gate(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and not node.orelse and isinstance(node.body[-1], ast.Return)
+
+
 def mutants(source: bytes) -> list[tuple[int, bytes]]:
-    """(line number, mutated source) for each guard and each flippable comparison."""
+    """(line number, mutated source) for each guard, each flippable comparison, each
+    returned gate name and each pair of adjacent returning gates."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -110,6 +119,22 @@ def mutants(source: bytes) -> list[tuple[int, bytes]]:
                 at = source.index(old, begin, offset(right.lineno, right.col_offset))
                 line = source.count(b"\n", 0, at) + 1
                 found.append((line, source[:at] + new + source[at + len(old):]))
+        if isinstance(node, ast.Return) and node.value is not None:
+            for leaf in ast.walk(node.value):
+                if isinstance(leaf, ast.Constant) and leaf.value in GATE_PARTNERS:
+                    begin = offset(leaf.lineno, leaf.col_offset)
+                    end = offset(leaf.end_lineno, leaf.end_col_offset)
+                    partner = f'"{GATE_PARTNERS[leaf.value]}"'.encode()
+                    found.append((leaf.lineno, source[:begin] + partner + source[end:]))
+        bodies = [getattr(node, field, None) for field in ("body", "orelse", "finalbody")]
+        for body in (body for body in bodies if isinstance(body, list)):  # no expression's
+            for first, second in zip(body, body[1:]):
+                if returning_gate(first) and returning_gate(second):
+                    # The second gate's lines, any lines between, then the first's.
+                    a, b, c, d = (starts[first.lineno - 1], starts[first.end_lineno],
+                                  starts[second.lineno - 1], starts[second.end_lineno])
+                    found.append((first.lineno, source[:a] + source[c:d] + source[b:c]
+                                  + source[a:b] + source[d:]))
     return sorted(found, key=lambda mutant: mutant[0])
 
 

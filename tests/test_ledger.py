@@ -382,6 +382,21 @@ class TestSubmission:
         assert ms.num == 2
         assert ms.hash == link_of(record)
 
+    def test_gates_run_in_order_and_stop_at_the_first_failed(self, state, miner, monkeypatch):
+        # The signature, then the claimed height, then check_link, as submit_proof documents.
+        reached = []
+        verify, check_link = SCHEME.verify, tower.check_link
+        monkeypatch.setattr(SCHEME, "verify",
+                            lambda *args: reached.append("signature") or verify(*args))
+        monkeypatch.setattr(tower, "check_link",
+                            lambda *args: reached.append("link") or check_link(*args))
+        record = miner.next_record()
+        for claimed, signature, gates in [(1, b"forged", ["signature"]), (1, None, ["signature"]),
+                                          (2, None, ["signature", "link"])]:
+            reached.clear()
+            assert miner.submit(record, claimed, signature) is (claimed == 2)
+            assert reached == gates, (claimed, signature)
+
     def test_replay_of_tip_rejected(self, state, miner):
         record = miner.next_record()
         assert miner.submit(record)
@@ -679,6 +694,33 @@ class TestConfigsBuildWhatReadsBack:
         assert EpochConfig.from_doc(config.to_doc()) == config
         assert_snapshot_round_trips(TINY_SECURITY, config)
 
+    @settings(deadline=None)
+    @given(changes=st.dictionaries(
+        st.sampled_from([field.name for field in dataclasses.fields(MinerState)]),
+        field_values(st.integers(-1, 2**65)) | st.binary(min_size=31, max_size=33),
+        max_size=3))
+    @example(changes={"jailed": True, "jail_sentence": 2**64})
+    @example(changes={"hash": bytearray(32)})
+    def test_miner_state(self, changes):
+        try:
+            miner = MinerState(**{"height": 1, "hash": bytes(32), **changes})
+        except (TypeError, ValueError):
+            return
+        state = LedgerState(TINY_SECURITY, EpochConfig(), SCHEME)
+        state.miner_pool[b"m"] = miner
+        text = state.export_snapshot()
+        assert LedgerState.import_snapshot(text).export_snapshot() == text
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"height": -1, "hash": bytes(32)}, ValueError, "expected a non-negative integer, got -1"),
+        ({"height": 1, "hash": b""}, ValueError, "miner hash has 0 bytes, not 32"),
+        ({"height": 1, "hash": bytes(32), "jailed": 1}, TypeError, "jailed must be a bool, got 1"),
+        ({"height": 1, "hash": "00" * 16}, TypeError, "miner hash must be bytes, got '0+'"),
+    ], ids=["negative-height", "empty-hash", "integer-jailed", "hex-hash"])
+    def test_miner_state_refuses_what_import_refuses(self, fields, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            MinerState(**fields)
+
 
 class TestSnapshot:
     def test_roundtrip_stable(self, state, miner):
@@ -884,7 +926,7 @@ def ledger_states(draw) -> LedgerState:
     pool = draw(st.lists(st.binary(min_size=1, max_size=6), unique=True, max_size=8))
     for address in pool:
         state.miner_pool[address] = MinerState(
-            address=address, height=draw(COUNTS), hash=draw(st.binary(max_size=32)),
+            height=draw(COUNTS), hash=draw(st.binary(min_size=32, max_size=32)),
             num=draw(COUNTS), jailed=draw(st.booleans()), jail_sentence=draw(COUNTS),
             compliant_epochs=draw(COUNTS))
     if pool:

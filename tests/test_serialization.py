@@ -1,12 +1,18 @@
-"""The shared codec and document rules: counts, short reads, and JSON objects."""
+"""The shared codec and document rules: counts, short reads, JSON objects and
+durable file writes."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from delaytower import cli, tower
 from delaytower.ledger import EpochConfig
 from delaytower.serialization import (DecodeError, Reader, encode_bigint, encode_uint,
                                       fields_from_doc, known_keys, natural)
+
+from conftest import TINY_SECURITY
 
 
 class TestNatural:
@@ -40,3 +46,29 @@ class TestDocuments:
         assert fields_from_doc(EpochConfig, doc) == doc
         with pytest.raises(TypeError, match="^rounds_per_epoch must be an integer, got 2.0$"):
             EpochConfig.from_doc(doc)
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("write", [
+        lambda path: tower.save_tower(tower.init_tower(TINY_SECURITY, b"a", b"e"), path),
+        lambda path: cli._load_key(str(path), create=True),
+    ], ids=["tower", "new-key-file"])
+    def test_file_synced_before_rename_and_directory_after(self, tmp_path, monkeypatch, write):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def spy_replace(source, target):
+            calls.append(("replace", os.path.basename(target)))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        write(tmp_path / "out")
+        # The temp file is renamed, so the written file keeps its inode.
+        assert calls == [("fsync", (tmp_path / "out").stat().st_ino), ("replace", "out"),
+                         ("fsync", tmp_path.stat().st_ino)]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]

@@ -158,6 +158,24 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             make()
 
+    @pytest.mark.parametrize("population, genesis", [
+        (tuple((a, "honest") for a in GENESIS), GENESIS),
+        (tuple((a.hex(), Behavior.honest()) for a in GENESIS), tuple(a.hex() for a in GENESIS)),
+        (tuple((a, Behavior.honest()) for a in GENESIS), tuple(a.hex() for a in GENESIS)),
+        (tuple((a, Behavior.honest()) for a in GENESIS), GENESIS[:3] + (3,)),
+        (tuple((a, Behavior.honest(), 0) for a in GENESIS), GENESIS),
+        (tuple((a,) for a in GENESIS), GENESIS),
+        (GENESIS, GENESIS),
+        (tuple((bytearray(a), Behavior.honest()) for a in GENESIS), GENESIS),
+        (((b"", Behavior.honest()),) + tuple((a, Behavior.honest()) for a in GENESIS), GENESIS),
+    ], ids=["behavior-string", "hex-addresses", "hex-genesis", "int-genesis", "triple",
+            "single", "bare-address", "bytearray-address", "empty-address"])
+    def test_malformed_population_rejected_at_construction(self, population, genesis):
+        # scenario_to_json and run read each entry as a (bytes, Behavior) pair, and
+        # each genesis validator as bytes.
+        with pytest.raises(InvalidScenario):
+            Scenario(seed=1, epochs=1, population=population, genesis_validators=genesis)
+
     def test_seed_out_of_range(self):
         scenario = build_scenario()
         with pytest.raises(InvalidScenario):
@@ -331,7 +349,7 @@ class TestSignBound:
     """``_sign_cut`` against ``signs``: the cut is exact, so no rounding of p moves a draw."""
 
     def test_probability_one_signs_at_last_draw(self):
-        cut = sim._Node(Behavior.silent(Fraction(1))).sign_cut
+        cut = sim._sign_cut(Behavior.silent(Fraction(1)).sign_probability)
         assert (2**64 - 1).to_bytes(8, "big") < cut
 
     @pytest.mark.parametrize("p", PROBABILITIES)

@@ -344,6 +344,16 @@ class TestCheckChain:
         lowest = min(faults)
         assert tower.check_chain(tampered) == link_by_link(tampered) == (lowest, faults[lowest])
 
+    @pytest.mark.parametrize("position", [1, 5])
+    def test_replayed_record_named_by_the_index_gate(self, height6, position):
+        # The record before, sent again whole, fails the index and the input gate;
+        # the index gate runs first, so it is the one named.
+        replayed = height6.records[position - 1]
+        assert tower.check_link(height6.params.modulus, height6.params.iterations,
+                                link_of(replayed), position, replayed) == "index"
+        tampered = dataclasses.replace(height6, records=height6.records[:position] + (replayed,))
+        assert tower.check_chain(tampered) == (position, "index")
+
     def test_lowest_failure_though_a_later_one_fails_first(self, monkeypatch, height6):
         # Record 1's left side fails slowly on one thread while the other thread
         # runs on and fails record 2 first: record 1 is still the answer.
